@@ -64,7 +64,6 @@ class SystemBuilder:
         self._async_limits: dict[str, object] = {}
         self._partitioner = None
         self._scatter_workers: int | None = None
-        self._scatter_mode: str | None = None
         self._storage_directory = None
         self._storage_options: dict[str, object] = {}
         self._storage_backend = None
@@ -113,7 +112,6 @@ class SystemBuilder:
         count: int | None,
         partitioner=None,
         scatter_workers: int | None = None,
-        scatter_mode: str | None = None,
     ) -> "SystemBuilder":
         """Partition every domain's table across *count* shards.
 
@@ -122,15 +120,11 @@ class SystemBuilder:
         bit-identical to the single-table build of the same recipe;
         see :mod:`repro.shard` and ``PERFORMANCE.md``.  *partitioner*
         overrides the default hash-by-record-id placement and
-        *scatter_workers* sizes each table's dedicated scatter
+        *scatter_workers* sizes each table's dedicated scatter thread
         executor (default: ``min(count, cpu_count)``, or the
         ``REPRO_SCATTER_WORKERS`` env var; ``1`` forces inline
-        scatters).  ``scatter_mode="process"`` additionally runs the
-        heavy scatter paths on a persistent worker-process pool over
-        shared-memory column segments — true multi-core scatter with
-        the thread path as parity oracle and automatic fallback (see
-        :mod:`repro.shard.procpool`).  ``None`` removes a
-        previously-configured sharding and restores single tables.
+        scatters).  ``None`` removes a previously-configured sharding
+        and restores single tables.
         """
         if count is None:
             self._cqads_options.pop("shards", None)
@@ -138,7 +132,6 @@ class SystemBuilder:
             self._cqads_options["shards"] = count
         self._partitioner = partitioner
         self._scatter_workers = scatter_workers
-        self._scatter_mode = scatter_mode
         return self
 
     # -- engine configuration ------------------------------------------
@@ -313,7 +306,6 @@ class SystemBuilder:
             lazy=self._lazy,
             partitioner=self._partitioner,
             scatter_workers=self._scatter_workers,
-            scatter_mode=self._scatter_mode,
             **self._cqads_options,
         )
 

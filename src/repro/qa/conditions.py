@@ -96,8 +96,8 @@ class Condition:
             raise ValueError(f"{self.op} condition cannot take a tuple value")
 
     def __hash__(self) -> int:
-        # Fragment-cache keys and the scatter pool's units tokens hash
-        # conditions (and tuples of them) dozens of times per question;
+        # Fragment-cache keys and column-store memos hash conditions
+        # (and tuples of them) dozens of times per question;
         # the generated dataclass hash re-tuples all five fields each
         # call, so memoize it on first use.
         cached = self.__dict__.get("_cached_hash")
@@ -110,9 +110,9 @@ class Condition:
 
     def __getstate__(self):
         # str hashes are salted per process (PYTHONHASHSEED), so a
-        # memoized hash must never cross the pickle boundary to a
-        # scatter worker — equal conditions with unequal hashes would
-        # corrupt the worker's memo dicts.
+        # memoized hash must never cross the pickle boundary into
+        # another process — equal conditions with unequal hashes would
+        # corrupt any dict keyed on them there.
         state = dict(self.__dict__)
         state.pop("_cached_hash", None)
         return state

@@ -3,11 +3,12 @@
 A :class:`RebalancePlan` is a pure description — an ordered list of
 :class:`ShardMove` record transfers — computed from the facade's
 per-shard gauges (row counts, and optionally the scatter-latency
-EWMAs behind ``repro_shard_scatter_seconds``).  Applying one
-(:meth:`repro.shard.table.ShardedTable.rebalance`) moves each record
-under the facade's write lock as an ordinary delete + insert, so the
-downstream machinery — fragment caches, window indexes, ranking
-column stores, WAL durability, the process-scatter segments — sees
+EWMAs behind ``repro_shard_scatter_seconds``, fed by the ranking
+scatters of :meth:`~repro.shard.table.ShardedTable.map_shards`).
+Applying one (:meth:`repro.shard.table.ShardedTable.rebalance`) moves
+each record under the facade's write lock as an ordinary delete +
+insert, so the downstream machinery — fragment caches, window
+indexes, ranking column stores, WAL durability — sees
 plain ``RemoveDelta``/``InsertDelta`` events and needs **no new
 invalidation paths**: a moved record is simply removed from one shard
 epoch-stream and inserted into another.

@@ -43,15 +43,6 @@ follows the machine (``min(shards, cpu_count)``, overridable via the
 ``REPRO_SCATTER_WORKERS`` env var), so a single-core box runs
 scatters inline and pays no thread overhead.
 
-With ``scatter_mode="process"`` the heavy scatter paths (columnar
-top-k scoring, relaxation-unit id-sets) additionally run on a
-persistent **worker-process pool** reading the shards out of
-shared-memory column segments (:mod:`repro.shard.procpool`); the
-thread path above stays wired as the parity oracle and the automatic
-fallback whenever the pool cannot serve (unexportable layouts, pool
-death, stale-epoch handshakes, platforms without
-``multiprocessing.shared_memory``).
-
 **Placement is dynamic.**  The partitioner's verdict (frozen at the
 construction-time modulus) is only the *base* placement; an
 override map (per moved record) and a redirect map (per merged-away
@@ -89,14 +80,9 @@ from repro.obs.trace import current_span, propagate, span
 from repro.shard.partition import HashPartitioner, Partitioner
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.shard.procpool import ProcessScatterPool
     from repro.shard.rebalance import RebalancePlan
 
 __all__ = ["ShardedTable"]
-
-#: Fresh pools spawned after worker death before the facade gives up
-#: and degrades to thread scatter permanently.
-_MAX_POOL_RESPAWNS = 3
 
 T = TypeVar("T")
 
@@ -120,22 +106,13 @@ class ShardedTable:
     substring_gram:
         Passed through to each shard's substring indexes.
     scatter_workers:
-        Thread count for parallel scatter operations (and the worker
-        count of the process pool in ``scatter_mode="process"``).
-        ``None`` sizes to ``min(shard_count, cpu_count)`` — or to the
+        Thread count for parallel scatter operations.  ``None`` sizes
+        to ``min(shard_count, cpu_count)`` — or to the
         ``REPRO_SCATTER_WORKERS`` env var when set, so CI machines
         with many cores don't oversubscribe the quick benches; values
-        <= 1 run thread scatters inline (no executor is ever
-        created).  The executor is dedicated to this facade — never a
-        shared service pool.
-    scatter_mode:
-        ``"thread"`` (default) keeps all scatter work in-process;
-        ``"process"`` additionally routes columnar scoring and
-        relaxation-unit evaluation through the shared-memory worker
-        pool (:mod:`repro.shard.procpool`), falling back to the
-        thread path automatically whenever the pool cannot serve.
-        Platforms without ``multiprocessing.shared_memory`` silently
-        degrade to ``"thread"``.
+        <= 1 run scatters inline (no executor is ever created).  The
+        executor is dedicated to this facade — never a shared service
+        pool.
     """
 
     def __init__(
@@ -145,14 +122,9 @@ class ShardedTable:
         partitioner: Partitioner | None = None,
         substring_gram: int = 3,
         scatter_workers: int | None = None,
-        scatter_mode: str = "thread",
     ) -> None:
         if shard_count < 1:
             raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-        if scatter_mode not in ("thread", "process"):
-            raise ValueError(
-                f"scatter_mode must be 'thread' or 'process', got {scatter_mode!r}"
-            )
         self.schema = schema
         self.name = schema.table_name
         self.shard_count = shard_count
@@ -210,15 +182,6 @@ class ShardedTable:
         #: rebalance targets.  Their Table objects stay (empty) so
         #: shard indexes remain stable for caches and metrics.
         self._retired: set[int] = set()
-        # -- process scatter tier -------------------------------------
-        if scatter_mode == "process":
-            from repro.shard.procpool import process_scatter_supported
-
-            if not process_scatter_supported():  # pragma: no cover
-                scatter_mode = "thread"
-        self.scatter_mode = scatter_mode
-        self._pool: "ProcessScatterPool | None" = None
-        self._pool_respawns = 0
         # -- per-shard load gauges ------------------------------------
         #: Scatter-leaf latency EWMA per shard (None until observed);
         #: feeds latency-aware rebalance planning.
@@ -415,62 +378,17 @@ class ShardedTable:
                 seconds if previous is None else previous * 0.8 + seconds * 0.2
             )
 
-    def process_pool(self) -> "ProcessScatterPool | None":
-        """The live worker-process pool, or ``None`` (thread fallback).
-
-        Lazily creates the pool on first use in ``scatter_mode=
-        "process"``.  A broken pool (worker death, pipe loss) is torn
-        down and replaced up to ``_MAX_POOL_RESPAWNS`` times, after
-        which — or as soon as the table's layout proves unexportable —
-        the facade degrades to ``scatter_mode="thread"`` permanently.
-        """
-        if self.scatter_mode != "process":
-            return None
-        with self._executor_lock:
-            if self._closed:
-                return None
-            pool = self._pool
-            if pool is not None and pool.broken:
-                self.remove_listener(pool.on_mutation)
-                pool.close()
-                self._pool = pool = None
-                self._pool_respawns += 1
-            if pool is not None and pool.unsupported:
-                self.remove_listener(pool.on_mutation)
-                pool.close()
-                self._pool = None
-                self.scatter_mode = "thread"
-                return None
-            if pool is None:
-                if self._pool_respawns > _MAX_POOL_RESPAWNS:
-                    self.scatter_mode = "thread"
-                    return None
-                from repro.shard.procpool import ProcessScatterPool
-
-                pool = ProcessScatterPool(
-                    self, max(1, min(self.scatter_workers, self.shard_count))
-                )
-                self.add_listener(pool.on_mutation)
-                self._pool = pool
-            return pool
-
     def close(self) -> None:
-        """Release the scatter executor and recycle the process pool
-        (idempotent).
+        """Release the scatter executor (idempotent).
 
         The table remains fully usable afterwards — scatters simply run
         inline, the way a ``scatter_workers=1`` facade always does.
         """
         with self._executor_lock:
             executor = self._executor
-            pool = self._pool
             self._executor = None
-            self._pool = None
             self._closed = True
             self.scatter_workers = 1
-        if pool is not None:
-            self.remove_listener(pool.on_mutation)
-            pool.close()
         if executor is not None:
             executor.shutdown(wait=True)
 
@@ -562,14 +480,16 @@ class ShardedTable:
         """Move *record_ids* onto shard *target*; returns moved count.
 
         Records already on *target* (or absent) are skipped.  Raises
-        for an out-of-range or retired target.
+        for an out-of-range or retired target.  The target is checked
+        under the write lock, so a concurrent :meth:`merge_shard` that
+        retires it cannot slip in between the check and the moves.
         """
-        if not 0 <= target < len(self.shards):
-            raise ValueError(f"target shard {target} out of range")
-        if target in self._retired:
-            raise ValueError(f"target shard {target} is retired")
         moved = 0
         with self._write_lock:
+            if not 0 <= target < len(self.shards):
+                raise ValueError(f"target shard {target} out of range")
+            if target in self._retired:
+                raise ValueError(f"target shard {target} is retired")
             for record_id in record_ids:
                 if self._move_one_locked(record_id, target):
                     moved += 1

@@ -199,7 +199,6 @@ def _provision_domain(
     seed: int,
     partitioner=None,
     scatter_workers: int | None = None,
-    scatter_mode: str | None = None,
 ) -> BuiltDomain:
     """Steps 1-3 and 5 of the provisioning pipeline for one domain."""
     assert system.ws_matrix is not None
@@ -211,7 +210,6 @@ def _provision_domain(
         shards=system.cqads.shards,
         partitioner=partitioner,
         scatter_workers=scatter_workers,
-        scatter_mode=scatter_mode,
     )
     domain = AdsDomain.from_table(spec.name, dataset.table)
     # The generated dataset's ebay-style ranges override the
@@ -254,7 +252,6 @@ def build_system(
     lazy: bool = False,
     partitioner=None,
     scatter_workers: int | None = None,
-    scatter_mode: str | None = None,
     storage=None,
     **cqads_options,
 ) -> BuiltSystem:
@@ -274,11 +271,7 @@ def build_system(
     across N shards and runs the answer path scatter-gather —
     bit-identical to the single-table build of the same seed.
     ``partitioner`` and ``scatter_workers`` tune the placement policy
-    and the per-table scatter executor (see :mod:`repro.shard`);
-    ``scatter_mode="process"`` runs the heavy scatter paths on each
-    facade's shared-memory worker-process pool
-    (:mod:`repro.shard.procpool`), with the thread path as automatic
-    fallback — answers are bit-identical across modes.
+    and the per-table scatter thread executor (see :mod:`repro.shard`).
     ``cache_maintenance="delta"|"rebuild"`` (also via
     ``**cqads_options``) selects how the hot-path caches follow
     mutations: delta patching (the default, for high-churn corpora) or
@@ -318,7 +311,6 @@ def build_system(
         seed,
         partitioner=partitioner,
         scatter_workers=scatter_workers,
-        scatter_mode=scatter_mode,
     )
     if lazy:
         # Named-domain requests provision on first use; classification

@@ -21,6 +21,7 @@ Four layers:
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
@@ -224,6 +225,25 @@ class TestScatterExecutor:
             )
             assert len(names) == 3
             assert all(name.startswith("shard-car_ads") for name in names)
+
+    def test_env_override_sizes_scatter_workers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCATTER_WORKERS", "3")
+        table = ShardedTable(small_car_schema(), 8)
+        assert table.scatter_workers == 3
+        table.close()
+        # Still capped by the shard count.
+        table = ShardedTable(small_car_schema(), 2)
+        assert table.scatter_workers == 2
+        table.close()
+        # An explicit argument wins over the environment.
+        table = ShardedTable(small_car_schema(), 8, scatter_workers=5)
+        assert table.scatter_workers == 5
+        table.close()
+        # Garbage values fall back to the cpu-count default.
+        monkeypatch.setenv("REPRO_SCATTER_WORKERS", "banana")
+        table = ShardedTable(small_car_schema(), 8)
+        assert table.scatter_workers == min(8, os.cpu_count() or 1)
+        table.close()
 
     def test_close_is_idempotent_and_falls_back_inline(self):
         sharded = ShardedTable(small_car_schema(), 2, scatter_workers=2)
@@ -642,6 +662,23 @@ class TestWiring:
         assert isinstance(table, ShardedTable)
         assert table.shard_count == 2
 
+    def test_system_builder_forwards_scatter_workers(self):
+        system = (
+            SystemBuilder()
+            .with_domains("cars")
+            .ads_per_domain(60)
+            .sessions_per_domain(60)
+            .corpus_documents(60)
+            .train_classifier(False)
+            .shards(2, scatter_workers=3)
+            .build()
+        )
+        with system:
+            table = system.database.table("car_ads")
+            assert table.shard_count == 2
+            # The default would be min(2, cpu_count): 3 can only be ours.
+            assert table.scatter_workers == 3
+
     def test_system_builder_shards_none_restores_single_tables(self):
         builder = SystemBuilder().with_domains("cars").ads_per_domain(60)
         builder.sessions_per_domain(80).corpus_documents(80)
@@ -677,3 +714,36 @@ class TestWiring:
         monkeypatch.setattr(cli, "SystemBuilder", RecordingBuilder)
         cli._provision_service(args)
         assert calls["shards"] == (4,)
+
+    def test_cli_rejects_scatter_mode_and_forwards_shard_count_only(
+        self, monkeypatch, capsys
+    ):
+        import repro.__main__ as cli
+
+        parser = cli.build_arg_parser()
+        # Thread scatter is the only tier, so there is no mode to pick.
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(
+                ["--shards", "2", "--scatter-mode", "process",
+                 "--domain", "cars", "honda"]
+            )
+        assert excinfo.value.code == 2
+        assert "--scatter-mode" in capsys.readouterr().err
+
+        args = parser.parse_args(["--shards", "2", "--domain", "cars", "honda"])
+        assert not hasattr(args, "scatter_mode")
+
+        calls = {}
+
+        class RecordingBuilder:
+            def __getattr__(self, name):
+                def record(*call_args, **call_kwargs):
+                    calls[name] = (call_args, call_kwargs)
+                    return self
+
+                return record
+
+        monkeypatch.setattr(cli, "SystemBuilder", RecordingBuilder)
+        cli._provision_service(args)
+        # The shard count is the only sharding option the CLI forwards.
+        assert calls["shards"] == ((2,), {})

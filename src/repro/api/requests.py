@@ -49,13 +49,12 @@ class AnswerOptions:
         engine, or ``3 * max_answers`` when ``max_answers`` itself is
         overridden (the engine's own widening rule).
     top_k:
-        Bound on the *ranked* partial pool: the columnar ranking
-        engine then selects the best ``top_k`` with a bounded heap
-        instead of sorting every candidate.  The bounded result is
-        identical to the full ranking truncated (ties included), so
-        set it to the presentation cap plus the cursor window you
-        intend to page through (e.g. ``30 + 60``); ``ranked_pool`` —
-        and therefore pagination — stops at ``top_k`` entries.  When
+        Bound on the length of the *ranked* partial pool: the bounded
+        result is identical to the full ranking truncated (ties
+        included), and ``ranked_pool`` — and therefore pagination —
+        stops at ``top_k`` partial entries.  It does not change how
+        much ranking work a question costs: the pool orders and
+        builds only the positions read, whatever its length.  When
         unset it follows the engine's ``ranking_top_k`` (default:
         unbounded, preserving full pagination).
     explain:

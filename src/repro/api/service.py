@@ -391,10 +391,10 @@ class AnswerService:
         bounded-heap selection instead of sorting every candidate —
         the product-capped-pagination mode.  Without either bound the
         full ranking is computed, preserving complete exports.  On an
-        already-computed result ``max_depth`` cannot save the ranking
-        work, but it still caps the export to the same window the
-        request path would serve (exact matches plus ``max_depth``
-        ranked partials).
+        already-computed result ``max_depth`` cannot save the scoring,
+        but it still caps the export to the same window the request
+        path would serve (exact matches plus ``max_depth`` ranked
+        partials), and only the answers in that window are built.
         """
         if page_size <= 0:
             raise ValueError(f"page_size must be positive, got {page_size}")
@@ -404,7 +404,13 @@ class AnswerService:
             result = source
             if max_depth is not None:
                 pool = result.ranked_pool if result.ranked_pool else result.answers
-                exact_count = sum(1 for answer in pool if answer.exact)
+                # Exact answers come first: stop at the first partial
+                # rather than building every answer of a lazy pool.
+                exact_count = 0
+                for answer in pool:
+                    if not answer.exact:
+                        break
+                    exact_count += 1
                 result = replace(
                     result, ranked_pool=list(pool[: exact_count + max_depth])
                 )

@@ -39,7 +39,13 @@ from repro.errors import ContradictionError
 from repro.obs import observe_stage, span
 from repro.qa.boolean_rules import build_interpretation
 from repro.qa.conditions import Interpretation
-from repro.qa.pipeline import Answer, CQAds, QuestionResult
+from repro.qa.pipeline import (
+    Answer,
+    AnswerView,
+    CQAds,
+    QuestionResult,
+    exact_answer,
+)
 from repro.qa.sql_generation import evaluate_interpretation, generate_sql
 from repro.qa.tagger import TaggedQuestion
 
@@ -78,8 +84,8 @@ class StageContext:
     tagged: TaggedQuestion | None = None
     interpretation: Interpretation | None = None
     sql: str = ""
-    exact: list[Answer] = field(default_factory=list)
-    partial: list[Answer] = field(default_factory=list)
+    exact: Sequence[Answer] = field(default_factory=list)
+    partial: Sequence[Answer] = field(default_factory=list)
     message: str | None = None
     finished: bool = False
     timings: dict[str, float] = field(default_factory=dict)
@@ -184,7 +190,9 @@ class ExecuteStage:
     Exact matches are retrieved *uncapped* (the evaluation order makes
     the first ``max_answers`` identical to a capped run) so the full
     list can back pagination; the rendered SQL keeps the legacy
-    ``LIMIT max_answers`` the paper's interface shows the user.
+    ``LIMIT max_answers`` the paper's interface shows the user.  The
+    stage builds answers for the presented ``max_answers`` matches;
+    the rest are built when a page reads them.
     """
 
     name = "execute"
@@ -224,10 +232,9 @@ class ExecuteStage:
                         path=decision.path,
                         rows=decision.rows,
                     )
-        ctx.exact = [
-            Answer(record=record, exact=True, score=float("inf"), similarity_kind="exact")
-            for record in records
-        ]
+        ctx.exact = AnswerView((records, exact_answer))
+        # Build the presented answers here, inside the stage's timing.
+        ctx.exact[: ctx.options.max_answers]
         return (
             f"{len(ctx.exact)} exact matches; "
             f"access paths: {executor.plan_summary()}"
@@ -238,8 +245,9 @@ class RelaxStage:
     """Section 4.3.1: N-1 relaxation and Eq. 5 Rank_Sim ordering.
 
     Runs only when relaxation is enabled and the exact matches do not
-    already fill the answer cap; produces the full scored candidate
-    list (capping happens when the result is assembled).
+    already fill the answer cap.  Every candidate is scored; the stage
+    builds the answers that fill the cap, and the rest of the ranking
+    is ordered and built only when a page reads it.
     """
 
     name = "relax"
@@ -261,6 +269,9 @@ class RelaxStage:
             ordered=ctx.options.ordered_evaluation,
             top_k=ctx.options.top_k,
         )
+        # Select and build the answers that fill the cap, inside the
+        # stage's timing.
+        ctx.partial[: ctx.options.max_answers - len(ctx.exact)]
         detail = f"{len(ctx.partial)} ranked partial candidates"
         if ctx.options.top_k is not None:
             detail += f" (top_k={ctx.options.top_k})"
@@ -346,10 +357,12 @@ class QueryPipeline:
     def _assemble(
         ctx: StageContext, trace: list[StageTrace] | None
     ) -> QuestionResult:
-        pool: list[Answer] = []
+        pool: Sequence[Answer] = []
         answers: list[Answer] = []
         if not ctx.finished:
-            pool = list(ctx.exact) + list(ctx.partial)
+            # The stages already built the first max_answers answers;
+            # the rest of the pool is built only when a page reads it.
+            pool = AnswerView.concat(ctx.exact, ctx.partial)
             answers = pool[: ctx.options.max_answers]
         message = ctx.message
         if message is None and not answers:

@@ -547,7 +547,9 @@ class Table:
         return sorted(seen, key=str)
 
     def scan(self, predicate: Callable[[Record], bool]) -> set[int]:
-        """Full scan: ids of records satisfying *predicate*."""
-        return {
-            record.record_id for record in self._records.values() if predicate(record)
-        }
+        """Full scan: ids of records satisfying *predicate*.
+
+        Scans a :meth:`snapshot`, so a concurrent insert or delete
+        cannot break the iteration.
+        """
+        return {record.record_id for record in self.snapshot() if predicate(record)}

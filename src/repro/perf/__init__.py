@@ -10,7 +10,8 @@ invalidation contracts):
   N×(N-1) per-drop predicate evaluations with N;
 * :mod:`repro.perf.colrank` — the columnar top-k ranking engine:
   per-table-epoch column stores, slot-wise scoring with distinct-value
-  memos, bounded-heap selection — bit-identical to the legacy ranker;
+  memos, and a lazy ranked pool that orders and builds only the rows
+  read — bit-identical to the legacy ranker;
 * :mod:`repro.perf.fragment_cache` — cross-question memoization of
   relaxation-unit id-sets, keyed on the table's mutation epoch so
   entries can never be served stale;
@@ -52,6 +53,7 @@ __all__ = [
     "FragmentCache",
     "IdWindow",
     "LRUCache",
+    "RankedPool",
     "ShardedWindows",
     "TableWindows",
     "columnar_rank_units",
@@ -70,7 +72,7 @@ _SUBPLAN_EXPORTS = frozenset(
 )
 
 _COLRANK_EXPORTS = frozenset(
-    ("ColumnStore", "columnar_rank_units", "sharded_rank_units")
+    ("ColumnStore", "RankedPool", "columnar_rank_units", "sharded_rank_units")
 )
 
 

@@ -19,10 +19,16 @@ record:
   questions ("make = toyota", "price < 10000") are evaluated once per
   table state.  Scores accumulate slot-by-slot in the legacy addition
   order, so every float is bit-identical to the per-record path.
-* selection is a bounded heap (``heapq.nsmallest`` on the legacy
-  ``(-score, record_id)`` key — documented to equal the full sort
-  truncated), and :class:`~repro.ranking.rank_sim.ScoredRecord`
-  objects are only constructed for the rows actually returned.
+* the result is a :class:`RankedPool`: scores and slot satisfaction
+  columns are computed up front, but the order and each
+  :class:`~repro.ranking.rank_sim.ScoredRecord` only when a position
+  is read.  The first read selects the prefix it needs with a bounded
+  heap (``heapq.nsmallest`` on the legacy ``(-score, record_id)`` key
+  — documented to equal the full sort truncated), a later read past
+  that prefix orders the pool once, and every row is built once.  A
+  question presents at most 30 answers, so a whole-table pool of
+  thousands of rows builds 30 ``ScoredRecord`` objects unless a caller
+  pages further.
 
 Parity is structural: satisfaction uses the same comparisons, failure
 similarities call the same ``TIMatrix``/``WSMatrix``/``Num_Sim`` code,
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from itertools import chain
 from typing import Sequence
 
 from repro.db.schema import AttributeType
@@ -63,8 +70,14 @@ from repro.ranking.rank_sim import (
     ScoredRecord,
     ScoringUnit,
 )
+from repro.structures.lazylist import LazyList
 
-__all__ = ["ColumnStore", "columnar_rank_units", "sharded_rank_units"]
+__all__ = [
+    "ColumnStore",
+    "RankedPool",
+    "columnar_rank_units",
+    "sharded_rank_units",
+]
 
 #: Failure-similarity labels by attribute type (Table 2's right-most
 #: column); negated conditions always label "negation".
@@ -684,21 +697,18 @@ def _score_rows(
     return scores, slots
 
 
-def _select(
-    scores: list[float], record_ids: list[int], top_k: int | None
-) -> list[int]:
-    """Pool indices in the legacy presentation order, bounded by top_k.
+def _select(scores: list[float], record_ids: list[int], k: int) -> list[int]:
+    """The first *k* pool indices in the legacy presentation order.
 
     nsmallest on the legacy ``(-score, record_id)`` key is documented
-    as ``sorted(...)[:k]``, ties (equal scores) included.
+    as ``sorted(...)[:k]``, ties (equal scores) included, and sorts
+    outright once *k* reaches the pool size.
     """
 
     def sort_key(index: int) -> tuple[float, int]:
         return (-scores[index], record_ids[index])
 
-    if top_k is None:
-        return sorted(range(len(scores)), key=sort_key)
-    return heapq.nsmallest(top_k, range(len(scores)), key=sort_key)
+    return heapq.nsmallest(k, range(len(scores)), key=sort_key)
 
 
 def _emit(
@@ -723,21 +733,69 @@ def _emit(
     )
 
 
+class RankedPool(LazyList[ScoredRecord]):
+    """A scored pool that orders and builds its rows only when read.
+
+    Holds, per pool row, the record, its Eq. 5 score and one
+    satisfaction entry per scoring slot — everything the ranking
+    decided.  Position *i* is the *i*-th row by the legacy
+    ``(-score, record_id)`` key.  The first read (an index or a
+    slice) selects the prefix up to the furthest position it asks for
+    with a bounded heap, a later read past that prefix orders the pool
+    once, and each position's :class:`~repro.ranking.rank_sim.ScoredRecord`
+    is built once (see :class:`~repro.structures.lazylist.LazyList`
+    for the list behaviour and thread safety).  ``top_k`` only caps
+    the length.
+
+    Scores, kinds and failed conditions are fixed at ranking time:
+    later table mutations do not change what a read returns.
+    """
+
+    def __init__(
+        self,
+        records: list[Record],
+        scores: list[float],
+        slots: _Slots,
+        top_k: int | None,
+    ) -> None:
+        size = len(records)
+        super().__init__(size if top_k is None else min(top_k, size))
+        self._records = records
+        self._record_ids = [record.record_id for record in records]
+        self._scores = scores
+        self._slots = slots
+        self._order: list[int] = []
+
+    def _build_all(self, positions: list[int]) -> list[ScoredRecord]:
+        furthest = max(positions)
+        if furthest >= len(self._order):
+            self._order = _select(
+                self._scores,
+                self._record_ids,
+                len(self) if self._order else furthest + 1,
+            )
+        records, scores, slots = self._records, self._scores, self._slots
+        return [
+            _emit(records[index], scores[index], slots, index)
+            for index in map(self._order.__getitem__, positions)
+        ]
+
+
 def columnar_rank_units(
     resources: RankingResources,
     records: list[Record],
     units: Sequence[ScoringUnit],
     top_k: int | None,
-) -> list[ScoredRecord] | None:
+) -> RankedPool | None:
     """Rank *records* columnar-ly; ``None`` means "use the legacy path".
 
-    Returns exactly what the legacy ``rank_units`` (full sort, then
-    ``[:top_k]``) returns: same records, same float scores, same failed
-    tuples, same kinds, same order.  When the resources' table is a
-    :class:`repro.shard.table.ShardedTable` the work scatters:
-    per-shard column stores score each shard's slice of the pool and
-    per-shard top-k selections merge into the global bounded result
-    (see :func:`sharded_rank_units`).
+    Reads exactly like the legacy ``rank_units`` result (full sort,
+    then ``[:top_k]``): same records, same float scores, same failed
+    tuples, same kinds, same order — but as a :class:`RankedPool`,
+    which orders and builds only the positions read.  When the
+    resources' table is a :class:`repro.shard.table.ShardedTable` the
+    scoring scatters across per-shard column stores (see
+    :func:`sharded_rank_units`).
     """
     table = resources.table
     if table is not None and getattr(table, "shards", None) is not None:
@@ -746,7 +804,7 @@ def columnar_rank_units(
     if store is None:
         return None
     if not records:
-        return []
+        return RankedPool([], [], [], top_k)
     if not _supports(store, units):
         return None
     try:
@@ -758,9 +816,7 @@ def columnar_rank_units(
     scores, slots = _score_rows(
         store, resources, rows, units, type_i_fp, query_keys
     )
-    record_ids = [record.record_id for record in records]
-    order = _select(scores, record_ids, top_k)
-    return [_emit(records[i], scores[i], slots, i) for i in order]
+    return RankedPool(records, scores, slots, top_k)
 
 
 def sharded_rank_units(
@@ -769,17 +825,17 @@ def sharded_rank_units(
     records: list[Record],
     units: Sequence[ScoringUnit],
     top_k: int | None,
-) -> list[ScoredRecord] | None:
-    """Scatter-gather ranking over a sharded table's pool.
+) -> RankedPool | None:
+    """Scatter-gather scoring over a sharded table's pool.
 
     The pool partitions by record placement; each shard's slice is
-    scored against that shard's own per-epoch column store and reduced
-    to a local ``top_k`` selection, and the local selections merge on
-    the legacy ``(-score, record_id)`` key into the global bounded
-    result.  The merge is exact: any record in the global top-k is by
-    definition within its own shard's top-k, and the key is a total
-    order (ids are unique), so the merged prefix equals the
-    single-store selection bit-for-bit.
+    scored against that shard's own per-epoch column store, and the
+    shards' scores and slot satisfaction columns are gathered into one
+    :class:`RankedPool`.  Selection then runs once over the gathered
+    rows: the ``(-score, record_id)`` key is a total order (ids are
+    unique) and scores are accumulated per record in the same order
+    whichever store scores it, so the pool reads bit-for-bit like the
+    single-store ranking.
 
     Shard tasks run through :meth:`ShardedTable.map_shards` — inline on
     a single-core box, fanned out on the facade's dedicated scatter
@@ -794,7 +850,7 @@ def sharded_rank_units(
     the caller re-scores the live records on the legacy path.
     """
     if not records:
-        return []
+        return RankedPool([], [], [], top_k)
     stores = resources.shard_column_stores()
     if stores is None:
         return None
@@ -807,37 +863,31 @@ def sharded_rank_units(
     type_i_fp, query_keys = _query_fingerprint(resources, units)
 
     def score_shard(index: int, _shard: Table):
-        group = groups[index]
-        if not group:
-            return ()
         store = stores[index]
         try:
-            rows = [store.row_of[record.record_id] for record in group]
+            rows = [store.row_of[record.record_id] for record in groups[index]]
         except KeyError:
             return None  # pool record mutated away mid-flight
-        scores, slots = _score_rows(
-            store, resources, rows, units, type_i_fp, query_keys
-        )
-        order = _select(scores, [record.record_id for record in group], top_k)
-        return group, scores, slots, order
+        return _score_rows(store, resources, rows, units, type_i_fp, query_keys)
 
     gathered = table.map_shards(score_shard)
     if any(result is None for result in gathered):
         return None
-    merged: list[tuple[float, int, int, int]] = []
-    for shard_index, result in enumerate(gathered):
-        if not result:
-            continue
-        group, scores, _slots, order = result
-        for local in order:
-            merged.append(
-                (-scores[local], group[local].record_id, shard_index, local)
-            )
-    merged.sort()
-    if top_k is not None:
-        merged = merged[:top_k]
-    results: list[ScoredRecord] = []
-    for _neg_score, _record_id, shard_index, local in merged:
-        group, scores, slots, _order = gathered[shard_index]
-        results.append(_emit(group[local], scores[local], slots, local))
-    return results
+    shard_scores = [scores for scores, _slots in gathered]
+    shard_slots = [slots for _scores, slots in gathered]
+    # Every shard scores the same slots in the same order; only the
+    # satisfaction columns differ, and they concatenate like the rows.
+    slots: _Slots = [
+        (
+            conditions,
+            kind,
+            list(chain.from_iterable(each[slot][2] for each in shard_slots)),
+        )
+        for slot, (conditions, kind, _sat) in enumerate(shard_slots[0])
+    ]
+    return RankedPool(
+        list(chain.from_iterable(groups)),
+        list(chain.from_iterable(shard_scores)),
+        slots,
+        top_k,
+    )

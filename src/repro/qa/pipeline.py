@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.classify.naive_bayes import (
     BetaBinomialNaiveBayes,
@@ -32,6 +32,7 @@ from repro.db.database import Database
 from repro.db.schema import AttributeType
 from repro.db.table import MutationEvent, Record
 from repro.errors import ClassificationError
+from repro.obs import span
 from repro.perf.fragment_cache import DEFAULT_CAPACITY, FragmentCache
 from repro.qa.conditions import (
     BooleanOperator,
@@ -47,14 +48,17 @@ from repro.qa.tagger import QuestionTagger
 from repro.ranking.rank_sim import (
     RankingResources,
     RankSimRanker,
+    ScoredRecord,
     ScoringUnit,
 )
+from repro.structures.lazylist import LazyList
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycle
     from repro.api.stages import QueryPipeline, StageTrace
 
 __all__ = [
     "Answer",
+    "AnswerView",
     "QuestionResult",
     "CQAds",
     "MAX_ANSWERS",
@@ -85,16 +89,86 @@ class Answer:
     similarity_kind: str
 
 
+def exact_answer(record: Record) -> Answer:
+    """The answer for a record that satisfied every criterion."""
+    return Answer(record=record, exact=True, score=float("inf"), similarity_kind="exact")
+
+
+def _ranked_answer(item: ScoredRecord) -> Answer:
+    return Answer(
+        record=item.record,
+        exact=False,
+        score=item.score,
+        similarity_kind=item.similarity_kind,
+    )
+
+
+def _unranked_answer(record: Record) -> Answer:
+    return Answer(record=record, exact=False, score=0.0, similarity_kind="unranked")
+
+
+def _same_answer(answer: Answer) -> Answer:
+    return answer
+
+
+class AnswerView(LazyList[Answer]):
+    """A read-only answer list built from its sources on read.
+
+    Each part is a source sequence (matched records, a ranking, or
+    another answer list) with the function that turns one of its items
+    into an :class:`Answer`; the parts read as one list, in order.  An
+    answer is built once, when its position is first read, so a
+    ranking of thousands of rows costs only the answers someone reads
+    (see :class:`~repro.structures.lazylist.LazyList`).
+    """
+
+    def __init__(self, *parts: tuple[Sequence[Any], Callable[[Any], Answer]]) -> None:
+        super().__init__(sum(len(source) for source, _ in parts))
+        self._parts = parts
+
+    @classmethod
+    def concat(cls, *answer_lists: Sequence[Answer]) -> Sequence[Answer]:
+        """Answer lists read one after another, nothing rebuilt; a lone
+        non-empty list is returned as it is."""
+        nonempty = [answers for answers in answer_lists if answers]
+        if len(nonempty) == 1:
+            return nonempty[0]
+        return cls(*((answers, _same_answer) for answers in nonempty))
+
+    def _build_all(self, positions: list[int]) -> list[Answer]:
+        answers: dict[int, Answer] = {}
+        start = 0
+        for source, build in self._parts:
+            end = start + len(source)
+            local = [p - start for p in positions if start <= p < end]
+            if local:
+                # A lazy source reads its share in one batch: one lock,
+                # and one ordering for a ranking.
+                items = (
+                    source._items(local)
+                    if isinstance(source, LazyList)
+                    else [source[p] for p in local]
+                )
+                answers.update(zip([start + p for p in local], map(build, items)))
+            start = end
+        return [answers[p] for p in positions]
+
+
 @dataclass
 class QuestionResult:
     """Everything CQAds produced for one question.
 
     ``answers`` is the capped list the paper presents (at most
-    ``max_answers`` entries, exacts first).  ``ranked_pool`` is the full
-    ranking the pipeline computed before capping — exact matches in
-    evaluation order followed by every scored partial candidate — so
+    ``max_answers`` entries, exacts first), built while the pipeline
+    ran.  ``ranked_pool`` is the full ranking the pipeline computed
+    before capping — exact matches in evaluation order followed by
+    every scored partial candidate — so
     :meth:`repro.api.service.AnswerService.page` can walk past the
-    30-answer cap without re-running or re-ranking anything.
+    30-answer cap without re-running or re-ranking anything.  It is a
+    read-only :class:`AnswerView`: it reads like a list (and compares
+    equal to one), but the answers past ``answers`` are ordered and
+    built only when a caller reads them, with the scores fixed when
+    the question was ranked.
 
     ``timings`` maps each executed stage name to its wall-clock seconds;
     ``elapsed_seconds`` (the seed's single number) is derived from it.
@@ -113,7 +187,7 @@ class QuestionResult:
     corrections: list[Correction] = field(default_factory=list)
     message: str | None = None  # "search retrieved no results" etc.
     timings: dict[str, float] = field(default_factory=dict)
-    ranked_pool: list[Answer] = field(default_factory=list)
+    ranked_pool: Sequence[Answer] = field(default_factory=list)
     trace: list["StageTrace"] | None = None
 
     @property
@@ -187,16 +261,17 @@ class CQAds:
         ``bench_relaxation_sharing`` comparison.
     ranking_engine:
         ``"columnar"`` (default) scores partial candidates through the
-        per-epoch column store with bounded top-k selection
-        (:mod:`repro.perf.colrank`); ``"legacy"`` keeps the per-record
-        scoring and full sort as the parity oracle.  Bit-identical
-        output (``tests/test_ranking_parity.py``).
+        per-epoch column store and orders only the ranking positions
+        read (:mod:`repro.perf.colrank`); ``"legacy"`` keeps the
+        per-record scoring and full sort as the parity oracle.
+        Bit-identical output (``tests/test_ranking_parity.py``).
     ranking_top_k:
-        Default bound on the ranked partial pool (``None`` keeps the
-        full ranking so cursor pagination can walk everything).  A
-        sensible bound is the presentation cap plus the cursor window
-        you expect to serve; per-request ``AnswerOptions.top_k``
-        overrides it.
+        Default bound on the length of the ranked partial pool
+        (``None`` keeps the full ranking so cursor pagination can walk
+        everything); per-request ``AnswerOptions.top_k`` overrides it.
+        The pool is ordered and built only where it is read, so the
+        bound saves no work on the answer path — it limits how far
+        pagination can walk.
     fragment_cache:
         Cross-question memoization of relaxation-unit id-sets
         (:mod:`repro.perf.fragment_cache`), keyed on each table's
@@ -602,7 +677,8 @@ class CQAds:
         candidates: dict[int, Record] = {}
         if len(units) == 1:
             table = self.database.table(context.domain.schema.table_name)
-            for record in table:
+            # snapshot(): a concurrent insert/delete cannot break the scan.
+            for record in table.snapshot():
                 if record.record_id not in exclude:
                     candidates[record.record_id] = record
         elif strategy == "shared":
@@ -654,17 +730,20 @@ class CQAds:
         strategy: str | None = None,
         top_k: int | None = None,
         engine: str | None = None,
-    ) -> list[Answer]:
+    ) -> Sequence[Answer]:
         """The scored N-1 answer list, best first.
 
         With ranking resources the pool is ordered by Eq. 5's Rank_Sim;
         without them the N-1 retrieval order (by record id) is kept and
         answers are marked ``unranked``.  ``top_k`` bounds the ranked
-        list (identical to the full ranking truncated — the columnar
-        engine selects it with a bounded heap instead of sorting
-        everything); ``engine`` overrides the engine's
-        ``ranking_engine`` per call.  Both default to the engine
-        settings, like the other knobs.
+        list (identical to the full ranking truncated); ``engine``
+        overrides the engine's ``ranking_engine`` per call.  Both
+        default to the engine settings, like the other knobs.
+
+        The result is an :class:`AnswerView` over the ranking: every
+        candidate is scored here, but answers (and, on the columnar
+        engine, the order past the first read) are built only for the
+        positions a caller reads.
         """
         context = self.context(domain)
         ranker = context.ranker()
@@ -673,38 +752,29 @@ class CQAds:
             return []
         if top_k is None:
             top_k = self.ranking_top_k
-        pool = self.partial_candidates(
-            domain,
-            interpretation,
-            exclude,
-            pool_cap=pool_cap,
-            ordered=ordered,
-            strategy=strategy,
-        )
+        with span("relax.candidates"):
+            pool = self.partial_candidates(
+                domain,
+                interpretation,
+                exclude,
+                pool_cap=pool_cap,
+                ordered=ordered,
+                strategy=strategy,
+            )
         if ranker is None:
             # No similarity resources: preserve N-1 retrieval order by id.
             pool.sort(key=lambda record: record.record_id)
             if top_k is not None:
                 pool = pool[:top_k]
-            return [
-                Answer(record=record, exact=False, score=0.0, similarity_kind="unranked")
-                for record in pool
-            ]
-        scored = ranker.rank_units(
-            pool,
-            units,
-            top_k=top_k,
-            engine=engine if engine is not None else self.ranking_engine,
-        )
-        return [
-            Answer(
-                record=item.record,
-                exact=False,
-                score=item.score,
-                similarity_kind=item.similarity_kind,
+            return AnswerView((pool, _unranked_answer))
+        with span("relax.rank", pool=len(pool)):
+            scored = ranker.rank_units(
+                pool,
+                units,
+                top_k=top_k,
+                engine=engine if engine is not None else self.ranking_engine,
             )
-            for item in scored
-        ]
+        return AnswerView((scored, _ranked_answer))
 
     @staticmethod
     def _units_to_interpretation(

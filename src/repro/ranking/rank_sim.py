@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.db.schema import AttributeType
 from repro.db.table import BatchDelta, MutationEvent, Record, Table, UpdateDelta
@@ -494,10 +494,11 @@ class RankSimRanker:
 
     * ``"columnar"`` (default) — scores through the table's per-epoch
       :class:`~repro.perf.colrank.ColumnStore` (array lookups instead
-      of per-record dict walking) and selects ``top_k`` with a bounded
-      heap instead of sorting the whole pool.  Falls back to the
-      legacy path automatically when no table is attached to the
-      resources or a condition shape is outside the columnar planner.
+      of per-record dict walking) and returns a
+      :class:`~repro.perf.colrank.RankedPool`, which orders and builds
+      only the positions read.  Falls back to the legacy path
+      automatically when no table is attached to the resources or a
+      condition shape is outside the columnar planner.
     * ``"legacy"`` — the original per-record scoring and full sort,
       kept as the parity oracle.
     """
@@ -528,7 +529,7 @@ class RankSimRanker:
         records: list[Record],
         units: list[ScoringUnit],
         top_k: int | None,
-    ) -> list[ScoredRecord] | None:
+    ) -> Sequence[ScoredRecord] | None:
         # Imported here: colrank needs ScoredRecord/ScoringUnit from
         # this module, so a top-level import would cycle.
         from repro.perf.colrank import columnar_rank_units
@@ -608,7 +609,7 @@ class RankSimRanker:
         conditions: list[Condition],
         top_k: int | None = None,
         engine: str | None = None,
-    ) -> list[ScoredRecord]:
+    ) -> Sequence[ScoredRecord]:
         """Order *records* by descending Rank_Sim (ties by record id).
 
         Per-condition scoring is the degenerate unit case (every
@@ -707,12 +708,16 @@ class RankSimRanker:
         units: list[ScoringUnit],
         top_k: int | None = None,
         engine: str | None = None,
-    ) -> list[ScoredRecord]:
-        """Order *records* by unit-based Rank_Sim.
+    ) -> Sequence[ScoredRecord]:
+        """Order *records* by unit-based Rank_Sim, best first.
 
-        With ``top_k`` the columnar engine selects the best *top_k*
-        via a bounded heap (equivalent to the full sort truncated —
-        ties included); the legacy engine sorts everything and slices.
+        The legacy engine scores and sorts everything and returns a
+        list cut to ``top_k``.  The columnar engine scores everything
+        up front but returns a read-only
+        :class:`~repro.perf.colrank.RankedPool` that reads the same:
+        it orders and builds a ``ScoredRecord`` only for the positions
+        read (a bounded heap for the first read), and ``top_k`` only
+        caps its length.
         """
         if self._resolve_engine(engine) == "columnar":
             selected = self._columnar(records, units, top_k)

@@ -697,18 +697,9 @@ class ShardedTable:
         )
 
     def scan(self, predicate: Callable[[Record], bool]) -> set[int]:
-        # Scanned off per-shard snapshots rather than shard.scan(): the
-        # plain table's scan iterates its record dict live, which a
-        # concurrent (serialized) writer could resize mid-predicate.
-        # The snapshot copy is atomic per shard, keeping full scans
-        # safe under the facade's writer-friendly contract.
-        return self._union(
-            lambda shard: {
-                record.record_id
-                for record in shard.snapshot()
-                if predicate(record)
-            }
-        )
+        # Each shard scans its own snapshot (Table.scan), so a
+        # concurrent writer cannot resize a record dict mid-predicate.
+        return self._union(lambda shard: shard.scan(predicate))
 
     def _union(self, lookup: Callable[[Table], set[int]]) -> set[int]:
         # Shards partition the records, so the union over per-shard

@@ -36,6 +36,20 @@ class TestInsert:
         assert [r.record_id for r in fetched] == [1, 3]
 
 
+class TestConcurrentReads:
+    def test_scan_survives_an_insert_during_the_scan(self, car_table):
+        inserted = []
+
+        def predicate(record):
+            if not inserted:
+                inserted.append(car_table.insert(dict(SMALL_CAR_ROWS[0])))
+            return record["make"] == "honda"
+
+        # The scan reads a snapshot taken before the insert.
+        assert car_table.scan(predicate) == {1, 2, 3}
+        assert len(car_table) == len(SMALL_CAR_ROWS) + 1
+
+
 class TestDelete:
     def test_delete_removes_from_indexes(self, car_table):
         before = car_table.lookup_equal("make", "honda")

@@ -454,6 +454,32 @@ class TestConnectedSpanTree:
         # Exported exactly once, on root exit.
         assert obs.tracer.sinks[0].last() is root
 
+    def test_relax_sub_spans_hold_the_scatter_that_ran_under_them(self, installed):
+        system, obs = installed
+        service = system.service(observability=obs)
+
+        def relax_children(question: str) -> dict[str, list[str]]:
+            with obs.trace("request") as root:
+                service.answer(AnswerRequest(question=question, domain="cars"))
+            relax = root.find("stage.relax")
+            assert relax is not None
+            return {
+                child.name: [node.name for node in child.walk()]
+                for child in relax.children
+            }
+
+        # Several relaxation units: their id-sets scatter per shard (a
+        # price bound no other test asks, so the fragment cache misses).
+        multi = relax_children("blue honda accord less than 12345 dollars")
+        assert "shard.scatter" in multi["relax.candidates"]
+        assert "shard.scatter" in multi["relax.rank"]
+        # One unit: the pool is the whole table, read from snapshots;
+        # only the ranking scatters.
+        single = relax_children("cheapest honda accord")
+        assert "shard.scatter" not in single["relax.candidates"]
+        assert "shard.scatter" in single["relax.rank"]
+        service.close()
+
     def test_batch_pool_propagates_the_callers_span(self, installed):
         system, obs = installed
         service = system.service(observability=obs)

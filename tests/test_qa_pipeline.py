@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.db.table import Table
 from repro.errors import ClassificationError
 from repro.qa.pipeline import MAX_ANSWERS
+from repro.system import build_system
 
 
 class TestAnswering:
@@ -107,6 +109,31 @@ class TestRelaxationUnits:
         for unit in units:
             for condition in unit.conditions:
                 assert not condition.negated
+
+
+class TestConcurrentWrites:
+    def test_single_unit_pool_survives_an_insert_mid_scan(self, monkeypatch):
+        system = build_system(
+            ["cars"], ads_per_domain=80, sessions_per_domain=40, corpus_documents=20
+        )
+        cqads = system.cqads
+        table = system.database.table("car_ads")
+        interpretation = cqads.answer(
+            "cheapest honda accord", domain="cars"
+        ).interpretation
+        assert len(cqads.relaxation_units(interpretation)) == 1
+        row = dict(table.get(1))
+        iterate = Table.__iter__
+
+        def insert_after_first(self):
+            records = iterate(self)
+            yield next(records)
+            self.insert(row)
+            yield from records
+
+        monkeypatch.setattr(Table, "__iter__", insert_after_first)
+        pool = cqads.partial_candidates("cars", interpretation)
+        assert len(pool) == 80
 
 
 class TestFeatureSwitches:

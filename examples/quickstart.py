@@ -170,15 +170,12 @@ def main() -> None:
     table.delete(bargain.record_id)  # caches refresh again automatically
 
     # High churn: ads are posted, edited and expired far more often
-    # than the question mix changes.  Under the default
-    # cache_maintenance="delta" every mutation is absorbed as a typed
-    # delta — the ranking column store patches only the changed column
-    # slots and the fragment cache re-evaluates only the touched record
-    # per cached criterion — so a stream of point edits costs
+    # than the question mix changes.  Every mutation is absorbed as a
+    # typed delta — the ranking column store patches only the changed
+    # column slots and the fragment cache re-evaluates only the touched
+    # record per cached criterion — so a stream of point edits costs
     # microseconds per question instead of a full cache rebuild each
-    # (BENCH_incremental.json: ~20x over rebuilds at 8000 ads;
-    # `.cache_maintenance("rebuild")` on the builder restores the old
-    # behaviour, kept as the parity oracle).
+    # (see PERFORMANCE.md, "Incremental maintenance").
     print("=" * 72)
     print("High-churn stream: one price edit per question ...")
     fragments = service.cqads.fragment_cache
@@ -198,13 +195,13 @@ def main() -> None:
     # Range predicates: ordered column windows answer <, >, >=, <= and
     # BETWEEN leaves with two bisects into a delta-maintained sorted
     # array (spliced in place by the same typed deltas that patch the
-    # caches above), and a selectivity-adaptive planner picks scan vs.
-    # sorted index vs. window — or the window's complement, when the
-    # range matches most of the pool — per leaf (see PERFORMANCE.md,
-    # "Ordered windows & adaptive planning"; BENCH_range.json: ~12x
-    # over full scans at 8000 ads).  The execute stage surfaces its
-    # per-leaf decisions in the explain trace, and a standalone
-    # SQLExecutor exposes them programmatically.
+    # caches above), and a selectivity-adaptive planner picks the
+    # window or its complement, when the range matches most of the
+    # pool, per leaf; tables under 64 rows use the sorted index (see
+    # PERFORMANCE.md, "Ordered windows & adaptive planning").  The
+    # execute stage surfaces its per-leaf decisions in the explain
+    # trace, and a standalone SQLExecutor exposes them
+    # programmatically.
     print("=" * 72)
     ranged = service.ask(
         "Any car priced below $7000 and not less than $2000",
@@ -216,7 +213,7 @@ def main() -> None:
     for entry in ranged.trace or []:
         if entry.stage == "execute":
             print(f"   stage {entry.describe()}")
-    executor = SQLExecutor(service.cqads.database)  # access_paths="adaptive"
+    executor = SQLExecutor(service.cqads.database)
     result = executor.execute_sql(
         "SELECT * FROM car_ads WHERE price BETWEEN 2000 AND 7000 "
         "AND mileage < 60000"

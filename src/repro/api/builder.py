@@ -155,25 +155,11 @@ class SystemBuilder:
     def answer_defaults(self, **cqads_options) -> "SystemBuilder":
         """Engine-level answering defaults (``correct_spelling``,
         ``relax_partial``, ``ordered_evaluation``,
-        ``partial_pool_per_query``, ``relaxation_strategy``,
-        ``ranking_engine``, ``ranking_top_k``, ``fragment_cache``) —
+        ``partial_pool_per_query``, ``ranking_engine``,
+        ``ranking_top_k``, ``fragment_cache``) —
         still overridable per request where an
         :class:`~repro.api.requests.AnswerOptions` field exists."""
         self._cqads_options.update(cqads_options)
-        return self
-
-    def cache_maintenance(self, mode: str = "delta") -> "SystemBuilder":
-        """How the hot-path caches follow table mutations.
-
-        ``"delta"`` (the default) patches the fragment cache and the
-        ranking column stores in place from the typed mutation deltas
-        — high-churn corpora pay per-row patch costs instead of
-        per-mutation rebuilds; ``"rebuild"`` keeps the epoch-sweep /
-        full-rebuild behaviour (the parity oracle and the
-        ``bench_incremental`` baseline).  Bit-identical answers either
-        way; see PERFORMANCE.md's incremental-maintenance section.
-        """
-        self._cqads_options["cache_maintenance"] = mode
         return self
 
     def batch_workers(self, count: int) -> "SystemBuilder":

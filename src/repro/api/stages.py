@@ -266,7 +266,6 @@ class RelaxStage:
             ctx.interpretation,
             exclude,
             pool_cap=ctx.options.partial_pool_per_query,
-            ordered=ctx.options.ordered_evaluation,
             top_k=ctx.options.top_k,
         )
         # Select and build the answers that fill the cap, inside the

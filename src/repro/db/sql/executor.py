@@ -34,9 +34,10 @@ changing any result set (all pure set algebra — see
   (:mod:`repro.perf.window`) into a lazy :class:`_WindowSet` that
   intersects by membership instead of materializing, and a
   per-``(table, column, shape)`` :class:`AccessPlanner` tracks
-  observed selectivity to choose scan vs. index vs. window (or the
-  window's *complement*, when the range matches most of the table)
-  per leaf; every choice is recorded on the executor's ``plan_trace``
+  observed selectivity to choose between the window and its
+  *complement* (when the range matches most of the table) per leaf;
+  tables below :data:`MIN_WINDOW_ROWS` rows take the sorted index
+  instead.  Every choice is recorded on the executor's ``plan_trace``
   for explain output.
 
 The pseudo-column ``record_id`` is available on every table; CQAds uses
@@ -45,6 +46,7 @@ it for the paper's ``Car_ID IN (subquery)`` idiom (Example 7).
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from dataclasses import dataclass, field
@@ -68,10 +70,9 @@ from repro.db.table import Record, Table
 from repro.errors import SQLExecutionError
 from repro.obs.registry import get_default_registry
 from repro.obs.trace import current_span
-from repro.perf.window import ColumnWindow, IdWindow, windows_for
+from repro.perf.window import ColumnWindow, IdWindow, parse_numeric, windows_for
 
 __all__ = [
-    "ACCESS_PATH_MODES",
     "AccessDecision",
     "AccessPlanner",
     "DEFAULT_ACCESS_PLANNER",
@@ -82,19 +83,12 @@ __all__ = [
 
 RECORD_ID = "record_id"
 
-#: Valid ``SQLExecutor(access_paths=...)`` values: ``adaptive`` lets
-#: observed selectivity pick per leaf, ``window``/``index``/``scan``
-#: pin every range leaf to one access path (oracles for parity tests
-#: and bench baselines).
-ACCESS_PATH_MODES = ("adaptive", "window", "index", "scan")
-
-#: Adaptive mode flips a range leaf to the *complement* representation
-#: when its predicted selectivity exceeds this fraction (a wide range
-#: has a small outside, so carrying the complement keeps AND chains
-#: cheap).
+#: A range leaf flips to the *complement* representation when its
+#: predicted selectivity exceeds this fraction (a wide range has a
+#: small outside, so carrying the complement keeps AND chains cheap).
 COMPLEMENT_THRESHOLD = 0.5
 
-#: Below this many rows adaptive mode skips windows entirely: the
+#: Below this many rows the executor skips windows entirely: the
 #: sorted index materializes tiny sets faster than window bookkeeping.
 MIN_WINDOW_ROWS = 64
 
@@ -114,7 +108,7 @@ class AccessDecision:
     ``shape`` names the leaf family the planner keys on (``range``,
     ``between``, ``lex-range``, ``id-range``, ``id-between``,
     ``order-by``); ``path`` is what was chosen (``window``,
-    ``window-complement``, ``index``, ``scan``, ``window-order``);
+    ``window-complement``, ``index``, ``window-order``);
     ``predicted``/``observed`` are the planner's selectivity estimate
     before the leaf ran and the fraction actually matched (``None``
     when the leaf never consulted a window).
@@ -369,31 +363,21 @@ class SQLExecutor:
     none is given (executors are routinely constructed per call, so a
     per-instance cache would never get warm).
 
-    ``access_paths`` picks how range/comparison/BETWEEN leaves are
-    answered (see :data:`ACCESS_PATH_MODES`); every mode is
-    bit-identical by construction, so ``scan`` doubles as the parity
-    oracle for the window path.  ``planner`` supplies the selectivity
-    stats for ``adaptive`` mode (shared
-    :data:`DEFAULT_ACCESS_PLANNER` when omitted).  Each evaluated
-    range leaf appends an :class:`AccessDecision` to ``plan_trace``,
-    which the explain pipeline surfaces.
+    ``planner`` supplies the selectivity stats that choose each range
+    leaf's access path (shared :data:`DEFAULT_ACCESS_PLANNER` when
+    omitted).  Each evaluated range leaf appends an
+    :class:`AccessDecision` to ``plan_trace``, which the explain
+    pipeline surfaces.
     """
 
     def __init__(
         self,
         database: Database,
         plan_cache: PlanCache | None = None,
-        access_paths: str = "adaptive",
         planner: AccessPlanner | None = None,
     ) -> None:
-        if access_paths not in ACCESS_PATH_MODES:
-            raise ValueError(
-                f"access_paths must be one of {ACCESS_PATH_MODES}, "
-                f"got {access_paths!r}"
-            )
         self.database = database
         self.plan_cache = plan_cache if plan_cache is not None else DEFAULT_PLAN_CACHE
-        self.access_paths = access_paths
         self.planner = planner if planner is not None else DEFAULT_ACCESS_PLANNER
         self.plan_trace: list[AccessDecision] = []
         #: Decisions evicted by the ``MAX_PLAN_TRACE`` cap — surfaced in
@@ -529,8 +513,6 @@ class SQLExecutor:
         positions don't merge), non-numeric keys and ``record_id``
         (already id-sorted by ``fetch``).
         """
-        if self.access_paths not in ("adaptive", "window"):
-            return None
         if column == RECORD_ID or getattr(table, "shards", None) is not None:
             return None
         if len(records) < WINDOW_ORDER_MIN_ROWS:
@@ -614,11 +596,6 @@ class SQLExecutor:
         """The id set matching a WHERE expression against *table*."""
         return self._eval_lazy(table, expr).materialize(table)
 
-    def _eval_expr(self, table: Table, expr: Expr) -> set[int]:
-        # Retained name from the eager implementation; callers get the
-        # same materialized set as before.
-        return self.eval_where(table, expr)
-
     def _eval_lazy(self, table: Table, expr: Expr) -> _IdSet:
         if isinstance(expr, BinaryExpr):
             operands = sorted(_flatten_chain(expr), key=_static_cost)
@@ -697,8 +674,7 @@ class SQLExecutor:
                 raise SQLExecutionError(
                     f"BETWEEN requires a numeric column, got {name!r}"
                 )
-            if expr.low.value is None or expr.high.value is None:
-                raise SQLExecutionError("BETWEEN bounds must not be NULL")
+            _between_bounds(expr)
             return
         if isinstance(expr, LikeExpr):
             name = self._check_column(table, expr.column)
@@ -754,18 +730,15 @@ class SQLExecutor:
     ) -> "_IdSet | _WindowSet | None":
         """Answer one range leaf through the window layer (or decline).
 
-        Returns ``None`` when the legacy index path should run instead
-        (``index`` mode, or ``adaptive`` on a table too small for
-        windows to pay off); otherwise builds the column's
-        :class:`~repro.perf.window.IdWindow` — one segment per shard —
-        observes its selectivity, and returns either the lazy window or
-        (adaptive, predicted-wide ranges) its complement as a plain
+        Returns ``None`` when the index path should run instead (a
+        table too small for windows to pay off); otherwise builds the
+        column's :class:`~repro.perf.window.IdWindow` — one segment per
+        shard — observes its selectivity, and returns either the lazy
+        window or (predicted-wide ranges) its complement as a plain
         outside-ids set.  Every outcome lands on ``plan_trace``.
         """
         rows = len(table)
-        if self.access_paths == "index" or (
-            self.access_paths == "adaptive" and rows < MIN_WINDOW_ROWS
-        ):
+        if rows < MIN_WINDOW_ROWS:
             self._record(
                 AccessDecision(table.name, name, shape, "index", None, None, rows)
             )
@@ -778,7 +751,7 @@ class SQLExecutor:
         key = (table.name, name, shape)
         predicted = self.planner.predict(key)
         self.planner.observe(key, observed)
-        if self.access_paths == "adaptive" and predicted > COMPLEMENT_THRESHOLD:
+        if predicted > COMPLEMENT_THRESHOLD:
             # Predicted wide: carry the (small) complement instead.
             # The complement of "in range" is "outside the range or
             # NULL", so the NULL ids join the outside set.
@@ -813,46 +786,42 @@ class SQLExecutor:
         if value is None:
             if operator not in ("=", "!="):
                 raise SQLExecutionError("NULL only supports = / != comparisons")
-            if name != RECORD_ID and self.access_paths != "scan":
+            if name != RECORD_ID:
                 # Delta-maintained null index; copied because _IdSet
                 # results can escape into caches.
                 null_ids = set(table.null_ids(name))
             else:
-                # Legacy scan — also the deliberate path for the
-                # record_id pseudo-column, where `record.get(...)` is
-                # always None and `= NULL` therefore matches every
-                # record (a quirk callers rely on).
+                # The record_id pseudo-column: `record.get(...)` is
+                # always None, so `= NULL` matches every record (a
+                # quirk callers rely on).
                 null_ids = table.scan(lambda record: record.get(name) is None)
             if operator == "=":
                 return _IdSet(null_ids)
             return _IdSet(null_ids, complemented=True)
         if name == RECORD_ID:
-            try:
-                target = int(value)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
+            target = _literal_number(value)
+            if target is None:
                 return _IdSet(set())
-            if self.access_paths not in ("scan", "index"):
-                if operator == "=":
-                    present = table.get(target) is not None
-                    return _IdSet({target} if present else set())
-                if operator == "!=":
-                    present = table.get(target) is not None
-                    return _IdSet(
-                        {target} if present else set(), complemented=True
-                    )
-                bounds = self._RANGE_BOUNDS[operator]
-                result = self._eval_range(
-                    table,
-                    RECORD_ID,
-                    ColumnWindow.RECORD_ID,
-                    target if bounds[0] else None,
-                    target if bounds[1] else None,
-                    bounds[2],
-                    bounds[3],
-                    "id-range",
-                )
-                if result is not None:
-                    return result
+            if operator in ("=", "!="):
+                # A non-integral literal equals no id.
+                record_id = _integral(target)
+                ids: set[int] = set()
+                if record_id is not None and table.get(record_id) is not None:
+                    ids.add(record_id)
+                return _IdSet(ids, complemented=operator == "!=")
+            bounds = self._RANGE_BOUNDS[operator]
+            result = self._eval_range(
+                table,
+                RECORD_ID,
+                ColumnWindow.RECORD_ID,
+                target if bounds[0] else None,
+                target if bounds[1] else None,
+                bounds[2],
+                bounds[3],
+                "id-range",
+            )
+            if result is not None:
+                return result
             return _IdSet(
                 {
                     record_id
@@ -868,8 +837,6 @@ class SQLExecutor:
                 raise SQLExecutionError(
                     f"numeric column {name!r} compared to non-number {value!r}"
                 ) from None
-            if self.access_paths == "scan":
-                return self._scan_numeric(table, name, operator, number)
             if operator == "=":
                 return _IdSet(table.lookup_range(name, number, number))
             if operator == "!=":
@@ -901,8 +868,6 @@ class SQLExecutor:
                 )
             return _IdSet(table.lookup_range(name, number, None))
         text = str(value).lower()
-        if self.access_paths == "scan":
-            return self._scan_categorical(table, name, operator, text)
         if operator == "=":
             return _IdSet(table.lookup_equal(name, text))
         if operator == "!=":
@@ -934,69 +899,24 @@ class SQLExecutor:
             )
         )
 
-    def _scan_numeric(
-        self, table: Table, name: str, operator: str, number: float
-    ) -> _IdSet:
-        """Full-scan oracle for numeric comparisons (``scan`` mode)."""
-        if operator == "!=":
-            # Same complemented representation as the index path, so
-            # NULL semantics match exactly.
-            return _IdSet(
-                table.scan(
-                    lambda record: record.get(name) is not None
-                    and float(record.get(name)) == number  # type: ignore[arg-type]
-                ),
-                complemented=True,
-            )
-        return _IdSet(
-            table.scan(
-                lambda record: record.get(name) is not None
-                and _compare(float(record.get(name)), operator, number)  # type: ignore[arg-type]
-            )
-        )
-
-    def _scan_categorical(
-        self, table: Table, name: str, operator: str, text: str
-    ) -> _IdSet:
-        """Full-scan oracle for categorical comparisons (``scan`` mode)."""
-        if operator == "=":
-            return _IdSet(
-                table.scan(lambda record: record.get(name) == text)
-            )
-        if operator == "!=":
-            return _IdSet(
-                table.scan(
-                    lambda record: record.get(name) == text
-                    or record.get(name) is None
-                ),
-                complemented=True,
-            )
-        return _IdSet(
-            table.scan(
-                lambda record: record.get(name) is not None
-                and _compare(str(record.get(name)), operator, text)
-            )
-        )
-
     def _eval_between(
         self, table: Table, expr: BetweenExpr
     ) -> "_IdSet | _WindowSet":
         name = self._check_column(table, expr.column)
         if name == RECORD_ID:
-            low, high = int(expr.low.value), int(expr.high.value)  # type: ignore[arg-type]
-            if self.access_paths not in ("scan", "index"):
-                result = self._eval_range(
-                    table,
-                    RECORD_ID,
-                    ColumnWindow.RECORD_ID,
-                    low,
-                    high,
-                    True,
-                    True,
-                    "id-between",
-                )
-                if result is not None:
-                    return result
+            low, high = _between_bounds(expr)
+            result = self._eval_range(
+                table,
+                RECORD_ID,
+                ColumnWindow.RECORD_ID,
+                low,
+                high,
+                True,
+                True,
+                "id-between",
+            )
+            if result is not None:
+                return result
             return _IdSet(
                 {rid for rid in table.all_ids() if low <= rid <= high}
             )
@@ -1005,18 +925,7 @@ class SQLExecutor:
             raise SQLExecutionError(
                 f"BETWEEN requires a numeric column, got {name!r}"
             )
-        low_value = expr.low.value
-        high_value = expr.high.value
-        if low_value is None or high_value is None:
-            raise SQLExecutionError("BETWEEN bounds must not be NULL")
-        low_f, high_f = float(low_value), float(high_value)  # type: ignore[arg-type]
-        if self.access_paths == "scan":
-            return _IdSet(
-                table.scan(
-                    lambda record: record.get(name) is not None
-                    and low_f <= float(record.get(name)) <= high_f  # type: ignore[arg-type]
-                )
-            )
+        low_f, high_f = map(float, _between_bounds(expr))
         result = self._eval_range(
             table,
             name,
@@ -1071,12 +980,7 @@ class SQLExecutor:
         else:
             values = {literal.value for literal in expr.values}
         if name == RECORD_ID:
-            wanted: set[int] = set()
-            for value in values:
-                try:
-                    wanted.add(int(value))  # type: ignore[arg-type]
-                except (TypeError, ValueError):
-                    continue
+            wanted = {_integral(_literal_number(value)) for value in values}
             return table.all_ids() & wanted
         column = table.schema.column(name)
         result: set[int] = set()
@@ -1091,6 +995,41 @@ class SQLExecutor:
             else:
                 result |= table.lookup_equal(name, str(value).lower())
         return result
+
+
+def _literal_number(value: object) -> int | float | None:
+    """A literal's numeric value; ``None`` for NULL, non-numbers and NaN.
+
+    Integers stay exact and everything else takes the canonical float
+    parse (:func:`~repro.perf.window.parse_numeric`), so ``2.5`` stays
+    2.5 instead of truncating to 2.
+    """
+    if isinstance(value, int):
+        return value
+    number = parse_numeric(value)
+    if number is None or math.isnan(number):
+        return None
+    return number
+
+
+def _integral(number: int | float | None) -> int | None:
+    """The record id equal to *number*; ``None`` when there is none."""
+    if isinstance(number, float):
+        return int(number) if number.is_integer() else None
+    return number
+
+
+def _between_bounds(expr: BetweenExpr) -> tuple[int | float, int | float]:
+    """BETWEEN's bounds as numbers; a NULL or non-numeric bound raises."""
+    if expr.low.value is None or expr.high.value is None:
+        raise SQLExecutionError("BETWEEN bounds must not be NULL")
+    low, high = _literal_number(expr.low.value), _literal_number(expr.high.value)
+    if low is None or high is None:
+        raise SQLExecutionError(
+            f"BETWEEN bounds must be numbers, got {expr.low.value!r} "
+            f"and {expr.high.value!r}"
+        )
+    return low, high
 
 
 def _compare(left, operator: str, right) -> bool:

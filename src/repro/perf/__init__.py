@@ -6,8 +6,8 @@ invalidation contracts):
 
 * :mod:`repro.perf.subplan` — the shared-subplan N-1 relaxation
   engine: each relaxation unit's id-set is evaluated once and every
-  relaxed pool is derived by set intersection, replacing the legacy
-  N×(N-1) per-drop predicate evaluations with N;
+  relaxed pool is derived by set intersection, replacing the
+  N×(N-1) predicate evaluations of running each relaxed query with N;
 * :mod:`repro.perf.colrank` — the columnar top-k ranking engine:
   per-table-epoch column stores, slot-wise scoring with distinct-value
   memos, and a lazy ranked pool that orders and builds only the rows
@@ -19,8 +19,8 @@ invalidation contracts):
   ``array``-backed (value, id) views maintained incrementally through
   the typed-delta path, answering range/BETWEEN/lexicographic leaves
   with two bisects instead of materialized index sets (the SQL
-  executor's selectivity-adaptive planner picks scan vs. index vs.
-  window per leaf);
+  executor's selectivity-adaptive planner picks the window or its
+  complement per leaf, and tiny tables take the sorted index);
 * :mod:`repro.perf.lru` — the generic bounded, thread-safe LRU the
   caches are built on (stdlib-only, importable from any layer —
   :mod:`repro.db.sql.plan_cache` builds on it);

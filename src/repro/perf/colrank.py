@@ -203,7 +203,7 @@ class ColumnStore:
         epoch).  ``None`` comes back for anything else: an epoch gap
         (the store missed deltas — e.g. a listener detach window), an
         unknown row, or an untyped event.  The caller then falls back
-        to the epoch-rebuild path, which stays the parity oracle.
+        to the epoch rebuild.
         """
         if isinstance(delta, BatchDelta):
             if epoch is not None:

@@ -24,16 +24,15 @@ the entries whose version tag is no longer current.
 bumps the table's epoch (:mod:`repro.db.table`), so entries computed
 against an older state can never be looked up again — a stale hit is
 structurally impossible.  :class:`~repro.qa.pipeline.CQAds`
-additionally subscribes a database mutation listener; with delta
-maintenance (the default) the listener calls
+additionally subscribes a database mutation listener that calls
 :meth:`FragmentCache.absorb`, which **patches** every live entry
 forward to the new epoch — the touched record is re-evaluated against
 each cached unit's conditions and its id is added to or discarded from
-the cached id-set — instead of dropping the whole generation.  The old
-epoch-sweep (:meth:`FragmentCache.invalidate` /
-:meth:`FragmentCache.invalidate_stale`) remains the fallback for any
-delta the cache cannot absorb (untyped events, batch deltas without
-row payloads) and the parity oracle for tests.
+the cached id-set — instead of dropping the whole generation.  The
+epoch sweep (:meth:`FragmentCache.invalidate` /
+:meth:`FragmentCache.invalidate_stale`) is the fallback for any delta
+the cache cannot absorb (untyped events, batch deltas without row
+payloads, bulk loads past :data:`MAX_ABSORB_ROWS`).
 
 The per-record re-evaluation (:func:`condition_matches`) mirrors the
 **SQL executor's** leaf semantics, not Rank_Sim's

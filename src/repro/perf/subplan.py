@@ -1,10 +1,9 @@
-"""The shared-subplan N-1 relaxation engine (Section 4.3.1, fast path).
+"""The shared-subplan N-1 relaxation engine (Section 4.3.1).
 
 The paper's N-1 relaxation answers a question with N relaxable units
-by running N relaxed queries, each dropping one unit.  The legacy
-implementation evaluated every relaxed WHERE tree independently, so
-each unit's predicate was executed N-1 times — ~N× redundant index
-work per question.
+by running N relaxed queries, each dropping one unit.  Evaluating every
+relaxed WHERE tree independently would execute each unit's predicate
+N-1 times — ~N× redundant index work per question.
 
 This module evaluates each unit's matching id-set **once** and derives
 every N-1 pool by set intersection:
@@ -12,15 +11,16 @@ every N-1 pool by set intersection:
 1. :func:`unit_id_sets` turns each
    :class:`~repro.ranking.rank_sim.ScoringUnit` into one WHERE
    expression (AND over its conditions; OR for an "any" unit) and
-   evaluates it through the same
-   :meth:`~repro.db.sql.executor.SQLExecutor.eval_where` the legacy
-   path used, so leaf semantics are identical by construction;
+   evaluates it through
+   :meth:`~repro.db.sql.executor.SQLExecutor.eval_where`, so leaf
+   semantics are the SQL executor's;
 2. :func:`drop_intersections` combines the cached sets with
    prefix/suffix intersections — 3N set operations total instead of
-   the legacy N×(N-2);
+   the N×(N-2) of evaluating each relaxed query;
 3. :func:`shared_partial_candidates` finalizes each pool exactly like
-   :func:`~repro.qa.sql_generation.evaluate_interpretation` did —
-   id-ordered fetch, the superlative ORDER BY + extreme filter when
+   :func:`~repro.qa.sql_generation.evaluate_interpretation` does for a
+   relaxed query — id-ordered fetch, the superlative ORDER BY +
+   extreme filter when
    present (via :meth:`~repro.db.sql.executor.SQLExecutor.execute_with_ids`,
    the executor's own ordering code), the per-query budget, and the
    first-drop-wins candidate union.
@@ -29,7 +29,8 @@ Every step preserves the paper's Type I→II→III evaluation order
 story: ordering only ever affected *how fast* the conjunction is
 intersected, never which ids survive, and the executor now orders
 leaves by selectivity internally.  ``tests/test_perf_parity.py`` holds
-the bit-identical guarantee against the legacy path.
+the result bit-identical to the N-relaxed-queries definition written
+out there, and ``tests/golden/`` pins the answers end to end.
 """
 
 from __future__ import annotations
@@ -87,9 +88,9 @@ def unit_id_sets(
     With a :class:`~repro.perf.fragment_cache.FragmentCache`, id-sets
     are memoized across questions keyed on the table's mutation epoch,
     so a criterion repeated by a later question ("price < 10000") is
-    never re-evaluated until the table changes — and under delta
-    maintenance (the default) not even then: the engine's mutation
-    listener patches the cached sets forward to the new epoch
+    never re-evaluated until the table changes — and usually not even
+    then: the engine's mutation listener patches the cached sets
+    forward to the new epoch
     (:meth:`~repro.perf.fragment_cache.FragmentCache.absorb`), so this
     function keeps hitting warm entries through point mutations
     without knowing how they were maintained.  Cached sets are
@@ -224,23 +225,18 @@ def shared_partial_candidates(
     exclude: set[int],
     pool_cap: int | None,
     fragment_cache: "FragmentCache | None" = None,
-    executor: SQLExecutor | None = None,
 ) -> dict[int, Record]:
     """The N-1 candidate pool via shared subplans.
 
-    Returns the same ``record_id -> Record`` mapping (same membership,
-    same insertion order) the legacy per-drop evaluation produced: the
-    drops run in unit order, every pool is finalized with the
+    Returns the ``record_id -> Record`` mapping (membership and
+    insertion order) of running one relaxed query per dropped unit:
+    the drops run in unit order, every pool is finalized with the
     executor's own ordering code, and earlier drops win ties.
     ``fragment_cache`` short-circuits unit evaluation across questions
-    (see :func:`unit_id_sets`).  Passing ``executor`` lets callers pin
-    an access-path mode or collect its ``plan_trace``; by default a
-    fresh (adaptive) executor is built, which shares the module-level
-    plan cache and selectivity planner anyway.
+    (see :func:`unit_id_sets`).
     """
     table = database.table(domain.schema.table_name)
-    if executor is None:
-        executor = SQLExecutor(database)
+    executor = SQLExecutor(database)
     pools = drop_intersections(
         unit_id_sets(executor, table, units, fragment_cache)
     )

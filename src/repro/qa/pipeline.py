@@ -42,7 +42,6 @@ from repro.qa.conditions import (
     flatten_and,
 )
 from repro.qa.domain import AdsDomain
-from repro.qa.sql_generation import evaluate_interpretation
 from repro.qa.spelling import Correction
 from repro.qa.tagger import QuestionTagger
 from repro.ranking.rank_sim import (
@@ -251,14 +250,6 @@ class CQAds:
         Domain classifier; defaults to the paper's JBBSM Naive Bayes.
     correct_spelling / relax_partial:
         Feature switches used by the ablation benchmarks.
-    relaxation_strategy:
-        ``"shared"`` (default) evaluates each relaxation unit once and
-        derives every N-1 pool by set intersection
-        (:mod:`repro.perf.subplan`); ``"legacy"`` re-evaluates each
-        relaxed WHERE tree per drop.  Both produce bit-identical
-        candidate pools (``tests/test_perf_parity.py``); the legacy
-        path is kept as the parity oracle and for the
-        ``bench_relaxation_sharing`` comparison.
     ranking_engine:
         ``"columnar"`` (default) scores partial candidates through the
         per-epoch column store and orders only the ranking positions
@@ -275,22 +266,12 @@ class CQAds:
     fragment_cache:
         Cross-question memoization of relaxation-unit id-sets
         (:mod:`repro.perf.fragment_cache`), keyed on each table's
-        mutation epoch and maintained from the database's mutation
-        listeners.  Pass a capacity, a prebuilt
+        mutation epoch and patched forward from the database's typed
+        mutation deltas (:meth:`FragmentCache.absorb`); a delta the
+        cache cannot absorb sweeps the dead generation instead.  Pass
+        a capacity, a prebuilt
         :class:`~repro.perf.fragment_cache.FragmentCache`, or ``None``
         to disable.
-    cache_maintenance:
-        How the hot-path caches follow table mutations.  ``"delta"``
-        (default) patches them in place from the typed mutation deltas
-        — the fragment cache re-evaluates only the touched record per
-        cached unit (:meth:`FragmentCache.absorb`) and the ranking
-        column stores fold the deltas slot-wise
-        (:meth:`~repro.perf.colrank.ColumnStore.apply`) — falling back
-        to the epoch rebuild for any delta a structure cannot absorb.
-        ``"rebuild"`` forces the pre-delta behaviour everywhere
-        (generation sweep + full store rebuild per mutation); it is
-        the parity oracle and the ``bench_incremental`` baseline.
-        Bit-identical answers either way (``tests/test_incremental.py``).
     shards:
         The engine's scatter-gather degree: the shard count its
         backing tables are expected to be partitioned into
@@ -306,9 +287,7 @@ class CQAds:
     can override any of them for a single request.
     """
 
-    RELAXATION_STRATEGIES = ("shared", "legacy")
     RANKING_ENGINES = ("columnar", "legacy")
-    CACHE_MAINTENANCE_MODES = ("delta", "rebuild")
 
     def __init__(
         self,
@@ -319,27 +298,15 @@ class CQAds:
         relax_partial: bool = True,
         ordered_evaluation: bool = True,
         partial_pool_per_query: int | None = None,
-        relaxation_strategy: str = "shared",
         ranking_engine: str = "columnar",
         ranking_top_k: int | None = None,
         fragment_cache: FragmentCache | int | None = DEFAULT_CAPACITY,
         shards: int | None = None,
-        cache_maintenance: str = "delta",
     ) -> None:
-        if relaxation_strategy not in self.RELAXATION_STRATEGIES:
-            raise ValueError(
-                f"relaxation_strategy must be one of "
-                f"{self.RELAXATION_STRATEGIES}, got {relaxation_strategy!r}"
-            )
         if ranking_engine not in self.RANKING_ENGINES:
             raise ValueError(
                 f"ranking_engine must be one of {self.RANKING_ENGINES}, "
                 f"got {ranking_engine!r}"
-            )
-        if cache_maintenance not in self.CACHE_MAINTENANCE_MODES:
-            raise ValueError(
-                f"cache_maintenance must be one of "
-                f"{self.CACHE_MAINTENANCE_MODES}, got {cache_maintenance!r}"
             )
         if ranking_top_k is not None and ranking_top_k < 1:
             raise ValueError(
@@ -354,10 +321,8 @@ class CQAds:
         self.correct_spelling = correct_spelling
         self.relax_partial = relax_partial
         self.ordered_evaluation = ordered_evaluation
-        self.relaxation_strategy = relaxation_strategy
         self.ranking_engine = ranking_engine
         self.ranking_top_k = ranking_top_k
-        self.cache_maintenance = cache_maintenance
         if isinstance(fragment_cache, int):
             fragment_cache = FragmentCache(fragment_cache)
         self.fragment_cache = fragment_cache
@@ -397,16 +362,15 @@ class CQAds:
             return
         if self.fragment_cache is None:
             return
-        if self.cache_maintenance == "delta" and self.fragment_cache.absorb(
-            event
-        ):
+        if self.fragment_cache.absorb(event):
             # The cached unit id-sets were patched forward to the new
             # epoch (re-evaluating only the touched rows) and every
             # dead generation swept — the next question hits warm
             # fragments instead of re-running each unit's index scan.
             return
-        # Fallback / "rebuild" mode: drop the dead generation; the
-        # next question recomputes the affected fragments from scratch.
+        # Fallback for a delta the cache refused: drop the dead
+        # generation; the next question recomputes the affected
+        # fragments from scratch.
         shards = getattr(event.table, "shards", None)
         if shards is None:
             self.fragment_cache.invalidate(event.table.name)
@@ -474,7 +438,6 @@ class CQAds:
         """
         tagger = QuestionTagger(domain, correct_spelling=self.correct_spelling)
         if resources is not None:
-            resources.incremental = self.cache_maintenance == "delta"
             if self.database.has_table(domain.schema.table_name):
                 resources.attach_table(
                     self.database.table(domain.schema.table_name)
@@ -536,7 +499,6 @@ class CQAds:
             and resources.table is None
             and self.database.has_table(context.domain.schema.table_name)
         ):
-            resources.incremental = self.cache_maintenance == "delta"
             resources.attach_table(
                 self.database.table(context.domain.schema.table_name)
             )
@@ -641,7 +603,6 @@ class CQAds:
         *,
         pool_cap: int | None = None,
         ordered: bool | None = None,
-        strategy: str | None = None,
     ) -> list[Record]:
         """The raw N-1 candidate pool for a question (Section 4.3.1).
 
@@ -652,25 +613,18 @@ class CQAds:
         case).  Used by the Figure 5 benchmark to feed every ranker
         the same candidates.
 
-        ``pool_cap``/``ordered``/``strategy`` default to the engine's
-        settings; the pipeline passes per-request values through them.
-        The default ``"shared"`` strategy computes each unit's id-set
-        once and intersects (:mod:`repro.perf.subplan`); ``"legacy"``
-        re-runs one relaxed query per dropped unit.
+        Each unit's id-set is computed once and every relaxed pool is
+        derived by intersection (:mod:`repro.perf.subplan`).
+        ``pool_cap`` defaults to the engine's setting; the pipeline
+        passes the per-request value through it.  ``ordered`` is
+        accepted and ignored (evaluation order never changes which
+        records survive) only because ``perfbench/replay.py`` passes
+        it.
         """
         context = self.context(domain)
         exclude = exclude or set()
         if pool_cap is None:
             pool_cap = self.partial_pool_per_query
-        if ordered is None:
-            ordered = self.ordered_evaluation
-        if strategy is None:
-            strategy = self.relaxation_strategy
-        if strategy not in self.RELAXATION_STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {self.RELAXATION_STRATEGIES}, "
-                f"got {strategy!r}"
-            )
         units = self.relaxation_units(interpretation)
         if len(units) < 1:
             return []
@@ -681,7 +635,7 @@ class CQAds:
             for record in table.snapshot():
                 if record.record_id not in exclude:
                     candidates[record.record_id] = record
-        elif strategy == "shared":
+        else:
             # Imported here: repro.perf.subplan reaches back into
             # repro.qa for condition rendering, so a module-level
             # import would cycle through repro.qa.__init__.
@@ -696,27 +650,6 @@ class CQAds:
                 pool_cap,
                 fragment_cache=self.fragment_cache,
             )
-        else:
-            cap = pool_cap
-            for dropped_index in range(len(units)):
-                remaining = [
-                    unit
-                    for index, unit in enumerate(units)
-                    if index != dropped_index
-                ]
-                relaxed = self._units_to_interpretation(
-                    remaining, interpretation
-                )
-                budget = cap + len(exclude) if cap is not None else None
-                for record in evaluate_interpretation(
-                    self.database,
-                    context.domain,
-                    relaxed,
-                    limit=budget,
-                    ordered=ordered,
-                ):
-                    if record.record_id not in exclude:
-                        candidates.setdefault(record.record_id, record)
         return list(candidates.values())
 
     def partial_answers(
@@ -726,8 +659,6 @@ class CQAds:
         exclude: set[int],
         *,
         pool_cap: int | None = None,
-        ordered: bool | None = None,
-        strategy: str | None = None,
         top_k: int | None = None,
         engine: str | None = None,
     ) -> Sequence[Answer]:
@@ -754,12 +685,7 @@ class CQAds:
             top_k = self.ranking_top_k
         with span("relax.candidates"):
             pool = self.partial_candidates(
-                domain,
-                interpretation,
-                exclude,
-                pool_cap=pool_cap,
-                ordered=ordered,
-                strategy=strategy,
+                domain, interpretation, exclude, pool_cap=pool_cap
             )
         if ranker is None:
             # No similarity resources: preserve N-1 retrieval order by id.

@@ -171,13 +171,6 @@ class RankingResources:
     _query_keys_memo: dict[tuple, list[Key]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Delta-based maintenance switch: ``True`` (the default) folds
-    #: buffered mutation deltas into the column stores via
-    #: :meth:`repro.perf.colrank.ColumnStore.apply`; ``False`` keeps
-    #: the epoch-rebuild path (the parity oracle —
-    #: ``CQAds(cache_maintenance="rebuild")`` sets it).  Either way a
-    #: delta the store cannot absorb falls back to a rebuild.
-    incremental: bool = True
     #: Row deltas received since the stores last caught up, drained
     #: under ``_store_lock`` by :meth:`column_store` /
     #: :meth:`shard_column_stores`.  Overflow (or an un-replayable
@@ -281,8 +274,6 @@ class RankingResources:
             for cache_key in list(self._lowered_values):
                 if cache_key[0] in dead_ids:
                     self._lowered_values.pop(cache_key, None)
-        if not self.incremental:
-            return
         # Buffer the row deltas for the lazy column-store catch-up.
         # An event that cannot be replayed (a batch stripped of its
         # rows) or a buffer past the rebuild-is-cheaper threshold
@@ -306,16 +297,14 @@ class RankingResources:
     def column_store(self) -> "ColumnStore | None":
         """The columnar image of the attached table at its current epoch.
 
-        Caught up lazily whenever the table's epoch has moved: with
-        :attr:`incremental` maintenance (the default) the buffered
-        typed deltas are folded into the existing store via
+        Caught up lazily whenever the table's epoch has moved: the
+        buffered typed deltas are folded into the existing store via
         :meth:`~repro.perf.colrank.ColumnStore.apply` — per-slot
         patches instead of re-deriving every row — and only a delta
         the store cannot absorb (epoch gap, untyped event, overflow)
-        triggers the epoch rebuild, which remains the fallback and the
-        parity oracle.  ``None`` when no table is attached.  Catch-up
-        runs under ``_store_lock`` so concurrent ``answer_batch``
-        threads never double-apply a delta.
+        falls back to the epoch rebuild.  ``None`` when no table is
+        attached.  Catch-up runs under ``_store_lock`` so concurrent
+        ``answer_batch`` threads never double-apply a delta.
         """
         table = self.table
         if table is None:
@@ -332,7 +321,7 @@ class RankingResources:
             store = self._column_store
             if store is not None and store.epoch == table.epoch:
                 return store
-            if store is not None and self.incremental and not self._pending_overflow:
+            if store is not None and not self._pending_overflow:
                 for delta in self._pending_deltas:
                     if delta.epoch <= store.epoch:
                         continue  # already reflected (post-rebuild replay)
@@ -391,7 +380,7 @@ class RankingResources:
             if stores is None or len(stores) != len(shards):
                 stores = [None] * len(shards)
                 self._shard_stores = stores
-            if self.incremental and not self._pending_overflow:
+            if not self._pending_overflow:
                 # Fold the buffered facade-stamped deltas into each
                 # owning shard's store, using the shard's own epoch as
                 # the version tag; any delta that cannot land leaves

@@ -272,11 +272,6 @@ def build_system(
     bit-identical to the single-table build of the same seed.
     ``partitioner`` and ``scatter_workers`` tune the placement policy
     and the per-table scatter thread executor (see :mod:`repro.shard`).
-    ``cache_maintenance="delta"|"rebuild"`` (also via
-    ``**cqads_options``) selects how the hot-path caches follow
-    mutations: delta patching (the default, for high-churn corpora) or
-    the epoch-rebuild oracle — bit-identical answers either way (see
-    ``PERFORMANCE.md``, "Incremental maintenance").
 
     ``storage`` attaches a durability backend to the database — a
     :class:`repro.store.StorageBackend` instance, or a directory path

@@ -15,6 +15,8 @@ import pytest
 from repro.datagen.ads import build_dataset
 from repro.db.database import Database
 from repro.db.schema import AttributeType, Column, ColumnKind, TableSchema
+from repro.qa.pipeline import CQAds
+from repro.ranking.rank_sim import RankingResources
 from repro.system import build_system
 
 
@@ -71,6 +73,38 @@ SMALL_CAR_ROWS = [
     {"make": "bmw", "model": "3 series", "color": "black",
      "transmission": "manual", "year": 2008, "price": 22000, "mileage": 45000},
 ]
+
+
+def fresh_engine(cqads: CQAds, domain: str) -> CQAds:
+    """An engine built from scratch over *domain*'s current rows.
+
+    A new database holds one plain table with the same schema and every
+    live record re-inserted under its own id; a new engine registers
+    the same domain with new ranking resources carrying the original's
+    matrices, value ranges, Type I columns and product keys.  Nothing
+    in it has seen a mutation, so it is the reference for everything
+    the original maintains across mutations (caches, column stores,
+    windows, shards).
+    """
+    context = cqads.context(domain)
+    schema = context.domain.schema
+    database = Database()
+    table = database.create_table(schema)
+    for record in cqads.database.table(schema.table_name).snapshot():
+        table.insert(dict(record), record_id=record.record_id)
+    original = context.resources
+    engine = CQAds(database)
+    engine.add_domain(
+        context.domain,
+        resources=RankingResources(
+            ti_matrix=original.ti_matrix,
+            ws_matrix=original.ws_matrix,
+            value_ranges=dict(original.value_ranges),
+            type_i_columns=list(original.type_i_columns),
+            product_keys=list(original.product_keys),
+        ),
+    )
+    return engine
 
 
 @pytest.fixture()

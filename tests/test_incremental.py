@@ -1,4 +1,4 @@
-"""Delta-based incremental cache maintenance: patch ≡ rebuild (PR 5).
+"""Delta-based incremental cache maintenance: patch ≡ rebuild.
 
 The acceptance bar for delta maintenance is **bit-identical cache
 state**: after any stream of inserts/updates/removes, a column store
@@ -16,9 +16,10 @@ Three layers are proved here:
   ``eval_where`` evaluation after every step (and asserting the
   entries were *patched*, i.e. served as hits, not recomputed);
 * **the 8-domain churn battery** — full ``AnswerService`` runs over
-  every domain with one point mutation per question, the engine
-  flipped between ``cache_maintenance="delta"`` and ``"rebuild"``,
-  comparing the complete result surface.
+  every domain with one point mutation per question, each answer
+  compared, complete result surface included, with an engine built
+  from scratch over the rows the churn left
+  (:func:`tests.conftest.fresh_engine`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import random
 import pytest
 
 from repro.api.requests import AnswerRequest
+from repro.api.service import AnswerService
 from repro.datagen.questions import make_generator
 from repro.datagen.vocab import DOMAIN_NAMES
 from repro.db.database import Database
@@ -41,7 +43,7 @@ from repro.ranking.rank_sim import RankingResources, ScoringUnit
 from repro.ranking.ti_matrix import TIMatrix
 from repro.ranking.ws_matrix import WSMatrix
 from repro.system import build_system
-from tests.conftest import small_car_schema
+from tests.conftest import fresh_engine, small_car_schema
 
 TYPE_I_COLUMNS = ["make", "model"]
 SHARD_COUNTS = (1, 2, 4)
@@ -160,25 +162,6 @@ def test_column_store_storm_sharded(shard_count):
         for shard, store in zip(table.shards, patched):
             fresh = ColumnStore(shard, TYPE_I_COLUMNS)
             assert _store_signature(store) == _store_signature(fresh)
-
-
-def test_rebuild_mode_never_patches():
-    """The parity oracle: with ``incremental=False`` every epoch move
-    rebuilds from scratch (still bit-identical, never stale)."""
-    table = Database().create_table(small_car_schema())
-    table.insert_many([_random_row(random.Random(5))
-                       for _ in range(10)])
-    resources = _resources_for(table)
-    resources.incremental = False
-    rng = random.Random(6)
-    for _ in range(30):
-        before = resources.column_store()
-        _mutate(rng, table)
-        patched = resources.column_store()
-        assert patched is not before
-        assert _store_signature(patched) == _store_signature(
-            ColumnStore(table, TYPE_I_COLUMNS)
-        )
 
 
 def test_detach_window_falls_back_to_rebuild():
@@ -334,23 +317,6 @@ def test_fragment_cache_storm(shard_count):
         assert cache.hits > hits_before
         fresh = unit_id_sets(executor, table, units, None)
         assert cached == fresh, f"patched id-sets diverged at step {step}"
-
-
-def test_fragment_cache_rebuild_mode_recomputes():
-    database = Database()
-    table = database.create_table(small_car_schema())
-    table.insert_many([_random_row(random.Random(63)) for _ in range(20)])
-    cqads = CQAds(database, cache_maintenance="rebuild")
-    cache = cqads.fragment_cache
-    executor = SQLExecutor(database)
-    units = _storm_units()
-    unit_id_sets(executor, table, units, cache)
-    table.insert(_random_row(random.Random(64)))
-    assert len(cache) == 0  # generation swept
-    misses_before = cache.misses
-    cached = unit_id_sets(executor, table, units, cache)
-    assert cache.misses == misses_before + len(units)
-    assert cached == unit_id_sets(executor, table, units, None)
 
 
 def test_bulk_load_past_cutoff_sweeps_instead_of_patching():
@@ -516,23 +482,19 @@ def test_update_delta_evicts_only_touched_memos():
 
 
 # ----------------------------------------------------------------------
-# the 8-domain churn battery: delta ≡ rebuild on the full pipeline
+# the 8-domain churn battery: delta maintenance ≡ a fresh build
 # ----------------------------------------------------------------------
 CHURN_QUESTIONS_PER_DOMAIN = 12
 
 
 @pytest.fixture(scope="module")
-def churn_systems():
-    """Two identical builds, differing only in maintenance mode."""
-    recipe = dict(
+def churn_system():
+    """All eight domains, small scale; the battery mutates its tables."""
+    return build_system(
         ads_per_domain=100,
         sessions_per_domain=120,
         corpus_documents=120,
         train_classifier=False,
-    )
-    return (
-        build_system(cache_maintenance="delta", **recipe),
-        build_system(cache_maintenance="rebuild", **recipe),
     )
 
 
@@ -554,50 +516,38 @@ def _result_signature(result):
 
 
 @pytest.mark.parametrize("domain", DOMAIN_NAMES)
-def test_churn_battery_delta_vs_rebuild(churn_systems, domain):
-    """One point mutation per question; both engines answer from their
-    (patched vs rebuilt) caches and must agree bit-for-bit."""
-    delta_system, rebuild_system = churn_systems
-    generator = make_generator(delta_system.domain(domain).dataset, seed=331)
-    rebuild_system.domain(domain)  # provision the oracle's copy too
-    table_name = delta_system.domain(domain).domain.schema.table_name
-    tables = (
-        delta_system.database.table(table_name),
-        rebuild_system.database.table(table_name),
-    )
-    services = (delta_system.service(), rebuild_system.service())
+def test_churn_battery_delta_vs_rebuild(churn_system, domain):
+    """One point mutation per question; the engine answers from its
+    delta-maintained caches and must agree bit-for-bit with an engine
+    rebuilt from scratch over the same rows."""
+    cqads = churn_system.cqads
+    generator = make_generator(churn_system.domain(domain).dataset, seed=331)
+    table = cqads.database.table(cqads.domain(domain).schema.table_name)
+    service = churn_system.service()
     rng = random.Random(332)
     numeric = [
         column.name
-        for column in delta_system.domain(domain).domain.schema.columns
+        for column in cqads.domain(domain).schema.columns
         if column.is_numeric
     ]
     for index in range(CHURN_QUESTIONS_PER_DOMAIN):
-        # The same point mutation lands on both builds (identical seeds
-        # mean identical tables, so ids and donors line up).
-        ids = sorted(tables[0].all_ids())
+        ids = sorted(table.all_ids())
         roll = rng.random()
         if roll < 0.6 and numeric and ids:
             target = rng.choice(ids)
             column = rng.choice(numeric)
-            bounds = tables[0].column_bounds(column)
+            bounds = table.column_bounds(column)
             value = rng.randint(int(bounds[0]), max(int(bounds[1]), 1))
-            for table in tables:
-                table.update(target, {column: value})
+            table.update(target, {column: value})
         elif roll < 0.8 and ids:
-            donor = dict(tables[0].get(rng.choice(ids)))
-            for table in tables:
-                table.insert(dict(donor))
+            table.insert(dict(table.get(rng.choice(ids))))
         elif ids:
-            target = rng.choice(ids)
-            for table in tables:
-                table.delete(target)
+            table.delete(rng.choice(ids))
         question = generator.generate()
         request = AnswerRequest(question=question.text, domain=domain)
-        delta_result = services[0].answer(request)
-        rebuild_result = services[1].answer(request)
-        assert _result_signature(delta_result) == _result_signature(
-            rebuild_result
+        rebuilt = AnswerService(fresh_engine(cqads, domain))
+        assert _result_signature(service.answer(request)) == _result_signature(
+            rebuilt.answer(request)
         ), f"churn divergence on {question.text!r} (step {index})"
 
 

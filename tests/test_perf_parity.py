@@ -1,24 +1,22 @@
-"""Parity: the shared-subplan relaxation engine vs the legacy path.
+"""Parity: the shared-subplan relaxation engine vs the N-1 definition.
 
-The acceptance bar for the perf subsystem is *bit-identical* answers:
-same records, same scores, same ordering, across every question shape
-the generator can produce.  Two layers are proved here:
-
-* **engine level** — ``partial_answers(strategy="legacy")`` vs
-  ``strategy="shared"`` on 100 generated questions per domain, all
-  eight domains, driven by the intended interpretations (so Boolean
-  trees, superlatives, negations, "any" units and the budget cap all
-  get exercised);
-* **pipeline level** — full ``AnswerService.answer`` runs (classify →
-  tag → interpret → execute → relax) with the engine flipped between
-  strategies, comparing the complete result surface.
+Section 4.3.1 defines the N-1 candidate pool as the union of N relaxed
+queries, each dropping one relaxation unit.  The engine never runs
+those queries: it evaluates each unit once and derives every pool by
+set intersection (:mod:`repro.perf.subplan`).  The acceptance bar is
+*bit-identical* output against :func:`n_relaxed_queries`, the
+definition written out below — same candidates in the same order,
+and the same scored partial answers — on 100 generated questions per
+domain, all eight domains, driven by the intended interpretations (so
+Boolean trees, superlatives, negations, "any" units and the budget cap
+all get exercised).  End-to-end answers are pinned by the golden
+corpus (``tests/test_golden.py``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api.requests import AnswerRequest
 from repro.datagen.questions import make_generator
 from repro.datagen.vocab import DOMAIN_NAMES
 from repro.perf.subplan import drop_intersections
@@ -26,7 +24,6 @@ from repro.qa.sql_generation import evaluate_interpretation
 from repro.system import build_system
 
 QUESTIONS_PER_DOMAIN = 100
-PIPELINE_QUESTIONS_PER_DOMAIN = 20
 
 
 @pytest.fixture(scope="module")
@@ -40,26 +37,41 @@ def parity_system():
     )
 
 
-def _answer_signature(answers):
-    return [
-        (a.record.record_id, a.exact, a.score, a.similarity_kind) for a in answers
-    ]
+def n_relaxed_queries(cqads, domain, interpretation, exclude):
+    """The N-1 candidate pool by its definition: one query per drop.
 
-
-def _result_signature(result):
-    return (
-        result.domain,
-        result.sql,
-        result.message,
-        _answer_signature(result.answers),
-        _answer_signature(result.ranked_pool),
-    )
+    Each relaxed query keeps every unit but one and is answered by the
+    exact-match path, capped at the engine's per-query budget plus the
+    excluded records; its records outside *exclude* join the pool, and
+    earlier drops win ties.  A question with a single unit relaxes to
+    the whole table; one without units is not relaxed.
+    """
+    units = cqads.relaxation_units(interpretation)
+    if not units:
+        return []
+    table = cqads.database.table(cqads.domain(domain).schema.table_name)
+    if len(units) == 1:
+        return [record for record in table if record.record_id not in exclude]
+    budget = cqads.partial_pool_per_query + len(exclude)
+    candidates = {}
+    for dropped in range(len(units)):
+        relaxed = cqads._units_to_interpretation(
+            units[:dropped] + units[dropped + 1:], interpretation
+        )
+        for record in evaluate_interpretation(
+            cqads.database, cqads.domain(domain), relaxed, limit=budget
+        ):
+            if record.record_id not in exclude:
+                candidates.setdefault(record.record_id, record)
+    return list(candidates.values())
 
 
 @pytest.mark.parametrize("domain", DOMAIN_NAMES)
 def test_engine_parity_per_domain(parity_system, domain):
-    """legacy and shared produce identical scored partial answers."""
+    """The engine's pool and scored partial answers equal the
+    definition's, question by question."""
     cqads = parity_system.cqads
+    ranker = cqads.context(domain).ranker()
     generator = make_generator(parity_system.domain(domain).dataset, seed=97)
     compared = 0
     nonempty = 0
@@ -70,51 +82,25 @@ def test_engine_parity_per_domain(parity_system, domain):
             cqads.database, cqads.domain(domain), interpretation
         )
         exclude = {record.record_id for record in exact}
-        legacy = cqads.partial_answers(
-            domain, interpretation, exclude, strategy="legacy"
+        expected = n_relaxed_queries(cqads, domain, interpretation, exclude)
+        pool = cqads.partial_candidates(domain, interpretation, exclude)
+        assert [r.record_id for r in pool] == [r.record_id for r in expected], (
+            f"pool divergence on {question.kind!r}: {question.text!r}"
         )
-        shared = cqads.partial_answers(
-            domain, interpretation, exclude, strategy="shared"
-        )
-        assert _answer_signature(legacy) == _answer_signature(shared), (
-            f"divergence on {question.kind!r}: {question.text!r}"
-        )
+        answers = cqads.partial_answers(domain, interpretation, exclude)
+        assert not any(answer.exact for answer in answers)
+        units = cqads.relaxation_units(interpretation)
+        reference = ranker.rank_units(expected, units) if expected else []
+        assert [
+            (a.record.record_id, a.score, a.similarity_kind) for a in answers
+        ] == [
+            (s.record.record_id, s.score, s.similarity_kind) for s in reference
+        ], f"answer divergence on {question.kind!r}: {question.text!r}"
         compared += 1
-        nonempty += bool(shared)
+        nonempty += bool(answers)
     assert compared == QUESTIONS_PER_DOMAIN
     # The battery must actually exercise the relaxation machinery.
     assert nonempty > 0
-
-
-@pytest.mark.parametrize("domain", DOMAIN_NAMES)
-def test_pipeline_parity_per_domain(parity_system, domain):
-    """End-to-end answers are bit-identical under either strategy."""
-    cqads = parity_system.cqads
-    service = parity_system.service()
-    generator = make_generator(
-        parity_system.domain(domain).dataset, noise_rate=0.3, seed=41
-    )
-    questions = [
-        generator.generate().text for _ in range(PIPELINE_QUESTIONS_PER_DOMAIN)
-    ]
-    original = cqads.relaxation_strategy
-    try:
-        cqads.relaxation_strategy = "legacy"
-        legacy = [
-            service.answer(AnswerRequest(question=text, domain=domain))
-            for text in questions
-        ]
-        cqads.relaxation_strategy = "shared"
-        shared = [
-            service.answer(AnswerRequest(question=text, domain=domain))
-            for text in questions
-        ]
-    finally:
-        cqads.relaxation_strategy = original
-    for text, legacy_result, shared_result in zip(questions, legacy, shared):
-        assert _result_signature(legacy_result) == _result_signature(
-            shared_result
-        ), f"pipeline divergence on {text!r}"
 
 
 class TestDropIntersections:

@@ -191,29 +191,6 @@ def test_mutation_bumps_epoch_and_refreshes_column_store(mutable_system):
     assert inserted.record_id in fresh.row_of
 
 
-def test_mutation_rebuilds_column_store_in_rebuild_mode():
-    """cache_maintenance="rebuild" keeps the pre-delta oracle: a
-    mutation forces a from-scratch store."""
-    system = build_system(
-        ["cars"],
-        ads_per_domain=40,
-        sessions_per_domain=50,
-        corpus_documents=50,
-        cache_maintenance="rebuild",
-    )
-    cqads = system.cqads
-    resources = cqads.context("cars").resources
-    assert resources.incremental is False
-    table = cqads.database.table("car_ads")
-    store = resources.column_store()
-    donor = next(iter(table))
-    inserted = table.insert(dict(donor))
-    fresh = resources.column_store()
-    assert fresh is not store  # rebuilt, not patched
-    assert fresh.epoch == table.epoch
-    assert inserted.record_id in fresh.row_of
-
-
 def test_mutation_patches_fragment_cache(mutable_system):
     """Under delta maintenance a point mutation *patches* the cached
     unit id-sets forward — the repeat question still hits warm
@@ -241,36 +218,6 @@ def test_mutation_patches_fragment_cache(mutable_system):
     assert fragments.hits > hits_before  # patched entries still serve
     assert fragments.misses == misses_before
     table.delete(inserted.record_id)
-
-
-def test_mutation_invalidates_fragment_cache_in_rebuild_mode():
-    """The epoch-sweep oracle: a mutation drops the dead generation
-    and the next question re-evaluates at the new epoch."""
-    system = build_system(
-        ["cars"],
-        ads_per_domain=40,
-        sessions_per_domain=50,
-        corpus_documents=50,
-        cache_maintenance="rebuild",
-    )
-    cqads = system.cqads
-    fragments = cqads.fragment_cache
-    assert fragments is not None
-    service = system.service()
-    request = AnswerRequest(
-        question="honda accord blue less than 15000 dollars", domain="cars"
-    )
-    service.answer(request)
-    assert len(fragments) > 0
-    table = cqads.database.table("car_ads")
-    donor = next(iter(table))
-    table.insert(dict(donor))
-    assert len(fragments) == 0  # mutation dropped the dead generation
-    misses_before = fragments.misses
-    hits_before = fragments.hits
-    service.answer(request)
-    assert fragments.misses > misses_before  # re-evaluated at new epoch
-    assert fragments.hits == hits_before
 
 
 def test_mutation_auto_invalidates_answer_cache(mutable_system):

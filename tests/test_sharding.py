@@ -37,7 +37,7 @@ from repro.qa.sql_generation import evaluate_interpretation
 from repro.shard import HashPartitioner, ModuloPartitioner, ShardedTable
 from repro.system import build_system
 
-from tests.conftest import SMALL_CAR_ROWS, small_car_schema
+from tests.conftest import SMALL_CAR_ROWS, fresh_engine, small_car_schema
 
 QUESTIONS_PER_DOMAIN = 100
 PIPELINE_QUESTIONS_PER_DOMAIN = 10
@@ -425,27 +425,22 @@ class TestShardAwareCaching:
         assert len(fragments) == warm
         table.delete(inserted.record_id)
 
-    def test_point_mutation_keeps_sibling_shard_fragments_rebuild_mode(self):
-        """The epoch-sweep oracle (cache_maintenance="rebuild"): only
-        the mutated shard's generation dies; siblings stay warm."""
-        system = build_system(
-            ["cars"],
-            ads_per_domain=80,
-            sessions_per_domain=100,
-            corpus_documents=100,
-            shards=4,
-            cache_maintenance="rebuild",
-        )
-        cqads = system.cqads
+    def test_point_mutation_keeps_sibling_shard_fragments_rebuild_mode(
+        self, mutable_sharded_system
+    ):
+        """The epoch-sweep fallback: a delta the cache cannot absorb (a
+        shard-level bulk delete, relayed without its rows) drops only
+        the mutated shard's generation; siblings stay warm."""
+        cqads = mutable_sharded_system.cqads
         fragments = cqads.fragment_cache
-        service = system.service()
+        service = mutable_sharded_system.service()
         request = AnswerRequest(question=CARS_QUESTION, domain="cars")
         service.answer(request)
         warm = len(fragments)
         assert warm > 0 and warm % 4 == 0
         table = cqads.database.table("car_ads")
-        donor = next(iter(table))
-        table.insert(dict(donor))
+        victim = next(iter(table)).record_id
+        table.shards[table.shard_of(victim)].remove_many([victim])
         # Only the mutated shard's generation died.
         units = warm // 4
         assert len(fragments) == warm - units
@@ -477,29 +472,28 @@ class TestShardAwareCaching:
                 assert inserted.record_id not in after[index].row_of
         table.delete(inserted.record_id)
 
-    def test_point_mutation_rebuilds_one_column_store_rebuild_mode(self):
-        """The rebuild oracle: exactly the mutated shard's store is
-        rebuilt from scratch; siblings are reused by identity."""
-        system = build_system(
-            ["cars"],
-            ads_per_domain=80,
-            sessions_per_domain=100,
-            corpus_documents=100,
-            shards=4,
-            cache_maintenance="rebuild",
-        )
-        cqads = system.cqads
+    def test_point_mutation_rebuilds_one_column_store_rebuild_mode(
+        self, mutable_sharded_system
+    ):
+        """The rebuild fallback: more buffered deltas than the stores
+        patch (all on one record) rebuild exactly the mutated shard's
+        store from scratch; siblings are reused by identity."""
+        cqads = mutable_sharded_system.cqads
         resources = cqads.context("cars").resources
         table = cqads.database.table("car_ads")
         before = resources.shard_column_stores()
         assert before is not None and len(before) == 4
         donor = next(iter(table))
         inserted = table.insert(dict(donor))
+        for price in range(resources.MAX_PENDING_DELTAS):
+            table.update(inserted.record_id, {"price": 1000 + price})
         mutated = table.shard_of(inserted.record_id)
         after = resources.shard_column_stores()
         for index in range(4):
             if index == mutated:
                 assert after[index] is not before[index]
+                # A fresh slot memo: rebuilt, not patched.
+                assert after[index]._slot_memo is not before[index]._slot_memo
                 assert inserted.record_id in after[index].row_of
             else:
                 assert after[index] is before[index]
@@ -590,23 +584,12 @@ class TestConcurrency:
         assert not errors
         assert not any(writer.is_alive() for writer in writers)
 
-        # Post-quiesce, the scatter path agrees with the legacy oracles
-        # over whatever state the storm left behind.
-        interpretation = service.answer(request).interpretation
-        assert interpretation is not None
-        exact = evaluate_interpretation(
-            cqads.database, cqads.domain("cars"), interpretation
+        # Post-quiesce, the scatter path agrees with an engine built
+        # from scratch over whatever state the storm left behind.
+        rebuilt = AnswerService(fresh_engine(cqads, "cars"))
+        assert _result_signature(service.answer(request)) == _result_signature(
+            rebuilt.answer(request)
         )
-        exclude = {record.record_id for record in exact}
-        scatter = cqads.partial_answers("cars", interpretation, exclude)
-        legacy = cqads.partial_answers(
-            "cars",
-            interpretation,
-            exclude,
-            strategy="legacy",
-            engine="legacy",
-        )
-        assert _answer_signature(scatter) == _answer_signature(legacy)
 
     def test_scatter_batch_inside_answer_batch_cannot_deadlock(self):
         """Regression for the shared-pool hazard: scatters run on each

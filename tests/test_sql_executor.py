@@ -189,6 +189,24 @@ class TestExecutorErrors:
         with pytest.raises(SQLExecutionError):
             run("SELECT * FROM car_ads WHERE price = 'cheap'")
 
+    @pytest.mark.parametrize(
+        "between",
+        [
+            "record_id BETWEEN NULL AND 4",
+            "record_id BETWEEN 'a' AND 4",
+            "price BETWEEN 'a' AND 9000",
+        ],
+    )
+    def test_bad_between_bound_raises_whether_evaluated_or_skipped(
+        self, run, between
+    ):
+        # The same error whether the leaf runs or an empty conjunct
+        # short-circuits it.
+        with pytest.raises(SQLExecutionError):
+            run(f"SELECT * FROM car_ads WHERE {between}")
+        with pytest.raises(SQLExecutionError):
+            run(f"SELECT * FROM car_ads WHERE make = 'nosuch' AND {between}")
+
     def test_in_subquery_star_rejected(self, run):
         with pytest.raises(SQLExecutionError):
             run(

@@ -5,10 +5,13 @@ Three batteries:
 * **mutation-storm parity** — a seeded storm of inserts, updates,
   deletes and bulk batches (duplicate values, NULL columns, empty
   windows included) over a plain table and sharded facades
-  (shards ∈ {1, 2, 4}); after every round, a range-heavy query battery
-  must agree between the ``scan`` oracle executor and the ``window``
-  and ``adaptive`` access paths, and the delta-maintained per-column
-  null index must agree with a fresh scan;
+  (shards ∈ {1, 2, 4}); after every round, each query of a range-heavy
+  battery must return exactly the records its written-down predicate
+  selects, and the delta-maintained per-column null index must agree
+  with a fresh scan.  The storm starts once from a table below
+  ``MIN_WINDOW_ROWS`` (range leaves take the sorted index) and once
+  from a table above it (range leaves take windows or their
+  complements);
 * **planner decisions** — observed selectivity flips a leaf from the
   lazy window to its complement representation, with identical
   results, and every choice lands on the executor's ``plan_trace``;
@@ -27,59 +30,89 @@ import pytest
 from tests.conftest import SMALL_CAR_ROWS, small_car_schema
 from repro.db.database import Database
 from repro.db.sql.executor import (
+    MIN_WINDOW_ROWS,
     AccessPlanner,
     SQLExecutor,
 )
 from repro.perf.window import MAX_PENDING_DELTAS, windows_for
-
-MODES = ("scan", "window", "adaptive")
 
 MAKES = ("honda", "toyota", "ford", "bmw", "chevy", "kia")
 MODELS = ("accord", "civic", "camry", "corolla", "focus", "malibu", "rio")
 COLORS = ("blue", "red", "white", "black", "silver", None)
 TRANSMISSIONS = ("automatic", "manual", None)
 
-#: Range-heavy battery: numeric ranges (incl. an empty window and a
-#: nearly-universal one), BETWEEN, record_id ranges/BETWEEN, string-lex
-#: comparisons, != with NULLs in play, NULL tests, and combinations.
+SELECT = "SELECT * FROM car_ads WHERE "
+
+
+def _has(record, column: str, test) -> bool:
+    """A stored value passing *test*: NULL fails every comparison."""
+    value = record.get(column)
+    return value is not None and test(value)
+
+
+#: Range-heavy battery, each WHERE clause with the predicate that
+#: defines its answer: numeric ranges (incl. an empty window and a
+#: nearly-universal one), BETWEEN, record_id ranges/BETWEEN/IN (ids
+#: compare by numeric value, so no id equals 2.5), string-lex
+#: comparisons, != with NULLs in play (numeric != complements =, so
+#: NULLs pass; categorical != fails NULLs), NULL tests, and
+#: combinations.
 BATTERY = (
-    "SELECT * FROM car_ads WHERE price < 8000",
-    "SELECT * FROM car_ads WHERE price <= 8500",
-    "SELECT * FROM car_ads WHERE price > 900000",
-    "SELECT * FROM car_ads WHERE price >= 500",
-    "SELECT * FROM car_ads WHERE mileage > 120000",
-    "SELECT * FROM car_ads WHERE price BETWEEN 4000 AND 9000",
-    "SELECT * FROM car_ads WHERE year BETWEEN 2000 AND 2006",
-    "SELECT * FROM car_ads WHERE record_id BETWEEN 3 AND 17",
-    "SELECT * FROM car_ads WHERE record_id > 5",
-    "SELECT * FROM car_ads WHERE record_id <= 10",
-    "SELECT * FROM car_ads WHERE year != 2004",
-    "SELECT * FROM car_ads WHERE color != 'blue'",
-    "SELECT * FROM car_ads WHERE color > 'blue'",
-    "SELECT * FROM car_ads WHERE color < 'silver'",
-    "SELECT * FROM car_ads WHERE color IS NULL",
-    "SELECT * FROM car_ads WHERE transmission IS NOT NULL",
-    "SELECT * FROM car_ads WHERE make = 'honda' AND price < 9000",
-    "SELECT * FROM car_ads WHERE price < 5000 OR mileage > 150000",
-    "SELECT * FROM car_ads WHERE NOT (price BETWEEN 4000 AND 9000)",
-    "SELECT * FROM car_ads WHERE make = 'honda' AND price BETWEEN 3000 "
-    "AND 12000 AND mileage < 150000",
+    ("price < 8000", lambda r: _has(r, "price", lambda v: v < 8000)),
+    ("price <= 8500", lambda r: _has(r, "price", lambda v: v <= 8500)),
+    ("price > 900000", lambda r: _has(r, "price", lambda v: v > 900000)),
+    ("price >= 500", lambda r: _has(r, "price", lambda v: v >= 500)),
+    ("mileage > 120000", lambda r: _has(r, "mileage", lambda v: v > 120000)),
+    (
+        "price BETWEEN 4000 AND 9000",
+        lambda r: _has(r, "price", lambda v: 4000 <= v <= 9000),
+    ),
+    (
+        "year BETWEEN 2000 AND 2006",
+        lambda r: _has(r, "year", lambda v: 2000 <= v <= 2006),
+    ),
+    ("record_id BETWEEN 3 AND 17", lambda r: 3 <= r.record_id <= 17),
+    ("record_id > 5", lambda r: r.record_id > 5),
+    ("record_id <= 10", lambda r: r.record_id <= 10),
+    ("record_id = 2.5", lambda r: False),
+    ("record_id >= 2.5", lambda r: r.record_id >= 2.5),
+    ("record_id < 2.5", lambda r: r.record_id < 2.5),
+    ("record_id BETWEEN 2.5 AND 4", lambda r: 2.5 <= r.record_id <= 4),
+    ("record_id IN (2.5, 3)", lambda r: r.record_id == 3),
+    ("year != 2004", lambda r: r.get("year") != 2004),
+    ("color != 'blue'", lambda r: _has(r, "color", lambda v: v != "blue")),
+    ("color > 'blue'", lambda r: _has(r, "color", lambda v: v > "blue")),
+    ("color < 'silver'", lambda r: _has(r, "color", lambda v: v < "silver")),
+    ("color IS NULL", lambda r: r.get("color") is None),
+    ("transmission IS NOT NULL", lambda r: r.get("transmission") is not None),
+    (
+        "make = 'honda' AND price < 9000",
+        lambda r: r.get("make") == "honda"
+        and _has(r, "price", lambda v: v < 9000),
+    ),
+    (
+        "price < 5000 OR mileage > 150000",
+        lambda r: _has(r, "price", lambda v: v < 5000)
+        or _has(r, "mileage", lambda v: v > 150000),
+    ),
+    (
+        "NOT (price BETWEEN 4000 AND 9000)",
+        lambda r: not _has(r, "price", lambda v: 4000 <= v <= 9000),
+    ),
+    (
+        "make = 'honda' AND price BETWEEN 3000 AND 12000 AND mileage < 150000",
+        lambda r: r.get("make") == "honda"
+        and _has(r, "price", lambda v: 3000 <= v <= 12000)
+        and _has(r, "mileage", lambda v: v < 150000),
+    ),
 )
 
 
-def _fresh_database(shards: int | None):
+def _fresh_database(shards: int | None, rows=SMALL_CAR_ROWS):
     database = Database()
     table = database.create_table(small_car_schema(), shards=shards)
-    table.insert_many(SMALL_CAR_ROWS)
+    table.insert_many(rows)
     return database, table
-
-
-def _executors(database) -> dict[str, SQLExecutor]:
-    # Private planners keep selectivity history isolated per test.
-    return {
-        mode: SQLExecutor(database, access_paths=mode, planner=AccessPlanner())
-        for mode in MODES
-    }
 
 
 def _random_row(rng: random.Random) -> dict[str, object]:
@@ -118,12 +151,12 @@ def _mutate(table, rng: random.Random, live: list[int]) -> None:
             table.remove_many(victims)
 
 
-def _assert_battery_parity(executors: dict[str, SQLExecutor]) -> None:
-    for sql in BATTERY:
-        oracle = sorted(executors["scan"].execute_sql(sql).record_ids())
-        for mode in ("window", "adaptive"):
-            got = sorted(executors[mode].execute_sql(sql).record_ids())
-            assert got == oracle, f"{mode} diverged from scan on {sql!r}"
+def _assert_battery(executor: SQLExecutor, table) -> None:
+    records = table.snapshot()
+    for where, predicate in BATTERY:
+        expected = sorted(r.record_id for r in records if predicate(r))
+        got = sorted(executor.execute_sql(SELECT + where).record_ids())
+        assert got == expected, f"wrong records for {where!r}"
 
 
 def _assert_null_index_parity(table) -> None:
@@ -132,39 +165,57 @@ def _assert_null_index_parity(table) -> None:
         assert set(table.null_ids(column)) == expected
 
 
-@pytest.mark.parametrize("shards", [None, 1, 2, 4])
-def test_mutation_storm_parity(shards):
-    database, table = _fresh_database(shards)
-    executors = _executors(database)
+def _storm(shards: int | None, rows) -> set[str]:
+    """Run the storm from *rows*; the access paths its leaves took."""
+    database, table = _fresh_database(shards, rows)
+    # A private planner keeps selectivity history isolated per test.
+    executor = SQLExecutor(database, planner=AccessPlanner())
     rng = random.Random(2026_08_08 + (shards or 0))
     live = sorted(table.all_ids())
-    _assert_battery_parity(executors)
+    _assert_battery(executor, table)
     for _ in range(6):
         for _ in range(12):
             _mutate(table, rng, live)
-        _assert_battery_parity(executors)
+        _assert_battery(executor, table)
         _assert_null_index_parity(table)
+    return {decision.path for decision in executor.plan_trace}
+
+
+@pytest.mark.parametrize("shards", [None, 1, 2, 4])
+def test_mutation_storm_parity(shards):
+    """From the 8-row table, below ``MIN_WINDOW_ROWS``."""
+    assert len(SMALL_CAR_ROWS) < MIN_WINDOW_ROWS
+    assert "index" in _storm(shards, SMALL_CAR_ROWS)
+
+
+@pytest.mark.parametrize("shards", [None, 1, 2, 4])
+def test_mutation_storm_parity_from_large_table(shards):
+    """From a table above ``MIN_WINDOW_ROWS``: range leaves take
+    windows, and the storm keeps it above the threshold."""
+    rng = random.Random(2026_08_09)
+    rows = [_random_row(rng) for _ in range(MIN_WINDOW_ROWS + 16)]
+    paths = _storm(shards, rows)
+    assert "window" in paths
+    assert "index" not in paths
 
 
 def test_empty_table_and_empty_window():
     database = Database()
     database.create_table(small_car_schema())
-    executors = _executors(database)
-    for sql in BATTERY:
-        for mode in MODES:
-            assert executors[mode].execute_sql(sql).record_ids() == []
+    executor = SQLExecutor(database, planner=AccessPlanner())
+    for where, _ in BATTERY:
+        assert executor.execute_sql(SELECT + where).record_ids() == []
 
 
 def test_record_id_between_bisects_not_scans():
-    """Satellite: record_id BETWEEN agrees with the all_ids scan."""
-    database, table = _fresh_database(None)
+    """record_id BETWEEN answers from the id window, holes included."""
+    database, table = _bulk_database()
     table.delete(3)  # a hole inside the range
-    executors = _executors(database)
-    sql = "SELECT * FROM car_ads WHERE record_id BETWEEN 2 AND 6"
-    oracle = sorted(executors["scan"].execute_sql(sql).record_ids())
-    assert oracle == [2, 4, 5, 6]
-    assert sorted(executors["window"].execute_sql(sql).record_ids()) == oracle
-    assert sorted(executors["adaptive"].execute_sql(sql).record_ids()) == oracle
+    executor = SQLExecutor(database, planner=AccessPlanner())
+    sql = SELECT + "record_id BETWEEN 2 AND 6"
+    assert sorted(executor.execute_sql(sql).record_ids()) == [2, 4, 5, 6]
+    decision = executor.plan_trace[-1]
+    assert (decision.shape, decision.path) == ("id-between", "window")
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +244,6 @@ def test_selectivity_flip_switches_access_path():
     database, table = _bulk_database()
     planner = AccessPlanner()
     adaptive = SQLExecutor(database, planner=planner)
-    oracle = SQLExecutor(database, access_paths="scan")
 
     narrow = "SELECT * FROM car_ads WHERE price < 600"
     adaptive.execute_sql(narrow)
@@ -207,10 +257,10 @@ def test_selectivity_flip_switches_access_path():
     # Consistently wide ranges drive the EWMA past the complement
     # threshold; the decision flips and the answers must not move.
     wide = "SELECT * FROM car_ads WHERE price > 0"
+    expected = sorted(r.record_id for r in table if r["price"] > 0)
     paths = []
     for _ in range(4):
-        got = sorted(adaptive.execute_sql(wide).record_ids())
-        assert got == sorted(oracle.execute_sql(wide).record_ids())
+        assert sorted(adaptive.execute_sql(wide).record_ids()) == expected
         paths.append(adaptive.plan_trace[-1].path)
     assert paths[0] == "window"
     assert paths[-1] == "window-complement"
@@ -233,30 +283,22 @@ def test_plan_summary_counts_paths():
     assert "window x2" in executor.plan_summary()
 
 
-def test_invalid_access_path_mode_rejected():
-    database, _ = _fresh_database(None)
-    with pytest.raises(ValueError):
-        SQLExecutor(database, access_paths="psychic")
-
-
 def test_window_assisted_order_by_matches_sort():
     database, table = _bulk_database(rows=600)
     # Sprinkle NULL prices so the absent-last rule is exercised.
     for record_id in list(table.all_ids())[:25]:
         table.update(record_id, {"price": None})
     adaptive = SQLExecutor(database, planner=AccessPlanner())
-    oracle = SQLExecutor(database, access_paths="scan")
-    for sql in (
-        "SELECT * FROM car_ads ORDER BY price",
-        "SELECT * FROM car_ads ORDER BY price DESC",
-        "SELECT * FROM car_ads ORDER BY price LIMIT 40",
+    # Present prices by (price, id); DESC reverses them; NULLs last by id.
+    present = _window_ids_by_price(table)
+    absent = sorted(r.record_id for r in table if r.get("price") is None)
+    for sql, expected in (
+        ("SELECT * FROM car_ads ORDER BY price", present + absent),
+        ("SELECT * FROM car_ads ORDER BY price DESC", present[::-1] + absent),
+        ("SELECT * FROM car_ads ORDER BY price LIMIT 40", present[:40]),
     ):
-        assert (
-            adaptive.execute_sql(sql).record_ids()
-            == oracle.execute_sql(sql).record_ids()
-        )
+        assert adaptive.execute_sql(sql).record_ids() == expected
     assert any(d.path == "window-order" for d in adaptive.plan_trace)
-    assert all(d.path != "window-order" for d in oracle.plan_trace)
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ then exercises the three :class:`AnswerService` entry points —
 ``answer`` (one request, with per-request options), ``answer_batch``
 (thread-pool fan-out, results in input order) and ``page`` (cursor
 pagination past the paper's 30-answer cap) — then scale-out:
-``.shards(4)`` scatter-gather with online shard splitting and
-rebalancing (see PERFORMANCE.md, "Rebalancing") — then the async
+``.shards(4)`` scatter-gather over hash-placed shards (see
+PERFORMANCE.md, "Sharded scatter-gather execution") — then the async
 service tier (:class:`~repro.serve.AsyncAnswerService`): single-flight
 coalescing, admission control and deadlines over the same engine —
 then durability: ``.storage(directory)`` logs every
@@ -258,24 +258,6 @@ def main() -> None:
     print(f"   inserted ad #{spare.record_id} landed on shard {shard}; "
           f"only that shard's caches were patched")
     sharded_table.delete(spare.record_id)
-
-    # Online rebalancing: split the busiest shard, then level the live
-    # shards back toward the mean — every move is an ordinary typed
-    # delta under the facade write lock, so caches and windows absorb
-    # it like any other mutation.
-    sizes = sharded_table.shard_sizes()
-    busiest = sizes.index(max(sizes))
-    new_shard = sharded_table.split_shard(busiest)
-    moved = sharded_table.rebalance()
-    print(f"   split shard {busiest} -> new shard {new_shard}, "
-          f"then rebalanced {moved} record(s): "
-          f"sizes {sharded_table.shard_sizes()}")
-    rebalanced = sharded_service.ask(question, domain="cars")
-    still = [
-        (a.record.record_id, a.exact, a.score) for a in plain.answers
-    ] == [(a.record.record_id, a.exact, a.score) for a in rebalanced.answers]
-    print(f"   answers identical after split + rebalance: {still}")
-    sharded_table.close()  # release the scatter threads
 
     # The service tier: an asyncio front door with admission control.
     # Identical in-flight questions coalesce into one engine run,

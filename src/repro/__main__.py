@@ -419,21 +419,6 @@ def _stats_workload(args: argparse.Namespace, obs) -> str:
         )
         execute(cqads.database, sql)
         execute(cqads.database, sql)
-
-        if args.shards is not None:
-            # One real record move per sharded run: the rebalance-moves
-            # counter and the per-shard row gauges surface in the
-            # export with live values (and --check asserts them).
-            table = cqads.database.table(schema.table_name)
-            sizes = table.shard_sizes()
-            donor = max(range(len(sizes)), key=lambda index: sizes[index])
-            receiver = min(range(len(sizes)), key=lambda index: sizes[index])
-            if donor != receiver and sizes[donor]:
-                mover = max(
-                    record.record_id
-                    for record in table.shards[donor].snapshot()
-                )
-                table.move_records([mover], receiver)
         system.close()
 
         if args.trace:
@@ -492,8 +477,6 @@ def _check_stats_export(rendered: str, sharded: bool = False) -> list[str]:
             failures.append("per-shard row gauges absent or all zero")
         if total("repro_shard_scatter_seconds_count") <= 0:
             failures.append("no per-shard scatter latencies recorded")
-        if total("repro_rebalance_moves_total") <= 0:
-            failures.append("rebalance move counter never incremented")
     return failures
 
 

@@ -62,8 +62,6 @@ class SystemBuilder:
         self._answer_cache_capacity: int | None = None
         self._batch_workers = 4
         self._async_limits: dict[str, object] = {}
-        self._partitioner = None
-        self._scatter_workers: int | None = None
         self._storage_directory = None
         self._storage_options: dict[str, object] = {}
         self._storage_backend = None
@@ -107,31 +105,21 @@ class SystemBuilder:
         self._seed = seed
         return self
 
-    def shards(
-        self,
-        count: int | None,
-        partitioner=None,
-        scatter_workers: int | None = None,
-    ) -> "SystemBuilder":
+    def shards(self, count: int | None) -> "SystemBuilder":
         """Partition every domain's table across *count* shards.
 
-        The answer path then runs scatter-gather (per-shard relaxation
-        id-sets, per-shard column-store ranking with top-k merge) —
-        bit-identical to the single-table build of the same recipe;
-        see :mod:`repro.shard` and ``PERFORMANCE.md``.  *partitioner*
-        overrides the default hash-by-record-id placement and
-        *scatter_workers* sizes each table's dedicated scatter thread
-        executor (default: ``min(count, cpu_count)``, or the
-        ``REPRO_SCATTER_WORKERS`` env var; ``1`` forces inline
-        scatters).  ``None`` removes a previously-configured sharding
-        and restores single tables.
+        Records are placed by a fixed hash of the record id, and the
+        answer path runs scatter-gather (per-shard relaxation id-sets,
+        per-shard column-store ranking with top-k merge) on the
+        caller's thread — bit-identical to the single-table build of
+        the same recipe; see :mod:`repro.shard` and ``PERFORMANCE.md``.
+        ``None`` removes a previously-configured sharding and restores
+        single tables.
         """
         if count is None:
             self._cqads_options.pop("shards", None)
         else:
             self._cqads_options["shards"] = count
-        self._partitioner = partitioner
-        self._scatter_workers = scatter_workers
         return self
 
     # -- engine configuration ------------------------------------------
@@ -290,8 +278,6 @@ class SystemBuilder:
             classifier=self._classifier,
             train_classifier=self._train_classifier,
             lazy=self._lazy,
-            partitioner=self._partitioner,
-            scatter_workers=self._scatter_workers,
             **self._cqads_options,
         )
 

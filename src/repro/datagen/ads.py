@@ -198,8 +198,6 @@ def build_dataset(
     ads_per_domain: int = 500,
     seed: int = 7,
     shards: int | None = None,
-    partitioner=None,
-    scatter_workers: int | None = None,
 ) -> DomainDataset:
     """Generate *ads_per_domain* ads for *domain* into *database*.
 
@@ -217,12 +215,7 @@ def build_dataset(
     rng = random.Random(seed ^ zlib.crc32(spec.name.encode()))
     generator = AdsGenerator(spec, rng)
     ads = generator.generate_many(ads_per_domain)
-    table = database.create_table(
-        spec.schema,
-        shards=shards,
-        partitioner=partitioner,
-        scatter_workers=scatter_workers,
-    )
+    table = database.create_table(spec.schema, shards=shards)
     # insert_many notifies mutation listeners once for the whole seed
     # batch — on a warm system (lazy provisioning) per-row inserts
     # would run every cache-invalidation sweep per ad.

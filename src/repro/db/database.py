@@ -97,23 +97,20 @@ class Database:
         substring_gram: int = 3,
         *,
         shards: int | None = None,
-        partitioner=None,
-        scatter_workers: int | None = None,
     ) -> Table:
         """Create and register a table for *schema*; name must be new.
 
         With ``shards`` the catalog registers a
         :class:`repro.shard.table.ShardedTable` facade instead of a
-        plain table: records partition across that many shards (via
-        *partitioner*, default hash-by-record-id) and every read
+        plain table: records partition across that many shards by a
+        fixed hash of the record id
+        (:func:`repro.shard.partition.shard_of`) and every read
         scatters and gathers behind the same surface.  ``shards=1`` is
         a valid degenerate facade (the parity battery uses it);
         ``None`` keeps the seed's single table.  Catalog listeners
         attach to the facade, which relays every shard's typed
         mutation deltas re-stamped with the aggregated epoch, the
         owning shard's index and that shard's own epoch.
-        *scatter_workers* sizes the facade's scatter threads (see
-        :class:`~repro.shard.table.ShardedTable`).
         """
         name = self._canonical(schema.table_name)
         if name in self._tables:
@@ -125,13 +122,7 @@ class Database:
             # so a module-level import here would cycle the db package.
             from repro.shard.table import ShardedTable
 
-            table = ShardedTable(
-                schema,
-                shards,
-                partitioner=partitioner,
-                substring_gram=substring_gram,
-                scatter_workers=scatter_workers,
-            )
+            table = ShardedTable(schema, shards, substring_gram=substring_gram)
         for listener in self._listeners:
             table.add_listener(listener)
         self._tables[name] = table
@@ -139,10 +130,7 @@ class Database:
             # After registration, before any row can exist: the logged
             # create frame always precedes the table's insert frames.
             self._storage.on_create_table(
-                table,
-                substring_gram=substring_gram,
-                shards=shards,
-                partitioner=partitioner,
+                table, substring_gram=substring_gram, shards=shards
             )
         return table
 
@@ -155,8 +143,7 @@ class Database:
         backend logs the drop — without this, a recreated same-name
         table could be served results cached from the dropped one.
         Catalog listeners are then detached from the dead table object
-        (mutating a stale reference no longer reaches the caches) and
-        a sharded facade's scatter executor is released.
+        (mutating a stale reference no longer reaches the caches).
         """
         canonical = self._canonical(name)
         table = self._tables.pop(canonical, None)
@@ -167,9 +154,6 @@ class Database:
             listener(event)
         for listener in self._listeners:
             table.remove_listener(listener)
-        close = getattr(table, "close", None)
-        if close is not None:
-            close()
 
     def table(self, name: str) -> Table:
         canonical = self._canonical(name)

@@ -118,11 +118,13 @@ class StorageError(ReproError):
 
     Raised when a WAL append exhausts its retry budget, a snapshot
     cannot be written or verified, a recovery directory holds no
-    loadable state, or a table's configuration cannot be persisted
-    (e.g. a custom partitioner the codec cannot name).  Torn or
-    corrupt WAL *tails* do **not** raise — recovery truncates them by
-    contract — so hitting this during recovery means the directory is
-    damaged beyond the crash-consistency model.
+    loadable state, or a stored table cannot be loaded as written
+    (a snapshot that puts a record on a shard other than its hash
+    placement, or a frame naming a placement other than the hash —
+    recovery rejects such a snapshot and falls back a generation).
+    Torn or corrupt WAL *tails* do **not** raise — recovery truncates
+    them by contract — so hitting this during recovery means the
+    directory is damaged beyond the crash-consistency model.
     """
 
 

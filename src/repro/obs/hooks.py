@@ -31,7 +31,6 @@ repro_serve_request_seconds     histogram    —
 repro_api_request_seconds       histogram    —
 repro_shard_rows                gauge (fn)   table, shard
 repro_shard_scatter_seconds     histogram    table, shard
-repro_rebalance_moves_total     counter      table
 ==============================  ===========  ==========================
 
 Cost stance: each hook is a dict lookup on the default registry plus
@@ -52,7 +51,6 @@ __all__ = [
     "CACHE_FAMILIES",
     "cache_event",
     "observe_stage",
-    "record_rebalance_moves",
     "record_recovery_damage",
     "record_recovery_timings",
     "register_shard_rows_gauge",
@@ -160,7 +158,7 @@ def register_shard_rows_gauge(table, shard_index: int) -> None:
 
     def shard_rows() -> float:
         facade = table_ref()
-        if facade is None or shard_index >= len(facade.shards):
+        if facade is None:
             return float("nan")
         return float(len(facade.shards[shard_index]))
 
@@ -175,10 +173,3 @@ def shard_scatter_observe(table_name: str, shard_index: int, seconds: float) -> 
     get_default_registry().histogram(
         "repro_shard_scatter_seconds", table=table_name, shard=str(shard_index)
     ).observe(seconds)
-
-
-def record_rebalance_moves(table_name: str, moves: int = 1) -> None:
-    """Count records moved between shards by rebalancing."""
-    get_default_registry().counter(
-        "repro_rebalance_moves_total", table=table_name
-    ).value += moves

@@ -12,11 +12,10 @@ tracer's threshold.
 Propagation. The current span lives in a :data:`ContextVar`, so within
 one thread (and across ``asyncio`` task boundaries, which copy the
 context at ``create_task`` time) children attach automatically.  The
-three thread-hopping boundaries — the batch ``ThreadPoolExecutor``, the
-shard scatter executor, and the serve tier's ``run_in_executor``
-dispatch — wrap their callables with :func:`propagate`, which captures
-the caller's span and re-pins it inside the worker with a set/reset
-token.  Deliberately **not** ``copy_context().run``: a single request
+two thread-hopping boundaries — the batch ``ThreadPoolExecutor`` and
+the serve tier's ``run_in_executor`` dispatch — wrap their callables
+with :func:`propagate`, which captures the caller's span and re-pins
+it inside the worker with a set/reset token.  Deliberately **not** ``copy_context().run``: a single request
 fans the same logical context out to several workers at once, and
 CPython refuses concurrent re-entry of one ``Context`` object.
 

@@ -837,10 +837,8 @@ def sharded_rank_units(
     whichever store scores it, so the pool reads bit-for-bit like the
     single-store ranking.
 
-    Shard tasks run through :meth:`ShardedTable.map_shards` — inline on
-    a single-core box, fanned out on the facade's dedicated scatter
-    executor otherwise (never a shared service pool, so a scatter
-    issued from inside ``answer_batch`` cannot deadlock it).
+    Shard tasks run through :meth:`ShardedTable.map_shards`, one shard
+    after another on the caller's thread.
 
     Consistency under concurrent mutation: each shard's store pins the
     shard's epoch *before* copying its snapshot, so a mid-flight

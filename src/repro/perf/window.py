@@ -487,39 +487,17 @@ class ShardedWindows:
     deltas carry the shard's **native** epochs and one shard's
     mutation leaves every sibling's windows live.  A facade range leaf
     is an :class:`IdWindow` with one segment per shard.
-
-    The facade's shard list can grow after construction
-    (``split_shard`` / ``add_shard``), so the per-shard list is
-    re-derived whenever its length no longer matches — the registry
-    makes re-adoption of existing shards free, and a window set over a
-    stale (shorter) list would silently drop the new shards' rows
-    from every range leaf.
     """
 
     def __init__(self, table) -> None:
-        self._table_ref = weakref.ref(table)
         self._shard_windows = [windows_for(shard) for shard in table.shards]
 
-    def _live_windows(self) -> "list[TableWindows]":
-        table = self._table_ref()
-        if table is not None and len(table.shards) != len(self._shard_windows):
-            # Idempotent under races: windows_for() returns each
-            # shard's registered TableWindows, so two threads
-            # rebuilding concurrently assemble the same list.
-            self._shard_windows = [
-                windows_for(shard) for shard in table.shards
-            ]
-        return self._shard_windows
-
     def column_windows(self, column: str) -> list[ColumnWindow]:
-        return [
-            windows.window(column) for windows in self._live_windows()
-        ]
+        return [windows.window(column) for windows in self._shard_windows]
 
     def rebuild_count(self, column: str) -> int:
         return sum(
-            windows.rebuild_count(column)
-            for windows in self._live_windows()
+            windows.rebuild_count(column) for windows in self._shard_windows
         )
 
 

@@ -363,7 +363,6 @@ class RankingResources:
         stores = self._shard_stores
         if (
             stores is not None
-            and len(stores) == len(shards)
             and not self._pending_deltas
             and not self._pending_overflow
         ):
@@ -377,7 +376,7 @@ class RankingResources:
 
         with self._store_lock:
             stores = self._shard_stores
-            if stores is None or len(stores) != len(shards):
+            if stores is None:
                 stores = [None] * len(shards)
                 self._shard_stores = stores
             if not self._pending_overflow:
@@ -388,11 +387,7 @@ class RankingResources:
                 # below — siblings stay warm either way.
                 for delta in self._pending_deltas:
                     index = delta.shard_index
-                    if (
-                        index is None
-                        or delta.shard_epoch is None
-                        or index >= len(stores)
-                    ):
+                    if index is None or delta.shard_epoch is None:
                         continue
                     store = stores[index]
                     if store is None or delta.shard_epoch <= store.epoch:

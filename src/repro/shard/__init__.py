@@ -7,19 +7,13 @@ scatter-gather, bit-identical to the single-table path
 (``tests/test_sharding.py`` holds the parity battery across all eight
 domains at N in {1, 2, 4}).
 
-* :mod:`repro.shard.partition` — pluggable record placement
-  (:class:`Partitioner` protocol; :class:`HashPartitioner` default,
-  :class:`ModuloPartitioner` alternative);
+* :mod:`repro.shard.partition` — fixed record placement:
+  :func:`shard_of` hashes a record id onto one of N shards, and a
+  record never moves;
 * :mod:`repro.shard.table` — the :class:`ShardedTable` facade: global
-  ids with routed placement (overrides + redirects for records moved
-  online), aggregated mutation epochs, event relay with batched bulk
-  notifications, scatter-gather reads, a dedicated scatter executor
-  for parallel per-shard work, and online shard topology changes
-  (``split_shard`` / ``merge_shard`` / ``rebalance``);
-* :mod:`repro.shard.rebalance` — :func:`plan_rebalance` turns the
-  per-shard row/latency gauges into a :class:`RebalancePlan` of
-  record moves applied under the existing write lock as ordinary
-  typed deltas.
+  ids with hash placement, aggregated mutation epochs, event relay
+  with batched bulk notifications, and scatter-gather reads whose
+  per-shard tasks run in shard order on the caller's thread.
 
 The scatter-gather *compute* paths live with their single-table
 counterparts and detect the facade by duck-typing (``table.shards``):
@@ -32,16 +26,7 @@ CLI ``--shards``; ``PERFORMANCE.md`` documents the merge semantics
 and what sharding costs and buys under the default configuration.
 """
 
-from repro.shard.partition import HashPartitioner, ModuloPartitioner, Partitioner
-from repro.shard.rebalance import RebalancePlan, ShardMove, plan_rebalance
+from repro.shard.partition import shard_of
 from repro.shard.table import ShardedTable
 
-__all__ = [
-    "HashPartitioner",
-    "ModuloPartitioner",
-    "Partitioner",
-    "RebalancePlan",
-    "ShardMove",
-    "ShardedTable",
-    "plan_rebalance",
-]
+__all__ = ["ShardedTable", "shard_of"]

@@ -1,74 +1,43 @@
-"""Record-to-shard placement policies.
+"""Record-to-shard placement: one fixed hash of the record id.
 
-A :class:`Partitioner` decides, from nothing but a record's stable id,
-which of a :class:`~repro.shard.table.ShardedTable`'s N shards stores
-the record.  Keeping the input to the decision that small is what
-makes every scatter operation cheap: any layer holding a record id can
-route to the owning shard without consulting a directory, and the
-placement never moves (record ids are never reused, so a shard
-assignment is permanent for the record's lifetime).
+:func:`shard_of` decides, from nothing but a record's stable id, which
+of a :class:`~repro.shard.table.ShardedTable`'s N shards stores the
+record.  Keeping the input to the decision that small is what makes
+every scatter operation cheap: any layer holding a record id can route
+to the owning shard without consulting a directory, and the placement
+never moves (record ids are never reused and the shard count is fixed
+for the table's lifetime, so a shard assignment is permanent for the
+record's lifetime).
 
-The contract a partitioner must honour:
+The contract:
 
-* **deterministic** — ``shard_of(record_id, n)`` must always return
-  the same value for the same arguments; the facade routes every
-  delete/update/fetch through it, so a wandering answer would lose
-  records;
+* **deterministic** — ``shard_of(record_id, n)`` always returns the
+  same value for the same arguments; the facade routes every
+  delete/update/fetch through it, and snapshot recovery checks each
+  restored record against it;
 * **total** — every id maps to ``0 <= shard < shard_count``.
-
-:class:`HashPartitioner` (the default) spreads sequential ids evenly
-via a 32-bit multiplicative hash; :class:`ModuloPartitioner` is the
-trivial alternative (round-robin for sequential ids), kept both as the
-simplest example of pluggability and because its placement is easy to
-reason about in tests.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
-__all__ = ["Partitioner", "HashPartitioner", "ModuloPartitioner"]
+__all__ = ["shard_of"]
 
 #: Knuth's 32-bit multiplicative hashing constant (2**32 / phi).
 _GOLDEN = 0x9E3779B1
 _MASK = 0xFFFFFFFF
 
 
-@runtime_checkable
-class Partitioner(Protocol):
-    """Maps a record id to a shard index (see the module contract)."""
-
-    def shard_of(self, record_id: int, shard_count: int) -> int:
-        """The owning shard of *record_id* among *shard_count* shards."""
-        ...  # pragma: no cover - protocol
-
-
-class HashPartitioner:
-    """Multiplicative hash by record id — the default placement.
+def shard_of(record_id: int, shard_count: int) -> int:
+    """The owning shard of *record_id* among *shard_count* shards.
 
     Sequential ids (what :class:`~repro.db.table.Table` mints) are
     scrambled through Knuth's golden-ratio constant before the modulo,
     so hot id ranges (a bulk load, a burst of fresh ads) spread across
     shards instead of filling one shard at a time.
     """
-
-    def shard_of(self, record_id: int, shard_count: int) -> int:
-        # Multiplying by an odd constant leaves the low bits unmixed
-        # (bit 0 of the product is bit 0 of the id), and a small modulo
-        # reads exactly those bits — so fold the well-mixed high half
-        # down before reducing.
-        scrambled = (record_id * _GOLDEN) & _MASK
-        return ((scrambled >> 16) ^ scrambled) % shard_count
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "HashPartitioner()"
-
-
-class ModuloPartitioner:
-    """Plain ``record_id % shard_count`` — round-robin for fresh ids."""
-
-    def shard_of(self, record_id: int, shard_count: int) -> int:
-        return record_id % shard_count
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "ModuloPartitioner()"
+    # Multiplying by an odd constant leaves the low bits unmixed (bit 0
+    # of the product is bit 0 of the id), and a small modulo reads
+    # exactly those bits — so fold the well-mixed high half down before
+    # reducing.
+    scrambled = (record_id * _GOLDEN) & _MASK
+    return ((scrambled >> 16) ^ scrambled) % shard_count

@@ -7,11 +7,12 @@ engine, the domain builder, the datagen bulk loader — works unchanged
 against a partitioned store.  What changes is the *granularity* of
 everything epoch-shaped:
 
-* **ids are global, placement is local.**  The facade mints globally
-  sequential record ids (bit-identical to a single table's) and a
-  pluggable :class:`~repro.shard.partition.Partitioner` maps each id
-  to its owning shard, so any layer holding an id can route to the
-  shard without a directory.
+* **ids are global, placement is fixed.**  The facade mints globally
+  sequential record ids (bit-identical to a single table's) and
+  :func:`~repro.shard.partition.shard_of` hashes each id onto its
+  owning shard, so any layer holding an id can route to the shard
+  without a directory.  The shard count is fixed at construction and
+  a record never moves between shards.
 * **epochs aggregate.**  ``ShardedTable.epoch`` is the sum of the
   shard epochs — still monotonic, still "any mutation moves it" — so
   facade-level caches (answer cache generations, plan cache hygiene)
@@ -32,36 +33,21 @@ everything epoch-shaped:
   wrapping the re-stamped per-row deltas, matching the single-table
   contract.
 
-Scatter work (per-shard ranking in :mod:`repro.perf.colrank`) can run
-on the facade's **dedicated** scatter executor — deliberately not the
-:class:`~repro.api.service.AnswerService` batch pool, so a shard-sized
-scatter issued from inside ``answer_batch`` can never deadlock the
-pool it was issued from (every batch worker would otherwise be able to
-block on sub-tasks queued behind other batch workers).  The executor
-is created lazily and only when ``scatter_workers > 1``; the default
-follows the machine (``min(shards, cpu_count)``, overridable via the
-``REPRO_SCATTER_WORKERS`` env var), so a single-core box runs
-scatters inline and pays no thread overhead.
-
-**Placement is dynamic.**  The partitioner's verdict (frozen at the
-construction-time modulus) is only the *base* placement; an
-override map (per moved record) and a redirect map (per merged-away
-shard) sit in front of it so :meth:`split_shard` / :meth:`merge_shard`
-/ :meth:`rebalance` can move records between shards online.  A move
-is an ordinary delete + insert under the write lock — downstream
-caches, window indexes and WAL durability see plain typed deltas and
-need no new invalidation machinery.
+Scatter work (per-shard ranking in :mod:`repro.perf.colrank`) runs
+through :meth:`map_shards`, one shard after another on the caller's
+thread.  The scoring is CPU-bound Python, so under the interpreter
+lock a thread pool could not overlap it; and a plain loop cannot
+deadlock the :class:`~repro.api.service.AnswerService` batch pool a
+scatter is issued from.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.db.schema import TableSchema
 from repro.db.table import (
@@ -71,16 +57,9 @@ from repro.db.table import (
     Table,
     batch_notifications,
 )
-from repro.obs.hooks import (
-    record_rebalance_moves,
-    register_shard_rows_gauge,
-    shard_scatter_observe,
-)
-from repro.obs.trace import current_span, propagate, span
-from repro.shard.partition import HashPartitioner, Partitioner
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.shard.rebalance import RebalancePlan
+from repro.obs.hooks import register_shard_rows_gauge, shard_scatter_observe
+from repro.obs.trace import span
+from repro.shard.partition import shard_of
 
 __all__ = ["ShardedTable"]
 
@@ -98,38 +77,22 @@ class ShardedTable:
         How many shards to partition across (>= 1; 1 keeps the whole
         scatter-gather machinery live over a single shard, which is
         how the parity battery pins the facade to the plain table).
-    partitioner:
-        Record placement policy (default
-        :class:`~repro.shard.partition.HashPartitioner`).  Must be
-        deterministic — the facade routes every per-id operation
-        through it.
+        Fixed for the table's lifetime.
     substring_gram:
         Passed through to each shard's substring indexes.
-    scatter_workers:
-        Thread count for parallel scatter operations.  ``None`` sizes
-        to ``min(shard_count, cpu_count)`` — or to the
-        ``REPRO_SCATTER_WORKERS`` env var when set, so CI machines
-        with many cores don't oversubscribe the quick benches; values
-        <= 1 run scatters inline (no executor is ever created).  The
-        executor is dedicated to this facade — never a shared service
-        pool.
     """
 
     def __init__(
         self,
         schema: TableSchema,
         shard_count: int,
-        partitioner: Partitioner | None = None,
         substring_gram: int = 3,
-        scatter_workers: int | None = None,
     ) -> None:
         if shard_count < 1:
             raise ValueError(f"shard_count must be >= 1, got {shard_count}")
         self.schema = schema
         self.name = schema.table_name
         self.shard_count = shard_count
-        self.partitioner = partitioner if partitioner is not None else HashPartitioner()
-        self._substring_gram = substring_gram
         self.shards: list[Table] = []
         for index in range(shard_count):
             shard = Table(schema, substring_gram=substring_gram)
@@ -151,41 +114,6 @@ class ShardedTable:
         #: Re-stamped row deltas collected while a bulk facade mutation
         #: suppresses notifications; emitted as one BatchDelta.
         self._pending_deltas: list[MutationEvent] = []
-        if scatter_workers is None:
-            base = os.cpu_count() or 1
-            env_value = os.environ.get("REPRO_SCATTER_WORKERS", "").strip()
-            if env_value:
-                try:
-                    parsed = int(env_value)
-                except ValueError:
-                    parsed = 0
-                if parsed > 0:
-                    base = parsed
-            scatter_workers = min(shard_count, base)
-        self.scatter_workers = scatter_workers
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_lock = threading.Lock()
-        self._closed = False
-        # -- dynamic placement (split/merge/rebalance) ----------------
-        #: The partitioner modulus is frozen at construction: shards
-        #: appended later (`add_shard`) receive records only through
-        #: rebalancing, so adding capacity never silently reshuffles
-        #: the id->shard map out from under routed lookups.
-        self._placement_modulus = shard_count
-        #: record_id -> shard index, for records moved off their base
-        #: placement; checked before the partitioner.
-        self._overrides: dict[int, int] = {}
-        #: source shard -> target shard for merged-away shards; base
-        #: placements are followed through this map transitively.
-        self._redirects: dict[int, int] = {}
-        #: Shards merged away: never receive inserts, excluded from
-        #: rebalance targets.  Their Table objects stay (empty) so
-        #: shard indexes remain stable for caches and metrics.
-        self._retired: set[int] = set()
-        # -- per-shard load gauges ------------------------------------
-        #: Scatter-leaf latency EWMA per shard (None until observed);
-        #: feeds latency-aware rebalance planning.
-        self._scatter_ewma: list[float | None] = [None] * shard_count
         for index in range(shard_count):
             register_shard_rows_gauge(self, index)
 
@@ -264,26 +192,8 @@ class ShardedTable:
     # placement
     # ------------------------------------------------------------------
     def shard_of(self, record_id: int) -> int:
-        """The shard index owning *record_id* (whether stored or not).
-
-        Rebalance overrides win over the partitioner's base placement;
-        base placements landing on a merged-away shard follow its
-        redirect chain.
-        """
-        override = self._overrides.get(record_id)
-        if override is not None:
-            return override
-        return self._base_shard_of(record_id)
-
-    def _base_shard_of(self, record_id: int) -> int:
-        index = self.partitioner.shard_of(record_id, self._placement_modulus)
-        redirects = self._redirects
-        for _hop in range(len(redirects)):
-            forwarded = redirects.get(index)
-            if forwarded is None:
-                break
-            index = forwarded
-        return index
+        """The shard index owning *record_id* (whether stored or not)."""
+        return shard_of(record_id, self.shard_count)
 
     def shard_for(self, record_id: int) -> Table:
         """The shard table owning *record_id*."""
@@ -293,113 +203,31 @@ class ShardedTable:
         """Record count per shard (diagnostics and balance tests)."""
         return [len(shard) for shard in self.shards]
 
-    @property
-    def retired_shards(self) -> frozenset[int]:
-        """Indexes merged away by :meth:`merge_shard` (always empty
-        tables; never insert targets)."""
-        return frozenset(self._retired)
-
-    def scatter_latency(self) -> list[float | None]:
-        """Per-shard scatter-leaf latency EWMA (None = never observed)."""
-        return list(self._scatter_ewma)
-
     # ------------------------------------------------------------------
     # scatter execution
     # ------------------------------------------------------------------
     def map_shards(self, task: Callable[[int, Table], T]) -> list[T]:
-        """Run ``task(index, shard)`` over every shard, in shard order.
+        """Run ``task(index, shard)`` over every shard, in shard order,
+        on the caller's thread; returns the results in shard order.
 
-        With ``scatter_workers > 1`` tasks fan out over the facade's
-        dedicated executor; otherwise they run inline on the caller's
-        thread.  Either way the result list is ordered by shard index.
-        Tasks must not call :meth:`map_shards` recursively — leaf work
-        only — which is what keeps the dedicated pool deadlock-free;
-        they must also be idempotent reads, because a :meth:`close`
-        racing the fan-out falls the whole scatter back to an inline
-        pass (possibly re-running tasks already submitted).
+        Each task's duration feeds the ``repro_shard_scatter_seconds``
+        histogram, and inside a traced request each task runs under its
+        own ``shard.scatter`` span.
         """
-        if current_span() is not None:
-            # Traced request: wrap each leaf in a per-shard span.  The
-            # wrapper also carries the caller's span into the scatter
-            # executor's worker threads (contextvars do not cross the
-            # submit boundary on their own).
-            inner = task
-
-            def traced_task(index: int, shard: Table) -> T:
-                with span("shard.scatter", shard=index, table=self.name):
-                    return inner(index, shard)
-
-            task = propagate(traced_task)
-        leaf = task
-
-        def timed_task(index: int, shard: Table) -> T:
+        results: list[T] = []
+        for index, shard in enumerate(self.shards):
             started = time.perf_counter()
             try:
-                return leaf(index, shard)
+                with span("shard.scatter", shard=index, table=self.name):
+                    results.append(task(index, shard))
             finally:
-                self.observe_scatter(index, time.perf_counter() - started)
-
-        task = timed_task
-        if self.scatter_workers <= 1 or self.shard_count == 1:
-            return [task(index, shard) for index, shard in enumerate(self.shards)]
-        executor = self._scatter_executor()
-        if executor is not None:
-            try:
-                futures = [
-                    executor.submit(task, index, shard)
-                    for index, shard in enumerate(self.shards)
-                ]
-            except RuntimeError:
-                # close() shut the executor down between the submits;
-                # scoring tasks are idempotent reads, so rerun inline.
-                pass
-            else:
-                return [future.result() for future in futures]
-        return [task(index, shard) for index, shard in enumerate(self.shards)]
-
-    def _scatter_executor(self) -> ThreadPoolExecutor | None:
-        """The dedicated executor, or ``None`` after :meth:`close`."""
-        with self._executor_lock:
-            if self._closed:
-                return None
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.scatter_workers,
-                    thread_name_prefix=f"shard-{self.name}",
+                shard_scatter_observe(
+                    self.name, index, time.perf_counter() - started
                 )
-            return self._executor
-
-    def observe_scatter(self, shard_index: int, seconds: float) -> None:
-        """Record one scatter-leaf duration: histogram + planning EWMA."""
-        shard_scatter_observe(self.name, shard_index, seconds)
-        if shard_index < len(self._scatter_ewma):
-            previous = self._scatter_ewma[shard_index]
-            self._scatter_ewma[shard_index] = (
-                seconds if previous is None else previous * 0.8 + seconds * 0.2
-            )
-
-    def close(self) -> None:
-        """Release the scatter executor (idempotent).
-
-        The table remains fully usable afterwards — scatters simply run
-        inline, the way a ``scatter_workers=1`` facade always does.
-        """
-        with self._executor_lock:
-            executor = self._executor
-            self._executor = None
-            self._closed = True
-            self.scatter_workers = 1
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def __enter__(self) -> "ShardedTable":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        return results
 
     # ------------------------------------------------------------------
-    # mutation (globally sequential ids, routed placement)
+    # mutation (globally sequential ids, fixed placement)
     # ------------------------------------------------------------------
     def insert(
         self, values: dict[str, object], record_id: int | None = None
@@ -447,160 +275,6 @@ class ShardedTable:
         """Merge *values* into the record on its owning shard."""
         with self._write_lock:
             return self.shard_for(record_id).update(record_id, values)
-
-    # ------------------------------------------------------------------
-    # online shard topology: split / merge / rebalance
-    # ------------------------------------------------------------------
-    def _move_one_locked(self, record_id: int, target: int) -> bool:
-        """Move one record to *target* (write lock held by the caller).
-
-        A move is a plain delete off the source shard followed by a
-        plain insert into the target — the relay stamps the
-        ``RemoveDelta`` with the source shard (the override map is
-        updated *between* the two mutations) and the ``InsertDelta``
-        with the target, so every delta-following cache patches
-        exactly the two shard streams that changed.
-        """
-        source = self.shard_of(record_id)
-        if source == target:
-            return False
-        record = self.shards[source].get(record_id)
-        if record is None:
-            return False
-        values = dict(record)
-        self.shards[source].delete(record_id)
-        if self._base_shard_of(record_id) == target:
-            self._overrides.pop(record_id, None)
-        else:
-            self._overrides[record_id] = target
-        self.shards[target].insert(values, record_id=record_id)
-        return True
-
-    def move_records(self, record_ids: Iterable[int], target: int) -> int:
-        """Move *record_ids* onto shard *target*; returns moved count.
-
-        Records already on *target* (or absent) are skipped.  Raises
-        for an out-of-range or retired target.  The target is checked
-        under the write lock, so a concurrent :meth:`merge_shard` that
-        retires it cannot slip in between the check and the moves.
-        """
-        moved = 0
-        with self._write_lock:
-            if not 0 <= target < len(self.shards):
-                raise ValueError(f"target shard {target} out of range")
-            if target in self._retired:
-                raise ValueError(f"target shard {target} is retired")
-            for record_id in record_ids:
-                if self._move_one_locked(record_id, target):
-                    moved += 1
-        if moved:
-            record_rebalance_moves(self.name, moved)
-        return moved
-
-    def add_shard(self) -> int:
-        """Append an empty shard; returns its index.
-
-        The partitioner modulus stays frozen, so the new shard fills
-        only through :meth:`move_records` / :meth:`rebalance` — adding
-        capacity never reshuffles existing placements.
-        """
-        with self._write_lock:
-            index = len(self.shards)
-            shard = Table(self.schema, substring_gram=self._substring_gram)
-            shard.name = f"{self.name}::shard{index}"
-            shard.add_listener(self._relay)
-            self.shards.append(shard)
-            self.shard_count = len(self.shards)
-            self._scatter_ewma.append(None)
-            register_shard_rows_gauge(self, index)
-            return index
-
-    def split_shard(self, source: int) -> int:
-        """Split *source*: append a shard, move its top half of record
-        ids there.  Returns the new shard's index."""
-        with self._write_lock:
-            if not 0 <= source < len(self.shards):
-                raise ValueError(f"source shard {source} out of range")
-            if source in self._retired:
-                raise ValueError(f"source shard {source} is retired")
-            target = self.add_shard()
-            ids = sorted(
-                record.record_id for record in self.shards[source].snapshot()
-            )
-            self.move_records(ids[len(ids) // 2 :], target)
-            return target
-
-    def merge_shard(self, source: int, target: int) -> int:
-        """Merge *source* into *target* and retire it; returns moved count.
-
-        The retired shard's Table stays in ``shards`` (empty) so shard
-        indexes — and everything keyed on them: fragment-cache tags,
-        per-shard column stores, metrics labels — remain stable.  Its
-        base placements are redirected to *target*, so future inserts
-        whose partitioner verdict lands on the retired shard route
-        through without per-record overrides.
-        """
-        with self._write_lock:
-            if source == target:
-                raise ValueError("cannot merge a shard into itself")
-            for index in (source, target):
-                if not 0 <= index < len(self.shards):
-                    raise ValueError(f"shard {index} out of range")
-                if index in self._retired:
-                    raise ValueError(f"shard {index} is retired")
-            ids = [
-                record.record_id for record in self.shards[source].snapshot()
-            ]
-            moved = self.move_records(ids, target)
-            self._retired.add(source)
-            self._redirects[source] = target
-            # Moves recorded before the redirect may now agree with the
-            # (redirected) base placement: drop the redundant overrides.
-            for record_id in [
-                record_id
-                for record_id, override in self._overrides.items()
-                if override == self._base_shard_of(record_id)
-            ]:
-                del self._overrides[record_id]
-            return moved
-
-    def rebalance(
-        self,
-        plan: "RebalancePlan | None" = None,
-        chunk: int = 64,
-        tolerance: float = 0.1,
-        use_latency: bool = False,
-    ) -> int:
-        """Apply *plan* (default: freshly computed) in lock-released
-        chunks; returns records moved.
-
-        Chunking keeps the rebalance *online*: between chunks the
-        write lock is released, so concurrent inserts/queries
-        interleave with the migration instead of stalling behind one
-        long exclusive section.  Every move is an ordinary typed-delta
-        pair, so a query racing the rebalance sees each record on
-        exactly one shard at every instant the lock is free.
-        """
-        if plan is None:
-            from repro.shard.rebalance import plan_rebalance
-
-            plan = plan_rebalance(
-                self, tolerance=tolerance, use_latency=use_latency
-            )
-        moved = 0
-        moves = list(plan.moves)
-        for start in range(0, len(moves), max(1, chunk)):
-            with self._write_lock:
-                for move in moves[start : start + max(1, chunk)]:
-                    if move.target in self._retired or not (
-                        0 <= move.target < len(self.shards)
-                    ):
-                        continue
-                    if self._move_one_locked(move.record_id, move.target):
-                        moved += 1
-        if moved:
-            record_rebalance_moves(self.name, moved)
-        return moved
 
     def _notify(self, event: MutationEvent) -> None:
         if not self._listeners:

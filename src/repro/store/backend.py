@@ -59,7 +59,7 @@ class StorageBackend(Protocol):
     subscribes to the delta stream.  ``on_create_table`` fires after a
     table is registered but before it can hold rows, so the backend
     can log the configuration that mere deltas cannot reconstruct
-    (schema, gram length, shard count, partitioner).  ``close``
+    (schema, gram length, shard count).  ``close``
     releases file handles; further mutations on a closed backend are
     an error.
     """
@@ -67,7 +67,7 @@ class StorageBackend(Protocol):
     def attach(self, database: "Database") -> None: ...  # pragma: no cover
 
     def on_create_table(
-        self, table, *, substring_gram: int, shards: int | None, partitioner
+        self, table, *, substring_gram: int, shards: int | None
     ) -> None: ...  # pragma: no cover
 
     def close(self) -> None: ...  # pragma: no cover
@@ -83,7 +83,7 @@ class MemoryBackend:
         self.database = database
 
     def on_create_table(
-        self, table, *, substring_gram: int, shards: int | None, partitioner
+        self, table, *, substring_gram: int, shards: int | None
     ) -> None:
         pass
 
@@ -249,7 +249,7 @@ class WalBackend:
     # the delta stream
     # ------------------------------------------------------------------
     def on_create_table(
-        self, table, *, substring_gram: int, shards: int | None, partitioner
+        self, table, *, substring_gram: int, shards: int | None
     ) -> None:
         with self._lock:
             self._append_frames([create_frame(table)])

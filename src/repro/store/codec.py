@@ -3,17 +3,24 @@
 Frame vocabulary (the ``"t"`` discriminator):
 
 ==========  =================================================================
-``create``  a table was created: full schema, substring-gram length,
-            shard count and partitioner spec
+``create``  a table was created: full schema, substring-gram length
+            and shard count
 ``drop``    a table was dropped
 ``ins``     one row inserted — global id + normalized values
 ``del``     one row deleted
 ``upd``     one row updated — the changed columns' new values (an empty
             ``v`` replays the no-op update, which still bumps the epoch)
 ``snap``    snapshot header: generation + covered epoch per table
-``table``   one table's full image inside a snapshot
+``table``   one table's full image inside a snapshot; a sharded
+            table's records are grouped by shard
 ``commit``  snapshot trailer; a snapshot without it is invalid
 ==========  =================================================================
+
+A sharded table is placed by :func:`repro.shard.partition.shard_of`,
+so the shard count is all a frame needs to route records.  Frames
+written before placement was fixed may carry a ``"partitioner"`` key:
+``"hash"`` is that same placement and loads; any other value raises
+:class:`~repro.errors.StorageError`.
 
 Replay leans on two properties of the db layer: schema normalization
 is **idempotent** (stored values re-validate to themselves, so a
@@ -38,7 +45,6 @@ from repro.db.table import (
     UpdateDelta,
 )
 from repro.errors import StorageError
-from repro.shard.partition import HashPartitioner, ModuloPartitioner
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.db.database import Database
@@ -103,37 +109,20 @@ def schema_from_json(payload: dict) -> TableSchema:
 # ----------------------------------------------------------------------
 # table configuration (what create_table needs besides the schema)
 # ----------------------------------------------------------------------
-def _partitioner_spec(partitioner) -> str:
-    if isinstance(partitioner, HashPartitioner):
-        return "hash"
-    if isinstance(partitioner, ModuloPartitioner):
-        return "modulo"
-    raise StorageError(
-        f"cannot persist partitioner {partitioner!r}: the storage codec "
-        "only knows 'hash' and 'modulo' (a custom policy would make the "
-        "recovered placement diverge from the live one)"
-    )
-
-
-def _partitioner_from_spec(spec: str | None):
-    if spec is None or spec == "hash":
-        # hash is the facade default; passing None lets create_table
-        # build it, keeping recovered and fresh code paths identical.
-        return None
-    if spec == "modulo":
-        return ModuloPartitioner()
-    raise StorageError(f"unknown partitioner spec {spec!r} in storage frame")
+def _check_placement(frame: dict) -> None:
+    """Refuse a frame whose table was placed by anything but the hash."""
+    spec = frame.get("partitioner")
+    if spec is not None and spec != "hash":
+        raise StorageError(
+            f"table {frame['table']!r} was placed by partitioner "
+            f"{spec!r}; only hash placement ('hash') can be loaded"
+        )
 
 
 def table_meta_of(table) -> dict:
     """The ``create``-frame configuration of a live table (or facade)."""
     shards = getattr(table, "shard_count", None)
-    if shards is not None:
-        inner = table.shards[0]
-        partitioner = _partitioner_spec(table.partitioner)
-    else:
-        inner = table
-        partitioner = None
+    inner = table.shards[0] if shards is not None else table
     if inner._substring_indexes:
         gram = next(iter(inner._substring_indexes.values())).gram_length
     else:  # pragma: no cover - every schema has a categorical column
@@ -142,7 +131,6 @@ def table_meta_of(table) -> dict:
         "schema": schema_to_json(table.schema),
         "gram": gram,
         "shards": shards,
-        "partitioner": partitioner,
     }
 
 
@@ -204,11 +192,11 @@ def apply_frame(database: "Database", frame: dict) -> None:
     """Replay one WAL frame against *database* (recovery's inner loop)."""
     kind = frame["t"]
     if kind == "create":
+        _check_placement(frame)
         database.create_table(
             schema_from_json(frame["schema"]),
             substring_gram=frame["gram"],
             shards=frame["shards"],
-            partitioner=_partitioner_from_spec(frame["partitioner"]),
         )
     elif kind == "drop":
         database.drop_table(frame["table"])
@@ -260,13 +248,24 @@ def table_frame(table) -> dict:
 
 
 def restore_table(database: "Database", frame: dict) -> None:
-    """Recreate one table in *database* from its snapshot image."""
+    """Recreate one table in *database* from its snapshot image.
+
+    Raises :class:`~repro.errors.StorageError` when a sharded image
+    does not match hash placement — an image per shard, each record on
+    the shard ``table.shard_of(id)`` names — because every read routes
+    through that placement and would never find a misplaced record.
+    """
+    _check_placement(frame)
     shards = frame["shards"]
+    if shards is not None and len(frame["shard_images"]) != shards:
+        raise StorageError(
+            f"table {frame['table']!r} declares {shards} shards but its "
+            f"image holds {len(frame['shard_images'])}"
+        )
     table = database.create_table(
         schema_from_json(frame["schema"]),
         substring_gram=frame["gram"],
         shards=shards,
-        partitioner=_partitioner_from_spec(frame["partitioner"]),
     )
     if shards is None:
         for record_id, values in frame["records"]:
@@ -274,12 +273,20 @@ def restore_table(database: "Database", frame: dict) -> None:
         table._epoch = frame["epoch"]
         table._next_id = frame["next_id"]
         return
-    for shard, image in zip(table.shards, frame["shard_images"]):
+    for index, (shard, image) in enumerate(
+        zip(table.shards, frame["shard_images"])
+    ):
         for record_id, values in image["records"]:
+            home = table.shard_of(record_id)
+            if home != index:
+                raise StorageError(
+                    f"record {record_id} of table {frame['table']!r} is "
+                    f"stored on shard {index}, but hash placement puts "
+                    f"it on shard {home}"
+                )
             # Straight into the owning shard, preserving its insertion
-            # order; the facade's partitioner would route each id to
-            # the same place (same spec, same id), but going through
-            # it would interleave per-shard orders.
+            # order; going through the facade would interleave the
+            # per-shard orders.
             shard.insert(values, record_id=record_id)
         shard._epoch = image["epoch"]
         shard._next_id = image["next_id"]

@@ -59,7 +59,6 @@ def table_state(table) -> dict:
             "kind": "sharded",
             "name": table.name,
             "shard_count": shards,
-            "partitioner": type(table.partitioner).__name__,
             "next_id": table._next_id,
             "epoch": table.epoch,
             "shards": [table_state(shard) for shard in table.shards],

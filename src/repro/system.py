@@ -119,23 +119,13 @@ class BuiltSystem:
         return self.database.storage
 
     def close(self) -> None:
-        """Release per-table scatter executors (sharded builds) and
-        flush/close the storage backend (durable builds).
+        """Flush and close the storage backend (durable builds).
 
-        A sharded table lazily creates a dedicated thread pool for
-        parallel scatters (:meth:`repro.shard.table.ShardedTable.close`);
-        a long-lived process that builds systems repeatedly should
-        close each discarded build so idle executor threads do not
-        accumulate until garbage collection.  Idempotent.  In-memory
-        systems stay fully usable — scatters simply run inline
-        afterwards; a storage-backed system stays readable but further
+        Idempotent, and a no-op for in-memory builds.  A
+        storage-backed system stays readable afterwards, but further
         mutations raise :class:`~repro.errors.StorageError` (the WAL
         is closed).
         """
-        for table in self.database:
-            close = getattr(table, "close", None)
-            if close is not None:
-                close()
         if self.database.storage is not None:
             self.database.storage.close()
 
@@ -197,8 +187,6 @@ def _provision_domain(
     ads_per_domain: int,
     sessions_per_domain: int,
     seed: int,
-    partitioner=None,
-    scatter_workers: int | None = None,
 ) -> BuiltDomain:
     """Steps 1-3 and 5 of the provisioning pipeline for one domain."""
     assert system.ws_matrix is not None
@@ -208,8 +196,6 @@ def _provision_domain(
         ads_per_domain,
         seed=seed,
         shards=system.cqads.shards,
-        partitioner=partitioner,
-        scatter_workers=scatter_workers,
     )
     domain = AdsDomain.from_table(spec.name, dataset.table)
     # The generated dataset's ebay-style ranges override the
@@ -250,8 +236,6 @@ def build_system(
     classifier: NaiveBayesClassifier | None = None,
     train_classifier: bool = True,
     lazy: bool = False,
-    partitioner=None,
-    scatter_workers: int | None = None,
     storage=None,
     **cqads_options,
 ) -> BuiltSystem:
@@ -268,10 +252,9 @@ def build_system(
 
     ``shards=N`` (a :class:`~repro.qa.pipeline.CQAds` option, passed
     through ``**cqads_options``) partitions every domain's table
-    across N shards and runs the answer path scatter-gather —
-    bit-identical to the single-table build of the same seed.
-    ``partitioner`` and ``scatter_workers`` tune the placement policy
-    and the per-table scatter thread executor (see :mod:`repro.shard`).
+    across N shards, placed by a fixed hash of the record id, and
+    runs the answer path scatter-gather — bit-identical to the
+    single-table build of the same seed (see :mod:`repro.shard`).
 
     ``storage`` attaches a durability backend to the database — a
     :class:`repro.store.StorageBackend` instance, or a directory path
@@ -304,8 +287,6 @@ def build_system(
         ads_per_domain,
         sessions_per_domain,
         seed,
-        partitioner=partitioner,
-        scatter_workers=scatter_workers,
     )
     if lazy:
         # Named-domain requests provision on first use; classification

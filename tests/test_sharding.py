@@ -16,12 +16,12 @@ Four layers:
 * **concurrency** — scatter-gather answers survive concurrent
   mutation (consistent per-shard snapshots, no half-visible merges),
   and a shard-sized scatter issued from inside ``answer_batch``
-  cannot deadlock the service pool (dedicated scatter executor).
+  cannot deadlock the service pool (scatters run on the caller's
+  thread).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import pytest
@@ -34,7 +34,7 @@ from repro.datagen.vocab import DOMAIN_NAMES
 from repro.db.table import Table
 from repro.errors import SchemaError
 from repro.qa.sql_generation import evaluate_interpretation
-from repro.shard import HashPartitioner, ModuloPartitioner, ShardedTable
+from repro.shard import ShardedTable, shard_of
 from repro.system import build_system
 
 from tests.conftest import SMALL_CAR_ROWS, fresh_engine, small_car_schema
@@ -52,30 +52,22 @@ SYSTEM_SCALE = dict(
 
 
 # ----------------------------------------------------------------------
-# partitioners
+# placement
 # ----------------------------------------------------------------------
-class TestPartitioners:
-    def test_hash_partitioner_is_deterministic_and_total(self):
-        partitioner = HashPartitioner()
+class TestPlacement:
+    def test_shard_of_is_deterministic_and_total(self):
         for shard_count in (1, 2, 4, 7):
             for record_id in range(1, 500):
-                shard = partitioner.shard_of(record_id, shard_count)
+                shard = shard_of(record_id, shard_count)
                 assert 0 <= shard < shard_count
-                assert shard == partitioner.shard_of(record_id, shard_count)
+                assert shard == shard_of(record_id, shard_count)
 
-    def test_hash_partitioner_spreads_sequential_ids(self):
-        partitioner = HashPartitioner()
+    def test_shard_of_spreads_sequential_ids(self):
         counts = [0, 0, 0, 0]
         for record_id in range(1, 4001):
-            counts[partitioner.shard_of(record_id, 4)] += 1
+            counts[shard_of(record_id, 4)] += 1
         # Every shard within 20% of the even split.
         assert all(800 <= count <= 1200 for count in counts), counts
-
-    def test_modulo_partitioner_round_robins(self):
-        partitioner = ModuloPartitioner()
-        assert [partitioner.shard_of(i, 3) for i in range(6)] == [
-            0, 1, 2, 0, 1, 2,
-        ]
 
 
 # ----------------------------------------------------------------------
@@ -195,82 +187,22 @@ class TestShardedTableFacade:
         assert removed == 2
         assert len(events) == 2 and events[1].kind == "delete"
 
-    def test_modulo_partitioner_is_honoured(self):
-        sharded = ShardedTable(
-            small_car_schema(), 2, partitioner=ModuloPartitioner()
-        )
-        sharded.insert_many(SMALL_CAR_ROWS)
-        assert [len(shard) for shard in sharded.shards] == [4, 4]
-        assert all(r.record_id % 2 == 0 for r in sharded.shards[0])
-
     def test_shard_count_validation(self):
         with pytest.raises(ValueError):
             ShardedTable(small_car_schema(), 0)
 
 
-class TestScatterExecutor:
-    def test_inline_when_single_worker(self):
-        sharded = ShardedTable(small_car_schema(), 3, scatter_workers=1)
-        caller = threading.current_thread().name
-        names = sharded.map_shards(
-            lambda _i, _s: threading.current_thread().name
+class TestScatter:
+    def test_map_shards_runs_on_the_callers_thread_in_shard_order(self):
+        sharded = ShardedTable(small_car_schema(), 3)
+        sharded.insert_many(SMALL_CAR_ROWS)
+        caller = threading.current_thread()
+        seen = sharded.map_shards(
+            lambda index, shard: (index, shard, threading.current_thread())
         )
-        assert names == [caller] * 3
-        assert sharded._executor is None
-
-    def test_dedicated_threads_when_enabled(self):
-        with ShardedTable(small_car_schema(), 3, scatter_workers=3) as sharded:
-            names = sharded.map_shards(
-                lambda _i, _s: threading.current_thread().name
-            )
-            assert len(names) == 3
-            assert all(name.startswith("shard-car_ads") for name in names)
-
-    def test_env_override_sizes_scatter_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCATTER_WORKERS", "3")
-        table = ShardedTable(small_car_schema(), 8)
-        assert table.scatter_workers == 3
-        table.close()
-        # Still capped by the shard count.
-        table = ShardedTable(small_car_schema(), 2)
-        assert table.scatter_workers == 2
-        table.close()
-        # An explicit argument wins over the environment.
-        table = ShardedTable(small_car_schema(), 8, scatter_workers=5)
-        assert table.scatter_workers == 5
-        table.close()
-        # Garbage values fall back to the cpu-count default.
-        monkeypatch.setenv("REPRO_SCATTER_WORKERS", "banana")
-        table = ShardedTable(small_car_schema(), 8)
-        assert table.scatter_workers == min(8, os.cpu_count() or 1)
-        table.close()
-
-    def test_close_is_idempotent_and_falls_back_inline(self):
-        sharded = ShardedTable(small_car_schema(), 2, scatter_workers=2)
-        sharded.map_shards(lambda i, _s: i)
-        sharded.close()
-        sharded.close()
-        assert sharded.map_shards(lambda i, _s: i) == [0, 1]
-
-    def test_built_system_close_releases_scatter_executors(self):
-        with build_system(
-            ["cars"],
-            ads_per_domain=60,
-            sessions_per_domain=80,
-            corpus_documents=80,
-            shards=2,
-            scatter_workers=2,
-        ) as system:
-            table = system.database.table("car_ads")
-            table.map_shards(lambda i, _s: i)
-            assert table._executor is not None
-        assert table._executor is None
-        # Still answerable after close — scatters just run inline.
-        service = AnswerService(system.cqads)
-        result = service.answer(
-            AnswerRequest(question="honda", domain="cars")
-        )
-        assert result.domain == "cars"
+        assert [index for index, _shard, _thread in seen] == [0, 1, 2]
+        assert [shard for _index, shard, _thread in seen] == sharded.shards
+        assert all(thread is caller for _index, _shard, thread in seen)
 
 
 # ----------------------------------------------------------------------
@@ -543,7 +475,7 @@ class TestShardAwareCaching:
 
 
 # ----------------------------------------------------------------------
-# concurrency: mutation storms and the dedicated scatter executor
+# concurrency: mutation storms and scatters inside answer_batch
 # ----------------------------------------------------------------------
 class TestConcurrency:
     def test_scatter_gather_survives_concurrent_mutation(
@@ -592,19 +524,16 @@ class TestConcurrency:
         )
 
     def test_scatter_batch_inside_answer_batch_cannot_deadlock(self):
-        """Regression for the shared-pool hazard: scatters run on each
-        facade's dedicated executor, so a 4-shard scatter issued from
-        every worker of a 2-worker ``answer_batch`` always completes."""
+        """No-hang guard for the shared-pool hazard: a 4-shard scatter
+        issued from every worker of a 2-worker ``answer_batch`` always
+        completes."""
         system = build_system(
             ["cars"],
             ads_per_domain=60,
             sessions_per_domain=80,
             corpus_documents=80,
             shards=4,
-            scatter_workers=4,  # force threaded scatters
         )
-        table = system.database.table("car_ads")
-        assert table.scatter_workers == 4
         generator = make_generator(system.domain("cars").dataset, seed=5)
         requests = [
             AnswerRequest(question=generator.generate().text, domain="cars")
@@ -621,9 +550,6 @@ class TestConcurrency:
             worker.join(timeout=60)
             assert not worker.is_alive(), "answer_batch deadlocked"
         assert len(outcome) == 1 and len(outcome[0]) == len(requests)
-        # The scatter executor really engaged (threads were created).
-        assert table._executor is not None
-        table.close()
 
 
 # ----------------------------------------------------------------------
@@ -644,23 +570,6 @@ class TestWiring:
         table = system.database.table("car_ads")
         assert isinstance(table, ShardedTable)
         assert table.shard_count == 2
-
-    def test_system_builder_forwards_scatter_workers(self):
-        system = (
-            SystemBuilder()
-            .with_domains("cars")
-            .ads_per_domain(60)
-            .sessions_per_domain(60)
-            .corpus_documents(60)
-            .train_classifier(False)
-            .shards(2, scatter_workers=3)
-            .build()
-        )
-        with system:
-            table = system.database.table("car_ads")
-            assert table.shard_count == 2
-            # The default would be min(2, cpu_count): 3 can only be ours.
-            assert table.scatter_workers == 3
 
     def test_system_builder_shards_none_restores_single_tables(self):
         builder = SystemBuilder().with_domains("cars").ads_per_domain(60)

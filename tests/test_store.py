@@ -30,7 +30,6 @@ from repro.db.table import MutationEvent
 from repro.errors import StorageError, UnknownTableError
 from repro.perf.answer_cache import AnswerCache
 from repro.qa.pipeline import CQAds
-from repro.shard.partition import ModuloPartitioner
 from repro.store import (
     FileSystem,
     MemoryBackend,
@@ -39,6 +38,12 @@ from repro.store import (
     database_fingerprint,
     open_database,
     recover_database,
+)
+from repro.store.codec import (
+    apply_frame,
+    create_frame,
+    restore_table,
+    table_frame,
 )
 from repro.store.faults import FaultPlan, FaultyFS, Transient
 from repro.store.snapshot import (
@@ -241,15 +246,11 @@ class TestRoundTrips:
         assert report.truncated == {}
         assert report.records == len(database.table("car_ads"))
 
-    @pytest.mark.parametrize("partitioner", [None, ModuloPartitioner()])
-    def test_sharded_table_recovers_bit_identical(self, tmp_path, partitioner):
+    def test_sharded_table_recovers_bit_identical(self, tmp_path):
         directory = str(tmp_path / "store")
         database = Database(storage=WalBackend(directory, fsync="off"))
         table = database.create_table(
-            small_car_schema(),
-            substring_gram=2,
-            shards=3,
-            partitioner=partitioner,
+            small_car_schema(), substring_gram=2, shards=3
         )
         mutate_a_little(table)
         database.storage.snapshot()
@@ -260,9 +261,47 @@ class TestRoundTrips:
         # Configuration survived, not just rows.
         rebuilt = recovered.table("car_ads")
         assert rebuilt.shard_count == 3
-        assert type(rebuilt.partitioner) is type(table.partitioner)
         gram = next(iter(rebuilt.shards[0]._substring_indexes.values()))
         assert gram.gram_length == 2
+        # Every live id is reachable through the routed reads and
+        # writes, not merely present in some shard's image.
+        live_ids = sorted(table.all_ids())
+        assert sorted(rebuilt.all_ids()) == live_ids
+        assert [r.record_id for r in rebuilt.fetch(live_ids)] == live_ids
+        for record_id in live_ids:
+            assert dict(rebuilt.get(record_id)) == dict(table.get(record_id))
+            rebuilt.delete(record_id)
+        assert len(rebuilt) == 0
+
+    def test_restore_rejects_a_record_on_the_wrong_shard(self):
+        table = Database().create_table(small_car_schema(), shards=2)
+        table.insert_many(dict(row) for row in SMALL_CAR_ROWS)
+        frame = table_frame(table)
+        home = table.shard_of(1)
+        images = frame["shard_images"]
+        entry = next(e for e in images[home]["records"] if e[0] == 1)
+        images[home]["records"].remove(entry)
+        images[1 - home]["records"].append(entry)
+        # Loaded as written, record 1 would sit where no read looks.
+        with pytest.raises(StorageError, match="record 1 "):
+            restore_table(Database(), frame)
+        frame = table_frame(table)
+        frame["shard_images"].pop()
+        with pytest.raises(StorageError, match="declares 2 shards"):
+            restore_table(Database(), frame)
+
+    def test_only_hash_placement_frames_load(self):
+        table = Database().create_table(small_car_schema(), shards=2)
+        with pytest.raises(StorageError, match="'modulo'"):
+            apply_frame(
+                Database(), {**create_frame(table), "partitioner": "modulo"}
+            )
+        # Frames that name the hash, or no placement at all, load.
+        for frame in ({**create_frame(table), "partitioner": "hash"},
+                      create_frame(table)):
+            database = Database()
+            apply_frame(database, frame)
+            assert database.table("car_ads").shard_count == 2
 
     def test_drop_and_recreate_replay(self, tmp_path):
         directory = str(tmp_path / "store")
@@ -294,19 +333,6 @@ class TestRoundTrips:
         final, report = recover_database(directory)
         assert fingerprint(final) == fingerprint(reopened)
         assert report.base_generation == report.generation  # snapshot base
-
-    def test_custom_partitioner_cannot_be_persisted(self, tmp_path):
-        class Custom:
-            def shard_for(self, record_id, shard_count):
-                return 0
-
-        database = Database(
-            storage=WalBackend(str(tmp_path / "store"), fsync="off")
-        )
-        with pytest.raises(StorageError, match="cannot persist partitioner"):
-            database.create_table(
-                small_car_schema(), shards=2, partitioner=Custom()
-            )
 
 
 # ----------------------------------------------------------------------
@@ -358,6 +384,38 @@ class TestSnapshots:
         assert len(report.snapshots_rejected) == 1
         assert wal_path(directory, 1) in report.wals_replayed
         assert wal_path(directory, 2) in report.wals_replayed
+
+    def test_misplacing_newest_snapshot_falls_back_a_generation(
+        self, tmp_path
+    ):
+        """A checksum-clean snapshot that puts a record on the wrong
+        shard is rejected like a corrupt one; the older generation and
+        the WAL chain still reproduce the live database."""
+        directory = str(tmp_path / "store")
+        backend = WalBackend(directory, fsync="off", snapshot_every=None)
+        database = Database(storage=backend)
+        table = database.create_table(small_car_schema(), shards=2)
+        table.insert_many(dict(row) for row in SMALL_CAR_ROWS[:4])
+        backend.snapshot()  # generation 1
+        table.insert_many(dict(row) for row in SMALL_CAR_ROWS[4:])
+        backend.snapshot()  # generation 2
+        table.delete(2)
+        backend.close()
+        newest = snapshot_path(directory, 2)
+        frames = read_frames(FileSystem(), newest).frames
+        images = frames[1]["shard_images"]
+        home = table.shard_of(1)
+        entry = next(e for e in images[home]["records"] if e[0] == 1)
+        images[home]["records"].remove(entry)
+        images[1 - home]["records"].append(entry)
+        with open(newest, "wb") as handle:
+            handle.write(b"".join(encode_frame(frame) for frame in frames))
+        recovered, report = recover_database(directory)
+        assert fingerprint(recovered) == fingerprint(database)
+        assert report.base_generation == 1
+        assert len(report.snapshots_rejected) == 1
+        assert "record 1 " in report.snapshots_rejected[0]
+        assert recovered.table("car_ads").get(1) is not None
 
     def test_unloggable_event_forces_an_immediate_snapshot(self, tmp_path):
         directory = str(tmp_path / "store")

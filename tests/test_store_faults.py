@@ -34,7 +34,6 @@ from repro.db.database import Database
 from repro.errors import StorageError
 from repro.qa.pipeline import CQAds
 from repro.ranking.rank_sim import RankingResources
-from repro.shard.partition import ModuloPartitioner
 from repro.store import (
     FileSystem,
     WalBackend,
@@ -80,11 +79,9 @@ OPS = [
 SNAPSHOT_EVERY = 6
 
 
-def run_workload(database, completed, *, shards=None, partitioner=None):
+def run_workload(database, completed, *, shards=None):
     """Apply the script; append each op's number once it returns."""
-    table = database.create_table(
-        small_car_schema(), shards=shards, partitioner=partitioner
-    )
+    table = database.create_table(small_car_schema(), shards=shards)
     completed.append(0)
     for number, (kind, payload) in enumerate(OPS, start=1):
         if kind == "insert":
@@ -100,7 +97,7 @@ def run_workload(database, completed, *, shards=None, partitioner=None):
         completed.append(number)
 
 
-def oracle_timeline(*, shards=None, partitioner=None):
+def oracle_timeline(*, shards=None):
     """Fingerprints of every crash-consistent state, in order.
 
     Batches are decomposed per row: a crash can land between any two
@@ -109,9 +106,7 @@ def oracle_timeline(*, shards=None, partitioner=None):
     """
     database = Database()
     timeline = [database_fingerprint(database)]
-    table = database.create_table(
-        small_car_schema(), shards=shards, partitioner=partitioner
-    )
+    table = database.create_table(small_car_schema(), shards=shards)
     timeline.append(database_fingerprint(database))
     ends = [len(timeline) - 1]
     for kind, payload in OPS:
@@ -140,7 +135,7 @@ def oracle_timeline(*, shards=None, partitioner=None):
 
 
 def run_trial(directory, fault_index, fault, fsync, *, shards=None,
-              partitioner=None, short_reads=False):
+              short_reads=False):
     """One faulted workload run.  Returns (completed ops, crash or None)."""
     schedule = {fault_index: fault} if fault_index is not None else None
     plan = FaultPlan(schedule, short_reads=short_reads)
@@ -155,9 +150,7 @@ def run_trial(directory, fault_index, fault, fsync, *, shards=None,
     database = Database(storage=backend)
     completed: list[int] = []
     try:
-        run_workload(
-            database, completed, shards=shards, partitioner=partitioner
-        )
+        run_workload(database, completed, shards=shards)
         backend.close()
     except (CrashPoint, OSError, StorageError) as crash:
         # The process "died": abandon everything mid-flight.  Files are
@@ -236,8 +229,8 @@ def test_crash_recovery_at_every_kind_of_fault_point(tmp_path, fsync):
 
 def test_crash_recovery_sharded(tmp_path):
     """The same prefix contract holds for sharded tables (whose frames
-    carry shard routing via the persisted partitioner spec)."""
-    sharding = dict(shards=2, partitioner=ModuloPartitioner())
+    carry the shard count; placement is the fixed record-id hash)."""
+    sharding = dict(shards=2)
     timeline, _ = oracle_timeline(**sharding)
     total = count_fault_points(str(tmp_path / "dry"), "interval", **sharding)
     schedules = 0

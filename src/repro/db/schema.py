@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.db.predicate import parse_numeric
 from repro.errors import SchemaError, UnknownColumnError
 
 __all__ = ["AttributeType", "ColumnKind", "Column", "TableSchema"]
@@ -168,7 +169,8 @@ class TableSchema:
 
         * every key must be a known column;
         * Type I values are required and non-empty;
-        * numeric columns get coerced to ``float``/``int``;
+        * numeric columns get coerced to ``float``/``int`` (NaN, like
+          any non-number, is rejected);
         * categorical values are lowercased strings (CQAds matches
           case-insensitively).
 
@@ -187,13 +189,12 @@ class TableSchema:
                         f"{self.table_name}.{column.name}: numeric column got "
                         f"{value!r}"
                     )
-                try:
-                    number = float(value)
-                except ValueError:
+                number = parse_numeric(value)
+                if number is None:
                     raise SchemaError(
                         f"{self.table_name}.{column.name}: cannot convert "
                         f"{value!r} to a number"
-                    ) from None
+                    )
                 normalized[column.name] = int(number) if number.is_integer() else number
             else:
                 normalized[column.name] = str(value).strip().lower()

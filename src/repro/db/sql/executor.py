@@ -10,9 +10,15 @@ leaf predicates are answered by the table's indexes —
   indexes,
 * ``LIKE '%needle%'`` via the length-3 substring index (Section 4.5).
 
-NULL handling is two-valued: a NULL value simply fails every predicate
-except ``IS NULL``, which is the behaviour CQAds relies on (an ad that
-omits a property never matches a constraint on it).
+The tree compiles before it runs (:func:`compile_where`): every
+comparison and BETWEEN leaf, NOTs folded in, becomes a
+:class:`~repro.db.predicate.Predicate` of the predicate kernel, which
+holds the one definition of what a leaf accepts — NULLs included —
+and checks its literals, so a malformed leaf raises even when
+evaluation would skip it.  The executor answers each leaf's accepted
+interval from an index or window, adds the NULL ids when the leaf's
+NULL verdict asks for them, and complements when the leaf is
+complemented.
 
 Three performance devices keep the WHERE evaluation cheap without
 changing any result set (all pure set algebra — see
@@ -46,13 +52,22 @@ it for the paper's ``Car_ID IN (subquery)`` idiom (Example 7).
 
 from __future__ import annotations
 
-import math
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple, Union
 
 from repro.db.database import Database
+from repro.db.predicate import (
+    CATEGORICAL,
+    NUMERIC,
+    RECORD_ID,
+    Predicate,
+    between,
+    comparison,
+    literal_number,
+    parse_numeric,
+)
 from repro.db.sql.ast import (
     Aggregate,
     BetweenExpr,
@@ -70,7 +85,7 @@ from repro.db.table import Record, Table
 from repro.errors import SQLExecutionError
 from repro.obs.registry import get_default_registry
 from repro.obs.trace import current_span
-from repro.perf.window import ColumnWindow, IdWindow, parse_numeric, windows_for
+from repro.perf.window import IdWindow, windows_for
 
 __all__ = [
     "AccessDecision",
@@ -78,10 +93,10 @@ __all__ = [
     "DEFAULT_ACCESS_PLANNER",
     "SQLExecutor",
     "SQLResult",
+    "compile_leaf",
+    "compile_where",
     "execute",
 ]
-
-RECORD_ID = "record_id"
 
 #: A range leaf flips to the *complement* representation when its
 #: predicted selectivity exceeds this fraction (a wide range has a
@@ -246,7 +261,8 @@ class _WindowSet:
         return not self.complemented and self.window.count() == 0
 
     def is_universal(self) -> bool:
-        # The complement of an empty window is every id, NULLs included.
+        # The complement of an empty window is every id (NULL rows,
+        # being in no window, included).
         return self.complemented and self.window.count() == 0
 
     def intersect(self, other: "_IdSet | _WindowSet") -> _IdSet:
@@ -260,7 +276,7 @@ class _WindowSet:
                     {rid for rid in other.ids if rid in self.window}
                 )
             # complemented window ∩ plain set: keep the ids *outside*
-            # the range (NULL values are outside by definition).
+            # the range (NULL rows are in no window, so outside).
             return _IdSet({rid for rid in other.ids if rid not in self.window})
         if not self.complemented:
             return _IdSet(self.window.materialize() - other.ids)
@@ -593,142 +609,86 @@ class SQLExecutor:
     # WHERE evaluation
     # ------------------------------------------------------------------
     def eval_where(self, table: Table, expr: Expr) -> set[int]:
-        """The id set matching a WHERE expression against *table*."""
-        return self._eval_lazy(table, expr).materialize(table)
+        """The id set matching a WHERE expression against *table*.
 
-    def _eval_lazy(self, table: Table, expr: Expr) -> _IdSet:
-        if isinstance(expr, BinaryExpr):
-            operands = sorted(_flatten_chain(expr), key=_static_cost)
-            accumulated: _IdSet | None = None
-            for index, operand in enumerate(operands):
+        The whole tree compiles (:func:`compile_where`) before any of it
+        runs, so a malformed leaf raises even when short-circuiting
+        would skip it.
+        """
+        compiled = compile_where(table, expr, self.database)
+        return self._eval(table, compiled).materialize(table)
+
+    def _eval(self, table: Table, node: "Compiled") -> "_IdSet | _WindowSet":
+        if isinstance(node, Predicate):
+            return self._eval_leaf(table, node)
+        if isinstance(node, _Chain):
+            accumulated: _IdSet | _WindowSet | None = None
+            for operand in node.operands:
                 if accumulated is not None and (
                     accumulated.is_empty()
-                    if expr.operator == "AND"
+                    if node.operator == "AND"
                     else accumulated.is_universal()
                 ):
-                    # Short-circuit: the outcome is decided.  Still
-                    # validate the skipped operands so a malformed
-                    # query raises deterministically instead of
-                    # depending on which leaf happened to be empty.
-                    for skipped in operands[index:]:
-                        self._validate_expr(table, skipped)
-                    break
-                evaluated = self._eval_lazy(table, operand)
+                    break  # short-circuit: the outcome is decided
+                evaluated = self._eval(table, operand)
                 if accumulated is None:
                     accumulated = evaluated
-                elif expr.operator == "AND":
+                elif node.operator == "AND":
                     accumulated = accumulated.intersect(evaluated)
                 else:
                     accumulated = accumulated.union(evaluated)
             assert accumulated is not None  # chains have >= 2 operands
             return accumulated
-        if isinstance(expr, NotExpr):
-            return self._eval_lazy(table, expr.operand).negated()
-        if isinstance(expr, Comparison):
-            return self._eval_comparison(table, expr)
-        if isinstance(expr, BetweenExpr):
-            return self._eval_between(table, expr)
-        if isinstance(expr, LikeExpr):
-            return _IdSet(self._eval_like(table, expr))
-        if isinstance(expr, InExpr):
-            return _IdSet(self._eval_in(table, expr))
-        raise SQLExecutionError(f"unsupported expression node {expr!r}")
+        if isinstance(node, _Not):
+            return self._eval(table, node.operand).negated()
+        if isinstance(node, LikeExpr):
+            return _IdSet(self._eval_like(table, node))
+        return _IdSet(self._eval_in(table, node))
 
-    def _validate_expr(self, table: Table, expr: Expr) -> None:
-        """Raise exactly the errors evaluating *expr* would, sans work.
+    def _eval_leaf(self, table: Table, leaf: Predicate) -> "_IdSet | _WindowSet":
+        """A compiled leaf's id set: the ids whose key lies in its
+        interval, joined by the NULL ids when the NULL verdict sides
+        with the interval, complemented when the leaf is."""
+        ids = self._interval_ids(table, leaf)
+        if leaf.null_verdict != leaf.complement:
+            # union() allocates: the live null index never escapes.
+            ids = ids.union(_IdSet(table.null_ids(leaf.column)))
+        return ids.negated() if leaf.complement else ids
 
-        Mirrors each leaf evaluator's error conditions (unknown
-        columns, NULL with an ordering operator, numeric columns vs
-        non-numbers, BETWEEN/LIKE type constraints, IN-subquery shape)
-        so short-circuited operands still surface malformed queries.
-        """
-        if isinstance(expr, BinaryExpr):
-            self._validate_expr(table, expr.left)
-            self._validate_expr(table, expr.right)
-            return
-        if isinstance(expr, NotExpr):
-            self._validate_expr(table, expr.operand)
-            return
-        if isinstance(expr, Comparison):
-            name = self._check_column(table, expr.column)
-            value = expr.value.value
-            operator = "!=" if expr.operator == "<>" else expr.operator
-            if value is None:
-                if operator not in ("=", "!="):
-                    raise SQLExecutionError(
-                        "NULL only supports = / != comparisons"
-                    )
-                return
-            if name != RECORD_ID and table.schema.column(name).is_numeric:
-                try:
-                    float(value)  # type: ignore[arg-type]
-                except (TypeError, ValueError):
-                    raise SQLExecutionError(
-                        f"numeric column {name!r} compared to non-number "
-                        f"{value!r}"
-                    ) from None
-            return
-        if isinstance(expr, BetweenExpr):
-            name = self._check_column(table, expr.column)
-            if name != RECORD_ID and not table.schema.column(name).is_numeric:
-                raise SQLExecutionError(
-                    f"BETWEEN requires a numeric column, got {name!r}"
+    def _interval_ids(self, table: Table, leaf: Predicate) -> "_IdSet | _WindowSet":
+        """The ids whose key lies in *leaf*'s accepted interval."""
+        shape, name = leaf.shape, leaf.column
+        if shape == "empty":
+            return _IdSet(set())
+        if shape == "all":
+            return _IdSet(table.all_ids())
+        if shape == "equal":
+            if leaf.kind == CATEGORICAL:
+                return _IdSet(table.lookup_equal(name, leaf.low))
+            if leaf.kind == NUMERIC:
+                return _IdSet(table.lookup_range(name, leaf.low, leaf.low))
+            # A non-integral literal equals no id.
+            record_id = _integral(leaf.low)  # type: ignore[arg-type]
+            if record_id is None or table.get(record_id) is None:
+                return _IdSet(set())
+            return _IdSet({record_id})
+        result = self._eval_range(table, leaf)
+        if result is not None:
+            return result
+        if leaf.kind == NUMERIC:
+            return _IdSet(
+                table.lookup_range(
+                    name, leaf.low, leaf.high, leaf.include_low, leaf.include_high
                 )
-            _between_bounds(expr)
-            return
-        if isinstance(expr, LikeExpr):
-            name = self._check_column(table, expr.column)
-            if name == RECORD_ID:
-                raise SQLExecutionError("LIKE is not supported on record_id")
-            if table.schema.column(name).is_numeric:
-                raise SQLExecutionError(
-                    f"LIKE requires a categorical column, got {name!r}"
-                )
-            return
-        if isinstance(expr, InExpr):
-            self._check_column(table, expr.column)
-            if expr.subquery is not None:
-                sub_items = expr.subquery.select_items
-                if sub_items == ("*",) or sub_items == ["*"]:
-                    raise SQLExecutionError(
-                        "IN subquery must select a single column, not *"
-                    )
-                if len(sub_items) != 1 or not isinstance(sub_items[0], ColumnRef):
-                    raise SQLExecutionError(
-                        "IN subquery must select exactly one plain column"
-                    )
-                sub_table = self.database.table(expr.subquery.table)
-                if expr.subquery.where is not None:
-                    self._validate_expr(sub_table, expr.subquery.where)
-            return
-        raise SQLExecutionError(f"unsupported expression node {expr!r}")
-
-    def _check_column(self, table: Table, column: ColumnRef) -> str:
-        if column.name == RECORD_ID:
-            return RECORD_ID
-        return table.schema.column(column.name).name
-
-    # Operator -> (low?, high?, include_low, include_high) for the
-    # window/index range translation; `=`/`!=` are handled separately.
-    _RANGE_BOUNDS = {
-        "<": (False, True, True, False),
-        "<=": (False, True, True, True),
-        ">": (True, False, False, True),
-        ">=": (True, False, True, True),
-    }
+            )
+        if leaf.kind == RECORD_ID:
+            return _IdSet({rid for rid in table.all_ids() if leaf.within(rid)})
+        return _IdSet(table.scan(lambda record: leaf.within(record.get(name))))
 
     def _eval_range(
-        self,
-        table: Table,
-        name: str,
-        kind: str,
-        low: object | None,
-        high: object | None,
-        include_low: bool,
-        include_high: bool,
-        shape: str,
+        self, table: Table, leaf: Predicate
     ) -> "_IdSet | _WindowSet | None":
-        """Answer one range leaf through the window layer (or decline).
+        """Answer one range leaf's interval through the window layer.
 
         Returns ``None`` when the index path should run instead (a
         table too small for windows to pay off); otherwise builds the
@@ -737,26 +697,24 @@ class SQLExecutor:
         window or (predicted-wide ranges) its complement as a plain
         outside-ids set.  Every outcome lands on ``plan_trace``.
         """
+        name, shape = leaf.column, leaf.shape
         rows = len(table)
         if rows < MIN_WINDOW_ROWS:
             self._record(
                 AccessDecision(table.name, name, shape, "index", None, None, rows)
             )
             return None
-        windows = windows_for(table).column_windows(name)
-        window = IdWindow(
-            table, name, kind, low, high, include_low, include_high, windows
-        )
+        window = IdWindow(table, leaf, windows_for(table).column_windows(name))
         observed = (window.count() / rows) if rows else 0.0
         key = (table.name, name, shape)
         predicted = self.planner.predict(key)
         self.planner.observe(key, observed)
         if predicted > COMPLEMENT_THRESHOLD:
-            # Predicted wide: carry the (small) complement instead.
-            # The complement of "in range" is "outside the range or
-            # NULL", so the NULL ids join the outside set.
+            # Predicted wide: carry the (small) complement instead —
+            # the windowed ids outside the range plus the unwindowed
+            # NULL rows.
             outside = window.outside()
-            if kind != ColumnWindow.RECORD_ID:
+            if leaf.kind != RECORD_ID:
                 outside |= table.null_ids(name)
             self._record(
                 AccessDecision(
@@ -777,178 +735,8 @@ class SQLExecutor:
         )
         return _WindowSet(window)
 
-    def _eval_comparison(
-        self, table: Table, expr: Comparison
-    ) -> "_IdSet | _WindowSet":
-        name = self._check_column(table, expr.column)
-        value = expr.value.value
-        operator = "!=" if expr.operator == "<>" else expr.operator
-        if value is None:
-            if operator not in ("=", "!="):
-                raise SQLExecutionError("NULL only supports = / != comparisons")
-            if name != RECORD_ID:
-                # Delta-maintained null index; copied because _IdSet
-                # results can escape into caches.
-                null_ids = set(table.null_ids(name))
-            else:
-                # The record_id pseudo-column: `record.get(...)` is
-                # always None, so `= NULL` matches every record (a
-                # quirk callers rely on).
-                null_ids = table.scan(lambda record: record.get(name) is None)
-            if operator == "=":
-                return _IdSet(null_ids)
-            return _IdSet(null_ids, complemented=True)
-        if name == RECORD_ID:
-            target = _literal_number(value)
-            if target is None:
-                return _IdSet(set())
-            if operator in ("=", "!="):
-                # A non-integral literal equals no id.
-                record_id = _integral(target)
-                ids: set[int] = set()
-                if record_id is not None and table.get(record_id) is not None:
-                    ids.add(record_id)
-                return _IdSet(ids, complemented=operator == "!=")
-            bounds = self._RANGE_BOUNDS[operator]
-            result = self._eval_range(
-                table,
-                RECORD_ID,
-                ColumnWindow.RECORD_ID,
-                target if bounds[0] else None,
-                target if bounds[1] else None,
-                bounds[2],
-                bounds[3],
-                "id-range",
-            )
-            if result is not None:
-                return result
-            return _IdSet(
-                {
-                    record_id
-                    for record_id in table.all_ids()
-                    if _compare(record_id, operator, target)
-                }
-            )
-        column = table.schema.column(name)
-        if column.is_numeric:
-            try:
-                number = float(value)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                raise SQLExecutionError(
-                    f"numeric column {name!r} compared to non-number {value!r}"
-                ) from None
-            if operator == "=":
-                return _IdSet(table.lookup_range(name, number, number))
-            if operator == "!=":
-                return _IdSet(
-                    table.lookup_range(name, number, number), complemented=True
-                )
-            bounds = self._RANGE_BOUNDS[operator]
-            result = self._eval_range(
-                table,
-                name,
-                ColumnWindow.NUMERIC,
-                number if bounds[0] else None,
-                number if bounds[1] else None,
-                bounds[2],
-                bounds[3],
-                "range",
-            )
-            if result is not None:
-                return result
-            if operator == "<":
-                return _IdSet(
-                    table.lookup_range(name, None, number, include_high=False)
-                )
-            if operator == "<=":
-                return _IdSet(table.lookup_range(name, None, number))
-            if operator == ">":
-                return _IdSet(
-                    table.lookup_range(name, number, None, include_low=False)
-                )
-            return _IdSet(table.lookup_range(name, number, None))
-        text = str(value).lower()
-        if operator == "=":
-            return _IdSet(table.lookup_equal(name, text))
-        if operator == "!=":
-            # NULLs fail every predicate, != included: complement the
-            # matches *and* the NULLs.  The delta-maintained null
-            # index replaces what used to be a full-table re-scan; the
-            # `|` allocates a fresh set, leaving the live index alone.
-            matched = table.lookup_equal(name, text)
-            return _IdSet(matched | table.null_ids(name), complemented=True)
-        # Lexicographic comparisons on categorical columns: the sorted
-        # categorical window (string-keyed) replaces the full scan.
-        bounds = self._RANGE_BOUNDS[operator]
-        result = self._eval_range(
-            table,
-            name,
-            ColumnWindow.CATEGORICAL,
-            text if bounds[0] else None,
-            text if bounds[1] else None,
-            bounds[2],
-            bounds[3],
-            "lex-range",
-        )
-        if result is not None:
-            return result
-        return _IdSet(
-            table.scan(
-                lambda record: record.get(name) is not None
-                and _compare(str(record.get(name)), operator, text)
-            )
-        )
-
-    def _eval_between(
-        self, table: Table, expr: BetweenExpr
-    ) -> "_IdSet | _WindowSet":
-        name = self._check_column(table, expr.column)
-        if name == RECORD_ID:
-            low, high = _between_bounds(expr)
-            result = self._eval_range(
-                table,
-                RECORD_ID,
-                ColumnWindow.RECORD_ID,
-                low,
-                high,
-                True,
-                True,
-                "id-between",
-            )
-            if result is not None:
-                return result
-            return _IdSet(
-                {rid for rid in table.all_ids() if low <= rid <= high}
-            )
-        column = table.schema.column(name)
-        if not column.is_numeric:
-            raise SQLExecutionError(
-                f"BETWEEN requires a numeric column, got {name!r}"
-            )
-        low_f, high_f = map(float, _between_bounds(expr))
-        result = self._eval_range(
-            table,
-            name,
-            ColumnWindow.NUMERIC,
-            low_f,
-            high_f,
-            True,
-            True,
-            "between",
-        )
-        if result is not None:
-            return result
-        return _IdSet(table.lookup_range(name, low_f, high_f))
-
     def _eval_like(self, table: Table, expr: LikeExpr) -> set[int]:
-        name = self._check_column(table, expr.column)
-        if name == RECORD_ID:
-            raise SQLExecutionError("LIKE is not supported on record_id")
-        column = table.schema.column(name)
-        if column.is_numeric:
-            raise SQLExecutionError(
-                f"LIKE requires a categorical column, got {name!r}"
-            )
+        name = expr.column.name
         pattern = expr.pattern.lower()
         stripped = pattern.strip("%")
         if "%" not in stripped and pattern.startswith("%") and pattern.endswith("%"):
@@ -964,52 +752,131 @@ class SQLExecutor:
         )
 
     def _eval_in(self, table: Table, expr: InExpr) -> set[int]:
-        name = self._check_column(table, expr.column)
+        name = expr.column.name
         if expr.subquery is not None:
             sub_result = self.execute(expr.subquery)
-            sub_items = expr.subquery.select_items
-            if sub_items == ("*",) or sub_items == ["*"]:
-                raise SQLExecutionError(
-                    "IN subquery must select a single column, not *"
-                )
-            if len(sub_items) != 1 or not isinstance(sub_items[0], ColumnRef):
-                raise SQLExecutionError(
-                    "IN subquery must select exactly one plain column"
-                )
-            values = set(sub_result.column_values(sub_items[0].name))
+            column = expr.subquery.select_items[0]
+            assert isinstance(column, ColumnRef)  # checked at compile
+            values = set(sub_result.column_values(column.name))
         else:
             values = {literal.value for literal in expr.values}
         if name == RECORD_ID:
-            wanted = {_integral(_literal_number(value)) for value in values}
+            wanted = {_integral(literal_number(value)) for value in values}
             return table.all_ids() & wanted
-        column = table.schema.column(name)
+        numeric = table.schema.column(name).is_numeric
         result: set[int] = set()
         for value in values:
             if value is None:
                 continue
-            if column.is_numeric:
-                try:
-                    result |= table.lookup_range(name, float(value), float(value))  # type: ignore[arg-type]
-                except (TypeError, ValueError):
-                    continue
+            if numeric:
+                number = parse_numeric(value)
+                if number is not None:
+                    result |= table.lookup_range(name, number, number)
             else:
                 result |= table.lookup_equal(name, str(value).lower())
         return result
 
 
-def _literal_number(value: object) -> int | float | None:
-    """A literal's numeric value; ``None`` for NULL, non-numbers and NaN.
+# ----------------------------------------------------------------------
+# compilation
+# ----------------------------------------------------------------------
+class _Chain(NamedTuple):
+    """A compiled AND/OR chain, operands cheapest-first."""
 
-    Integers stay exact and everything else takes the canonical float
-    parse (:func:`~repro.perf.window.parse_numeric`), so ``2.5`` stays
-    2.5 instead of truncating to 2.
+    operator: str
+    operands: tuple
+
+    def matches(self, record: Record) -> bool:
+        if self.operator == "AND":
+            return all(operand.matches(record) for operand in self.operands)
+        return any(operand.matches(record) for operand in self.operands)
+
+
+class _Not(NamedTuple):
+    """NOT over a compiled chain, LIKE or IN (leaves fold their NOT)."""
+
+    operand: object
+
+    def matches(self, record: Record) -> bool:
+        return not self.operand.matches(record)  # type: ignore[attr-defined]
+
+
+#: A compiled WHERE node: a kernel leaf, a chain, a NOT, or a checked
+#: LIKE / IN node.  Trees built from comparisons, BETWEEN, AND, OR and
+#: NOT (every relaxation unit's) answer ``matches(record)``.
+Compiled = Union[Predicate, _Chain, _Not, LikeExpr, InExpr]
+
+
+def compile_leaf(expr: Expr, column: str, kind: str) -> Predicate:
+    """A comparison or BETWEEN leaf, under any NOTs, as a kernel
+    :class:`~repro.db.predicate.Predicate` over a column of *kind*."""
+    if isinstance(expr, NotExpr):
+        return compile_leaf(expr.operand, column, kind).negated()
+    if isinstance(expr, BetweenExpr):
+        return between(column, kind, expr.low.value, expr.high.value)
+    assert isinstance(expr, Comparison)
+    return comparison(column, kind, expr.operator, expr.value.value)
+
+
+def _column_kind(table: Table, column: ColumnRef) -> tuple[str, str]:
+    """The canonical column name and its kernel kind (unknown columns
+    raise)."""
+    if column.name == RECORD_ID:
+        return RECORD_ID, RECORD_ID
+    resolved = table.schema.column(column.name)
+    return resolved.name, NUMERIC if resolved.is_numeric else CATEGORICAL
+
+
+def compile_where(
+    table: Table, expr: Expr, database: Database | None = None
+) -> Compiled:
+    """Compile a WHERE tree against *table*'s schema.
+
+    Leaves become kernel predicates with their NOTs folded in, AND/OR
+    chains flatten and order their operands cheapest-first, and LIKE
+    and IN nodes are checked.  Every error a malformed tree can raise
+    is raised here.  *database* resolves IN-subquery tables.
     """
-    if isinstance(value, int):
-        return value
-    number = parse_numeric(value)
-    if number is None or math.isnan(number):
-        return None
-    return number
+    if isinstance(expr, BinaryExpr):
+        operands = sorted(_flatten_chain(expr), key=_static_cost)
+        return _Chain(
+            expr.operator,
+            tuple(compile_where(table, operand, database) for operand in operands),
+        )
+    if isinstance(expr, NotExpr):
+        operand = compile_where(table, expr.operand, database)
+        return operand.negated() if isinstance(operand, Predicate) else _Not(operand)
+    if isinstance(expr, (Comparison, BetweenExpr)):
+        name, kind = _column_kind(table, expr.column)
+        return compile_leaf(expr, name, kind)
+    if isinstance(expr, LikeExpr):
+        name, kind = _column_kind(table, expr.column)
+        if kind == RECORD_ID:
+            raise SQLExecutionError("LIKE is not supported on record_id")
+        if kind == NUMERIC:
+            raise SQLExecutionError(
+                f"LIKE requires a categorical column, got {name!r}"
+            )
+        return LikeExpr(ColumnRef(name), expr.pattern)
+    if isinstance(expr, InExpr):
+        name, _kind = _column_kind(table, expr.column)
+        subquery = expr.subquery
+        if subquery is not None:
+            items = subquery.select_items
+            if items == ("*",) or items == ["*"]:
+                raise SQLExecutionError(
+                    "IN subquery must select a single column, not *"
+                )
+            if len(items) != 1 or not isinstance(items[0], ColumnRef):
+                raise SQLExecutionError(
+                    "IN subquery must select exactly one plain column"
+                )
+            if database is None:
+                raise SQLExecutionError("IN subqueries need a database")
+            if subquery.where is not None:
+                compile_where(database.table(subquery.table), subquery.where, database)
+        return InExpr(ColumnRef(name), subquery, expr.values)
+    raise SQLExecutionError(f"unsupported expression node {expr!r}")
 
 
 def _integral(number: int | float | None) -> int | None:
@@ -1017,35 +884,6 @@ def _integral(number: int | float | None) -> int | None:
     if isinstance(number, float):
         return int(number) if number.is_integer() else None
     return number
-
-
-def _between_bounds(expr: BetweenExpr) -> tuple[int | float, int | float]:
-    """BETWEEN's bounds as numbers; a NULL or non-numeric bound raises."""
-    if expr.low.value is None or expr.high.value is None:
-        raise SQLExecutionError("BETWEEN bounds must not be NULL")
-    low, high = _literal_number(expr.low.value), _literal_number(expr.high.value)
-    if low is None or high is None:
-        raise SQLExecutionError(
-            f"BETWEEN bounds must be numbers, got {expr.low.value!r} "
-            f"and {expr.high.value!r}"
-        )
-    return low, high
-
-
-def _compare(left, operator: str, right) -> bool:
-    if operator == "=":
-        return left == right
-    if operator == "!=":
-        return left != right
-    if operator == "<":
-        return left < right
-    if operator == "<=":
-        return left <= right
-    if operator == ">":
-        return left > right
-    if operator == ">=":
-        return left >= right
-    raise SQLExecutionError(f"unknown operator {operator!r}")
 
 
 def execute(database: Database, sql: str) -> SQLResult:

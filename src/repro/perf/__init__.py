@@ -42,7 +42,6 @@ from repro.perf.window import (
     IdWindow,
     ShardedWindows,
     TableWindows,
-    parse_numeric,
     windows_for,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "TableWindows",
     "columnar_rank_units",
     "drop_intersections",
-    "parse_numeric",
     "shared_partial_candidates",
     "sharded_rank_units",
     "unit_expression",

@@ -30,18 +30,14 @@ record:
   thousands of rows builds 30 ``ScoredRecord`` objects unless a caller
   pages further.
 
-Parity is structural: satisfaction uses the same comparisons, failure
-similarities call the same ``TIMatrix``/``WSMatrix``/``Num_Sim`` code,
-and anything the planner does not recognize (a condition on an
-unknown column, a mixed-type "any" unit from hand-built inputs, a
-record outside the store) returns ``None`` so the caller falls back to
-the legacy engine wholesale.  ``tests/test_ranking_parity.py`` holds
-the bit-identical guarantee across a generated question battery.
-
-One deliberate divergence: a stored non-numeric value in a numeric
-comparison is treated as NULL throughout (contribution 0.0), where the
-legacy failure path would raise ``ValueError``; schema validation
-makes such values unstorable, so the case is unreachable from tables.
+Both engines take satisfaction from the predicate kernel
+(:func:`~repro.qa.sql_generation.condition_predicate`) and failure
+similarities from the same ``TIMatrix``/``WSMatrix``/``Num_Sim`` code.
+Anything the planner does not recognize (a condition on an unknown
+column, a mixed "any" unit from hand-built inputs, a record outside
+the store) returns ``None`` so the caller falls back to the legacy
+engine wholesale.  ``tests/test_ranking_parity.py`` holds the
+bit-identical guarantee across a generated question battery.
 """
 
 from __future__ import annotations
@@ -61,8 +57,9 @@ from repro.db.table import (
     Table,
     UpdateDelta,
 )
-from repro.perf.window import parse_numeric
-from repro.qa.conditions import Condition, ConditionOp
+from repro.db.predicate import NUMERIC, parse_numeric
+from repro.qa.conditions import Condition
+from repro.qa.sql_generation import condition_predicate
 from repro.ranking.num_sim import condition_num_sim
 from repro.ranking.rank_sim import (
     Key,
@@ -133,7 +130,7 @@ class ColumnStore:
             name = column.name
             if column.is_numeric:
                 self.numeric[name] = [
-                    self._parse_numeric(record.get(name)) for record in records
+                    parse_numeric(record.get(name)) for record in records
                 ]
             else:
                 self.categorical[name] = [
@@ -166,16 +163,6 @@ class ColumnStore:
     # ------------------------------------------------------------------
     # incremental maintenance (delta patching)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _parse_numeric(value: object) -> float | None:
-        """Exactly the build-time float parse, for bit-identical slots.
-
-        Delegates to :func:`repro.perf.window.parse_numeric` — the one
-        definition the ordered windows also use, so "what counts as a
-        numeric value" cannot drift between the two accelerators.
-        """
-        return parse_numeric(value)
-
     def apply(
         self, delta: MutationEvent, epoch: int | None = None
     ) -> "ColumnStore | None":
@@ -257,7 +244,7 @@ class ColumnStore:
             value = delta.new_values.get(column)
             if column in clone.numeric:
                 patched = list(clone.numeric[column])
-                patched[row] = self._parse_numeric(value)
+                patched[row] = parse_numeric(value)
                 clone.numeric[column] = patched
             else:
                 patched = list(clone.categorical[column])
@@ -311,7 +298,7 @@ class ColumnStore:
             )
         )
         for name, column in self.numeric.items():
-            column.append(self._parse_numeric(record.get(name)))
+            column.append(parse_numeric(record.get(name)))
         for name, column in self.categorical.items():
             value = record.get(name)
             column.append(None if value is None else str(value))
@@ -362,7 +349,7 @@ class ColumnStore:
         )
         clone.numeric = {
             name: splice(
-                values, None if record is None else self._parse_numeric(record.get(name))
+                values, None if record is None else parse_numeric(record.get(name))
             )
             for name, values in self.numeric.items()
         }
@@ -383,43 +370,33 @@ class ColumnStore:
 # planning: which shapes the columnar evaluators cover
 # ----------------------------------------------------------------------
 def _is_numeric_style(condition: Condition) -> bool:
-    """Mirror of the legacy satisfaction dispatch: numeric comparison
-    when the target is a number or a BETWEEN range, string otherwise."""
-    return condition.op is ConditionOp.BETWEEN or isinstance(
-        condition.value, (int, float)
-    )
+    """Whether the kernel compiles *condition* over a numeric column,
+    so its slot reads the parsed-float column."""
+    return condition_predicate(condition).kind == NUMERIC
 
 
 def _condition_supported(store: ColumnStore, condition: Condition) -> bool:
     if _is_numeric_style(condition):
-        # Numeric comparisons need the parsed-float column; the failed
-        # similarity is Num_Sim (Type III) or zero (negation).
-        return condition.column in store.numeric and (
-            condition.negated
-            or condition.attribute_type is AttributeType.TYPE_III
-        )
+        # The failed similarity is Num_Sim, or zero for a negation.
+        return condition.column in store.numeric
     if condition.column not in store.categorical:
         return False
-    if condition.negated:
-        return True  # violated negations contribute 0.0, any type
-    if condition.attribute_type is AttributeType.TYPE_I:
-        return condition.column in store._type_i_index
-    # Type II string similarity; a Type III condition with a string
-    # target would send a non-float into Num_Sim — legacy territory.
-    return condition.attribute_type is AttributeType.TYPE_II
+    if condition.negated or condition.attribute_type is not AttributeType.TYPE_I:
+        return True  # violated negations contribute 0.0; Type II Feat_Sim
+    return condition.column in store._type_i_index
 
 
 def _supports(store: ColumnStore, units: Sequence[ScoringUnit]) -> bool:
     for unit in units:
         if unit.mode == "any" and len(unit.conditions) > 1:
-            # Multi-branch "any" units must be homogeneous Num_Sim
-            # branches (what relaxation_units produces) so the failed
-            # kind is statically "Num_Sim"; exotic hand-built mixes
-            # keep their legacy best-kind bookkeeping.
+            # Multi-branch "any" units must be numeric branches that are
+            # all positive (Num_Sim, what relaxation_units produces) or
+            # all negated (every violated branch scores 0.0), so the
+            # failed kind is static; exotic hand-built mixes keep their
+            # legacy best-kind bookkeeping.
+            negated = unit.conditions[0].negated
             if not all(
-                condition.attribute_type is AttributeType.TYPE_III
-                and not condition.negated
-                and _is_numeric_style(condition)
+                condition.negated == negated and _is_numeric_style(condition)
                 for condition in unit.conditions
             ):
                 return False
@@ -459,10 +436,9 @@ def _categorical_arrays(
     memo = store.memo(condition)
     memo_get = memo.get
     column = store.categorical[condition.column]
-    target = str(condition.value).lower()
+    test = condition_predicate(condition).test
     target_raw = str(condition.value)
     negated = condition.negated
-    is_ne = condition.op is ConditionOp.NE
     type_ii = condition.attribute_type is AttributeType.TYPE_II
     value_similarity = resources.ws_matrix.value_similarity
     sat_out: list[bool] = []
@@ -471,12 +447,7 @@ def _categorical_arrays(
         value = column[row]
         entry = memo_get(value)
         if entry is None:
-            if value is None:
-                sat = negated
-            else:
-                text = value.lower()
-                matches = (text != target) if is_ne else (text == target)
-                sat = matches != negated
+            sat = test(value)
             if sat:
                 contrib = 1.0
             elif negated or not type_ii or value is None:
@@ -503,8 +474,7 @@ def _type_i_arrays(
     memo_get = memo.get
     keys = store.keys
     index = store._type_i_index[condition.column]
-    target = str(condition.value).lower()
-    is_ne = condition.op is ConditionOp.NE
+    test = condition_predicate(condition).test
     normalized = resources.ti_matrix.normalized
     sat_out: list[bool] = []
     contrib_out: list[float] = []
@@ -512,14 +482,8 @@ def _type_i_arrays(
         key = keys[row]
         entry = memo_get(key)
         if entry is None:
-            raw = key[index]
-            # "" in the key means the value was absent: a missing value
-            # fails a positive condition (this path is never negated).
-            if raw == "":
-                sat = False
-            else:
-                text = raw.lower()
-                sat = (text != target) if is_ne else (text == target)
+            # "" in the key means the value was absent (NULL).
+            sat = test(key[index] or None)
             if sat:
                 contrib = 1.0
             elif not query_keys:
@@ -542,56 +506,20 @@ def _numeric_arrays(
 ) -> tuple[list[bool], list[float]]:
     """Type III slots over the pre-parsed float column."""
     column = store.numeric[condition.column]
-    negated = condition.negated
-    op = condition.op
+    numbers = [column[row] for row in rows]
+    sat_out = condition_predicate(condition).test_keys(numbers)
+    if condition.negated:
+        # A violated negation has no "close" reading: it scores 0.0.
+        return sat_out, [1.0 if sat else 0.0 for sat in sat_out]
     value_range = resources.value_ranges.get(condition.column, 0.0)
-    sat_out: list[bool] = []
-    contrib_out: list[float] = []
-    if op is ConditionOp.BETWEEN:
-        low, high = condition.value  # type: ignore[misc]
-        low_f, high_f = float(low), float(high)
-        for row in rows:
-            number = column[row]
-            if number is None:
-                sat = negated
-            else:
-                sat = (low_f <= number <= high_f) != negated
-            if sat:
-                contrib = 1.0
-            elif negated or number is None:
-                contrib = 0.0
-            else:
-                contrib = condition_num_sim(condition, number, value_range)
-            sat_out.append(sat)
-            contrib_out.append(contrib)
-        return sat_out, contrib_out
-    target = float(condition.value)  # type: ignore[arg-type]
-    for row in rows:
-        number = column[row]
-        if number is None:
-            sat = negated
-        else:
-            if op is ConditionOp.EQ:
-                raw_sat = number == target
-            elif op is ConditionOp.NE:
-                raw_sat = number != target
-            elif op is ConditionOp.LT:
-                raw_sat = number < target
-            elif op is ConditionOp.LE:
-                raw_sat = number <= target
-            elif op is ConditionOp.GT:
-                raw_sat = number > target
-            else:
-                raw_sat = number >= target
-            sat = raw_sat != negated
-        if sat:
-            contrib = 1.0
-        elif negated or number is None:
-            contrib = 0.0
-        else:
-            contrib = condition_num_sim(condition, number, value_range)
-        sat_out.append(sat)
-        contrib_out.append(contrib)
+    contrib_out = [
+        1.0
+        if sat
+        else 0.0
+        if number is None
+        else condition_num_sim(condition, number, value_range)
+        for sat, number in zip(sat_out, numbers)
+    ]
     return sat_out, contrib_out
 
 
@@ -675,9 +603,10 @@ def _score_rows(
             sat, contrib = _any_unit_arrays(
                 store, resources, unit, rows, type_i_fp, query_keys
             )
-            # _supports() guaranteed homogeneous Type III branches, so
-            # the legacy best-kind bookkeeping always lands on Num_Sim.
-            slot_list = [(unit.conditions, "Num_Sim", sat, contrib)]
+            # _supports() guaranteed homogeneous numeric branches, so
+            # the legacy best-kind bookkeeping always lands on one kind.
+            kind = "negation" if unit.conditions[0].negated else "Num_Sim"
+            slot_list = [(unit.conditions, kind, sat, contrib)]
         else:
             slot_list = []
             for condition in unit.conditions:

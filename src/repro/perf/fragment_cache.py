@@ -34,15 +34,13 @@ epoch sweep (:meth:`FragmentCache.invalidate` /
 the cache cannot absorb (untyped events, batch deltas without row
 payloads, bulk loads past :data:`MAX_ABSORB_ROWS`).
 
-The per-record re-evaluation (:func:`condition_matches`) mirrors the
-**SQL executor's** leaf semantics, not Rank_Sim's
-``condition_satisfied`` — the two differ on NULLs under ``!=`` (the
-executor's complement sets include NULL rows) — because the cached
-sets were produced by ``eval_where``.  Stored values are schema-
-normalized (lowercased strings, ``int``/``float`` numerics), which is
-what makes an exact mirror tractable; the randomized mutation-storm
-battery in ``tests/test_incremental.py`` holds patched sets
-bit-identical to re-evaluated ones.
+The per-record re-evaluation runs the executor's own compiled WHERE
+tree for the unit (:func:`repro.db.sql.executor.compile_where` over
+:func:`repro.perf.subplan.unit_expression`, compiled once per unit),
+so a patched set is by construction what ``eval_where`` would return;
+the randomized mutation-storm battery in
+``tests/test_incremental.py`` holds patched sets bit-identical to
+re-evaluated ones.
 
 Cached id-sets are shared between the cache and every consumer;
 callers must treat them as immutable — :meth:`absorb` therefore
@@ -64,23 +62,22 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Collection, Hashable
 
+from repro.db.sql.builder import QueryBuilder
+from repro.db.sql.executor import Compiled, compile_where
 from repro.db.table import (
     BatchDelta,
     InsertDelta,
     MutationEvent,
     RemoveDelta,
+    Table,
     UpdateDelta,
 )
-from repro.errors import SchemaError
 from repro.perf.lru import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.db.schema import TableSchema
-    from repro.db.table import Record
-    from repro.qa.conditions import Condition
     from repro.ranking.rank_sim import ScoringUnit
 
-__all__ = ["FragmentCache", "condition_matches", "unit_matches"]
+__all__ = ["FragmentCache"]
 
 #: Generous default: a unit id-set is a few KB at paper scale, and
 #: distinct criteria per domain number in the hundreds.
@@ -96,133 +93,6 @@ DEFAULT_CAPACITY = 4096
 MAX_ABSORB_ROWS = 256
 
 
-# ----------------------------------------------------------------------
-# per-record mirror of the SQL executor's leaf semantics
-# ----------------------------------------------------------------------
-def condition_matches(
-    schema: "TableSchema", condition: "Condition", record: "Record"
-) -> bool | None:
-    """Would ``eval_where`` include *record* in *condition*'s id-set?
-
-    ``None`` means the mirror cannot answer (unknown column, a numeric
-    target the executor would have rejected) — every such shape makes
-    the executor *raise*, so a unit containing it can never have been
-    cached; callers treat ``None`` as "drop the entry, recompute on
-    miss".  Semantics mirrored exactly (``tests/test_incremental.py``):
-
-    * numeric ``!=`` is the complement of the ``=`` range, so NULL
-      rows **match** (unlike ``condition_satisfied``);
-    * categorical ``!=`` complements ``matched | NULLs``, so NULL rows
-      do not match;
-    * every other operator fails on a NULL stored value;
-    * a NULL *target* (``col = NULL`` / ``col != NULL``) matches the
-      NULL-stored rows / their complement, before any numeric
-      parsing — exactly the executor's dedicated NULL branch.
-    """
-    # Imported here, not at module top: the qa package's __init__ pulls
-    # the pipeline, which imports this module — a load-time cycle.
-    from repro.qa.conditions import ConditionOp
-
-    try:
-        column = schema.column(condition.column)
-    except SchemaError:
-        return None
-    stored = record.get(column.name)
-    op = condition.op
-    if op is ConditionOp.BETWEEN:
-        if not column.is_numeric:
-            return None  # executor raises: BETWEEN needs numeric
-        low, high = condition.value  # type: ignore[misc]
-        try:
-            low_f, high_f = float(low), float(high)
-        except (TypeError, ValueError):
-            return None  # executor raises: NULL/non-number bounds
-        matched = stored is not None and low_f <= float(stored) <= high_f
-    elif condition.value is None:
-        # The executor's NULL branch runs before the numeric one:
-        # `col = NULL` matches exactly the NULL-stored rows, `!=` their
-        # complement, and any other operator raises (never cached).
-        if op is ConditionOp.EQ:
-            matched = stored is None
-        elif op is ConditionOp.NE:
-            matched = stored is not None
-        else:
-            return None
-    elif column.is_numeric:
-        try:
-            target = float(condition.value)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return None  # executor raises: numeric column vs non-number
-        number = None if stored is None else float(stored)  # type: ignore[arg-type]
-        if op is ConditionOp.NE:
-            matched = number is None or number != target
-        elif number is None:
-            matched = False
-        elif op is ConditionOp.EQ:
-            matched = number == target
-        elif op is ConditionOp.LT:
-            matched = number < target
-        elif op is ConditionOp.LE:
-            matched = number <= target
-        elif op is ConditionOp.GT:
-            matched = number > target
-        else:
-            matched = number >= target
-    else:
-        if op in (ConditionOp.EQ, ConditionOp.NE):
-            target_text = str(condition.value).lower()
-        else:
-            # Range operators: condition_to_expr float-coerces the
-            # value before the executor stringifies it, so the
-            # lexicographic comparison runs against str(float(v)) —
-            # "2010" becomes "2010.0".  Mirror that exactly; an
-            # uncoercible value would have raised there (never cached).
-            try:
-                target_text = str(float(condition.value)).lower()  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                return None
-        if stored is None:
-            matched = False
-        else:
-            text = str(stored)  # schema-normalized: already lowercase
-            if op is ConditionOp.EQ:
-                matched = text == target_text
-            elif op is ConditionOp.NE:
-                matched = text != target_text
-            elif op is ConditionOp.LT:
-                matched = text < target_text
-            elif op is ConditionOp.LE:
-                matched = text <= target_text
-            elif op is ConditionOp.GT:
-                matched = text > target_text
-            else:
-                matched = text >= target_text
-    if condition.negated:
-        matched = not matched
-    return matched
-
-
-def unit_matches(
-    schema: "TableSchema", unit: "ScoringUnit", record: "Record"
-) -> bool | None:
-    """Would *record* be in *unit*'s cached id-set?
-
-    Mirrors :func:`repro.perf.subplan.unit_expression`: an "any" unit
-    is the OR of its branches, everything else the AND.  ``None``
-    propagates from any branch the mirror cannot answer (no
-    short-circuiting: an undecidable branch poisons the whole unit).
-    """
-    results = []
-    for condition in unit.conditions:
-        matched = condition_matches(schema, condition, record)
-        if matched is None:
-            return None
-        results.append(matched)
-    if unit.mode == "any":
-        return any(results)
-    return all(results)
-
-
 def _consecutive(epochs: list) -> bool:
     """Are *epochs* a +1-stepped run?  (Anything else means the delta
     stream has a gap the patcher must not paper over.)"""
@@ -236,6 +106,10 @@ class FragmentCache:
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self._entries = LRUCache(capacity)
+        #: ``(table name, unit) -> (schema, compiled WHERE tree)``: what
+        #: :meth:`absorb` tests touched records with.  The schema check
+        #: recompiles for a table re-created under the same name.
+        self._trees: dict[tuple[str, "ScoringUnit"], tuple[object, Compiled]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -292,10 +166,9 @@ class FragmentCache:
         the post-mutation epoch tag — so the very next question hits
         warm fragments instead of re-running every unit's index scan.
         Batch deltas replay their per-row deltas (grouped per shard on
-        a facade event).  Entries the per-record mirror cannot answer
-        for are dropped, not guessed; entries at any *other* dead
-        epoch are swept, so a successful absorb leaves only live tags
-        behind (exactly like :meth:`invalidate_stale`).
+        a facade event).  Entries at any *other* dead epoch are swept,
+        so a successful absorb leaves only live tags behind (exactly
+        like :meth:`invalidate_stale`).
         """
         table = event.table
         if isinstance(event, BatchDelta):
@@ -340,7 +213,6 @@ class FragmentCache:
                     (shard_index, epochs[0] - 1),
                     (shard_index, epochs[-1]),
                 )
-        schema = table.schema
         stale = self._entries.pop_items(
             lambda key, _value: key[0] == table.name and key[1] not in live_tags  # type: ignore[index]
         )
@@ -350,18 +222,13 @@ class FragmentCache:
             if tag not in old_tags:
                 continue  # an older dead generation: swept
             group = old_tags[tag]
+            tree = self._unit_tree(table, unit)
             patched: set[int] = ids  # type: ignore[assignment]
-            supported = True
             for delta in groups[group]:
                 record_id = delta.record_id
-                if isinstance(delta, RemoveDelta):
-                    member = False
-                else:
-                    verdict = unit_matches(schema, unit, delta.record)  # type: ignore[union-attr]
-                    if verdict is None:
-                        supported = False
-                        break
-                    member = verdict
+                member = not isinstance(delta, RemoveDelta) and tree.matches(
+                    delta.record
+                )
                 if member and record_id not in patched:
                     if patched is ids:
                         patched = set(ids)
@@ -370,10 +237,26 @@ class FragmentCache:
                     if patched is ids:
                         patched = set(ids)
                     patched.discard(record_id)
-            if supported:
-                _old, new_tag = transitions[group]
-                self._entries.put((table.name, new_tag, unit), patched)
+            _old, new_tag = transitions[group]
+            self._entries.put((table.name, new_tag, unit), patched)
         return True
+
+    def _unit_tree(self, table: Table, unit: "ScoringUnit") -> Compiled:
+        """*unit*'s WHERE tree as the executor compiles it, memoized."""
+        key = (table.name, unit)
+        cached = self._trees.get(key)
+        if cached is not None and cached[0] is table.schema:
+            return cached[1]
+        # Imported here, not at module top: subplan imports the qa
+        # package, whose pipeline imports this module — a load-time
+        # cycle.
+        from repro.perf.subplan import unit_expression
+
+        tree = compile_where(table, unit_expression(QueryBuilder(table.name), unit))
+        if len(self._trees) >= self.capacity:
+            self._trees = {}  # cheap reset; trees recompile on use
+        self._trees[key] = (table.schema, tree)
+        return tree
 
     def invalidate_stale(
         self, table_name: str, live_epochs: Collection[Hashable]

@@ -52,6 +52,7 @@ import weakref
 from array import array
 from typing import Sequence
 
+from repro.db.predicate import CATEGORICAL, NUMERIC, RECORD_ID, Predicate, value_key
 from repro.db.table import (
     BatchDelta,
     InsertDelta,
@@ -67,11 +68,8 @@ __all__ = [
     "IdWindow",
     "ShardedWindows",
     "TableWindows",
-    "parse_numeric",
     "windows_for",
 ]
-
-RECORD_ID = "record_id"
 
 #: Buffered deltas beyond this many poison the pending queue: folding
 #: is O(windows x rows), so past this point dropping the windows and
@@ -81,26 +79,10 @@ RECORD_ID = "record_id"
 MAX_PENDING_DELTAS = 512
 
 
-def parse_numeric(value: object) -> float | None:
-    """The canonical stored-value float parse (NULL-safe).
-
-    One definition shared by the column windows and the columnar
-    ranking store (:meth:`~repro.perf.colrank.ColumnStore._parse_numeric`
-    delegates here), so "what counts as a numeric value" can never
-    drift between the two accelerators.
-    """
-    if value is None:
-        return None
-    try:
-        return float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        return None
-
-
 class ColumnWindow:
     """One column's sorted ``(value, record_id)`` view at one epoch.
 
-    Three kinds share the machinery:
+    Three kinds — the predicate kernel's — share the machinery:
 
     * ``numeric`` — values in an ``array('d')`` of parsed floats;
     * ``categorical`` — values in a plain list of stored strings
@@ -111,13 +93,10 @@ class ColumnWindow:
     Ids live in an ``array('q')``; within an equal-value run they are
     ascending — the same invariant :class:`~repro.db.indexes.SortedIndex`
     keeps, so window slices and index range lookups agree element for
-    element.  NULL stored values are excluded (they fail every range
-    predicate; complements re-add them explicitly).
+    element.  Values sort by the predicate kernel's comparison key
+    (:func:`~repro.db.predicate.value_key`); a NULL has no key, so NULL
+    rows are in no window.
     """
-
-    NUMERIC = "numeric"
-    CATEGORICAL = "categorical"
-    RECORD_ID = "record_id"
 
     __slots__ = ("column", "kind", "epoch", "values", "ids", "_order_cache")
 
@@ -128,17 +107,17 @@ class ColumnWindow:
         # window older, and the next access detects the mismatch and
         # rebuilds (the ColumnStore builds the same way).
         self.epoch = table.epoch
-        if kind == self.RECORD_ID:
+        if kind == RECORD_ID:
             self.values: array | list[str] | None = None
             self.ids = array("q", sorted(table.all_ids()))
         else:
             pairs: list[tuple[float | str, int]] = []
             for record in table.snapshot():
-                key = self._key(record.get(column))
+                key = value_key(self.kind, record.get(column))
                 if key is not None:
                     pairs.append((key, record.record_id))
             pairs.sort()
-            if kind == self.NUMERIC:
+            if kind == NUMERIC:
                 self.values = array("d", (key for key, _ in pairs))
             else:
                 self.values = [key for key, _ in pairs]
@@ -146,14 +125,6 @@ class ColumnWindow:
         self._order_cache: dict[int, int] | None = None
 
     # ------------------------------------------------------------------
-    def _key(self, value: object) -> float | str | None:
-        """The sort key for a stored value, or ``None`` for NULL."""
-        if value is None:
-            return None
-        if self.kind == self.NUMERIC:
-            return parse_numeric(value)
-        return str(value)
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -161,7 +132,7 @@ class ColumnWindow:
     # bisect splicing (the incremental-maintenance core)
     # ------------------------------------------------------------------
     def _insert_pair(self, value: object, record_id: int) -> None:
-        key = self._key(value)
+        key = value_key(self.kind, value)
         if key is None:
             return
         assert self.values is not None
@@ -174,7 +145,7 @@ class ColumnWindow:
         self._order_cache = None
 
     def _remove_pair(self, value: object, record_id: int) -> None:
-        key = self._key(value)
+        key = value_key(self.kind, value)
         if key is None:
             return
         assert self.values is not None
@@ -213,7 +184,7 @@ class ColumnWindow:
             return True
         if delta.epoch != self.epoch + 1:
             return False
-        if self.kind == self.RECORD_ID:
+        if self.kind == RECORD_ID:
             if isinstance(delta, InsertDelta):
                 self._insert_id(delta.record_id)
             elif isinstance(delta, RemoveDelta):
@@ -256,7 +227,7 @@ class ColumnWindow:
         ``None`` bounds are unbounded on that side, exactly like
         :meth:`~repro.db.indexes.SortedIndex.range`.
         """
-        sequence = self.ids if self.kind == self.RECORD_ID else self.values
+        sequence = self.ids if self.kind == RECORD_ID else self.values
         assert sequence is not None
         if low is None:
             start = 0
@@ -295,41 +266,24 @@ class IdWindow:
     One segment per plain table, one per shard for a facade.  The
     executor's set algebra keeps it unmaterialized: ``count()`` is
     arithmetic on the slice bounds, membership is one record fetch plus
-    a bounds check (exact, because a window indexes every non-NULL
-    value), and only a forced :meth:`materialize` pays for the width.
+    the leaf's own interval test (:meth:`Predicate.within
+    <repro.db.predicate.Predicate.within>`, exact because a window
+    indexes every non-NULL value), and only a forced
+    :meth:`materialize` pays for the width.
     """
 
-    __slots__ = (
-        "table",
-        "column",
-        "kind",
-        "low",
-        "high",
-        "include_low",
-        "include_high",
-        "segments",
-    )
+    __slots__ = ("table", "leaf", "segments")
 
     def __init__(
-        self,
-        table,
-        column: str,
-        kind: str,
-        low: object | None,
-        high: object | None,
-        include_low: bool,
-        include_high: bool,
-        windows: Sequence[ColumnWindow],
+        self, table, leaf: Predicate, windows: Sequence[ColumnWindow]
     ) -> None:
         self.table = table
-        self.column = column
-        self.kind = kind
-        self.low = low
-        self.high = high
-        self.include_low = include_low
-        self.include_high = include_high
+        self.leaf = leaf
         self.segments = [
-            (window,) + window.bounds(low, high, include_low, include_high)
+            (window,)
+            + window.bounds(
+                leaf.low, leaf.high, leaf.include_low, leaf.include_high
+            )
             for window in windows
         ]
 
@@ -343,8 +297,8 @@ class IdWindow:
         return ids
 
     def outside(self) -> set[int]:
-        """The non-NULL ids *outside* the range (complement building
-        block; callers add the NULL ids themselves)."""
+        """The windowed (non-NULL) ids *outside* the range (complement
+        building block; callers add the NULL ids themselves)."""
         ids: set[int] = set()
         for window, start, stop in self.segments:
             ids.update(window.ids[:start])
@@ -355,26 +309,10 @@ class IdWindow:
         record = self.table.get(record_id)
         if record is None:
             return False
-        if self.kind == ColumnWindow.RECORD_ID:
-            value: object = record_id
-        else:
-            stored = record.get(self.column)
-            if stored is None:
-                return False
-            value = (
-                parse_numeric(stored)
-                if self.kind == ColumnWindow.NUMERIC
-                else str(stored)
-            )
-            if value is None:
-                return False
-        if self.low is not None:
-            if value < self.low or (value == self.low and not self.include_low):  # type: ignore[operator]
-                return False
-        if self.high is not None:
-            if value > self.high or (value == self.high and not self.include_high):  # type: ignore[operator]
-                return False
-        return True
+        leaf = self.leaf
+        if leaf.kind == RECORD_ID:
+            return leaf.within(record_id)
+        return leaf.within(record.get(leaf.column))
 
 
 class TableWindows:
@@ -462,11 +400,11 @@ class TableWindows:
     def _build(self, table: Table, column: str) -> ColumnWindow:
         self._rebuilds[column] = self._rebuilds.get(column, 0) + 1
         if column == RECORD_ID:
-            kind = ColumnWindow.RECORD_ID
+            kind = RECORD_ID
         elif table.schema.column(column).is_numeric:
-            kind = ColumnWindow.NUMERIC
+            kind = NUMERIC
         else:
-            kind = ColumnWindow.CATEGORICAL
+            kind = CATEGORICAL
         return ColumnWindow(column, kind, table)
 
     def column_windows(self, column: str) -> list[ColumnWindow]:

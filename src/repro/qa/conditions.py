@@ -112,9 +112,12 @@ class Condition:
         # str hashes are salted per process (PYTHONHASHSEED), so a
         # memoized hash must never cross the pickle boundary into
         # another process — equal conditions with unequal hashes would
-        # corrupt any dict keyed on them there.
+        # corrupt any dict keyed on them there.  The compiled kernel
+        # predicate (sql_generation.condition_predicate) holds closures
+        # and recompiles on demand, so it stays behind too.
         state = dict(self.__dict__)
         state.pop("_cached_hash", None)
+        state.pop("_predicate", None)
         return state
 
     # ------------------------------------------------------------------

@@ -23,9 +23,11 @@ clause and are applied to the result set.
 from __future__ import annotations
 
 from repro.db.database import Database
+from repro.db.predicate import CATEGORICAL, NUMERIC, Predicate
+from repro.db.schema import AttributeType
 from repro.db.sql.ast import Expr, OrderBy, SelectStatement
 from repro.db.sql.builder import QueryBuilder
-from repro.db.sql.executor import SQLExecutor
+from repro.db.sql.executor import SQLExecutor, compile_leaf
 from repro.db.table import Record
 from repro.qa.conditions import (
     BooleanOperator,
@@ -39,6 +41,7 @@ from repro.qa.conditions import (
 from repro.qa.domain import AdsDomain
 
 __all__ = [
+    "condition_predicate",
     "condition_to_expr",
     "tree_to_expr",
     "generate_sql",
@@ -69,6 +72,28 @@ def condition_to_expr(builder: QueryBuilder, condition: Condition) -> Expr:
     if condition.negated:
         expr = builder.not_(expr)
     return expr
+
+
+def condition_predicate(condition: Condition) -> Predicate:
+    """*condition* compiled into the predicate kernel, exactly as the
+    executor compiles its :func:`condition_to_expr` rendering, and
+    memoized on the (immutable) condition.
+
+    A condition carries no schema, so the column kind comes from the
+    attribute type: Type III columns are the numeric ones (every
+    schema the system builds declares them so).
+    """
+    predicate = condition.__dict__.get("_predicate")
+    if predicate is None:
+        kind = (
+            NUMERIC
+            if condition.attribute_type is AttributeType.TYPE_III
+            else CATEGORICAL
+        )
+        expr = condition_to_expr(QueryBuilder(""), condition)
+        predicate = compile_leaf(expr, condition.column, kind)
+        object.__setattr__(condition, "_predicate", predicate)
+    return predicate
 
 
 def tree_to_expr(

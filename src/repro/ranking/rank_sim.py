@@ -12,6 +12,12 @@ failed condition contributes its type-specific similarity:
 
 Records are then presented in descending Rank_Sim order, which is the
 ordering of the paper's Table 2.
+
+Whether a condition is satisfied is never decided here:
+:func:`condition_satisfied` asks the predicate kernel
+(:mod:`repro.db.predicate`) through the condition's SQL rendering, so
+a record is an exact match for Rank_Sim exactly when the SQL executor
+returns it.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.db.schema import AttributeType
 from repro.db.table import BatchDelta, MutationEvent, Record, Table, UpdateDelta
-from repro.qa.conditions import Condition, ConditionOp
+from repro.qa.conditions import Condition
+from repro.qa.sql_generation import condition_predicate
 from repro.ranking.num_sim import condition_num_sim
 from repro.ranking.ti_matrix import TIMatrix
 from repro.ranking.ws_matrix import WSMatrix
@@ -68,58 +75,15 @@ class ScoringUnit:
         state.pop("_cached_hash", None)
         return state
 
-    def satisfied_by(self, record: Record) -> bool:
-        if self.mode == "any":
-            return any(
-                condition_satisfied(condition, record)
-                for condition in self.conditions
-            )
-        return all(
-            condition_satisfied(condition, record) for condition in self.conditions
-        )
-
 
 def condition_satisfied(condition: Condition, record: Record) -> bool:
     """Does *record* satisfy *condition* exactly?
 
-    Missing (NULL) values fail positive conditions and satisfy negated
-    ones, matching the SQL executor's complement semantics.  A stored
-    value that cannot be read as a number fails a numeric condition the
-    same way (instead of raising), mirroring the executor's treatment
-    of values that answer no predicate.
+    The verdict is the predicate kernel's
+    (:func:`~repro.qa.sql_generation.condition_predicate`), so it
+    always agrees with the SQL executor's answer to the condition.
     """
-    value = record.get(condition.column)
-    if value is None:
-        return condition.negated
-    if condition.op is ConditionOp.BETWEEN:
-        low, high = condition.value  # type: ignore[misc]
-        try:
-            number = float(value)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return condition.negated
-        satisfied = float(low) <= number <= float(high)
-    elif isinstance(condition.value, (int, float)):
-        try:
-            number = float(value)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return condition.negated
-        target = float(condition.value)
-        satisfied = {
-            ConditionOp.EQ: number == target,
-            ConditionOp.NE: number != target,
-            ConditionOp.LT: number < target,
-            ConditionOp.LE: number <= target,
-            ConditionOp.GT: number > target,
-            ConditionOp.GE: number >= target,
-        }[condition.op]
-    else:
-        text = str(value).lower()
-        target_text = str(condition.value).lower()
-        if condition.op is ConditionOp.NE:
-            satisfied = text != target_text
-        else:
-            satisfied = text == target_text
-    return satisfied != condition.negated
+    return condition_predicate(condition).matches(record)
 
 
 @dataclass
@@ -138,16 +102,13 @@ class RankingResources:
     value_ranges: dict[str, float]
     type_i_columns: list[str]
     product_keys: list[Key] = field(default_factory=list)
-    #: Per-record memoization (keyed by the table's stable, never-reused
-    #: ``record_id``; records are immutable after insert, see
+    #: Per-record Type I key memo (keyed by the table's stable
+    #: ``record_id``, evicted on updates and deletes, see
     #: PERFORMANCE.md).  Shared across questions so ``rank_units`` stops
     #: re-stringifying every record per question; dict writes are atomic
     #: under the GIL and racing writers store equal values, so the
-    #: caches are safe under ``answer_batch`` concurrency.
+    #: memo is safe under ``answer_batch`` concurrency.
     _record_keys: dict[int, Key] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _lowered_values: dict[tuple[int, str], str] = field(
         default_factory=dict, repr=False, compare=False
     )
     #: The backing table, attached by :meth:`attach_table` when the
@@ -191,7 +152,7 @@ class RankingResources:
         """Bind these resources to their backing *table*.
 
         Turns on the columnar engine (``column_store``) and subscribes
-        to the table's mutation epochs so the per-record caches cannot
+        to the table's mutation epochs so the per-record key memo cannot
         serve values from before an update.
         """
         if self.table is table:
@@ -199,13 +160,12 @@ class RankingResources:
         if self.table is not None:
             self.table.remove_listener(self._on_mutation)
         # Mutations that happened while detached (or against a previous
-        # table) fired no listener here — start the per-record memos
+        # table) fired no listener here — start the per-record memo
         # clean so a re-attach can never resurrect pre-update values.
         # The delta buffer starts clean too: any store epoch gap left
         # by the detach window falls back to a rebuild (the deltas to
         # bridge it were never delivered).
         self._record_keys.clear()
-        self._lowered_values.clear()
         self.table = table
         self._shard_stores = None
         with self._store_lock:
@@ -232,19 +192,15 @@ class RankingResources:
     def _on_mutation(self, event: MutationEvent) -> None:
         # Inserts never touch existing ids and deletes merely leave
         # dead entries, but an update changes the values behind a
-        # cached id — evict that record's memoizations.  A typed
-        # UpdateDelta says *which* columns moved, so only the touched
-        # Type I key / lowered values go; an untyped update event
-        # evicts the record wholesale.  The key snapshot (list())
-        # guards against answer_batch threads growing the dict
-        # mid-iteration.
+        # cached id — evict that record's key.  A typed UpdateDelta
+        # says *which* columns moved, so the key goes only when a
+        # Type I column did; an untyped update event evicts it always.
         if isinstance(event, BatchDelta) and not event.deltas:
             # A batch stripped of its row payloads (a shard-level bulk
             # issued past the facade): the affected ids are unknowable,
-            # so evict the per-record memos wholesale — the resurrection
+            # so evict the per-record memo wholesale — the resurrection
             # guard below cannot cover rows it never saw.
             self._record_keys.clear()
-            self._lowered_values.clear()
         row_deltas = (
             event.deltas
             if isinstance(event, BatchDelta) and event.deltas
@@ -259,21 +215,15 @@ class RankingResources:
                 changed = delta.changed_columns
                 if any(column in self.type_i_columns for column in changed):
                     self._record_keys.pop(delta.record_id, None)
-                for column in changed:
-                    self._lowered_values.pop((delta.record_id, column), None)
             else:
                 # Deletes (and untyped update events) evict the record
                 # wholesale: ids are normally never reused, but
                 # Table.insert(record_id=) may resurrect one, and a
                 # ghost memo must not score the new record with the
-                # dead record's key/values.
+                # dead record's key.
                 dead_ids.add(delta.record_id)
-        if dead_ids:
-            for record_id in dead_ids:
-                self._record_keys.pop(record_id, None)
-            for cache_key in list(self._lowered_values):
-                if cache_key[0] in dead_ids:
-                    self._lowered_values.pop(cache_key, None)
+        for record_id in dead_ids:
+            self._record_keys.pop(record_id, None)
         # Buffer the row deltas for the lazy column-store catch-up.
         # An event that cannot be replayed (a batch stripped of its
         # rows) or a buffer past the rebuild-is-cheaper threshold
@@ -415,22 +365,6 @@ class RankingResources:
             self._record_keys[record.record_id] = key
         return key
 
-    def lowered_value(self, record: Record, column: str) -> str | None:
-        """The record's value for *column*, lowercased and memoized.
-
-        ``None`` when the record omits the column (never cached, so a
-        column name is only ever mapped to a string).
-        """
-        value = record.get(column)
-        if value is None:
-            return None
-        cache_key = (record.record_id, column)
-        text = self._lowered_values.get(cache_key)
-        if text is None:
-            text = str(value).lower()
-            self._lowered_values[cache_key] = text
-        return text
-
     def query_keys(self, type_i_values: dict[str, str]) -> list[Key]:
         """Product keys consistent with the question's Type I values.
 
@@ -521,38 +455,6 @@ class RankSimRanker:
         return columnar_rank_units(self.resources, records, units, top_k)
 
     # ------------------------------------------------------------------
-    # cached condition checks
-    # ------------------------------------------------------------------
-    def _condition_satisfied(self, condition: Condition, record: Record) -> bool:
-        """:func:`condition_satisfied`, reading categorical values
-        through the resources' per-record lowercase cache."""
-        if condition.op is ConditionOp.BETWEEN or isinstance(
-            condition.value, (int, float)
-        ):
-            return condition_satisfied(condition, record)
-        text = self.resources.lowered_value(record, condition.column)
-        if text is None:
-            return condition.negated
-        target = str(condition.value).lower()
-        if condition.op is ConditionOp.NE:
-            satisfied = text != target
-        else:
-            satisfied = text == target
-        return satisfied != condition.negated
-
-    def _unit_satisfied(self, unit: ScoringUnit, record: Record) -> bool:
-        """:meth:`ScoringUnit.satisfied_by` via the cached checks."""
-        if unit.mode == "any":
-            return any(
-                self._condition_satisfied(condition, record)
-                for condition in unit.conditions
-            )
-        return all(
-            self._condition_satisfied(condition, record)
-            for condition in unit.conditions
-        )
-
-    # ------------------------------------------------------------------
     def score(
         self, record: Record, conditions: list[Condition]
     ) -> ScoredRecord:
@@ -568,7 +470,7 @@ class RankSimRanker:
         failed: list[Condition] = []
         kinds: set[str] = set()
         for condition in conditions:
-            if self._condition_satisfied(condition, record):
+            if condition_satisfied(condition, record):
                 score += 1.0
                 continue
             failed.append(condition)
@@ -651,7 +553,10 @@ class RankSimRanker:
         kinds: set[str] = set()
         for unit in units:
             if unit.mode == "any":
-                if self._unit_satisfied(unit, record):
+                if any(
+                    condition_satisfied(condition, record)
+                    for condition in unit.conditions
+                ):
                     score += 1.0
                     continue
                 best = 0.0
@@ -667,7 +572,7 @@ class RankSimRanker:
                 kinds.add(best_kind)
                 continue
             for condition in unit.conditions:
-                if self._condition_satisfied(condition, record):
+                if condition_satisfied(condition, record):
                     score += 1.0
                     continue
                 failed.append(condition)

@@ -28,6 +28,16 @@ class TestInsert:
         with pytest.raises(SchemaError):
             car_table.insert({"make": "honda"})  # model missing
 
+    @pytest.mark.parametrize(
+        "nan", ["nan", "NaN", float("nan")], ids=["text", "mixed-case", "float"]
+    )
+    def test_nan_numeric_value_rejected(self, car_table, nan):
+        # NaN is no number: bisect would misplace it in every sorted
+        # structure, so it is never stored.
+        with pytest.raises(SchemaError):
+            car_table.insert({"make": "honda", "model": "fit", "price": nan})
+        assert len(car_table) == len(SMALL_CAR_ROWS)
+
     def test_get_and_fetch(self, car_table):
         record = car_table.get(1)
         assert record["make"] == "honda"
@@ -218,6 +228,14 @@ class TestMutationEpochs:
             car_table.update(1, {"model": None})  # Type I required
         # A failed validation must not have unindexed the record.
         assert 1 in car_table.lookup_equal("make", "honda")
+
+    def test_update_to_nan_rejected(self, car_table):
+        epoch = car_table.epoch
+        with pytest.raises(SchemaError):
+            car_table.update(1, {"price": "nan"})
+        assert car_table.get(1)["price"] == 9000
+        assert car_table.epoch == epoch
+        assert 1 in car_table.lookup_range("price", 9000, 9000)
 
     def test_typed_deltas_carry_payloads(self, car_table):
         events = []

@@ -440,14 +440,12 @@ def test_reused_record_id_never_serves_ghost_memos():
     resources = _resources_for(table)
     record = table.get(1)
     assert resources.record_key(record) == ("honda", "accord")
-    assert resources.lowered_value(record, "color") == "blue"
     table.delete(1)
     reborn = table.insert(
         {"make": "toyota", "model": "corolla", "color": "red", "price": 4000},
         record_id=1,
     )
     assert resources.record_key(reborn) == ("toyota", "corolla")
-    assert resources.lowered_value(reborn, "color") == "red"
     # The bulk path evicts too (remove_many emits one BatchDelta).
     resources.record_key(reborn)
     table.remove_many([1])
@@ -467,14 +465,9 @@ def test_update_delta_evicts_only_touched_memos():
     resources = _resources_for(table)
     record = table.get(1)
     key = resources.record_key(record)
-    resources.lowered_value(record, "color")
-    resources.lowered_value(record, "transmission")
-    # A non-Type-I update keeps the record key and untouched columns.
+    # A non-Type-I update keeps the record key.
     table.update(1, {"color": "purple"})
     assert resources._record_keys.get(1) == key
-    assert (1, "color") not in resources._lowered_values
-    assert (1, "transmission") in resources._lowered_values
-    assert resources.lowered_value(record, "color") == "purple"
     # A Type I update evicts the record key.
     table.update(1, {"model": "civic"})
     assert 1 not in resources._record_keys

@@ -424,10 +424,10 @@ class TestMutationRaces:
             {"make": "honda", "model": "accord", "color": "blue", "price": 900}
         )
         # Warm the per-record memo, detach, mutate in the blind window.
-        assert resources.lowered_value(record, "color") == "blue"
+        assert resources.record_key(record) == ("honda", "accord")
         cqads.close()
-        table.update(record.record_id, {"color": "red"})
-        # Re-attach (lazily, via context()) and re-read: no stale blue.
+        table.update(record.record_id, {"model": "civic"})
+        # Re-attach (lazily, via context()) and re-read: no stale accord.
         cqads.context("cars")
-        assert resources.lowered_value(record, "color") == "red"
+        assert resources.record_key(record) == ("honda", "civic")
         table.delete(record.record_id)

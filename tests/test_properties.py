@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the core data structures and
 invariants: the trie, similar_text, the stemmer, shorthand detection,
-the sorted index, SQL round-tripping, Num_Sim and Rule 1 merging."""
+the sorted index, SQL round-tripping, Num_Sim, Rule 1 merging and the
+one definition of predicate satisfaction."""
 
 from __future__ import annotations
 
@@ -9,18 +10,33 @@ import string
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.db.database import Database
 from repro.db.indexes import SortedIndex, SubstringIndex
 from repro.db.schema import AttributeType
+from repro.db.sql.builder import QueryBuilder
+from repro.db.sql.executor import MIN_WINDOW_ROWS, SQLExecutor, execute
 from repro.db.sql.parser import parse_select
 from repro.errors import ContradictionError
+from repro.perf.colrank import columnar_rank_units
+from repro.perf.subplan import unit_id_sets
 from repro.qa.boolean_rules import merge_type_iii
 from repro.qa.conditions import Condition, ConditionOp
+from repro.qa.pipeline import CQAds
+from repro.qa.sql_generation import condition_to_expr
 from repro.ranking.num_sim import num_sim
+from repro.ranking.rank_sim import (
+    RankingResources,
+    ScoringUnit,
+    condition_satisfied,
+)
+from repro.ranking.ti_matrix import TIMatrix
+from repro.ranking.ws_matrix import WSMatrix
 from repro.structures.trie import Trie
 from repro.text.shorthand import _canonical, is_shorthand
 from repro.text.similar_text import similar_text, similar_text_percent
 from repro.text.stemmer import stem
 from repro.text.tokenizer import tokenize
+from tests.conftest import small_car_schema
 
 words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=12)
 
@@ -308,3 +324,112 @@ def test_tokenizer_total(text):
     # never raises, always lowercase output
     for token in tokenize(text):
         assert token == token.lower()
+
+
+# ----------------------------------------------------------------------
+# one predicate definition: SQL, fragment cache, Rank_Sim and colrank
+# ----------------------------------------------------------------------
+STORED_NUMBERS = (1999, 2004, 2010, 2010.5, 5000, 9000.25)
+STORED_TEXT = ("blue", "red", "2010", "2010.0", "1999")
+
+#: Numeric literals equal to, next to and far from the stored values.
+numeric_literals = st.one_of(
+    st.sampled_from(STORED_NUMBERS).flatmap(
+        lambda value: st.sampled_from(
+            (value, value - 1, value - 0.5, value + 0.5, value + 1)
+        )
+    ),
+    st.sampled_from((0, 123456.5, 1e6)),
+)
+#: Literals a range operator on a categorical column renders: the
+#: condition's value is float-coerced first, so "2010" compares as
+#: "2010.0".
+numeric_text_literals = st.sampled_from(
+    ("2010", "2010.0", "1999", "1999.5", 2010, 2010.0, 1999.5)
+)
+text_literals = st.one_of(
+    st.sampled_from(STORED_TEXT + ("Blue", "zzz")), numeric_text_literals
+)
+
+
+@st.composite
+def kernel_conditions(draw):
+    """Any condition over the small cars schema that SQL accepts."""
+    column = draw(st.sampled_from(small_car_schema().columns))
+    if column.is_numeric:
+        op = draw(st.sampled_from(list(ConditionOp)))
+        if op is ConditionOp.BETWEEN:
+            value = (draw(numeric_literals), draw(numeric_literals))
+        else:
+            value = draw(numeric_literals)
+    else:
+        op = draw(
+            st.sampled_from([op for op in ConditionOp if op is not ConditionOp.BETWEEN])
+        )
+        equality = op in (ConditionOp.EQ, ConditionOp.NE)
+        value = draw(text_literals if equality else numeric_text_literals)
+    return Condition(
+        column.name, column.attribute_type, op, value, negated=draw(st.booleans())
+    )
+
+
+def _or_null(values):
+    return st.one_of(st.none(), st.sampled_from(values))
+
+
+#: Rows with NULLs as likely as not in every non-Type-I column.
+kernel_rows = st.fixed_dictionaries(
+    {
+        "make": st.sampled_from(("honda", "2010")),
+        "model": st.sampled_from(("accord", "2010.0")),
+        "color": _or_null(STORED_TEXT),
+        "transmission": _or_null(("manual", "1999")),
+        "year": _or_null(STORED_NUMBERS),
+        "price": _or_null(STORED_NUMBERS),
+        "mileage": _or_null(STORED_NUMBERS),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    condition=kernel_conditions(),
+    rows=st.lists(kernel_rows, min_size=1, max_size=8),
+    windowed=st.booleans(),
+)
+def test_every_consumer_agrees_on_satisfaction(condition, rows, windowed):
+    """``condition_satisfied``, the SQL executor (index or window path),
+    the fragment cache's patched set and the columnar ranker's failed
+    conditions give one verdict per row."""
+    if windowed:  # enough rows for range leaves to take the windows
+        rows = (rows * MIN_WINDOW_ROWS)[:MIN_WINDOW_ROWS]
+    database = Database()
+    table = database.create_table(small_car_schema())
+    engine = CQAds(database)
+    unit = ScoringUnit(conditions=(condition,))
+    unit_id_sets(SQLExecutor(database), table, [unit], engine.fragment_cache)
+    records = [table.insert(row) for row in rows]
+    patched = engine.fragment_cache.get(table.name, table.epoch, unit)
+    assert patched is not None  # absorbed insert by insert, never dropped
+
+    expr = condition_to_expr(QueryBuilder(table.name), condition)
+    selected = set(
+        execute(database, f"SELECT * FROM car_ads WHERE {expr.to_sql()}").record_ids()
+    )
+    resources = RankingResources(
+        ti_matrix=TIMatrix(),
+        ws_matrix=WSMatrix(),
+        value_ranges={},
+        type_i_columns=["make", "model"],
+    )
+    resources.attach_table(table)
+    ranked = columnar_rank_units(resources, records, [unit], None)
+    assert ranked is not None  # every shape drawn here ranks columnar
+    failed = {item.record.record_id: condition in item.failed for item in ranked}
+
+    for record in records:
+        satisfied = condition_satisfied(condition, record)
+        context = (expr.to_sql(), dict(record))
+        assert (record.record_id in selected) == satisfied, context
+        assert (record.record_id in patched) == satisfied, context
+        assert failed[record.record_id] == (not satisfied), context

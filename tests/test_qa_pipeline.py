@@ -7,6 +7,7 @@ import pytest
 from repro.db.table import Table
 from repro.errors import ClassificationError
 from repro.qa.pipeline import MAX_ANSWERS
+from repro.ranking.rank_sim import condition_satisfied
 from repro.system import build_system
 
 
@@ -171,3 +172,29 @@ class TestFeatureSwitches:
         cqads.add_domain(built.domain, resources=built.resources)
         result = cqads.answer("hondaa accord", domain="cars")
         assert result.corrections == []
+
+
+def test_exact_answers_satisfy_every_condition_when_values_are_missing():
+    """An ad without a price is an exact answer to "not 5000 dollars"
+    (numeric != passes NULL), and Rank_Sim's condition_satisfied agrees
+    instead of calling it a partial match."""
+    system = build_system(
+        ["cars"],
+        ads_per_domain=250,
+        sessions_per_domain=300,
+        corpus_documents=200,
+    )
+    cqads = system.cqads
+    inserted = cqads.database.table("car_ads").insert(
+        {"make": "honda", "model": "accord", "color": "red", "year": 2004}
+    )
+    result = cqads.answer("honda accord not 5000 dollars", domain="cars")
+    assert result.interpretation.is_pure_conjunction()
+    exact = result.exact_answers
+    assert inserted.record_id in [answer.record.record_id for answer in exact]
+    for answer in exact:
+        for condition in result.interpretation.conditions():
+            assert condition_satisfied(condition, answer.record), (
+                condition.describe(),
+                dict(answer.record),
+            )

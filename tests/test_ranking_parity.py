@@ -24,6 +24,7 @@ from repro.api.requests import AnswerRequest
 from repro.api.service import AnswerService
 from repro.datagen.questions import make_generator
 from repro.datagen.vocab import DOMAIN_NAMES
+from repro.perf.colrank import columnar_rank_units
 from repro.qa.sql_generation import evaluate_interpretation
 from repro.system import build_system
 
@@ -140,6 +141,49 @@ def test_pipeline_parity_per_domain(parity_system, domain):
         assert _result_signature(legacy_result) == _result_signature(
             columnar_result
         ), f"pipeline divergence on {text!r}"
+
+
+#: "not <bare number>" reads as an "any" unit of negated Type III
+#: branches ("NOT year = 2005 OR NOT price = 2005").
+NEGATED_ANY_QUESTIONS = (
+    "toyota camry not 2005",
+    "ford focus not 2003 blue",
+    "honda accord not 1999",
+)
+
+
+def test_negated_any_units_rank_columnar(mutable_system):
+    """All-negated "any" units get a columnar slot of kind "negation",
+    bit-identical to the legacy engine's best-branch bookkeeping."""
+    cqads = mutable_system.cqads
+    context = cqads.context("cars")
+    ranker = context.ranker()
+    # Violates both branches of "not 2005", so the unit fails outright.
+    violator = cqads.database.table("car_ads").insert(
+        {"make": "toyota", "model": "camry", "year": 2005, "price": 2005}
+    )
+    kinds = set()
+    for question in NEGATED_ANY_QUESTIONS:
+        interpretation = cqads.answer(question, domain="cars").interpretation
+        units = cqads.relaxation_units(interpretation)
+        assert any(
+            unit.mode == "any"
+            and all(condition.negated for condition in unit.conditions)
+            for unit in units
+        ), question
+        exact = evaluate_interpretation(
+            cqads.database, cqads.domain("cars"), interpretation
+        )
+        exclude = {record.record_id for record in exact}
+        pool = cqads.partial_candidates("cars", interpretation, exclude)
+        columnar = columnar_rank_units(context.resources, pool, units, None)
+        assert columnar is not None, question  # no legacy fallback
+        legacy = ranker.rank_units(pool, units, engine="legacy")
+        assert _scored_signature(columnar) == _scored_signature(legacy), question
+        kinds.update(item.similarity_kind for item in columnar)
+        if question == NEGATED_ANY_QUESTIONS[0]:
+            assert violator.record_id in [item.record.record_id for item in columnar]
+    assert "negation" in kinds
 
 
 def test_top_k_option_bounds_ranked_pool(parity_system):
@@ -289,6 +333,5 @@ def test_update_refreshes_ranking_caches(mutable_system):
     table.update(record.record_id, {"color": "green", "model": donor["model"]})
     store = resources.column_store()
     assert store.categorical["color"][store.row_of[record.record_id]] == "green"
-    assert resources.lowered_value(record, "color") == "green"
     assert resources.record_key(record) == key_before  # rebuilt, same identity
     table.delete(record.record_id)

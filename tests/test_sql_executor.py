@@ -190,6 +190,21 @@ class TestExecutorErrors:
             run("SELECT * FROM car_ads WHERE price = 'cheap'")
 
     @pytest.mark.parametrize(
+        "where",
+        ["price >= 'nan'", "price != 'nan'", "price = 'NaN'", "NOT price < 'nan'"],
+    )
+    def test_nan_literal_raises_like_any_non_number(self, run, where):
+        # NaN takes the BETWEEN-bound / record_id literal parse: it is
+        # no number, so comparing a numeric column with it is an error.
+        with pytest.raises(SQLExecutionError):
+            run(f"SELECT * FROM car_ads WHERE {where}")
+        with pytest.raises(SQLExecutionError):
+            run(f"SELECT * FROM car_ads WHERE make = 'nosuch' AND {where}")
+
+    def test_nan_in_list_matches_nothing(self, run):
+        assert len(run("SELECT * FROM car_ads WHERE price IN ('nan')")) == 0
+
+    @pytest.mark.parametrize(
         "between",
         [
             "record_id BETWEEN NULL AND 4",

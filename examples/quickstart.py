@@ -192,12 +192,12 @@ def main() -> None:
           f"+{fragments.misses - misses_before} misses "
           f"(patched forward through every edit — no re-evaluation)")
 
-    # Range predicates: ordered column windows answer <, >, >=, <= and
-    # BETWEEN leaves with two bisects into a delta-maintained sorted
-    # array (spliced in place by the same typed deltas that patch the
-    # caches above), and a selectivity-adaptive planner picks the
-    # window or its complement, when the range matches most of the
-    # pool, per leaf; tables under 64 rows use the sorted index (see
+    # Range predicates: ordered column windows answer =, <, >, >=, <=
+    # and BETWEEN leaves on numeric columns with two bisects into a
+    # delta-maintained sorted array (spliced in place by the same typed
+    # deltas that patch the caches above), and a selectivity-adaptive
+    # planner picks the window or its complement, when the range
+    # matches most of the pool, per leaf, at any table size (see
     # PERFORMANCE.md, "Ordered windows & adaptive planning").  The
     # execute stage surfaces its per-leaf decisions in the explain
     # trace, and a standalone SQLExecutor exposes them

@@ -207,8 +207,8 @@ class ExecuteStage:
             ordered=ctx.options.ordered_evaluation,
         ).to_sql()
         # One executor for the stage so its access-path decisions
-        # (scan vs. index vs. window per range leaf) can be surfaced
-        # in the explain trace.
+        # (window vs. window complement per windowed leaf) can be
+        # surfaced in the explain trace.
         executor = SQLExecutor(ctx.engine.database)
         with span("executor.evaluate", table=context.domain.schema.table_name) as node:
             records = evaluate_interpretation(

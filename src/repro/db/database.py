@@ -22,8 +22,8 @@ class Database:
 
     Catalog-level mutation listeners (:meth:`add_listener`) receive
     every table's :class:`~repro.db.table.MutationEvent`, including
-    tables created after subscription — this is what the fragment,
-    plan and answer caches hang their auto-invalidation on.
+    tables created after subscription — this is what the fragment and
+    answer caches hang their auto-invalidation on.
 
     An optional storage backend (``storage=`` /
     :meth:`attach_storage`) observes the same stream plus a
@@ -36,13 +36,8 @@ class Database:
         #: The durability backend, or ``None`` for pure in-memory.
         self._storage = None
         #: Catalog-level listeners, attached to every current and
-        #: future table.  The default plan cache's hygiene hook is
-        #: always present: plans hold no table data (invalidation is
-        #: never *required*), but dropping statements that read a
-        #: mutated table keeps the contract uniform across caches.
-        self._listeners: list[Callable[[MutationEvent], None]] = [
-            _drop_default_plans
-        ]
+        #: future table.
+        self._listeners: list[Callable[[MutationEvent], None]] = []
         if storage is not None:
             self.attach_storage(storage)
 
@@ -138,8 +133,8 @@ class Database:
         """Remove the table from the catalog — and tell every listener.
 
         Dropping is a mutation like any other: catalog listeners get a
-        ``kind="drop"`` event (``record_id=-1``) so the plan, fragment
-        and answer caches sweep the dead table's entries and a storage
+        ``kind="drop"`` event (``record_id=-1``) so the fragment and
+        answer caches sweep the dead table's entries and a storage
         backend logs the drop — without this, a recreated same-name
         table could be served results cached from the dropped one.
         Catalog listeners are then detached from the dead table object
@@ -174,13 +169,3 @@ class Database:
     def __len__(self) -> int:
         return len(self._tables)
 
-
-def _drop_default_plans(event: MutationEvent) -> None:
-    """Drop shared-plan-cache statements that read the mutated table.
-
-    Imported lazily so the catalog does not pull the SQL layer at
-    module load (the executor imports :mod:`repro.db.database`).
-    """
-    from repro.db.sql.plan_cache import DEFAULT_PLAN_CACHE
-
-    DEFAULT_PLAN_CACHE.invalidate_table(event.table.name)

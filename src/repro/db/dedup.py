@@ -54,8 +54,12 @@ def _identity_key(table: Table, record: Record) -> tuple[str, ...]:
 def _numeric_tolerances(table: Table, fraction: float) -> dict[str, float]:
     tolerances: dict[str, float] = {}
     for column in table.schema.numeric_columns:
-        bounds = table.column_bounds(column.name)
-        span = (bounds[1] - bounds[0]) if bounds else 0.0
+        values = [
+            float(record[column.name])
+            for record in table
+            if record.get(column.name) is not None
+        ]
+        span = (max(values) - min(values)) if values else 0.0
         tolerances[column.name] = max(span * fraction, 1e-9)
     return tolerances
 

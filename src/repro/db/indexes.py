@@ -4,28 +4,28 @@ Section 4.1.1 maps the attribute types onto index kinds: Type I columns
 are primary-indexed, Type II columns secondary-indexed, Type III
 columns range-searchable.  Section 4.5 adds "a primary MySQL substring
 index of length 3 on all the attributes" to speed up substring
-matching.  This module provides the three index families:
+matching.  This module provides the table-owned index families:
 
 * :class:`HashIndex` — exact-match lookup for categorical values
   (primary and secondary indexes share the implementation; the
   distinction in the paper is about which columns get one);
-* :class:`SortedIndex` — a sorted array with binary search for numeric
-  range predicates and min/max superlatives;
 * :class:`SubstringIndex` — length-``n`` (default 3) substring grams
-  mapping to record ids, mirroring MySQL's prefix/substring index.
+  mapping to record ids, mirroring MySQL's prefix/substring index;
+* :class:`NullIndex` — the ids whose column is NULL.
 
-All indexes map values to sets of integer record ids; the
-:class:`repro.db.table.Table` owns them and keeps them consistent on
-insert/delete.
+Type III columns are range-searchable through the ordered column
+windows of :mod:`repro.perf.window`, the one sorted structure a
+numeric column has.  All indexes map values to sets of integer record
+ids; the :class:`repro.db.table.Table` owns them and keeps them
+consistent on insert/delete.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections import defaultdict
 from typing import Iterable
 
-__all__ = ["HashIndex", "NullIndex", "SortedIndex", "SubstringIndex"]
+__all__ = ["HashIndex", "NullIndex", "SubstringIndex"]
 
 
 class NullIndex:
@@ -90,93 +90,6 @@ class HashIndex:
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
-
-
-class SortedIndex:
-    """Sorted (value, record_id) pairs supporting range and extremes.
-
-    Backed by parallel sorted lists; ``bisect`` gives O(log n) range
-    boundaries.  Deletion is O(n) but the ads workload is append-mostly.
-    """
-
-    def __init__(self, column: str) -> None:
-        self.column = column
-        self._values: list[float] = []
-        self._ids: list[int] = []
-
-    def add(self, value: object, record_id: int) -> None:
-        if value is None:
-            return
-        number = float(value)  # schema guarantees numeric
-        position = bisect.bisect_left(self._values, number)
-        # Among equal values keep ids ordered for deterministic output.
-        while (
-            position < len(self._values)
-            and self._values[position] == number
-            and self._ids[position] < record_id
-        ):
-            position += 1
-        self._values.insert(position, number)
-        self._ids.insert(position, record_id)
-
-    def remove(self, value: object, record_id: int) -> None:
-        if value is None:
-            return
-        number = float(value)
-        position = bisect.bisect_left(self._values, number)
-        while position < len(self._values) and self._values[position] == number:
-            if self._ids[position] == record_id:
-                del self._values[position]
-                del self._ids[position]
-                return
-            position += 1
-
-    # ------------------------------------------------------------------
-    def range(
-        self,
-        low: float | None = None,
-        high: float | None = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> set[int]:
-        """Record ids with ``low (<|<=) value (<|<=) high``.
-
-        ``None`` bounds are unbounded on that side.
-        """
-        if low is None:
-            start = 0
-        elif include_low:
-            start = bisect.bisect_left(self._values, low)
-        else:
-            start = bisect.bisect_right(self._values, low)
-        if high is None:
-            stop = len(self._values)
-        elif include_high:
-            stop = bisect.bisect_right(self._values, high)
-        else:
-            stop = bisect.bisect_left(self._values, high)
-        return set(self._ids[start:stop])
-
-    def equal(self, value: float) -> set[int]:
-        return self.range(value, value)
-
-    def min_value(self) -> float | None:
-        return self._values[0] if self._values else None
-
-    def max_value(self) -> float | None:
-        return self._values[-1] if self._values else None
-
-    def min_ids(self) -> set[int]:
-        """Ids of the records holding the minimum value."""
-        minimum = self.min_value()
-        return set() if minimum is None else self.equal(minimum)
-
-    def max_ids(self) -> set[int]:
-        maximum = self.max_value()
-        return set() if maximum is None else self.equal(maximum)
-
-    def __len__(self) -> int:
-        return len(self._values)
 
 
 class SubstringIndex:

@@ -127,11 +127,13 @@ class Predicate:
 
     ``shape`` names how the accepted interval is answered: ``empty``
     (nothing), ``all`` (every record: ``record_id = NULL``), ``equal``
-    (one key, via the hash or sorted index) or a range shape the
-    executor's access planner keys on (``range``, ``lex-range``,
-    ``between``, ``id-range``, ``id-between``).  ``low``/``high`` bound
-    the interval (``None`` = unbounded on that side); an interval
-    bounded on both sides (``equal``, BETWEEN) is closed.
+    (one key: the hash index on a categorical column, the id itself on
+    ``record_id``, a window slice on a numeric column) or a range shape
+    (``range``, ``lex-range``, ``between``, ``id-range``,
+    ``id-between``).  The executor's access planner keys on every shape
+    a window answers.  ``low``/``high`` bound the interval (``None`` =
+    unbounded on that side); an interval bounded on both sides
+    (``equal``, BETWEEN) is closed.
     """
 
     __slots__ = (

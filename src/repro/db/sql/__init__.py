@@ -7,8 +7,9 @@ it to MySQL.  This subpackage provides the equivalent machinery:
 * :mod:`repro.db.sql.lexer` / :mod:`repro.db.sql.parser` — tokenize and
   parse the dialect into the AST of :mod:`repro.db.sql.ast`;
 * :mod:`repro.db.sql.executor` — evaluate an AST against a
-  :class:`~repro.db.database.Database`, using the table's indexes for
-  equality, range, ``LIKE`` and superlative predicates;
+  :class:`~repro.db.database.Database`, using the table's hash and
+  substring indexes for categorical equality and ``LIKE``, and the
+  ordered column windows for numeric and range predicates;
 * :mod:`repro.db.sql.builder` — a small programmatic query builder the
   question pipeline uses so it never does string concatenation of
   untrusted question text into SQL.
@@ -32,7 +33,6 @@ from repro.db.sql.builder import QueryBuilder
 from repro.db.sql.executor import SQLExecutor, execute
 from repro.db.sql.lexer import SQLToken, tokenize_sql
 from repro.db.sql.parser import parse_select
-from repro.db.sql.plan_cache import DEFAULT_PLAN_CACHE, PlanCache
 
 __all__ = [
     "Aggregate",
@@ -53,6 +53,4 @@ __all__ = [
     "SQLToken",
     "tokenize_sql",
     "parse_select",
-    "PlanCache",
-    "DEFAULT_PLAN_CACHE",
 ]

@@ -2,12 +2,13 @@
 
 The executor turns a WHERE tree into record-id sets: AND is
 intersection, OR is union, NOT is complement against the table, and
-leaf predicates are answered by the table's indexes —
+leaf predicates are answered by one structure per column kind —
 
-* equality on Type I/II columns via the hash indexes (the paper's
+* categorical equality via the table's hash indexes (the paper's
   primary/secondary indexes),
-* numeric comparisons, BETWEEN and superlative extremes via the sorted
-  indexes,
+* every other comparison and BETWEEN leaf — numeric equality and
+  ``IN`` lists, numeric, lexicographic and ``record_id`` ranges — via
+  the ordered column windows (:mod:`repro.perf.window`),
 * ``LIKE '%needle%'`` via the length-3 substring index (Section 4.5).
 
 The tree compiles before it runs (:func:`compile_where`): every
@@ -16,8 +17,8 @@ comparison and BETWEEN leaf, NOTs folded in, becomes a
 holds the one definition of what a leaf accepts — NULLs included —
 and checks its literals, so a malformed leaf raises even when
 evaluation would skip it.  The executor answers each leaf's accepted
-interval from an index or window, adds the NULL ids when the leaf's
-NULL verdict asks for them, and complements when the leaf is
+interval from a hash index or a window, adds the NULL ids when the
+leaf's NULL verdict asks for them, and complements when the leaf is
 complemented.
 
 Three performance devices keep the WHERE evaluation cheap without
@@ -34,17 +35,16 @@ changing any result set (all pure set algebra — see
   ranges before substring scans before complements), short-circuiting
   as soon as the accumulated intersection is empty (or the union
   covers the table);
-* **ordered windows + adaptive access-path planning** — range,
-  comparison and BETWEEN leaves are answered by bisecting a
-  delta-maintained sorted column window
+* **ordered windows + adaptive access-path planning** — numeric
+  equality, range, comparison and BETWEEN leaves are answered by
+  bisecting a delta-maintained sorted column window
   (:mod:`repro.perf.window`) into a lazy :class:`_WindowSet` that
   intersects by membership instead of materializing, and a
   per-``(table, column, shape)`` :class:`AccessPlanner` tracks
   observed selectivity to choose between the window and its
-  *complement* (when the range matches most of the table) per leaf;
-  tables below :data:`MIN_WINDOW_ROWS` rows take the sorted index
-  instead.  Every choice is recorded on the executor's ``plan_trace``
-  for explain output.
+  *complement* (when the interval matches most of the table) per
+  leaf, whatever the table's size.  Every choice is recorded on the
+  executor's ``plan_trace`` for explain output.
 
 The pseudo-column ``record_id`` is available on every table; CQAds uses
 it for the paper's ``Car_ID IN (subquery)`` idiom (Example 7).
@@ -80,7 +80,7 @@ from repro.db.sql.ast import (
     NotExpr,
     SelectStatement,
 )
-from repro.db.sql.plan_cache import DEFAULT_PLAN_CACHE, PlanCache
+from repro.db.sql.parser import parse_select
 from repro.db.table import Record, Table
 from repro.errors import SQLExecutionError
 from repro.obs.registry import get_default_registry
@@ -103,10 +103,6 @@ __all__ = [
 #: small outside, so carrying the complement keeps AND chains cheap).
 COMPLEMENT_THRESHOLD = 0.5
 
-#: Below this many rows the executor skips windows entirely: the
-#: sorted index materializes tiny sets faster than window bookkeeping.
-MIN_WINDOW_ROWS = 64
-
 #: Window-assisted ORDER BY only pays off once the sort is big enough
 #: to beat Timsort on a cached position map.
 WINDOW_ORDER_MIN_ROWS = 512
@@ -120,13 +116,13 @@ MAX_PLAN_TRACE = 4096
 class AccessDecision:
     """One recorded access-path choice for one WHERE leaf (or sort).
 
-    ``shape`` names the leaf family the planner keys on (``range``,
-    ``between``, ``lex-range``, ``id-range``, ``id-between``,
-    ``order-by``); ``path`` is what was chosen (``window``,
-    ``window-complement``, ``index``, ``window-order``);
+    ``shape`` names the leaf family the planner keys on (``equal``,
+    ``range``, ``between``, ``lex-range``, ``id-range``,
+    ``id-between``, ``order-by``); ``path`` is what was chosen
+    (``window``, ``window-complement``, ``window-order``);
     ``predicted``/``observed`` are the planner's selectivity estimate
     before the leaf ran and the fraction actually matched (``None``
-    when the leaf never consulted a window).
+    for an ORDER BY, which the planner does not see).
     """
 
     table: str
@@ -145,9 +141,9 @@ class AccessPlanner:
     the observed match fractions: heavy enough smoothing to ignore one
     odd query, fast enough to flip the access path after a couple of
     consistently wide (or narrow) ranges.  Thread-safe; the module
-    shares one :data:`DEFAULT_ACCESS_PLANNER` across executors for the
-    same reason the plan cache is shared — executors are built per
-    call, and a per-instance planner would never learn anything.
+    shares one :data:`DEFAULT_ACCESS_PLANNER` across executors, because
+    executors are built per call and a per-instance planner would never
+    learn anything.
     """
 
     ALPHA = 0.5
@@ -312,21 +308,22 @@ def _flatten_chain(expr: BinaryExpr) -> list[Expr]:
 def _static_cost(expr: Expr) -> int:
     """Rough evaluation-cost rank of a WHERE leaf (lower = cheaper).
 
-    Indexed equality is the cheapest and typically the most selective;
-    sorted-index ranges come next; substring/IN lookups after; scans
-    and complements (``!=``, NULL tests, NOT) last.  AND chains cost
-    what their cheapest operand costs (they can short-circuit there);
-    OR chains cost their dearest operand.
+    Equality (a hash lookup or a one-key window slice) is the cheapest
+    and typically the most selective; numeric window ranges come next;
+    substring/IN lookups and lexicographic ranges after; NULL tests
+    and complements (``!=``, NOT) last.  AND chains cost what their
+    cheapest operand costs (they can short-circuit there); OR chains
+    cost their dearest operand.
     """
     if isinstance(expr, Comparison):
         if expr.value.value is None:
-            return 4  # NULL tests scan the table
+            return 4  # NULL tests: the null index, complemented for != NULL
         if expr.operator == "=":
             return 0
         if expr.operator in ("!=", "<>"):
             return 4
         if isinstance(expr.value.value, str):
-            return 3  # lexicographic range on a categorical: full scan
+            return 3  # lexicographic range: a string-keyed window
         return 1
     if isinstance(expr, BetweenExpr):
         return 1
@@ -374,14 +371,9 @@ class SQLResult:
 class SQLExecutor:
     """Evaluates parsed SELECT statements against a database.
 
-    ``plan_cache`` backs :meth:`execute_sql`; the module-wide
-    :data:`~repro.db.sql.plan_cache.DEFAULT_PLAN_CACHE` is shared when
-    none is given (executors are routinely constructed per call, so a
-    per-instance cache would never get warm).
-
-    ``planner`` supplies the selectivity stats that choose each range
-    leaf's access path (shared :data:`DEFAULT_ACCESS_PLANNER` when
-    omitted).  Each evaluated range leaf appends an
+    ``planner`` supplies the selectivity stats that choose each
+    windowed leaf's access path (shared :data:`DEFAULT_ACCESS_PLANNER`
+    when omitted).  Each evaluated windowed leaf appends an
     :class:`AccessDecision` to ``plan_trace``, which the explain
     pipeline surfaces.
     """
@@ -389,11 +381,9 @@ class SQLExecutor:
     def __init__(
         self,
         database: Database,
-        plan_cache: PlanCache | None = None,
         planner: AccessPlanner | None = None,
     ) -> None:
         self.database = database
-        self.plan_cache = plan_cache if plan_cache is not None else DEFAULT_PLAN_CACHE
         self.planner = planner if planner is not None else DEFAULT_ACCESS_PLANNER
         self.plan_trace: list[AccessDecision] = []
         #: Decisions evicted by the ``MAX_PLAN_TRACE`` cap — surfaced in
@@ -470,8 +460,8 @@ class SQLExecutor:
         return self._project(table, statement, records)
 
     def execute_sql(self, sql: str) -> SQLResult:
-        """Run a SQL string through the plan cache."""
-        return self.execute(self.plan_cache.get(sql))
+        """Parse and run a SQL string."""
+        return self.execute(parse_select(sql))
 
     # ------------------------------------------------------------------
     # projection and ordering
@@ -657,53 +647,32 @@ class SQLExecutor:
 
     def _interval_ids(self, table: Table, leaf: Predicate) -> "_IdSet | _WindowSet":
         """The ids whose key lies in *leaf*'s accepted interval."""
-        shape, name = leaf.shape, leaf.column
+        shape = leaf.shape
         if shape == "empty":
             return _IdSet(set())
         if shape == "all":
             return _IdSet(table.all_ids())
-        if shape == "equal":
-            if leaf.kind == CATEGORICAL:
-                return _IdSet(table.lookup_equal(name, leaf.low))
-            if leaf.kind == NUMERIC:
-                return _IdSet(table.lookup_range(name, leaf.low, leaf.low))
+        if shape == "equal" and leaf.kind == CATEGORICAL:
+            return _IdSet(table.lookup_equal(leaf.column, leaf.low))
+        if shape == "equal" and leaf.kind == RECORD_ID:
             # A non-integral literal equals no id.
             record_id = _integral(leaf.low)  # type: ignore[arg-type]
             if record_id is None or table.get(record_id) is None:
                 return _IdSet(set())
             return _IdSet({record_id})
-        result = self._eval_range(table, leaf)
-        if result is not None:
-            return result
-        if leaf.kind == NUMERIC:
-            return _IdSet(
-                table.lookup_range(
-                    name, leaf.low, leaf.high, leaf.include_low, leaf.include_high
-                )
-            )
-        if leaf.kind == RECORD_ID:
-            return _IdSet({rid for rid in table.all_ids() if leaf.within(rid)})
-        return _IdSet(table.scan(lambda record: leaf.within(record.get(name))))
+        return self._eval_range(table, leaf)
 
-    def _eval_range(
-        self, table: Table, leaf: Predicate
-    ) -> "_IdSet | _WindowSet | None":
-        """Answer one range leaf's interval through the window layer.
+    def _eval_range(self, table: Table, leaf: Predicate) -> "_IdSet | _WindowSet":
+        """Answer one interval leaf through the window layer.
 
-        Returns ``None`` when the index path should run instead (a
-        table too small for windows to pay off); otherwise builds the
-        column's :class:`~repro.perf.window.IdWindow` — one segment per
-        shard — observes its selectivity, and returns either the lazy
-        window or (predicted-wide ranges) its complement as a plain
-        outside-ids set.  Every outcome lands on ``plan_trace``.
+        Builds the column's :class:`~repro.perf.window.IdWindow` — one
+        segment per shard — observes its selectivity, and returns
+        either the lazy window or (predicted-wide intervals) its
+        complement as a plain outside-ids set.  Every outcome lands on
+        ``plan_trace``.
         """
         name, shape = leaf.column, leaf.shape
         rows = len(table)
-        if rows < MIN_WINDOW_ROWS:
-            self._record(
-                AccessDecision(table.name, name, shape, "index", None, None, rows)
-            )
-            return None
         window = IdWindow(table, leaf, windows_for(table).column_windows(name))
         observed = (window.count() / rows) if rows else 0.0
         key = (table.name, name, shape)
@@ -763,16 +732,17 @@ class SQLExecutor:
         if name == RECORD_ID:
             wanted = {_integral(literal_number(value)) for value in values}
             return table.all_ids() & wanted
-        numeric = table.schema.column(name).is_numeric
         result: set[int] = set()
+        if table.schema.column(name).is_numeric:
+            # The union of one window slice per value (and per shard).
+            windows = windows_for(table).column_windows(name)
+            for number in {parse_numeric(value) for value in values} - {None}:
+                for window in windows:
+                    start, stop = window.bounds(number, number)
+                    result.update(window.ids[start:stop])
+            return result
         for value in values:
-            if value is None:
-                continue
-            if numeric:
-                number = parse_numeric(value)
-                if number is not None:
-                    result |= table.lookup_range(name, number, number)
-            else:
+            if value is not None:
                 result |= table.lookup_equal(name, str(value).lower())
         return result
 

@@ -5,9 +5,13 @@ index families consistent with them (Section 4.1.1 / 4.5 of the paper):
 
 * a :class:`~repro.db.indexes.HashIndex` per Type I column (primary)
   and per Type II column (secondary);
-* a :class:`~repro.db.indexes.SortedIndex` per numeric Type III column;
 * a :class:`~repro.db.indexes.SubstringIndex` of length 3 per
-  categorical column.
+  categorical column;
+* a :class:`~repro.db.indexes.NullIndex` per column.
+
+Numeric Type III columns get no table-owned index: their ordered
+structure is the column window of :mod:`repro.perf.window`, which the
+SQL executor answers every numeric leaf from.
 
 Records are plain dicts validated by the schema; each gets a stable
 integer id on insert.
@@ -34,7 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from repro.db.indexes import HashIndex, NullIndex, SortedIndex, SubstringIndex
+from repro.db.indexes import HashIndex, NullIndex, SubstringIndex
 from repro.db.schema import AttributeType, TableSchema
 from repro.errors import RecordNotFoundError, SchemaError
 
@@ -198,7 +202,6 @@ class Table:
         #: (bulk mutations); the batch emits them as one BatchDelta.
         self._pending_deltas: list[MutationEvent] = []
         self._hash_indexes: dict[str, HashIndex] = {}
-        self._sorted_indexes: dict[str, SortedIndex] = {}
         self._substring_indexes: dict[str, SubstringIndex] = {}
         #: Per-column NULL-id sets (every schema column), so `!=`
         #: complements and NULL-semantics checks never re-scan.
@@ -207,16 +210,15 @@ class Table:
         }
         for column in schema.columns:
             if column.is_numeric:
-                self._sorted_indexes[column.name] = SortedIndex(column.name)
-            else:
-                if column.attribute_type in (
-                    AttributeType.TYPE_I,
-                    AttributeType.TYPE_II,
-                ):
-                    self._hash_indexes[column.name] = HashIndex(column.name)
-                self._substring_indexes[column.name] = SubstringIndex(
-                    column.name, substring_gram
-                )
+                continue
+            if column.attribute_type in (
+                AttributeType.TYPE_I,
+                AttributeType.TYPE_II,
+            ):
+                self._hash_indexes[column.name] = HashIndex(column.name)
+            self._substring_indexes[column.name] = SubstringIndex(
+                column.name, substring_gram
+            )
 
     # ------------------------------------------------------------------
     # epoch and listeners
@@ -404,11 +406,6 @@ class Table:
                 (hash_index.add if add else hash_index.remove)(
                     value, record.record_id
                 )
-            sorted_index = self._sorted_indexes.get(column_name)
-            if sorted_index is not None:
-                (sorted_index.add if add else sorted_index.remove)(
-                    value, record.record_id
-                )
             substring_index = self._substring_indexes.get(column_name)
             if substring_index is not None:
                 (substring_index.add if add else substring_index.remove)(
@@ -462,14 +459,14 @@ class Table:
     # index-backed lookups (used by the SQL executor's planner)
     # ------------------------------------------------------------------
     def lookup_equal(self, column_name: str, value: object) -> set[int]:
-        """Ids with ``column == value`` via the best available index."""
+        """Ids with the categorical ``column == value`` via the best
+        available index (numeric columns are answered by the ordered
+        windows of :mod:`repro.perf.window`)."""
         column = self.schema.column(column_name)
         if column.is_numeric:
-            index = self._sorted_indexes[column.name]
-            try:
-                return index.equal(float(value))  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                return set()
+            raise SchemaError(
+                f"equality lookup on numeric column {column_name!r}"
+            )
         normalized = str(value).lower()
         hash_index = self._hash_indexes.get(column.name)
         if hash_index is not None:
@@ -485,24 +482,6 @@ class Table:
             }
         return self.scan(lambda record: record.get(column.name) == normalized)
 
-    def lookup_range(
-        self,
-        column_name: str,
-        low: float | None,
-        high: float | None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> set[int]:
-        """Ids with the numeric column inside the given range."""
-        column = self.schema.column(column_name)
-        if not column.is_numeric:
-            raise SchemaError(
-                f"range lookup on non-numeric column {column_name!r}"
-            )
-        return self._sorted_indexes[column.name].range(
-            low, high, include_low, include_high
-        )
-
     def lookup_substring(self, column_name: str, needle: str) -> set[int]:
         """Ids whose categorical column contains *needle* (length-3 index)."""
         index = self._substring_indexes.get(column_name.lower())
@@ -512,29 +491,6 @@ class Table:
                 lambda record: needle in str(record.get(column_name.lower(), ""))
             )
         return index.search(needle)
-
-    def column_extreme(self, column_name: str, maximum: bool) -> set[int]:
-        """Ids of records holding the min (or max) of a numeric column."""
-        index = self._sorted_indexes.get(column_name.lower())
-        if index is None:
-            raise SchemaError(
-                f"superlative on non-numeric column {column_name!r}"
-            )
-        return index.max_ids() if maximum else index.min_ids()
-
-    def column_bounds(self, column_name: str) -> tuple[float, float] | None:
-        """Observed (min, max) of a numeric column, or ``None`` if empty.
-
-        The incomplete-question analysis (Section 4.2.2) uses these
-        bounds as the "valid range" of each Type III attribute.
-        """
-        index = self._sorted_indexes.get(column_name.lower())
-        if index is None or len(index) == 0:
-            return None
-        minimum = index.min_value()
-        maximum = index.max_value()
-        assert minimum is not None and maximum is not None
-        return minimum, maximum
 
     def distinct_values(self, column_name: str) -> list[object]:
         """Distinct values of a column (via index when available)."""

@@ -15,7 +15,7 @@ Metric name taxonomy (all prefixed ``repro_``):
 name                            type         labels
 ==============================  ===========  ==========================
 repro_cache_requests_total      counter      cache ∈ {answer, fragment,
-                                             plan, window, singleflight},
+                                             window, singleflight},
                                              outcome ∈ {hit, miss}
 repro_stage_seconds             histogram    stage (pipeline stage name)
 repro_wal_ops_total             counter      op ∈ {append, fsync,
@@ -58,12 +58,12 @@ __all__ = [
     "wal_op",
 ]
 
-#: The five cache families the unified layer accounts for.
-CACHE_FAMILIES = ("answer", "fragment", "plan", "window", "singleflight")
+#: The cache families the unified layer accounts for.
+CACHE_FAMILIES = ("answer", "fragment", "window", "singleflight")
 
 
-#: Per-registry memo of the ten cache-family counters, so the hot
-#: fragment/plan lookups skip label normalization and the registry
+#: Per-registry memo of the cache-family counters, so the hot
+#: fragment/window lookups skip label normalization and the registry
 #: lock-free get.  Weak keys let a swapped-out registry be collected.
 _CACHE_COUNTERS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 

@@ -17,13 +17,13 @@ invalidation contracts):
   entries can never be served stale;
 * :mod:`repro.perf.window` — per-epoch ordered column windows: sorted
   ``array``-backed (value, id) views maintained incrementally through
-  the typed-delta path, answering range/BETWEEN/lexicographic leaves
-  with two bisects instead of materialized index sets (the SQL
-  executor's selectivity-adaptive planner picks the window or its
-  complement per leaf, and tiny tables take the sorted index);
+  the typed-delta path, the one ordered structure a column has.  They
+  answer numeric equality, ``IN``, range, BETWEEN and lexicographic
+  leaves with two bisects each (the SQL executor's
+  selectivity-adaptive planner picks the window or its complement per
+  leaf);
 * :mod:`repro.perf.lru` — the generic bounded, thread-safe LRU the
-  caches are built on (stdlib-only, importable from any layer —
-  :mod:`repro.db.sql.plan_cache` builds on it);
+  caches are built on (stdlib-only, importable from any layer);
 * :mod:`repro.perf.answer_cache` — memoized full question results for
   :class:`repro.api.service.AnswerService`, auto-invalidated from the
   database's mutation epochs.
@@ -31,7 +31,7 @@ invalidation contracts):
 The subplan and colrank names are re-exported lazily (PEP 562): both
 reach back into higher layers (:mod:`repro.qa` / :mod:`repro.ranking`),
 so importing them eagerly here would cycle when the db layer pulls
-:mod:`repro.perf.lru`.
+:mod:`repro.perf.window`.
 """
 
 from repro.perf.answer_cache import AnswerCache

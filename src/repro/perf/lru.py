@@ -1,9 +1,7 @@
 """A small generic thread-safe LRU cache.
 
-Shared by the service-layer answer cache (and available to any other
-subsystem that needs bounded memoization).  The SQL plan cache in
-:mod:`repro.db.sql.plan_cache` deliberately carries its own copy of
-this logic so the db layer never imports upward into :mod:`repro.perf`.
+Shared by the service-layer answer cache and the fragment cache (and
+available to any other subsystem that needs bounded memoization).
 """
 
 from __future__ import annotations

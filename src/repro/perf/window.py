@@ -1,13 +1,12 @@
-"""Per-epoch ordered column windows for range-predicate evaluation.
+"""Per-epoch ordered column windows: the one ordered structure a column has.
 
-Range, comparison and BETWEEN leaves used to cost O(pool) set work per
-unit: :meth:`~repro.db.table.Table.lookup_range` bisects the sorted
-index but still **materializes** the matching id-set, and lexicographic
-string ranges and ``record_id`` ranges fell back to full scans.  This
-module keeps, per table (and per shard of a
+The SQL executor answers every numeric leaf (equality, ``IN``,
+comparisons and BETWEEN), every lexicographic range and every
+``record_id`` range from these windows; the table itself keeps no
+sorted index.  This module keeps, per table (and per shard of a
 :class:`~repro.shard.table.ShardedTable`), a sorted ``array``-backed
 ``(value, record_id)`` view per column — a *window* — and answers a
-range leaf with two ``bisect`` calls that delimit a contiguous id
+leaf with two ``bisect`` calls that delimit a contiguous id
 slice.  The slice is wrapped in a lazy :class:`IdWindow` that the SQL
 executor's set algebra can intersect against without materializing
 (membership is an O(1) record fetch plus a bounds check), so a
@@ -36,12 +35,11 @@ the same cache locality the fragment cache's ``(shard index, shard
 epoch)`` keys buy.
 
 Concurrency stance: window arrays are spliced in place under the
-owner's lock while readers go unsynchronized — exactly the guarantees
-the table's own :class:`~repro.db.indexes.SortedIndex` gives (reads
-racing a write may see either side of it, never a torn structure
-thanks to the GIL).  An :class:`IdWindow` captures its slice bounds at
-creation and must be consumed within the evaluating query, like any
-other index lookup.
+owner's lock while readers go unsynchronized — the guarantees the
+table's own hash and substring indexes give (reads racing a write may
+see either side of it, never a torn structure thanks to the GIL).  An
+:class:`IdWindow` captures its slice bounds at creation and must be
+consumed within the evaluating query, like any other index lookup.
 """
 
 from __future__ import annotations
@@ -91,11 +89,10 @@ class ColumnWindow:
       (ids *are* the sort key).
 
     Ids live in an ``array('q')``; within an equal-value run they are
-    ascending — the same invariant :class:`~repro.db.indexes.SortedIndex`
-    keeps, so window slices and index range lookups agree element for
-    element.  Values sort by the predicate kernel's comparison key
-    (:func:`~repro.db.predicate.value_key`); a NULL has no key, so NULL
-    rows are in no window.
+    ascending, so the id array is in ``(value asc, id asc)`` order, the
+    executor's single-key sort order.  Values sort by the predicate
+    kernel's comparison key (:func:`~repro.db.predicate.value_key`); a
+    NULL has no key, so NULL rows are in no window.
     """
 
     __slots__ = ("column", "kind", "epoch", "values", "ids", "_order_cache")
@@ -224,8 +221,7 @@ class ColumnWindow:
     ) -> tuple[int, int]:
         """The ``[start, stop)`` slice matching the range — two bisects.
 
-        ``None`` bounds are unbounded on that side, exactly like
-        :meth:`~repro.db.indexes.SortedIndex.range`.
+        ``None`` bounds are unbounded on that side.
         """
         sequence = self.ids if self.kind == RECORD_ID else self.values
         assert sequence is not None

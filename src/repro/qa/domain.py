@@ -94,8 +94,9 @@ class AdsDomain:
         """Reverse-engineer a domain from a populated table.
 
         Categorical vocabularies come from the distinct stored values;
-        numeric bounds from the sorted indexes; value ranges from the
-        paper's top-10/bottom-10 statistic over the stored data.
+        numeric bounds are the smallest and largest stored value; value
+        ranges come from the paper's top-10/bottom-10 statistic over the
+        stored data.
         """
         schema = table.schema
         values_by_column: dict[str, list[str]] = {}
@@ -103,15 +104,13 @@ class AdsDomain:
         value_ranges: dict[str, float] = {}
         for column in schema.columns:
             if column.is_numeric:
-                bounds = table.column_bounds(column.name)
-                if bounds is not None:
-                    numeric_bounds[column.name] = bounds
                 values = sorted(
                     float(record[column.name])
                     for record in table
                     if record.get(column.name) is not None
                 )
                 if values:
+                    numeric_bounds[column.name] = (values[0], values[-1])
                     k = min(10, len(values))
                     span = sum(values[-k:]) / k - sum(values[:k]) / k
                     if span > 0:

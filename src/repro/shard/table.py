@@ -15,8 +15,8 @@ everything epoch-shaped:
   a record never moves between shards.
 * **epochs aggregate.**  ``ShardedTable.epoch`` is the sum of the
   shard epochs — still monotonic, still "any mutation moves it" — so
-  facade-level caches (answer cache generations, plan cache hygiene)
-  keep their contract, while shard-level caches (the fragment cache's
+  facade-level caches (answer cache generations) keep their
+  contract, while shard-level caches (the fragment cache's
   per-shard unit id-sets, the per-shard column stores) key on each
   shard's **own** epoch and survive mutations to sibling shards.
   That locality is the single-core payoff of sharding: a point
@@ -149,7 +149,7 @@ class ShardedTable:
         (inserted/removed record, changed columns) but is re-stamped
         with the facade table, the aggregated epoch, the owning shard's
         index and that shard's own post-mutation epoch — catalog-level
-        listeners (answer cache generations, plan-cache hygiene) see
+        listeners (answer cache generations, the WAL) see
         exactly the single-table contract, while shard-granular caches
         (per-shard column stores, per-shard fragment id-sets) patch
         precisely the shard state that moved.  During a bulk facade
@@ -351,20 +351,6 @@ class ShardedTable:
             lambda shard: shard.lookup_equal(column_name, value)
         )
 
-    def lookup_range(
-        self,
-        column_name: str,
-        low: float | None,
-        high: float | None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> set[int]:
-        return self._union(
-            lambda shard: shard.lookup_range(
-                column_name, low, high, include_low, include_high
-            )
-        )
-
     def lookup_substring(self, column_name: str, needle: str) -> set[int]:
         return self._union(
             lambda shard: shard.lookup_substring(column_name, needle)
@@ -383,41 +369,6 @@ class ShardedTable:
         for shard in self.shards:
             ids |= lookup(shard)
         return ids
-
-    def column_extreme(self, column_name: str, maximum: bool) -> set[int]:
-        """Ids holding the global extreme: gather per-shard extremes,
-        keep the shards whose local extreme equals the global one."""
-        winners: list[tuple[float, set[int]]] = []
-        for shard in self.shards:
-            ids = shard.column_extreme(column_name, maximum)  # raises uniformly
-            bounds = shard.column_bounds(column_name)
-            if bounds is None:
-                continue
-            winners.append((bounds[1] if maximum else bounds[0], ids))
-        if not winners:
-            return set()
-        best = max(value for value, _ in winners) if maximum else min(
-            value for value, _ in winners
-        )
-        result: set[int] = set()
-        for value, ids in winners:
-            if value == best:
-                result |= ids
-        return result
-
-    def column_bounds(self, column_name: str) -> tuple[float, float] | None:
-        minimum: float | None = None
-        maximum: float | None = None
-        for shard in self.shards:
-            bounds = shard.column_bounds(column_name)
-            if bounds is None:
-                continue
-            low, high = bounds
-            minimum = low if minimum is None else min(minimum, low)
-            maximum = high if maximum is None else max(maximum, high)
-        if minimum is None or maximum is None:
-            return None
-        return minimum, maximum
 
     def distinct_values(self, column_name: str) -> list[object]:
         seen: set[object] = set()

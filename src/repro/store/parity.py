@@ -1,12 +1,13 @@
 """Canonical state digests for recovery-parity assertions.
 
 "Bit-parity" in the crash tests means: records (values **and** dict
-order), every index family's internal structure, epoch counters and id
-allocators are identical between the recovered database and the
-uninterrupted oracle.  :func:`database_state` lowers all of that into
-one JSON-serializable structure; :func:`database_fingerprint` hashes
-it so a test (or ``python -m repro recover --verify``) can compare
-states without holding both databases.
+order), the hash and substring indexes' internal structure, epoch
+counters and id allocators are identical between the recovered
+database and the uninterrupted oracle.  :func:`database_state` lowers
+all of that into one JSON-serializable structure;
+:func:`database_fingerprint` hashes it so a test (or
+``python -m repro recover --verify``) can compare states without
+holding both databases.
 """
 
 from __future__ import annotations
@@ -29,12 +30,6 @@ def _index_state(table) -> dict:
                 for value, ids in index._buckets.items()
             )
             for name, index in sorted(table._hash_indexes.items())
-        },
-        # Sorted indexes keep (value, id) pairs positionally — equal
-        # values ordered by insertion — so the raw lists are the state.
-        "sorted": {
-            name: [list(pair) for pair in zip(index._values, index._ids)]
-            for name, index in sorted(table._sorted_indexes.items())
         },
         "substring": {
             name: {

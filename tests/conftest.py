@@ -108,22 +108,19 @@ def fresh_engine(cqads: CQAds, domain: str) -> CQAds:
 
 
 @pytest.fixture()
-def car_table():
-    """A fresh small cars table (function-scoped: tests may mutate)."""
-    database = Database()
-    table = database.create_table(small_car_schema())
-    table.insert_many(SMALL_CAR_ROWS)
-    return table
-
-
-@pytest.fixture()
-def car_database(car_table):
-    """The database owning :func:`car_table` (same instance)."""
-    # The table fixture created its own database; expose it.
+def car_database():
+    """A fresh database holding the small cars table (function-scoped:
+    tests may mutate)."""
     database = Database()
     table = database.create_table(small_car_schema())
     table.insert_many(SMALL_CAR_ROWS)
     return database
+
+
+@pytest.fixture()
+def car_table(car_database):
+    """The ``car_ads`` table of :func:`car_database` (same instance)."""
+    return car_database.table("car_ads")
 
 
 @pytest.fixture(scope="session")

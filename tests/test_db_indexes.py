@@ -1,8 +1,8 @@
-"""Tests for hash, sorted and substring indexes."""
+"""Tests for the hash and substring indexes."""
 
 from __future__ import annotations
 
-from repro.db.indexes import HashIndex, SortedIndex, SubstringIndex
+from repro.db.indexes import HashIndex, SubstringIndex
 
 
 class TestHashIndex:
@@ -46,57 +46,6 @@ class TestHashIndex:
         result = index.lookup("blue")
         result.add(99)
         assert index.lookup("blue") == {1}
-
-
-class TestSortedIndex:
-    def make(self):
-        index = SortedIndex("price")
-        for record_id, value in enumerate([5000, 9000, 3000, 9000, 22000], 1):
-            index.add(value, record_id)
-        return index
-
-    def test_range_inclusive(self):
-        assert self.make().range(3000, 9000) == {1, 2, 3, 4}
-
-    def test_range_exclusive_bounds(self):
-        index = self.make()
-        assert index.range(3000, 9000, include_low=False) == {1, 2, 4}
-        assert index.range(3000, 9000, include_high=False) == {1, 3}
-
-    def test_open_ended_ranges(self):
-        index = self.make()
-        assert index.range(None, 5000) == {1, 3}
-        assert index.range(9000, None) == {2, 4, 5}
-        assert index.range(None, None) == {1, 2, 3, 4, 5}
-
-    def test_equal(self):
-        assert self.make().equal(9000) == {2, 4}
-        assert self.make().equal(1) == set()
-
-    def test_min_max(self):
-        index = self.make()
-        assert index.min_value() == 3000
-        assert index.max_value() == 22000
-        assert index.min_ids() == {3}
-        assert index.max_ids() == {5}
-
-    def test_empty_index(self):
-        index = SortedIndex("price")
-        assert index.min_value() is None
-        assert index.max_value() is None
-        assert index.min_ids() == set()
-        assert index.range(0, 100) == set()
-
-    def test_remove(self):
-        index = self.make()
-        index.remove(9000, 2)
-        assert index.equal(9000) == {4}
-        assert len(index) == 4
-
-    def test_none_ignored(self):
-        index = SortedIndex("price")
-        index.add(None, 1)
-        assert len(index) == 0
 
 
 class TestSubstringIndex:

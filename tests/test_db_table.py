@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db.database import Database
+from repro.db.sql.executor import execute
 from repro.db.table import (
     BatchDelta,
     InsertDelta,
@@ -13,6 +14,11 @@ from repro.db.table import (
 )
 from repro.errors import RecordNotFoundError, SchemaError, UnknownTableError
 from tests.conftest import SMALL_CAR_ROWS, small_car_schema
+
+
+def _select_ids(database, where: str) -> list[int]:
+    """Ids of the ``car_ads`` rows matching *where*, through SQL."""
+    return execute(database, f"SELECT * FROM car_ads WHERE {where}").record_ids()
 
 
 class TestInsert:
@@ -72,9 +78,9 @@ class TestDelete:
         with pytest.raises(SchemaError):
             car_table.delete(999)
 
-    def test_delete_then_range(self, car_table):
+    def test_delete_then_range(self, car_database, car_table):
         car_table.delete(8)  # the 22000 bmw
-        assert car_table.lookup_range("price", 20000, None) == set()
+        assert _select_ids(car_database, "price >= 20000") == []
 
 
 class TestIndexedLookups:
@@ -84,37 +90,15 @@ class TestIndexedLookups:
     def test_lookup_equal_case_insensitive(self, car_table):
         assert car_table.lookup_equal("make", "HONDA") == {1, 2, 3}
 
-    def test_lookup_equal_numeric(self, car_table):
-        assert car_table.lookup_equal("price", 9000) == {1}
-
-    def test_lookup_range(self, car_table):
-        ids = car_table.lookup_range("price", 5000, 9000)
-        prices = [car_table.get(record_id)["price"] for record_id in ids]
-        assert all(5000 <= price <= 9000 for price in prices)
-        assert len(ids) == 5
-
-    def test_lookup_range_on_categorical_raises(self, car_table):
+    def test_lookup_equal_on_numeric_raises(self, car_table):
+        # Numeric columns are answered by the ordered column windows.
         with pytest.raises(SchemaError):
-            car_table.lookup_range("make", 0, 1)
+            car_table.lookup_equal("price", 9000)
 
     def test_lookup_substring(self, car_table):
         ids = car_table.lookup_substring("model", "cor")
         models = {car_table.get(record_id)["model"] for record_id in ids}
         assert models == {"accord", "corolla"}
-
-    def test_column_extreme(self, car_table):
-        cheapest = car_table.column_extreme("price", maximum=False)
-        assert cheapest == {5}  # the 3000 corolla
-        priciest = car_table.column_extreme("price", maximum=True)
-        assert priciest == {8}
-
-    def test_column_extreme_categorical_raises(self, car_table):
-        with pytest.raises(SchemaError):
-            car_table.column_extreme("make", maximum=True)
-
-    def test_column_bounds(self, car_table):
-        assert car_table.column_bounds("price") == (3000, 22000)
-        assert car_table.column_bounds("year") == (1999, 2008)
 
     def test_distinct_values(self, car_table):
         assert car_table.distinct_values("make") == [
@@ -205,7 +189,7 @@ class TestMutationEpochs:
         car_table.insert(dict(car_table.get(1)))
         assert events == []
 
-    def test_update_revalidates_and_reindexes(self, car_table):
+    def test_update_revalidates_and_reindexes(self, car_database, car_table):
         record = car_table.get(1)  # blue honda accord
         assert record.record_id in car_table.lookup_equal("color", "blue")
         car_table.update(1, {"color": "Green", "price": 4321})
@@ -213,7 +197,9 @@ class TestMutationEpochs:
         assert record["price"] == 4321
         assert record.record_id not in car_table.lookup_equal("color", "blue")
         assert record.record_id in car_table.lookup_equal("color", "green")
-        assert record.record_id in car_table.lookup_range("price", 4000, 5000)
+        assert record.record_id in _select_ids(
+            car_database, "price BETWEEN 4000 AND 5000"
+        )
 
     def test_update_unknown_or_invalid(self, car_table):
         with pytest.raises(RecordNotFoundError) as excinfo:
@@ -229,13 +215,13 @@ class TestMutationEpochs:
         # A failed validation must not have unindexed the record.
         assert 1 in car_table.lookup_equal("make", "honda")
 
-    def test_update_to_nan_rejected(self, car_table):
+    def test_update_to_nan_rejected(self, car_database, car_table):
         epoch = car_table.epoch
         with pytest.raises(SchemaError):
             car_table.update(1, {"price": "nan"})
         assert car_table.get(1)["price"] == 9000
         assert car_table.epoch == epoch
-        assert 1 in car_table.lookup_range("price", 9000, 9000)
+        assert 1 in _select_ids(car_database, "price = 9000")
 
     def test_typed_deltas_carry_payloads(self, car_table):
         events = []

@@ -529,8 +529,10 @@ def test_churn_battery_delta_vs_rebuild(churn_system, domain):
         if roll < 0.6 and numeric and ids:
             target = rng.choice(ids)
             column = rng.choice(numeric)
-            bounds = table.column_bounds(column)
-            value = rng.randint(int(bounds[0]), max(int(bounds[1]), 1))
+            stored = [
+                record[column] for record in table if record.get(column) is not None
+            ]
+            value = rng.randint(int(min(stored)), max(int(max(stored)), 1))
             table.update(target, {column: value})
         elif roll < 0.8 and ids:
             table.insert(dict(table.get(rng.choice(ids))))

@@ -24,6 +24,7 @@ import pytest
 from repro.api import AnswerRequest, SystemBuilder
 from repro.datagen.questions import make_generator
 from repro.obs import (
+    CACHE_FAMILIES,
     InMemoryTraceSink,
     MetricsRegistry,
     Observability,
@@ -565,7 +566,7 @@ class TestConnectedSpanTree:
         stats = run(drive(obs))
         assert stats.latency.count == before + 3
 
-    def test_prometheus_export_covers_the_five_cache_families(self, installed):
+    def test_prometheus_export_covers_every_cache_family(self, installed):
         system, obs = installed
         service = system.service(cache=8, observability=obs)
         questions = _questions(system, 4)
@@ -575,7 +576,6 @@ class TestConnectedSpanTree:
             service.answer(AnswerRequest(question=question, domain="cars"))
         sql = "SELECT record_id FROM car_ads WHERE price < 100000000"
         execute(system.database, sql)
-        execute(system.database, sql)  # plan-cache hit
 
         async def coalesce():
             serve = system.async_service(observability=obs, workers=1)
@@ -591,7 +591,7 @@ class TestConnectedSpanTree:
             for (name, labels) in parsed["samples"]
             if name == "repro_cache_requests_total"
         }
-        assert {"answer", "fragment", "plan", "window", "singleflight"} <= seen
+        assert set(CACHE_FAMILIES) <= seen
         outcomes = {
             dict(labels).get("outcome")
             for (name, labels) in parsed["samples"]

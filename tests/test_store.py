@@ -646,20 +646,6 @@ class TestDropTable:
         with pytest.raises(UnknownTableError):
             Database().drop_table("ghost_ads")
 
-    def test_drop_sweeps_the_default_plan_cache(self):
-        from repro.db.sql.plan_cache import DEFAULT_PLAN_CACHE
-        from repro.db.sql.executor import SQLExecutor
-
-        database = Database()
-        table = database.create_table(small_car_schema())
-        table.insert(dict(SMALL_CAR_ROWS[0]))
-        executor = SQLExecutor(database)
-        sql = "SELECT * FROM car_ads WHERE make = 'honda'"
-        executor.execute_sql(sql)
-        assert sql in DEFAULT_PLAN_CACHE
-        database.drop_table("car_ads")
-        assert sql not in DEFAULT_PLAN_CACHE
-
     def test_drop_sweeps_fragment_cache_and_detaches_resources(self):
         database = Database()
         table = database.create_table(small_car_schema())

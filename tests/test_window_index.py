@@ -8,10 +8,9 @@ Three batteries:
   (shards ∈ {1, 2, 4}); after every round, each query of a range-heavy
   battery must return exactly the records its written-down predicate
   selects, and the delta-maintained per-column null index must agree
-  with a fresh scan.  The storm starts once from a table below
-  ``MIN_WINDOW_ROWS`` (range leaves take the sorted index) and once
-  from a table above it (range leaves take windows or their
-  complements);
+  with a fresh scan.  The storm starts once from the 8-row table and
+  once from an 80-row one; at either size every interval leaf takes a
+  window or its complement;
 * **planner decisions** — observed selectivity flips a leaf from the
   lazy window to its complement representation, with identical
   results, and every choice lands on the executor's ``plan_trace``;
@@ -29,11 +28,7 @@ import pytest
 
 from tests.conftest import SMALL_CAR_ROWS, small_car_schema
 from repro.db.database import Database
-from repro.db.sql.executor import (
-    MIN_WINDOW_ROWS,
-    AccessPlanner,
-    SQLExecutor,
-)
+from repro.db.sql.executor import AccessPlanner, SQLExecutor
 from repro.perf.window import MAX_PENDING_DELTAS, windows_for
 
 MAKES = ("honda", "toyota", "ford", "bmw", "chevy", "kia")
@@ -52,10 +47,11 @@ def _has(record, column: str, test) -> bool:
 
 #: Range-heavy battery, each WHERE clause with the predicate that
 #: defines its answer: numeric ranges (incl. an empty window and a
-#: nearly-universal one), BETWEEN, record_id ranges/BETWEEN/IN (ids
+#: nearly-universal one), numeric = and IN (non-numbers and NULL in an
+#: IN list match nothing), BETWEEN, record_id ranges/BETWEEN/IN (ids
 #: compare by numeric value, so no id equals 2.5), string-lex
-#: comparisons, != with NULLs in play (numeric != complements =, so
-#: NULLs pass; categorical != fails NULLs), NULL tests, and
+#: comparisons, != and NOT = with NULLs in play (numeric != complements
+#: =, so NULLs pass; categorical != fails NULLs), NULL tests, and
 #: combinations.
 BATTERY = (
     ("price < 8000", lambda r: _has(r, "price", lambda v: v < 8000)),
@@ -63,6 +59,13 @@ BATTERY = (
     ("price > 900000", lambda r: _has(r, "price", lambda v: v > 900000)),
     ("price >= 500", lambda r: _has(r, "price", lambda v: v >= 500)),
     ("mileage > 120000", lambda r: _has(r, "mileage", lambda v: v > 120000)),
+    ("year = 2004", lambda r: _has(r, "year", lambda v: v == 2004)),
+    ("price = 9000", lambda r: _has(r, "price", lambda v: v == 9000)),
+    ("NOT year = 2004", lambda r: r.get("year") != 2004),
+    (
+        "price IN (4500, 9000, 'x', NULL)",
+        lambda r: _has(r, "price", lambda v: v in (4500, 9000)),
+    ),
     (
         "price BETWEEN 4000 AND 9000",
         lambda r: _has(r, "price", lambda v: 4000 <= v <= 9000),
@@ -89,6 +92,11 @@ BATTERY = (
         "make = 'honda' AND price < 9000",
         lambda r: r.get("make") == "honda"
         and _has(r, "price", lambda v: v < 9000),
+    ),
+    (
+        "make = 'honda' AND year IN (2004, 2005)",
+        lambda r: r.get("make") == "honda"
+        and _has(r, "year", lambda v: v in (2004, 2005)),
     ),
     (
         "price < 5000 OR mileage > 150000",
@@ -183,20 +191,20 @@ def _storm(shards: int | None, rows) -> set[str]:
 
 @pytest.mark.parametrize("shards", [None, 1, 2, 4])
 def test_mutation_storm_parity(shards):
-    """From the 8-row table, below ``MIN_WINDOW_ROWS``."""
-    assert len(SMALL_CAR_ROWS) < MIN_WINDOW_ROWS
-    assert "index" in _storm(shards, SMALL_CAR_ROWS)
+    """From the 8-row table: even tiny tables take the windows."""
+    paths = _storm(shards, SMALL_CAR_ROWS)
+    assert "window" in paths
+    assert paths <= {"window", "window-complement"}
 
 
 @pytest.mark.parametrize("shards", [None, 1, 2, 4])
 def test_mutation_storm_parity_from_large_table(shards):
-    """From a table above ``MIN_WINDOW_ROWS``: range leaves take
-    windows, and the storm keeps it above the threshold."""
+    """From an 80-row table: leaves take windows or their complements."""
     rng = random.Random(2026_08_09)
-    rows = [_random_row(rng) for _ in range(MIN_WINDOW_ROWS + 16)]
+    rows = [_random_row(rng) for _ in range(80)]
     paths = _storm(shards, rows)
     assert "window" in paths
-    assert "index" not in paths
+    assert paths <= {"window", "window-complement"}
 
 
 def test_empty_table_and_empty_window():
@@ -266,12 +274,12 @@ def test_selectivity_flip_switches_access_path():
     assert paths[-1] == "window-complement"
 
 
-def test_plan_trace_records_index_path_on_tiny_tables():
-    database, _ = _fresh_database(None)  # 8 rows < MIN_WINDOW_ROWS
+def test_plan_trace_records_window_path_on_tiny_tables():
+    database, _ = _fresh_database(None)  # 8 rows
     adaptive = SQLExecutor(database, planner=AccessPlanner())
     adaptive.execute_sql("SELECT * FROM car_ads WHERE price < 8000")
-    assert adaptive.plan_trace[-1].path == "index"
-    assert "index" in adaptive.plan_summary()
+    assert adaptive.plan_trace[-1].path == "window"
+    assert adaptive.plan_summary() == "window x1"
 
 
 def test_plan_summary_counts_paths():

@@ -170,8 +170,9 @@ def main() -> None:
     table.delete(bargain.record_id)  # caches refresh again automatically
 
     # High churn: ads are posted, edited and expired far more often
-    # than the question mix changes.  Every mutation is absorbed as a
-    # typed delta — the ranking column store patches only the changed
+    # than the question mix changes.  Every mutation lands in the
+    # table's delta log, and the next question catches its caches up
+    # from it — the ranking column store patches only the changed
     # column slots and the fragment cache re-evaluates only the touched
     # record per cached criterion — so a stream of point edits costs
     # microseconds per question instead of a full cache rebuild each
@@ -190,7 +191,7 @@ def main() -> None:
     print(f"   {len(victims)} edit+ask rounds, {churn_ms:.1f}ms per round")
     print(f"   fragment cache: +{fragments.hits - hits_before} hits, "
           f"+{fragments.misses - misses_before} misses "
-          f"(patched forward through every edit — no re-evaluation)")
+          f"(caught up through every edit — no re-evaluation)")
 
     # Range predicates: ordered column windows answer =, <, >, >=, <=
     # and BETWEEN leaves on numeric columns with two bisects into a

@@ -22,8 +22,10 @@ class Database:
 
     Catalog-level mutation listeners (:meth:`add_listener`) receive
     every table's :class:`~repro.db.table.MutationEvent`, including
-    tables created after subscription — this is what the fragment and
-    answer caches hang their auto-invalidation on.
+    tables created after subscription — this is what the answer
+    caches' generations, the WAL and table-drop handling hang on.
+    (Derived structures such as the fragment cache read each table's
+    delta log on demand instead.)
 
     An optional storage backend (``storage=`` /
     :meth:`attach_storage`) observes the same stream plus a
@@ -104,8 +106,8 @@ class Database:
         a valid degenerate facade (the parity battery uses it);
         ``None`` keeps the seed's single table.  Catalog listeners
         attach to the facade, which relays every shard's typed
-        mutation deltas re-stamped with the aggregated epoch, the
-        owning shard's index and that shard's own epoch.
+        mutation deltas re-stamped with the facade and its aggregated
+        epoch.
         """
         name = self._canonical(schema.table_name)
         if name in self._tables:

@@ -16,24 +16,29 @@ SQL executor answers every numeric leaf from.
 Records are plain dicts validated by the schema; each gets a stable
 integer id on insert.
 
-Every mutation (insert/delete/update) bumps the table's monotonically
-increasing **epoch** and notifies registered listeners with a *typed
-mutation delta* — :class:`InsertDelta`, :class:`RemoveDelta`,
-:class:`UpdateDelta` (which carries the changed columns and their old/
-new values) or :class:`BatchDelta` (the single event a bulk
-``insert_many``/``remove_many`` emits, wrapping the per-row deltas).
-All deltas subclass :class:`MutationEvent`, so epoch-only listeners
-keep working unchanged; delta-aware caches use the payload to *patch*
-their state in place instead of rebuilding it (column stores, fragment
-id-sets — see ``PERFORMANCE.md`` for the incremental-maintenance
-contract).  Epochs still version every cache: a cache entry keyed on
-the epoch it was computed at can never be served stale, and the
-rebuild path remains the fallback for any delta a structure cannot
-absorb.
+Every mutation (insert/delete/update) builds a *typed row delta* —
+:class:`InsertDelta`, :class:`RemoveDelta` or :class:`UpdateDelta`
+(which carries the changed columns and their old/new values) — appends
+it to the table's **delta log** and bumps the table's monotonically
+increasing **epoch** to the delta's.  The log is the table's one copy
+of its recent change history: it keeps the last
+:data:`DELTA_LOG_LENGTH` deltas, and :meth:`Table.deltas_since` hands
+a reader the deltas after the epoch it last saw.  Every derived
+structure (column windows, ranking column stores, fragment id-sets)
+records the epoch of the last delta it applied and catches up on read
+by replaying that tail, or rebuilds when the log cannot bridge the gap
+(see ``PERFORMANCE.md``).
+
+Listeners hear each write as it lands; they serve parties outside the
+table that must act per write (the WAL, the services' answer-cache
+generations, table drops).  A bulk ``insert_many``/``remove_many``
+notifies them once, with a :class:`BatchDelta` wrapping the row
+deltas.  All events subclass :class:`MutationEvent`.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -43,6 +48,7 @@ from repro.db.schema import AttributeType, TableSchema
 from repro.errors import RecordNotFoundError, SchemaError
 
 __all__ = [
+    "DELTA_LOG_LENGTH",
     "BatchDelta",
     "InsertDelta",
     "MutationEvent",
@@ -52,31 +58,30 @@ __all__ = [
     "UpdateDelta",
 ]
 
+#: How many row deltas a table's log keeps.  A reader further behind
+#: than this rebuilds instead of replaying: by then one rebuild costs
+#: less than splicing every delta into every derived structure.
+DELTA_LOG_LENGTH = 512
+
 
 @dataclass(frozen=True)
 class MutationEvent:
-    """One table mutation, as delivered to epoch listeners.
+    """One table mutation, as delivered to listeners.
 
-    ``kind`` is ``"insert"``, ``"delete"`` or ``"update"``; ``epoch``
-    is the table's epoch *after* the mutation.  Listeners run
-    synchronously on the mutating thread, after indexes are consistent.
+    ``kind`` is ``"insert"``, ``"delete"`` or ``"update"`` (or
+    ``"drop"`` for the catalog's table-drop event); ``epoch`` is the
+    table's epoch *after* the mutation.  Listeners run synchronously
+    on the mutating thread, after indexes are consistent.
 
-    Concrete events are always one of the typed subclasses below; the
-    base class survives as the common surface (and for hand-built
-    events in tests).  ``shard_index``/``shard_epoch`` are ``None`` on
-    plain-table events; a :class:`repro.shard.table.ShardedTable`
-    re-stamps relayed shard events with the facade table, the facade's
-    aggregate epoch, the owning shard's index and that shard's own
-    post-mutation epoch, so shard-granular caches can patch exactly
-    the state that moved.
+    Concrete row events are always one of the typed subclasses below;
+    the base class survives as the common surface (the drop event, and
+    hand-built events in tests).
     """
 
     table: "Table"
     kind: str
     record_id: int
     epoch: int
-    shard_index: int | None = None
-    shard_epoch: int | None = None
 
 
 @dataclass(frozen=True)
@@ -151,11 +156,10 @@ def batch_notifications(table, kind: str):
     only needs the ``_pending_deltas`` list, the
     ``_suppressed_notifications`` counter, an ``_emit_batch(delta)``
     dispatcher and the ``epoch`` property.  The per-row epoch still
-    advances inside the scope (versioned caches see every state); the
-    single event carries the last landed id, the final epoch, and the
-    per-row deltas for consumers that patch.  Nested scopes slice
-    their own rows, and an exception mid-batch still announces the
-    rows that landed before it.
+    advances inside the scope (and each row is logged); the single
+    event carries the last landed id, the final epoch, and the per-row
+    deltas.  Nested scopes slice their own rows, and an exception
+    mid-batch still announces the rows that landed before it.
     """
     mark = len(table._pending_deltas)
     table._suppressed_notifications += 1
@@ -196,6 +200,8 @@ class Table:
         self._records: dict[int, Record] = {}
         self._next_id = 1
         self._epoch = 0
+        #: The last DELTA_LOG_LENGTH row deltas, oldest first.
+        self._log: deque[MutationEvent] = deque(maxlen=DELTA_LOG_LENGTH)
         self._listeners: list[Callable[[MutationEvent], None]] = []
         self._suppressed_notifications = 0
         #: Row deltas collected while notifications are suppressed
@@ -221,17 +227,45 @@ class Table:
             )
 
     # ------------------------------------------------------------------
-    # epoch and listeners
+    # epoch, delta log and listeners
     # ------------------------------------------------------------------
     @property
     def epoch(self) -> int:
         """Monotonically increasing mutation counter (never reused).
 
-        Any insert, delete or update bumps it, so a cache keyed on
-        ``(table, epoch)`` can never serve data from a different table
-        state.
+        Any insert, delete or update bumps it, so a structure that
+        records the epoch it reflects can tell whether it is current.
         """
         return self._epoch
+
+    def deltas_since(self, epoch: int) -> list[MutationEvent] | None:
+        """The row deltas after *epoch*, oldest first.
+
+        ``None`` when the log cannot bridge the gap: it no longer
+        reaches back to *epoch*, *epoch* is ahead of the table, or the
+        epoch was set directly (as snapshot restore does), so no delta
+        leads to the current state.  The caller then rebuilds.
+
+        A delta is logged before the epoch moves to it, so a copy of
+        the log taken after reading the epoch holds every delta up to
+        it (and perhaps a concurrent writer's next ones, which are cut
+        off).  ``list(deque)`` copies in one C-level step, as
+        :meth:`snapshot` does.
+        """
+        current = self._epoch
+        if epoch == current:
+            return []
+        log = list(self._log)
+        if epoch > current or not log:
+            return None
+        stop = len(log) - (log[-1].epoch - current)
+        start = stop - (current - epoch)
+        if start < 0 or stop > len(log):
+            return None
+        tail = log[start:stop]
+        if tail[0].epoch != epoch + 1 or tail[-1].epoch != current:
+            return None
+        return tail
 
     def add_listener(self, listener: Callable[[MutationEvent], None]) -> None:
         """Call *listener* after every mutation of this table."""
@@ -243,6 +277,13 @@ class Table:
             self._listeners.remove(listener)
         except ValueError:
             pass
+
+    def _commit(self, delta: MutationEvent) -> None:
+        """Log *delta*, move the epoch to it, then tell the listeners."""
+        self._log.append(delta)
+        self._epoch = delta.epoch
+        if self._listeners:
+            self._emit(delta)
 
     def _emit(self, delta: MutationEvent) -> None:
         """Deliver *delta* to listeners, or queue it for the batch.
@@ -290,24 +331,20 @@ class Table:
         self._next_id = max(self._next_id, record_id + 1)
         self._records[record.record_id] = record
         self._index_record(record, add=True)
-        self._epoch += 1
-        if self._listeners:
-            self._emit(
-                InsertDelta(
-                    self, "insert", record.record_id, self._epoch, record=record
-                )
+        self._commit(
+            InsertDelta(
+                self, "insert", record.record_id, self._epoch + 1, record=record
             )
+        )
         return record
 
     def insert_many(self, rows: Iterable[dict[str, object]]) -> list[Record]:
         """Insert *rows*, notifying listeners **once** for the batch.
 
-        The epoch still advances per row (versioned caches see every
-        state), but cache-maintenance listeners — each at least an
-        O(cache) sweep — run once instead of once per row, so bulk
-        loads on a warm system stay linear.  The single
+        The epoch still advances per row and every row is logged, but
+        listeners run once instead of once per row.  The single
         :class:`BatchDelta` carries the last inserted id, the final
-        epoch, and the per-row deltas for consumers that patch.
+        epoch, and the per-row deltas.
         """
         inserted: list[Record] = []
         with batch_notifications(self, "insert") as batch:
@@ -322,20 +359,16 @@ class Table:
         if record is None:
             raise RecordNotFoundError(self.name, record_id, "delete")
         self._index_record(record, add=False)
-        self._epoch += 1
-        if self._listeners:
-            self._emit(
-                RemoveDelta(
-                    self, "delete", record_id, self._epoch, record=record
-                )
-            )
+        self._commit(
+            RemoveDelta(self, "delete", record_id, self._epoch + 1, record=record)
+        )
 
     def remove_many(self, record_ids: Iterable[int]) -> int:
         """Delete *record_ids*, notifying listeners **once** for the batch.
 
         The bulk counterpart of :meth:`insert_many`: the epoch still
-        advances per row, but the O(cache) maintenance listeners run
-        once for the whole batch instead of once per deleted record.
+        advances per row, but listeners run once for the whole batch
+        instead of once per deleted record.
         Unknown ids raise (like :meth:`delete`) after the rows deleted
         so far have been notified.  Returns the number of records
         removed; an empty batch notifies nobody.
@@ -353,10 +386,10 @@ class Table:
 
         The record keeps its id and identity (it is mutated in place),
         so references held elsewhere observe the new values.  The
-        emitted :class:`UpdateDelta` carries exactly the columns whose
-        normalized value changed (with old and new values), so
-        delta-aware caches patch the touched slots instead of
-        rebuilding; a missing *record_id* raises
+        logged :class:`UpdateDelta` carries exactly the columns whose
+        normalized value changed (with old and new values), so derived
+        structures patch the touched slots instead of rebuilding; a
+        missing *record_id* raises
         :class:`~repro.errors.RecordNotFoundError`.
         """
         record = self._records.get(record_id)
@@ -373,23 +406,23 @@ class Table:
         old_values = {column: record.get(column) for column in changed}
         new_values = {column: normalized[column] for column in changed}
         self._index_record(record, add=False)
-        record.clear()
+        # normalized has every key the record has, so one C-level
+        # update swaps all values at once: a concurrent snapshot reader
+        # (a window or store build) sees the record whole, old or new.
         record.update(normalized)
         self._index_record(record, add=True)
-        self._epoch += 1
-        if self._listeners:
-            self._emit(
-                UpdateDelta(
-                    self,
-                    "update",
-                    record_id,
-                    self._epoch,
-                    changed_columns=changed,
-                    old_values=old_values,
-                    new_values=new_values,
-                    record=record,
-                )
+        self._commit(
+            UpdateDelta(
+                self,
+                "update",
+                record_id,
+                self._epoch + 1,
+                changed_columns=changed,
+                old_values=old_values,
+                new_values=new_values,
+                record=record,
             )
+        )
         return record
 
     def _index_record(self, record: Record, add: bool) -> None:

@@ -9,15 +9,16 @@ invalidation contracts):
   relaxed pool is derived by set intersection, replacing the
   N×(N-1) predicate evaluations of running each relaxed query with N;
 * :mod:`repro.perf.colrank` — the columnar top-k ranking engine:
-  per-table-epoch column stores, slot-wise scoring with distinct-value
-  memos, and a lazy ranked pool that orders and builds only the rows
-  read — bit-identical to the legacy ranker;
+  column stores caught up from the table's delta log, slot-wise
+  scoring with distinct-value memos, and a lazy ranked pool that
+  orders and builds only the rows read — bit-identical to the legacy
+  ranker;
 * :mod:`repro.perf.fragment_cache` — cross-question memoization of
-  relaxation-unit id-sets, keyed on the table's mutation epoch so
-  entries can never be served stale;
-* :mod:`repro.perf.window` — per-epoch ordered column windows: sorted
-  ``array``-backed (value, id) views maintained incrementally through
-  the typed-delta path, the one ordered structure a column has.  They
+  relaxation-unit id-sets, each caught up from the table's delta log
+  when it is read;
+* :mod:`repro.perf.window` — ordered column windows: sorted
+  ``array``-backed (value, id) views caught up from the table's delta
+  log on read, the one ordered structure a column has.  They
   answer numeric equality, ``IN``, range, BETWEEN and lexicographic
   leaves with two bisects each (the SQL executor's
   selectivity-adaptive planner picks the window or its complement per

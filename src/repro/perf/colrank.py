@@ -7,11 +7,13 @@ then fully sorts the pool even though the pipeline presents at most 30
 answers.  This module restructures that work around the table, not the
 record:
 
-* :class:`ColumnStore` materializes, once per **table epoch**,
-  contiguous per-column arrays: stored categorical strings, parsed
-  floats for numeric columns, and the Type I key tuple per row.  A
-  mutation bumps the epoch (see :mod:`repro.db.table`) and the next
-  ranking call rebuilds the store — no manual invalidation.
+* :class:`ColumnStore` materializes contiguous per-column arrays:
+  stored categorical strings, parsed floats for numeric columns, and
+  the Type I key tuple per row.  It records the table epoch it
+  reflects; the next ranking call after a mutation catches it up from
+  the table's delta log (:meth:`ColumnStore.apply`, one delta at a
+  time) or rebuilds it when the log cannot bridge the gap (see
+  :mod:`repro.db.table`) — no manual invalidation.
 * :func:`columnar_rank_units` scores a pool **by column**: each scoring
   slot (a condition, or a whole "any" unit) produces a satisfied/
   contribution array over the pool in one tight loop, with per-distinct
@@ -48,15 +50,7 @@ from itertools import chain
 from typing import Sequence
 
 from repro.db.schema import AttributeType
-from repro.db.table import (
-    BatchDelta,
-    InsertDelta,
-    MutationEvent,
-    Record,
-    RemoveDelta,
-    Table,
-    UpdateDelta,
-)
+from repro.db.table import InsertDelta, MutationEvent, Record, Table, UpdateDelta
 from repro.db.predicate import NUMERIC, parse_numeric
 from repro.qa.conditions import Condition
 from repro.qa.sql_generation import condition_predicate
@@ -163,13 +157,12 @@ class ColumnStore:
     # ------------------------------------------------------------------
     # incremental maintenance (delta patching)
     # ------------------------------------------------------------------
-    def apply(
-        self, delta: MutationEvent, epoch: int | None = None
-    ) -> "ColumnStore | None":
-        """Absorb one typed mutation delta; ``None`` = rebuild instead.
+    def apply(self, delta: MutationEvent) -> "ColumnStore | None":
+        """Apply one row delta of the table's log; ``None`` = rebuild.
 
-        Returns the store reflecting the post-delta table state — the
-        slot memos are value-keyed, so they survive every patch:
+        Returns the store reflecting the post-delta table state, tagged
+        with the delta's epoch — the slot memos are value-keyed, so
+        they survive every patch:
 
         * an :class:`~repro.db.table.UpdateDelta` returns a
           copy-on-write clone that re-slots only the changed columns'
@@ -182,39 +175,18 @@ class ColumnStore:
           insert and every :class:`~repro.db.table.RemoveDelta` return
           a patched **shallow copy** (C-level list copies — no
           re-parsing, no re-stringifying) sharing the memos, so
-          concurrent readers never see rows shift under their indices;
-        * a :class:`~repro.db.table.BatchDelta` folds its row deltas.
+          concurrent readers never see rows shift under their indices.
 
-        *epoch* overrides the target epoch tag (per-shard stores are
-        patched from facade-stamped deltas using the shard's own
-        epoch).  ``None`` comes back for anything else: an epoch gap
-        (the store missed deltas — e.g. a listener detach window), an
-        unknown row, or an untyped event.  The caller then falls back
-        to the epoch rebuild.
+        ``None`` comes back when the store does not hold the row the
+        way the delta expects (an insert of a row it already holds, a
+        remove or update of one it lacks: a build that raced the
+        write).  The caller then rebuilds.
         """
-        if isinstance(delta, BatchDelta):
-            if epoch is not None:
-                return None  # per-shard replay needs per-row epochs
-            if not delta.deltas:
-                return None
-            store: "ColumnStore | None" = self
-            for sub in delta.deltas:
-                store = store.apply(sub)
-                if store is None:
-                    return None
-            return store
-        target = delta.epoch if epoch is None else epoch
-        if target != self.epoch + 1:
-            return None
         if isinstance(delta, UpdateDelta):
-            return self._apply_update(delta, target)
+            return self._apply_update(delta, delta.epoch)
         if isinstance(delta, InsertDelta):
-            if delta.record is None:
-                return None
-            return self._apply_insert(delta.record, target)
-        if isinstance(delta, RemoveDelta):
-            return self._apply_remove(delta.record_id, target)
-        return None
+            return self._apply_insert(delta.record, delta.epoch)
+        return self._apply_remove(delta.record_id, delta.epoch)
 
     def _apply_update(
         self, delta: UpdateDelta, target: int

@@ -55,27 +55,13 @@ class LRUCache:
 
     def pop_where(self, predicate: Callable[[Hashable, object], bool]) -> int:
         """Drop every entry *predicate* accepts; returns how many."""
-        return len(self.pop_items(predicate))
-
-    def pop_items(
-        self, predicate: Callable[[Hashable, object], bool]
-    ) -> list[tuple[Hashable, object]]:
-        """Remove and return every ``(key, value)`` *predicate* accepts.
-
-        The delta-maintenance hook: callers patch the popped values and
-        :meth:`put` them back under their new version key (re-inserted
-        entries land at the MRU end, which is where a just-patched
-        entry belongs anyway).
-        """
         with self._lock:
-            popped = [
-                (key, value)
-                for key, value in self._items.items()
-                if predicate(key, value)
+            doomed = [
+                key for key, value in self._items.items() if predicate(key, value)
             ]
-            for key, _value in popped:
+            for key in doomed:
                 del self._items[key]
-            return popped
+            return len(doomed)
 
     def clear(self) -> int:
         with self._lock:

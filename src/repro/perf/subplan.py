@@ -13,7 +13,9 @@ every N-1 pool by set intersection:
    expression (AND over its conditions; OR for an "any" unit) and
    evaluates it through
    :meth:`~repro.db.sql.executor.SQLExecutor.eval_where`, so leaf
-   semantics are the SQL executor's;
+   semantics are the SQL executor's — unless the cross-question
+   :mod:`~repro.perf.fragment_cache` holds the set, which it catches
+   up from the table's delta log on lookup;
 2. :func:`drop_intersections` combines the cached sets with
    prefix/suffix intersections — 3N set operations total instead of
    the N×(N-2) of evaluating each relaxed query;
@@ -41,7 +43,7 @@ from repro.db.database import Database
 from repro.db.sql.builder import QueryBuilder
 from repro.db.sql.executor import SQLExecutor
 from repro.db.table import Record, Table
-from repro.obs import cache_event, span
+from repro.obs import span
 from repro.qa.conditions import Interpretation
 from repro.qa.domain import AdsDomain
 from repro.qa.sql_generation import (
@@ -86,95 +88,68 @@ def unit_id_sets(
     """Each unit's matching id-set, evaluated once against *table*.
 
     With a :class:`~repro.perf.fragment_cache.FragmentCache`, id-sets
-    are memoized across questions keyed on the table's mutation epoch,
-    so a criterion repeated by a later question ("price < 10000") is
-    never re-evaluated until the table changes — and usually not even
-    then: the engine's mutation listener patches the cached sets
-    forward to the new epoch
-    (:meth:`~repro.perf.fragment_cache.FragmentCache.absorb`), so this
-    function keeps hitting warm entries through point mutations
-    without knowing how they were maintained.  Cached sets are
+    are memoized across questions, so a criterion repeated by a later
+    question ("price < 10000") is not re-evaluated — not even after
+    point mutations: the cache catches a stored set up from the
+    table's delta log on lookup, and only a gap the log cannot bridge
+    sends the unit back through ``eval_where``.  Cached sets are
     shared — neither this module nor its callers may mutate them.
 
     A :class:`~repro.shard.table.ShardedTable` scatters instead: each
     unit is evaluated per shard and the per-shard sets are unioned
     (shards partition the records, so the union is exactly the
-    single-table set).  Per-shard fragments key on the owning shard's
-    **own** epoch — a mutation to one shard leaves the other shards'
-    cached fragments live, which is the cache-locality payoff of
-    sharding (see ``PERFORMANCE.md``).
+    single-table set, and always a fresh set).  Per-shard fragments
+    follow their own shard's log and epoch — a mutation to one shard
+    leaves the other shards' cached fragments current, which is the
+    cache-locality payoff of sharding (see ``PERFORMANCE.md``).
     """
+    builder = QueryBuilder(table.name)
     shards = getattr(table, "shards", None)
-    if shards is not None:
-        return _sharded_unit_id_sets(
-            executor, table, shards, units, fragment_cache
-        )
-    builder = QueryBuilder(table.name)
-    epoch = table.epoch
+    if shards is None:
+        return [
+            _fragment(executor, table, None, unit, builder, fragment_cache)
+            for unit in units
+        ]
     sets: list[set[int]] = []
     for unit in units:
-        ids = (
-            fragment_cache.get(table.name, epoch, unit)
-            if fragment_cache is not None
-            else None
-        )
-        if fragment_cache is not None:
-            cache_event("fragment", ids is not None)
-        if ids is None:
-            expression = unit_expression(builder, unit)
-            assert expression is not None  # units always carry >= 1 condition
-            ids = executor.eval_where(table, expression)
-            if fragment_cache is not None:
-                fragment_cache.put(table.name, epoch, unit, ids)
-        sets.append(ids)
-    return sets
-
-
-def _sharded_unit_id_sets(
-    executor: SQLExecutor,
-    table: Table,
-    shards: Sequence[Table],
-    units: Sequence[ScoringUnit],
-    fragment_cache: "FragmentCache | None",
-) -> list[set[int]]:
-    """Scatter-gather :func:`unit_id_sets` over a sharded table.
-
-    Fragment keys are ``(facade name, (shard index, shard epoch),
-    unit)`` — the facade name keeps the eager invalidation sweep
-    addressable per table, while the shard's own epoch versions the
-    entry, so sibling-shard mutations never stale it.  The gathered
-    union is always a fresh set, so cached per-shard sets stay
-    unshared-mutable exactly like the single-table path's.
-    """
-    builder = QueryBuilder(table.name)
-    epochs = [shard.epoch for shard in shards]
-    sets: list[set[int]] = []
-    for unit in units:
-        expression = None
         merged: set[int] = set()
-        for index, shard in enumerate(shards):
-            shard_epoch = (index, epochs[index])
-            ids = (
-                fragment_cache.get(table.name, shard_epoch, unit)
-                if fragment_cache is not None
-                else None
+        for index in range(len(shards)):
+            merged |= _fragment(
+                executor, table, index, unit, builder, fragment_cache
             )
-            if fragment_cache is not None:
-                cache_event("fragment", ids is not None)
-            if ids is None:
-                if expression is None:
-                    expression = unit_expression(builder, unit)
-                    assert expression is not None
-                # This scatter is sequential (the executor's set algebra
-                # gathers in place); a traced request still sees one
-                # span per shard evaluation, like map_shards' spans.
-                with span("shard.scatter", shard=index, table=table.name):
-                    ids = executor.eval_where(shard, expression)
-                if fragment_cache is not None:
-                    fragment_cache.put(table.name, shard_epoch, unit, ids)
-            merged |= ids
         sets.append(merged)
     return sets
+
+
+def _fragment(
+    executor: SQLExecutor,
+    table: Table,
+    shard: int | None,
+    unit: ScoringUnit,
+    builder: QueryBuilder,
+    fragment_cache: "FragmentCache | None",
+) -> set[int]:
+    """*unit*'s id-set over *table*, or over its shard *shard*: from
+    the cache when it can catch up, else evaluated (and cached)."""
+    if fragment_cache is not None:
+        ids = fragment_cache.get(table, shard, unit)
+        if ids is not None:
+            return ids
+    source = table if shard is None else table.shards[shard]
+    epoch = source.epoch
+    expression = unit_expression(builder, unit)
+    assert expression is not None  # units always carry >= 1 condition
+    if shard is None:
+        ids = executor.eval_where(table, expression)
+    else:
+        # This scatter is sequential (the executor's set algebra
+        # gathers in place); a traced request still sees one span per
+        # shard evaluation, like map_shards' spans.
+        with span("shard.scatter", shard=shard, table=table.name):
+            ids = executor.eval_where(source, expression)
+    if fragment_cache is not None:
+        fragment_cache.put(table, shard, unit, epoch, ids)
+    return ids
 
 
 def drop_intersections(unit_sets: Sequence[set[int]]) -> list[set[int]]:

@@ -12,27 +12,25 @@ executor's set algebra can intersect against without materializing
 (membership is an O(1) record fetch plus a bounds check), so a
 selective conjunction never pays for the window's width.
 
-Windows are maintained **incrementally through the typed-delta path**
-(the same contract :meth:`repro.perf.colrank.ColumnStore.apply`
-honors): a :class:`~repro.db.table.TableWindows` listener buffers each
-table's :class:`~repro.db.table.InsertDelta` /
+Windows are maintained **incrementally from the table's delta log**
+(:meth:`~repro.db.table.Table.deltas_since`), the one replay rule
+every derived structure follows: each window records the epoch of the
+last delta it applied, and on the next access
+:meth:`TableWindows.window` splices the log's
+:class:`~repro.db.table.InsertDelta` /
 :class:`~repro.db.table.UpdateDelta` /
-:class:`~repro.db.table.RemoveDelta` /
-:class:`~repro.db.table.BatchDelta` and, on the next window access,
-splices them into the sorted arrays via ``bisect`` — no re-sort.  Every
-delta must advance a window's epoch by exactly one; a gap (a detached
-listener, an unreplayable batch) drops the window and the next access
-rebuilds it from a table snapshot, with the rebuild counted per column
-(``rebuild_count``) so tests can assert that point mutations patch in
-place.
+:class:`~repro.db.table.RemoveDelta` tail into the sorted arrays via
+``bisect`` — no re-sort, and only for the columns actually read.  When
+the log cannot bridge the gap (it no longer reaches back, or the epoch
+was set directly) the window is rebuilt from a table snapshot, with
+the rebuild counted per column (``rebuild_count``) so tests can assert
+that point mutations patch in place.
 
 Sharded facades never get a facade-level window: :func:`windows_for`
 returns a :class:`ShardedWindows` that delegates to per-shard
-:class:`TableWindows` attached directly to the shard tables.  Shard
-listeners see the shards' **native** epochs (no facade re-stamping),
-so one shard's mutation leaves the other shards' windows untouched —
-the same cache locality the fragment cache's ``(shard index, shard
-epoch)`` keys buy.
+:class:`TableWindows` over the shard tables, each reading its own
+shard's log and epoch, so one shard's mutation leaves the other
+shards' windows current.
 
 Concurrency stance: window arrays are spliced in place under the
 owner's lock while readers go unsynchronized — the guarantees the
@@ -51,14 +49,7 @@ from array import array
 from typing import Sequence
 
 from repro.db.predicate import CATEGORICAL, NUMERIC, RECORD_ID, Predicate, value_key
-from repro.db.table import (
-    BatchDelta,
-    InsertDelta,
-    MutationEvent,
-    RemoveDelta,
-    Table,
-    UpdateDelta,
-)
+from repro.db.table import InsertDelta, MutationEvent, RemoveDelta, Table
 from repro.obs.hooks import cache_event
 
 __all__ = [
@@ -68,13 +59,6 @@ __all__ = [
     "TableWindows",
     "windows_for",
 ]
-
-#: Buffered deltas beyond this many poison the pending queue: folding
-#: is O(windows x rows), so past this point dropping the windows and
-#: rebuilding lazily (one O(n log n) sort each, only for the columns
-#: actually queried again) is strictly cheaper — the window analogue of
-#: ``FragmentCache.MAX_ABSORB_ROWS``.
-MAX_PENDING_DELTAS = 512
 
 
 class ColumnWindow:
@@ -101,8 +85,9 @@ class ColumnWindow:
         self.column = column
         self.kind = kind
         # Epoch read first: a mutation landing mid-build tags the
-        # window older, and the next access detects the mismatch and
-        # rebuilds (the ColumnStore builds the same way).
+        # window older, and the next access replays that delta over a
+        # build that may already hold it — the splices below are
+        # idempotent, so the replay settles on the same pairs.
         self.epoch = table.epoch
         if kind == RECORD_ID:
             self.values: array | list[str] | None = None
@@ -137,6 +122,11 @@ class ColumnWindow:
         high = bisect.bisect_right(self.values, key, low)
         # Ids ascend within the equal-value run: bisect there too.
         position = bisect.bisect_left(self.ids, record_id, low, high)
+        if position < high and self.ids[position] == record_id:
+            # Already present: an insert delta carries the live record,
+            # so a later update of it in the same catch-up (or a build
+            # that raced the write) already placed this pair.
+            return
         self.values.insert(position, key)
         self.ids.insert(position, record_id)
         self._order_cache = None
@@ -166,48 +156,25 @@ class ColumnWindow:
             del self.ids[position]
             self._order_cache = None
 
-    def apply(self, delta: MutationEvent) -> bool:
-        """Splice one typed row delta; ``False`` means "rebuild me".
+    def apply(self, delta: MutationEvent) -> None:
+        """Splice one row delta of the table's log and move to its epoch.
 
-        A delta at or below this window's epoch is already reflected
-        (the window was built after it) and is skipped; a delta more
-        than one epoch ahead reveals a gap in the stream the splice
-        must not paper over.  Every consumed delta advances the epoch
-        by one even when it touches nothing (an update to another
-        column, an all-NULL insert) — epoch continuity is the
-        correctness spine, mirroring ``ColumnStore.apply``.
+        Every delta advances the epoch, also one that touches nothing
+        here (an update to another column, an all-NULL insert).
         """
-        if delta.epoch <= self.epoch:
-            return True
-        if delta.epoch != self.epoch + 1:
-            return False
         if self.kind == RECORD_ID:
             if isinstance(delta, InsertDelta):
                 self._insert_id(delta.record_id)
             elif isinstance(delta, RemoveDelta):
                 self._remove_id(delta.record_id)
-            elif not isinstance(delta, UpdateDelta):
-                return False
         elif isinstance(delta, InsertDelta):
-            if delta.record is None:
-                return False
             self._insert_pair(delta.record.get(self.column), delta.record_id)
         elif isinstance(delta, RemoveDelta):
-            if delta.record is None:
-                return False
             self._remove_pair(delta.record.get(self.column), delta.record_id)
-        elif isinstance(delta, UpdateDelta):
-            if self.column in delta.changed_columns:
-                self._remove_pair(
-                    delta.old_values.get(self.column), delta.record_id
-                )
-                self._insert_pair(
-                    delta.new_values.get(self.column), delta.record_id
-                )
-        else:
-            return False
+        elif self.column in delta.changed_columns:
+            self._remove_pair(delta.old_values.get(self.column), delta.record_id)
+            self._insert_pair(delta.new_values.get(self.column), delta.record_id)
         self.epoch = delta.epoch
-        return True
 
     # ------------------------------------------------------------------
     # range answering
@@ -312,16 +279,14 @@ class IdWindow:
 
 
 class TableWindows:
-    """All of one plain table's column windows, delta-maintained.
+    """All of one plain table's column windows, caught up on read.
 
-    Windows build lazily per column on first request; a mutation
-    listener (attached at construction) buffers the table's typed
-    deltas, and :meth:`window` folds them into every built window —
-    bisect splices, no re-sort — before returning.  Any unreplayable
-    stream (epoch gap, payload-less batch, pending overflow) drops the
-    affected windows; the next request rebuilds from a snapshot and
-    bumps that column's rebuild counter, which is how tests pin "a
-    point update patches in place".
+    Windows build lazily per column on first request; :meth:`window`
+    replays the table's delta log since the window's epoch — bisect
+    splices, no re-sort — before returning it.  When the log cannot
+    bridge the gap the window is rebuilt from a snapshot and that
+    column's rebuild counter moves, which is how tests pin "a point
+    update patches in place".
 
     Holds its table weakly: the process-wide registry
     (:func:`windows_for`) keys on the table, and a strong back-edge
@@ -332,63 +297,26 @@ class TableWindows:
         self._table_ref = weakref.ref(table)
         self._lock = threading.RLock()
         self._windows: dict[str, ColumnWindow] = {}
-        self._pending: list[MutationEvent] = []
-        self._overflowed = False
         #: Full builds per column (the first build counts as 1).
         self._rebuilds: dict[str, int] = {}
-        table.add_listener(self._on_delta)
-
-    # ------------------------------------------------------------------
-    def _on_delta(self, event: MutationEvent) -> None:
-        with self._lock:
-            if not self._windows or self._overflowed:
-                return  # nothing built (or already poisoned): rebuild lazily
-            self._pending.append(event)
-            if len(self._pending) > MAX_PENDING_DELTAS:
-                self._pending.clear()
-                self._overflowed = True
-
-    def _fold(self) -> None:
-        """Drain the pending deltas into every built window (locked)."""
-        if self._overflowed:
-            self._windows.clear()
-            self._pending.clear()
-            self._overflowed = False
-            return
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        row_deltas: list[MutationEvent] = []
-        for event in pending:
-            if isinstance(event, BatchDelta):
-                if not event.deltas:
-                    # A batch without row payloads cannot be replayed;
-                    # drop everything and rebuild on demand.
-                    self._windows.clear()
-                    return
-                row_deltas.extend(event.deltas)
-            else:
-                row_deltas.append(event)
-        stale = [
-            column
-            for column, window in self._windows.items()
-            if not all(window.apply(delta) for delta in row_deltas)
-        ]
-        for column in stale:
-            del self._windows[column]
 
     # ------------------------------------------------------------------
     def window(self, column: str) -> ColumnWindow:
-        """The live window for *column*, folding pending deltas first."""
+        """The window for *column*, caught up to the table's log."""
         table = self._table_ref()
         if table is None:
             raise RuntimeError("table was garbage-collected")
         with self._lock:
-            self._fold()
             window = self._windows.get(column)
-            hit = window is not None and window.epoch == table.epoch
-            cache_event("window", hit)
-            if not hit:
+            if window is not None and window.epoch != table.epoch:
+                deltas = table.deltas_since(window.epoch)
+                if deltas is None:
+                    window = None
+                else:
+                    for delta in deltas:
+                        window.apply(delta)
+            cache_event("window", window is not None)
+            if window is None:
                 window = self._build(table, column)
                 self._windows[column] = window
             return window
@@ -417,10 +345,9 @@ class ShardedWindows:
     """Per-shard windows behind a :class:`ShardedTable` facade.
 
     Never builds a facade-level window: each shard's
-    :class:`TableWindows` listens on the shard table directly, so its
-    deltas carry the shard's **native** epochs and one shard's
-    mutation leaves every sibling's windows live.  A facade range leaf
-    is an :class:`IdWindow` with one segment per shard.
+    :class:`TableWindows` reads its own shard's log and epoch, so one
+    shard's mutation leaves every sibling's windows current.  A facade
+    range leaf is an :class:`IdWindow` with one segment per shard.
     """
 
     def __init__(self, table) -> None:

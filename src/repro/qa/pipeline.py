@@ -16,6 +16,13 @@ options, batching and pagination on top of the same stages.
 ``max_answers`` defaults to 30, the paper's choice backed by the
 iProspect statistic that 88% of users never look past 30 results (and
 the survey average of ~26 desired answers).
+
+The engine's derived state over the ads tables — the fragment cache
+of unit id-sets, the ranking column stores, the column windows the
+executor reads — follows each table's delta log on read
+(:meth:`repro.db.table.Table.deltas_since`), so a write costs the
+engine nothing.  :class:`CQAds` listens to the catalog only for table
+drops, which no log records.
 """
 
 from __future__ import annotations
@@ -265,11 +272,10 @@ class CQAds:
         pagination can walk.
     fragment_cache:
         Cross-question memoization of relaxation-unit id-sets
-        (:mod:`repro.perf.fragment_cache`), keyed on each table's
-        mutation epoch and patched forward from the database's typed
-        mutation deltas (:meth:`FragmentCache.absorb`); a delta the
-        cache cannot absorb sweeps the dead generation instead.  Pass
-        a capacity, a prebuilt
+        (:mod:`repro.perf.fragment_cache`); each entry records the
+        table (or shard) epoch it reflects and catches up from the
+        table's delta log when it is next read.  Pass a capacity, a
+        prebuilt
         :class:`~repro.perf.fragment_cache.FragmentCache`, or ``None``
         to disable.
     shards:
@@ -326,11 +332,10 @@ class CQAds:
         if isinstance(fragment_cache, int):
             fragment_cache = FragmentCache(fragment_cache)
         self.fragment_cache = fragment_cache
-        # Epoch keying already makes stale hits impossible; the
-        # listener reclaims dead generations' memory eagerly — and,
-        # regardless of the fragment cache, reacts to table drops
-        # (detaching the dead table's ranking resources), which is why
-        # it is registered even with the cache disabled.
+        # Table drops are the one write this engine must hear as it
+        # lands (everything else catches up from the delta logs on
+        # read), so the listener is registered even with the cache
+        # disabled.
         database.add_listener(self._on_table_mutation)
         # Each N-1 query contributes at most this many candidates —
         # the paper's per-query retrieval cap ("up to 30 (in)exact
@@ -357,42 +362,17 @@ class CQAds:
         self._default_pipeline: "QueryPipeline | None" = None
 
     def _on_table_mutation(self, event: MutationEvent) -> None:
-        if event.kind == "drop":
-            self._on_table_drop(event)
-            return
-        if self.fragment_cache is None:
-            return
-        if self.fragment_cache.absorb(event):
-            # The cached unit id-sets were patched forward to the new
-            # epoch (re-evaluating only the touched rows) and every
-            # dead generation swept — the next question hits warm
-            # fragments instead of re-running each unit's index scan.
-            return
-        # Fallback for a delta the cache refused: drop the dead
-        # generation; the next question recomputes the affected
-        # fragments from scratch.
-        shards = getattr(event.table, "shards", None)
-        if shards is None:
-            self.fragment_cache.invalidate(event.table.name)
-            return
-        # Sharded tables: reclaim only dead generations.  Fragments key
-        # on each shard's own epoch, so the untouched shards' entries
-        # are still current — sweeping them would forfeit the locality
-        # that per-shard caching exists to provide.
-        live = {(index, shard.epoch) for index, shard in enumerate(shards)}
-        self.fragment_cache.invalidate_stale(event.table.name, live)
-
-    def _on_table_drop(self, event: MutationEvent) -> None:
         """A table left the catalog: sweep everything keyed on it.
 
-        Epoch keying is **not** enough here — a recreated same-name
-        table starts a fresh epoch sequence (and a sharded one can
-        re-reach a dropped shard's epoch tag), so the dropped table's
-        fragments are swept wholesale rather than by staleness, and
-        the domain's ranking resources are detached from the dead
-        table object (:meth:`context` re-attaches them lazily to the
-        recreated table on next use).
+        Row writes need nothing here.  A drop does: a recreated
+        same-name table starts a fresh epoch sequence, so the dropped
+        table's fragments are swept wholesale, and the domain's
+        ranking resources are detached from the dead table object
+        (:meth:`context` re-attaches them lazily to the recreated
+        table on next use).
         """
+        if event.kind != "drop":
+            return
         if self.fragment_cache is not None:
             self.fragment_cache.invalidate(event.table.name)
         domain = self.registered_domain_for_table(event.table.name)
@@ -402,16 +382,15 @@ class CQAds:
                 resources.detach_table()
 
     def close(self) -> None:
-        """Detach this engine's mutation listeners from the catalog.
+        """Detach this engine's drop listener from the catalog.
 
         Call when discarding an engine whose :class:`Database` lives
         on (e.g. rebuilding engines over a shared catalog): otherwise
-        the catalog keeps the engine — its fragment cache, column
-        stores and ranking memos — reachable and keeps running its
-        invalidation sweeps on every mutation.  Idempotent, and the
-        engine remains usable afterwards: epoch keying keeps the
-        fragment cache correct while detached, and :meth:`context`
-        lazily re-attaches each domain's resources on next use.
+        the catalog keeps the engine — its fragment cache and column
+        stores — reachable.  Idempotent, and the engine remains usable
+        afterwards: cached fragments catch up from the delta logs on
+        read, and :meth:`context` lazily re-attaches each domain's
+        resources on next use.
         """
         self.database.remove_listener(self._on_table_mutation)
         for context in self._contexts.values():
@@ -482,8 +461,8 @@ class CQAds:
         With a ``domain_loader`` attached (lazy builds), an unknown
         name is provisioned on first use before failing.  Resources
         registered before their table existed are bound to it here, on
-        first use, so the columnar engine and the update-invalidation
-        listener work regardless of registration order.
+        first use, so the columnar engine works regardless of
+        registration order.
         """
         self._maybe_load(name)
         try:

@@ -18,6 +18,14 @@ Whether a condition is satisfied is never decided here:
 (:mod:`repro.db.predicate`) through the condition's SQL rendering, so
 a record is an exact match for Rank_Sim exactly when the SQL executor
 returns it.
+
+A domain's :class:`RankingResources` hold the columnar ranker's column
+stores (:mod:`repro.perf.colrank`), which follow the attached table's
+delta log on read like every other derived structure
+(:meth:`~repro.db.table.Table.deltas_since`).  Nothing here listens to
+the table, and nothing is cached per record: the per-record engine
+computes a record's Type I key (:meth:`RankingResources.record_key`)
+when it scores the record.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.db.schema import AttributeType
-from repro.db.table import BatchDelta, MutationEvent, Record, Table, UpdateDelta
+from repro.db.table import Record, Table
 from repro.qa.conditions import Condition
 from repro.qa.sql_generation import condition_predicate
 from repro.ranking.num_sim import condition_num_sim
@@ -102,15 +110,6 @@ class RankingResources:
     value_ranges: dict[str, float]
     type_i_columns: list[str]
     product_keys: list[Key] = field(default_factory=list)
-    #: Per-record Type I key memo (keyed by the table's stable
-    #: ``record_id``, evicted on updates and deletes, see
-    #: PERFORMANCE.md).  Shared across questions so ``rank_units`` stops
-    #: re-stringifying every record per question; dict writes are atomic
-    #: under the GIL and racing writers store equal values, so the
-    #: memo is safe under ``answer_batch`` concurrency.
-    _record_keys: dict[int, Key] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     #: The backing table, attached by :meth:`attach_table` when the
     #: domain is registered.  Enables the columnar ranking engine
     #: (:mod:`repro.perf.colrank`): without a table, rankers fall back
@@ -121,9 +120,10 @@ class RankingResources:
     )
     #: Per-shard column stores when the attached table is a
     #: :class:`repro.shard.table.ShardedTable` — one store per shard,
-    #: each keyed on its shard's **own** epoch, so a point mutation
-    #: rebuilds one store of N instead of the whole-table image.
-    _shard_stores: "list[ColumnStore | None] | None" = field(
+    #: each caught up from its shard's **own** delta log, so a point
+    #: mutation patches one store of N.  Replaced wholesale, never
+    #: mutated in place, so a caller may keep the list it was handed.
+    _shard_stores: "list[ColumnStore] | None" = field(
         default=None, repr=False, compare=False
     )
     #: Cross-question memo of :meth:`query_keys` results, keyed by the
@@ -132,173 +132,71 @@ class RankingResources:
     _query_keys_memo: dict[tuple, list[Key]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Row deltas received since the stores last caught up, drained
-    #: under ``_store_lock`` by :meth:`column_store` /
-    #: :meth:`shard_column_stores`.  Overflow (or an un-replayable
-    #: event) poisons the buffer and forces one rebuild.
-    _pending_deltas: list[MutationEvent] = field(
-        default_factory=list, repr=False, compare=False
-    )
-    _pending_overflow: bool = field(default=False, repr=False, compare=False)
+    #: Serializes store catch-up, so concurrent ``answer_batch``
+    #: threads never apply one delta twice.
     _store_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    #: Buffered deltas beyond this force a rebuild instead — a bulk
-    #: load patched row-by-row would do more work than one rebuild.
-    MAX_PENDING_DELTAS = 256
-
     def attach_table(self, table: Table) -> None:
         """Bind these resources to their backing *table*.
 
-        Turns on the columnar engine (``column_store``) and subscribes
-        to the table's mutation epochs so the per-record key memo cannot
-        serve values from before an update.
+        Turns on the columnar engine (``column_store``).  Stores of a
+        previously attached table are dropped: their epochs say
+        nothing about this one.
         """
         if self.table is table:
             return
-        if self.table is not None:
-            self.table.remove_listener(self._on_mutation)
-        # Mutations that happened while detached (or against a previous
-        # table) fired no listener here — start the per-record memo
-        # clean so a re-attach can never resurrect pre-update values.
-        # The delta buffer starts clean too: any store epoch gap left
-        # by the detach window falls back to a rebuild (the deltas to
-        # bridge it were never delivered).
-        self._record_keys.clear()
-        self.table = table
-        self._shard_stores = None
         with self._store_lock:
-            self._pending_deltas.clear()
-            self._pending_overflow = False
-        table.add_listener(self._on_mutation)
+            self.table = table
+            self._column_store = None
+            self._shard_stores = None
 
     def detach_table(self) -> None:
-        """Unsubscribe from the table and drop the column stores.
+        """Forget the table and drop the column stores.
 
         Rankers fall back to the legacy engine until a re-attach
         (:meth:`repro.qa.pipeline.CQAds.context` re-attaches lazily on
         next use).  Idempotent.
         """
-        if self.table is not None:
-            self.table.remove_listener(self._on_mutation)
+        with self._store_lock:
             self.table = None
-        self._column_store = None
-        self._shard_stores = None
-        with self._store_lock:
-            self._pending_deltas.clear()
-            self._pending_overflow = False
-
-    def _on_mutation(self, event: MutationEvent) -> None:
-        # Inserts never touch existing ids and deletes merely leave
-        # dead entries, but an update changes the values behind a
-        # cached id — evict that record's key.  A typed UpdateDelta
-        # says *which* columns moved, so the key goes only when a
-        # Type I column did; an untyped update event evicts it always.
-        if isinstance(event, BatchDelta) and not event.deltas:
-            # A batch stripped of its row payloads (a shard-level bulk
-            # issued past the facade): the affected ids are unknowable,
-            # so evict the per-record memo wholesale — the resurrection
-            # guard below cannot cover rows it never saw.
-            self._record_keys.clear()
-        row_deltas = (
-            event.deltas
-            if isinstance(event, BatchDelta) and event.deltas
-            else (event,)
-        )
-        dead_ids: set[int] = set()
-        for delta in row_deltas:
-            if delta.kind == "insert":
-                continue  # a fresh id holds no memos... unless reused —
-                # reused ids are handled by the delete eviction below.
-            if delta.kind == "update" and isinstance(delta, UpdateDelta):
-                changed = delta.changed_columns
-                if any(column in self.type_i_columns for column in changed):
-                    self._record_keys.pop(delta.record_id, None)
-            else:
-                # Deletes (and untyped update events) evict the record
-                # wholesale: ids are normally never reused, but
-                # Table.insert(record_id=) may resurrect one, and a
-                # ghost memo must not score the new record with the
-                # dead record's key.
-                dead_ids.add(delta.record_id)
-        for record_id in dead_ids:
-            self._record_keys.pop(record_id, None)
-        # Buffer the row deltas for the lazy column-store catch-up.
-        # An event that cannot be replayed (a batch stripped of its
-        # rows) or a buffer past the rebuild-is-cheaper threshold
-        # poisons the buffer; the next store access rebuilds once.
-        with self._store_lock:
-            if self._pending_overflow:
-                return
-            if isinstance(event, BatchDelta) and not event.deltas:
-                self._pending_deltas.clear()
-                self._pending_overflow = True
-                return
-            if (
-                len(self._pending_deltas) + len(row_deltas)
-                > self.MAX_PENDING_DELTAS
-            ):
-                self._pending_deltas.clear()
-                self._pending_overflow = True
-                return
-            self._pending_deltas.extend(row_deltas)
+            self._column_store = None
+            self._shard_stores = None
 
     def column_store(self) -> "ColumnStore | None":
         """The columnar image of the attached table at its current epoch.
 
         Caught up lazily whenever the table's epoch has moved: the
-        buffered typed deltas are folded into the existing store via
+        table's delta log since the store's epoch is applied through
         :meth:`~repro.perf.colrank.ColumnStore.apply` — per-slot
-        patches instead of re-deriving every row — and only a delta
-        the store cannot absorb (epoch gap, untyped event, overflow)
-        falls back to the epoch rebuild.  ``None`` when no table is
-        attached.  Catch-up runs under ``_store_lock`` so concurrent
-        ``answer_batch`` threads never double-apply a delta.
+        patches instead of re-deriving every row — and the store is
+        rebuilt only when the log cannot bridge the gap.  ``None`` when
+        no table is attached or the table is sharded (its stores are
+        per shard, :meth:`shard_column_stores`).  Catch-up runs under
+        ``_store_lock``.
         """
         table = self.table
-        if table is None:
+        if table is None or getattr(table, "shards", None) is not None:
             return None
         store = self._column_store
         if store is not None and store.epoch == table.epoch:
             return store
-        from repro.perf.colrank import ColumnStore
-
         with self._store_lock:
             table = self.table
-            if table is None:
+            if table is None or getattr(table, "shards", None) is not None:
                 return None
-            store = self._column_store
-            if store is not None and store.epoch == table.epoch:
-                return store
-            if store is not None and not self._pending_overflow:
-                for delta in self._pending_deltas:
-                    if delta.epoch <= store.epoch:
-                        continue  # already reflected (post-rebuild replay)
-                    patched = store.apply(delta)
-                    if patched is None:
-                        store = None
-                        break
-                    store = patched
-            else:
-                store = None
-            if store is None or store.epoch != table.epoch:
-                store = ColumnStore(table, self.type_i_columns)
+            store = self._caught_up(self._column_store, table)
             self._column_store = store
-            self._pending_deltas.clear()
-            self._pending_overflow = False
             return store
 
     def shard_column_stores(self) -> "list[ColumnStore] | None":
         """One columnar image per shard of an attached sharded table.
 
         ``None`` when no table is attached or the table is unsharded.
-        Each store is keyed on its shard's own epoch and rebuilt
-        independently, so a mutation to one shard leaves the sibling
-        stores warm — the whole-table :meth:`column_store` would
-        rebuild all N-shards' worth of rows instead.  List-slot writes
-        are atomic under the GIL; racing rebuilds each produce an
-        equally valid store.
+        Each store follows its own shard's delta log, so a mutation to
+        one shard leaves the sibling stores untouched (returned by
+        identity).
         """
         table = self.table
         if table is None:
@@ -306,64 +204,49 @@ class RankingResources:
         shards = getattr(table, "shards", None)
         if shards is None:
             return None
-        # Lock-free fast path (mirroring column_store): read-only
-        # streams with every store current and nothing buffered never
-        # touch the mutex.  A racing mutation makes an epoch mismatch
-        # or a pending delta visible, sending us to the locked path.
         stores = self._shard_stores
-        if (
-            stores is not None
-            and not self._pending_deltas
-            and not self._pending_overflow
+        if stores is not None and all(
+            store.epoch == shard.epoch for store, shard in zip(stores, shards)
         ):
-            current = list(stores)
-            if all(
-                store is not None and store.epoch == shard.epoch
-                for store, shard in zip(current, shards)
-            ):
-                return current  # type: ignore[return-value]
+            return stores
+        with self._store_lock:
+            shards = getattr(self.table, "shards", None)
+            if shards is None:
+                return None
+            previous = self._shard_stores or [None] * len(shards)
+            stores = [
+                self._caught_up(store, shard)
+                for store, shard in zip(previous, shards)
+            ]
+            self._shard_stores = stores
+            return stores
+
+    def _caught_up(
+        self, store: "ColumnStore | None", table: Table
+    ) -> "ColumnStore":
+        """*store* brought to *table*'s epoch from its delta log, or a
+        fresh build when there is no store or the log cannot bridge
+        the gap (caller holds ``_store_lock``)."""
         from repro.perf.colrank import ColumnStore
 
-        with self._store_lock:
-            stores = self._shard_stores
-            if stores is None:
-                stores = [None] * len(shards)
-                self._shard_stores = stores
-            if not self._pending_overflow:
-                # Fold the buffered facade-stamped deltas into each
-                # owning shard's store, using the shard's own epoch as
-                # the version tag; any delta that cannot land leaves
-                # its shard's store stale, and only that shard rebuilds
-                # below — siblings stay warm either way.
-                for delta in self._pending_deltas:
-                    index = delta.shard_index
-                    if index is None or delta.shard_epoch is None:
-                        continue
-                    store = stores[index]
-                    if store is None or delta.shard_epoch <= store.epoch:
-                        continue
-                    patched = store.apply(delta, epoch=delta.shard_epoch)
-                    if patched is not None:
-                        stores[index] = patched
-            self._pending_deltas.clear()
-            self._pending_overflow = False
-            current: list["ColumnStore"] = []
-            for index, shard in enumerate(shards):
-                store = stores[index]
-                if store is None or store.epoch != shard.epoch:
-                    store = ColumnStore(shard, self.type_i_columns)
-                    stores[index] = store
-                current.append(store)
-            return current
+        if store is not None and store.epoch != table.epoch:
+            deltas = table.deltas_since(store.epoch)
+            if deltas is None:
+                store = None
+            else:
+                for delta in deltas:
+                    store = store.apply(delta)
+                    if store is None:
+                        break
+        if store is None:
+            store = ColumnStore(table, self.type_i_columns)
+        return store
 
     def record_key(self, record: Record) -> Key:
-        key = self._record_keys.get(record.record_id)
-        if key is None:
-            key = tuple(
-                str(record.get(column, "") or "") for column in self.type_i_columns
-            )
-            self._record_keys[record.record_id] = key
-        return key
+        """The record's Type I key tuple (the TI-matrix coordinate)."""
+        return tuple(
+            str(record.get(column, "") or "") for column in self.type_i_columns
+        )
 
     def query_keys(self, type_i_values: dict[str, str]) -> list[Key]:
         """Product keys consistent with the question's Type I values.

@@ -13,25 +13,23 @@ everything epoch-shaped:
   owning shard, so any layer holding an id can route to the shard
   without a directory.  The shard count is fixed at construction and
   a record never moves between shards.
-* **epochs aggregate.**  ``ShardedTable.epoch`` is the sum of the
-  shard epochs — still monotonic, still "any mutation moves it" — so
-  facade-level caches (answer cache generations) keep their
-  contract, while shard-level caches (the fragment cache's
-  per-shard unit id-sets, the per-shard column stores) key on each
-  shard's **own** epoch and survive mutations to sibling shards.
-  That locality is the single-core payoff of sharding: a point
-  mutation invalidates 1/N of the cached state instead of all of it.
+* **epochs aggregate, logs do not.**  ``ShardedTable.epoch`` is the
+  sum of the shard epochs — still monotonic, still "any mutation
+  moves it" — so facade-level state (answer cache generations) keeps
+  its contract.  The facade keeps no delta log: each shard is a plain
+  table with its own log and epoch, and every shard-granular structure
+  (column windows, per-shard column stores, per-shard fragment
+  id-sets) records a shard's epoch and catches up from that shard's
+  log, so a point mutation leaves the sibling shards' state current.
 * **events relay.**  Listeners attach to the facade and receive every
   shard's typed mutation delta (:class:`~repro.db.table.InsertDelta` /
   :class:`~repro.db.table.RemoveDelta` /
   :class:`~repro.db.table.UpdateDelta`) re-stamped with the facade
-  table, the aggregated epoch, the owning shard's index and that
-  shard's own post-mutation epoch — so delta-aware caches know *which*
-  shard and *which* rows moved and can patch shard-granular state in
-  place.  Bulk operations (:meth:`insert_many`, :meth:`remove_many`)
-  notify once per batch with a :class:`~repro.db.table.BatchDelta`
-  wrapping the re-stamped per-row deltas, matching the single-table
-  contract.
+  table and the aggregated epoch, so catalog-level listeners (the
+  WAL, answer-cache generations) see the single-table contract.  Bulk
+  operations (:meth:`insert_many`, :meth:`remove_many`) notify once
+  per batch with a :class:`~repro.db.table.BatchDelta` wrapping the
+  re-stamped per-row deltas.
 
 Scatter work (per-shard ranking in :mod:`repro.perf.colrank`) runs
 through :meth:`map_shards`, one shard after another on the caller's
@@ -124,10 +122,10 @@ class ShardedTable:
     def epoch(self) -> int:
         """Sum of the shard epochs — monotonic, moved by any mutation.
 
-        Facade-level caches key on this aggregate exactly as they
-        would on a plain table's epoch; shard-level caches key on each
-        shard's own epoch instead and keep 1 - 1/N of their entries
-        live across a point mutation.
+        Facade-level state keys on this aggregate exactly as it would
+        on a plain table's epoch; shard-level structures record each
+        shard's own epoch instead, so a point mutation leaves the
+        sibling shards' state current.
         """
         return sum(shard.epoch for shard in self.shards)
 
@@ -147,12 +145,9 @@ class ShardedTable:
 
         The forwarded delta keeps its concrete type and payload
         (inserted/removed record, changed columns) but is re-stamped
-        with the facade table, the aggregated epoch, the owning shard's
-        index and that shard's own post-mutation epoch — catalog-level
-        listeners (answer cache generations, the WAL) see
-        exactly the single-table contract, while shard-granular caches
-        (per-shard column stores, per-shard fragment id-sets) patch
-        precisely the shard state that moved.  During a bulk facade
+        with the facade table and the aggregated epoch, so
+        catalog-level listeners (answer cache generations, the WAL)
+        see exactly the single-table contract.  During a bulk facade
         mutation the re-stamped deltas accumulate and go out as one
         :class:`~repro.db.table.BatchDelta`.
         """
@@ -165,28 +160,14 @@ class ShardedTable:
         self._notify(stamped)
 
     def _stamp(self, event: MutationEvent) -> MutationEvent:
-        """Re-stamp a shard delta (recursively for shard-level batches)."""
-        shard_index = self.shard_of(event.record_id)
+        """Re-stamp a shard delta with the facade table and epoch."""
         if isinstance(event, BatchDelta):
             # A shard-level bulk op (not issued by this facade, which
             # batches at its own level): the aggregate epoch of each
-            # inner delta is unknowable after the fact, so consumers
-            # fall back to rebuild maintenance for this event.
-            return replace(
-                event,
-                table=self,
-                epoch=self.epoch,
-                shard_index=shard_index,
-                shard_epoch=event.epoch,
-                deltas=(),
-            )
-        return replace(
-            event,
-            table=self,
-            epoch=self.epoch,
-            shard_index=shard_index,
-            shard_epoch=event.epoch,
-        )
+            # inner delta is unknowable after the fact, so the rows are
+            # dropped and the WAL snapshots instead of logging them.
+            return replace(event, table=self, epoch=self.epoch, deltas=())
+        return replace(event, table=self, epoch=self.epoch)
 
     # ------------------------------------------------------------------
     # placement

@@ -1,9 +1,9 @@
 """Storage backends: the protocol, the in-memory default, and the WAL.
 
 A :class:`StorageBackend` hangs off the :class:`~repro.db.database.
-Database` catalog and observes exactly the typed delta stream every
-cache already consumes (:meth:`Database.add_listener` →
-:meth:`Table._emit`): the deltas of PR 5 *are* the log records.  The
+Database` catalog and observes the typed delta stream the tables
+emit to listeners (:meth:`Database.add_listener` →
+:meth:`Table._emit`): the deltas *are* the log records.  The
 default remains pure in-memory — a ``Database()`` without a backend
 behaves byte-identically to before, and :class:`MemoryBackend` exists
 only to make "no durability" an explicit choice with the same surface.

@@ -7,8 +7,10 @@ import pytest
 from repro.db.database import Database
 from repro.db.sql.executor import execute
 from repro.db.table import (
+    DELTA_LOG_LENGTH,
     BatchDelta,
     InsertDelta,
+    MutationEvent,
     RemoveDelta,
     UpdateDelta,
 )
@@ -180,6 +182,53 @@ class TestMutationEpochs:
         ]
         assert all(rid == record.record_id for _, rid, _ in events)
 
+    def test_deltas_since_returns_the_tail_oldest_first(self, car_table):
+        start = car_table.epoch
+        record = car_table.insert(dict(car_table.get(1)))
+        car_table.update(record.record_id, {"color": "green"})
+        car_table.delete(record.record_id)
+        tail = car_table.deltas_since(start)
+        assert [type(delta) for delta in tail] == [
+            InsertDelta,
+            UpdateDelta,
+            RemoveDelta,
+        ]
+        assert [delta.epoch for delta in tail] == [start + 1, start + 2, start + 3]
+        assert car_table.deltas_since(start + 2) == tail[2:]
+        assert car_table.deltas_since(car_table.epoch) == []
+        # Bulk writes log every row, though listeners hear one batch.
+        car_table.insert_many([dict(SMALL_CAR_ROWS[0]), dict(SMALL_CAR_ROWS[1])])
+        assert len(car_table.deltas_since(start + 3)) == 2
+
+    def test_deltas_since_is_none_when_the_log_cannot_bridge(self, car_table):
+        # Ahead of the table.
+        assert car_table.deltas_since(car_table.epoch + 1) is None
+        # The log no longer reaches back.
+        start = car_table.epoch
+        for price in range(DELTA_LOG_LENGTH + 1):
+            car_table.update(1, {"price": 1000 + price})
+        assert car_table.deltas_since(start) is None
+        assert len(car_table.deltas_since(start + 1)) == DELTA_LOG_LENGTH
+        # The epoch set directly, as snapshot restore does: no delta
+        # leads to the current state.
+        logged = car_table.epoch
+        car_table._epoch += 5
+        assert car_table.deltas_since(logged) is None
+        # The next write is logged against the set epoch.
+        car_table.update(1, {"price": 1})
+        (delta,) = car_table.deltas_since(logged + 5)
+        assert delta.epoch == logged + 6 == car_table.epoch
+        assert car_table.deltas_since(logged) is None
+
+    def test_hand_emitted_event_never_enters_the_log(self, car_table):
+        heard = []
+        car_table.add_listener(heard.append)
+        start = car_table.epoch
+        car_table._emit(MutationEvent(car_table, "insert", 999, start + 1))
+        assert len(heard) == 1
+        assert car_table.epoch == start
+        assert car_table.deltas_since(start) == []
+
     def test_remove_listener(self, car_table):
         events = []
         listener = lambda event: events.append(event)  # noqa: E731
@@ -226,13 +275,15 @@ class TestMutationEpochs:
     def test_typed_deltas_carry_payloads(self, car_table):
         events = []
         car_table.add_listener(events.append)
+        before = car_table.epoch
         record = car_table.insert(dict(car_table.get(1)))
         car_table.update(record.record_id, {"color": "green", "price": 7500})
         car_table.delete(record.record_id)
         inserted, updated, removed = events
         assert isinstance(inserted, InsertDelta)
         assert inserted.record is record
-        assert inserted.shard_index is None  # plain table: no stamp
+        # The log holds the very deltas the listeners heard.
+        assert car_table.deltas_since(before) == events
         assert isinstance(updated, UpdateDelta)
         assert sorted(updated.changed_columns) == ["color", "price"]
         assert updated.old_values["color"] == "blue"

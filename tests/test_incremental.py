@@ -2,11 +2,10 @@
 
 The acceptance bar for delta maintenance is **bit-identical cache
 state**: after any stream of inserts/updates/removes, a column store
-patched via :meth:`~repro.perf.colrank.ColumnStore.apply` and a
-fragment cache patched via
-:meth:`~repro.perf.fragment_cache.FragmentCache.absorb` must hold
-exactly what a from-scratch rebuild at the same epoch would hold.
-Three layers are proved here:
+and a fragment cache caught up from the table's delta log
+(:meth:`~repro.db.table.Table.deltas_since`) must hold exactly what a
+from-scratch rebuild at the same epoch would hold.  Three layers are
+proved here:
 
 * **column-store storms** — randomized mutation streams against plain
   and sharded (1/2/4) tables, comparing the patched store(s) to a
@@ -165,14 +164,14 @@ def test_column_store_storm_sharded(shard_count):
 
 
 def test_detach_window_falls_back_to_rebuild():
-    """Mutations during a listener detach window leave an epoch gap the
-    patcher must not bridge — the store rebuilds instead."""
+    """A store never outlives a detach: re-attaching rebuilds it, and
+    the rebuild sees the writes made while detached."""
     table = Database().create_table(small_car_schema())
     table.insert_many([_random_row(random.Random(7)) for _ in range(10)])
     resources = _resources_for(table)
     resources.column_store()
     resources.detach_table()
-    table.update(1, {"color": "green"})  # unheard: no listener attached
+    table.update(1, {"color": "green"})  # while detached
     resources.attach_table(table)
     store = resources.column_store()
     assert _store_signature(store) == _store_signature(
@@ -319,37 +318,9 @@ def test_fragment_cache_storm(shard_count):
         assert cached == fresh, f"patched id-sets diverged at step {step}"
 
 
-def test_bulk_load_past_cutoff_sweeps_instead_of_patching():
-    """A warm cache absorbs small batches but falls back to the O(cache)
-    generation sweep for bulk loads (patching is O(entries x rows))."""
-    from repro.perf.fragment_cache import MAX_ABSORB_ROWS
-
-    database = Database()
-    table = database.create_table(small_car_schema())
-    table.insert_many([_random_row(random.Random(66)) for _ in range(20)])
-    cqads = CQAds(database)
-    cache = cqads.fragment_cache
-    executor = SQLExecutor(database)
-    units = _storm_units()
-    unit_id_sets(executor, table, units, cache)
-    table.insert_many(
-        [_random_row(random.Random(67))
-         for _ in range(MAX_ABSORB_ROWS + 10)]
-    )
-    assert len(cache) == 0  # swept: bulk patching would cost more
-    assert unit_id_sets(executor, table, units, cache) == unit_id_sets(
-        executor, table, units, None
-    )
-    table.insert_many([_random_row(random.Random(68)) for _ in range(5)])
-    assert len(cache) == len(units)  # small batch: patched, still warm
-    assert unit_id_sets(executor, table, units, cache) == unit_id_sets(
-        executor, table, units, None
-    )
-
-
 def test_lexicographic_range_condition_patches_like_executor():
     """condition_to_expr float-coerces range values before the executor
-    stringifies them ("2010" -> "2010.0"); the absorb mirror must
+    stringifies them ("2010" -> "2010.0"); the catch-up test must
     compare against the same text or patched fragments silently drop
     boundary rows (regression)."""
     database = Database()
@@ -364,36 +335,16 @@ def test_lexicographic_range_condition_patches_like_executor():
     ))
     (cached,) = unit_id_sets(executor, table, [unit], cache)
     assert cached == {1, 3}  # "2010" < "2010.0" lexicographically
-    # An unrelated update forces absorb to re-evaluate record 1.
+    # An unrelated update makes the catch-up re-evaluate record 1.
     table.update(1, {"color": "green"})
     (patched,) = unit_id_sets(executor, table, [unit], cache)
     assert patched == unit_id_sets(executor, table, [unit], None)[0]
     assert patched == {1, 3}
 
 
-def test_record_less_delta_falls_back_to_sweep():
-    """A hand-built insert/update delta without its record payload
-    cannot be replayed; absorb must refuse so the listener sweeps."""
-    from repro.db.table import InsertDelta
-
-    database = Database()
-    table = database.create_table(small_car_schema())
-    table.insert_many([_random_row(random.Random(69)) for _ in range(10)])
-    cqads = CQAds(database)
-    cache = cqads.fragment_cache
-    executor = SQLExecutor(database)
-    units = _storm_units()
-    unit_id_sets(executor, table, units, cache)
-    assert len(cache) == len(units)
-    bare = InsertDelta(table, "insert", 999, table.epoch + 1, record=None)
-    assert cache.absorb(bare) is False
-    cqads._on_table_mutation(bare)  # listener path: falls back to sweep
-    assert len(cache) == 0
-
-
 def test_absorbed_sets_are_fresh_copies():
     """Copy-on-write: a consumer holding a pre-mutation id-set must not
-    see it change under delta absorption."""
+    see it change when the cache catches the entry up."""
     database = Database()
     table = database.create_table(small_car_schema())
     table.insert_many([_random_row(random.Random(65)) for _ in range(10)])
@@ -415,7 +366,7 @@ def test_absorbed_sets_are_fresh_copies():
 
 
 # ----------------------------------------------------------------------
-# satellites: shard_of, changed-column memo eviction
+# satellites: shard_of, reused record ids
 # ----------------------------------------------------------------------
 def test_shard_of_matches_actual_placement():
     table = Database().create_table(small_car_schema(), shards=4)
@@ -453,25 +404,6 @@ def test_reused_record_id_never_serves_ghost_memos():
         {"make": "mazda", "model": "mx5", "color": "silver"}, record_id=1
     )
     assert resources.record_key(reborn_again) == ("mazda", "mx5")
-
-
-def test_update_delta_evicts_only_touched_memos():
-    table = Database().create_table(small_car_schema())
-    table.insert(
-        {"make": "honda", "model": "accord", "color": "blue",
-         "transmission": "manual", "price": 9000}
-    )
-    table.insert_many([_random_row(random.Random(72)) for _ in range(4)])
-    resources = _resources_for(table)
-    record = table.get(1)
-    key = resources.record_key(record)
-    # A non-Type-I update keeps the record key.
-    table.update(1, {"color": "purple"})
-    assert resources._record_keys.get(1) == key
-    # A Type I update evicts the record key.
-    table.update(1, {"model": "civic"})
-    assert 1 not in resources._record_keys
-    assert resources.record_key(record)[1] == "civic"
 
 
 # ----------------------------------------------------------------------

@@ -260,6 +260,9 @@ class TestMutationRaces:
         assert engine._on_table_mutation not in table._listeners
 
     def test_cqads_close_detaches_resources_listeners(self):
+        """The resources never listen to their table (their stores read
+        its delta log), and close() leaves no listener of the engine on
+        it; the engine stays usable and re-attaches on next use."""
         system = build_system(
             ["cars"],
             ads_per_domain=40,
@@ -269,14 +272,14 @@ class TestMutationRaces:
         cqads = system.cqads
         resources = cqads.context("cars").resources
         table = cqads.database.table("car_ads")
-        assert resources._on_mutation in table._listeners
+        assert table._listeners == [cqads._on_table_mutation]
         cqads.close()
-        assert resources._on_mutation not in table._listeners
+        assert table._listeners == []
         assert resources.table is None
         # The engine stays usable: context() re-attaches on next use.
         assert cqads.answer("honda", domain="cars").answers
         assert resources.table is table
-        assert resources._on_mutation in table._listeners
+        assert table._listeners == []
 
     def test_per_domain_generations_keep_other_domains_cached(self):
         system = build_system(
@@ -347,8 +350,8 @@ class TestMutationRaces:
         assert not errors
 
     def test_reattach_after_detached_mutation_is_fresh(self):
-        """Updates made while an engine is close()d fire no listener;
-        the lazy re-attach must start the per-record memos clean."""
+        """Updates made while an engine is close()d reach it on the lazy
+        re-attach: the ranking stores start from the table as it is."""
         system = build_system(
             ["cars"],
             ads_per_domain=40,
@@ -361,11 +364,13 @@ class TestMutationRaces:
         record = table.insert(
             {"make": "honda", "model": "accord", "color": "blue", "price": 900}
         )
-        # Warm the per-record memo, detach, mutate in the blind window.
-        assert resources.record_key(record) == ("honda", "accord")
+        store = resources.column_store()
+        assert store.keys[store.row_of[record.record_id]] == ("honda", "accord")
         cqads.close()
         table.update(record.record_id, {"model": "civic"})
         # Re-attach (lazily, via context()) and re-read: no stale accord.
         cqads.context("cars")
+        store = resources.column_store()
+        assert store.keys[store.row_of[record.record_id]] == ("honda", "civic")
         assert resources.record_key(record) == ("honda", "civic")
         table.delete(record.record_id)

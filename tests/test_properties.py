@@ -379,8 +379,8 @@ def test_every_consumer_agrees_on_satisfaction(condition, rows, windowed):
     unit = ScoringUnit(conditions=(condition,))
     unit_id_sets(SQLExecutor(database), table, [unit], engine.fragment_cache)
     records = [table.insert(row) for row in rows]
-    patched = engine.fragment_cache.get(table.name, table.epoch, unit)
-    assert patched is not None  # absorbed insert by insert, never dropped
+    patched = engine.fragment_cache.get(table, None, unit)
+    assert patched is not None  # caught up insert by insert, never dropped
 
     expr = condition_to_expr(QueryBuilder(table.name), condition)
     selected = set(

@@ -323,8 +323,8 @@ class TestShardAwareCaching:
     def test_point_mutation_keeps_every_shard_fragment_warm(
         self, mutable_sharded_system
     ):
-        """Delta maintenance (PR 5): the mutated shard's fragments are
-        patched forward, so the repeat question hits all four shards."""
+        """The mutated shard's fragments catch up from its delta log, so
+        the repeat question hits all four shards."""
         cqads = mutable_sharded_system.cqads
         fragments = cqads.fragment_cache
         service = mutable_sharded_system.service()
@@ -343,12 +343,12 @@ class TestShardAwareCaching:
         assert len(fragments) == warm
         table.delete(inserted.record_id)
 
-    def test_point_mutation_keeps_sibling_shard_fragments_rebuild_mode(
+    def test_shard_level_bulk_delete_patches_its_shard_fragments(
         self, mutable_sharded_system
     ):
-        """The epoch-sweep fallback: a delta the cache cannot absorb (a
-        shard-level bulk delete, relayed without its rows) drops only
-        the mutated shard's generation; siblings stay warm."""
+        """A bulk delete issued on one shard, past the facade, lands in
+        that shard's delta log like any write: the repeat question
+        catches the shard's fragments up, and every shard hits."""
         cqads = mutable_sharded_system.cqads
         fragments = cqads.fragment_cache
         service = mutable_sharded_system.service()
@@ -359,14 +359,13 @@ class TestShardAwareCaching:
         table = cqads.database.table("car_ads")
         victim = next(iter(table)).record_id
         table.shards[table.shard_of(victim)].remove_many([victim])
-        # Only the mutated shard's generation died.
-        units = warm // 4
-        assert len(fragments) == warm - units
+        assert len(fragments) == warm  # nothing dropped
         hits_before, misses_before = fragments.hits, fragments.misses
-        service.answer(request)
-        assert fragments.misses == misses_before + units  # mutated shard only
-        assert fragments.hits == hits_before + 3 * units  # siblings stayed warm
+        answered = service.answer(request)
+        assert fragments.misses == misses_before
+        assert fragments.hits == hits_before + warm  # every shard warm
         assert len(fragments) == warm
+        assert victim not in {a.record.record_id for a in answered.ranked_pool}
 
     def test_point_mutation_patches_one_column_store(
         self, mutable_sharded_system
@@ -388,33 +387,6 @@ class TestShardAwareCaching:
             if index != mutated:
                 assert after[index] is before[index]
                 assert inserted.record_id not in after[index].row_of
-        table.delete(inserted.record_id)
-
-    def test_point_mutation_rebuilds_one_column_store_rebuild_mode(
-        self, mutable_sharded_system
-    ):
-        """The rebuild fallback: more buffered deltas than the stores
-        patch (all on one record) rebuild exactly the mutated shard's
-        store from scratch; siblings are reused by identity."""
-        cqads = mutable_sharded_system.cqads
-        resources = cqads.context("cars").resources
-        table = cqads.database.table("car_ads")
-        before = resources.shard_column_stores()
-        assert before is not None and len(before) == 4
-        donor = next(iter(table))
-        inserted = table.insert(dict(donor))
-        for price in range(resources.MAX_PENDING_DELTAS):
-            table.update(inserted.record_id, {"price": 1000 + price})
-        mutated = table.shard_of(inserted.record_id)
-        after = resources.shard_column_stores()
-        for index in range(4):
-            if index == mutated:
-                assert after[index] is not before[index]
-                # A fresh slot memo: rebuilt, not patched.
-                assert after[index]._slot_memo is not before[index]._slot_memo
-                assert inserted.record_id in after[index].row_of
-            else:
-                assert after[index] is before[index]
         table.delete(inserted.record_id)
 
     def test_answer_cache_invalidates_through_relayed_events(

@@ -15,9 +15,11 @@ Three batteries:
   lazy window to its complement representation, with identical
   results, and every choice lands on the executor's ``plan_trace``;
 * **delta maintenance** — an instrumented rebuild counter proves a
-  point update splices the window in place (no rebuild), while an
-  epoch gap (detached listener) or a pending-queue overflow triggers
-  exactly one rebuild.
+  point update splices the window in place (no rebuild); after every
+  storm round each built window, caught up from the table's delta log,
+  equals a fresh build (no duplicate or dead ids).  The gaps the log
+  cannot bridge are pinned once for every consumer in
+  ``tests/test_delta_log.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import pytest
 from tests.conftest import SMALL_CAR_ROWS, small_car_schema
 from repro.db.database import Database
 from repro.db.sql.executor import AccessPlanner, SQLExecutor
-from repro.perf.window import MAX_PENDING_DELTAS, windows_for
+from repro.perf.window import ColumnWindow, windows_for
 
 MAKES = ("honda", "toyota", "ford", "bmw", "chevy", "kia")
 MODELS = ("accord", "civic", "camry", "corolla", "focus", "malibu", "rio")
@@ -173,6 +175,18 @@ def _assert_null_index_parity(table) -> None:
         assert set(table.null_ids(column)) == expected
 
 
+def _assert_windows_match_fresh(table) -> None:
+    """Every built window, caught up, equals a fresh build of its table
+    or shard: same ``(value, id)`` pairs, no duplicate or dead ids."""
+    for source in getattr(table, "shards", None) or [table]:
+        source_windows = windows_for(source)
+        for column in list(source_windows._windows):
+            window = source_windows.window(column)
+            fresh = ColumnWindow(column, window.kind, source)
+            assert list(window.ids) == list(fresh.ids), column
+            assert window.values == fresh.values, column
+
+
 def _storm(shards: int | None, rows) -> set[str]:
     """Run the storm from *rows*; the access paths its leaves took."""
     database, table = _fresh_database(shards, rows)
@@ -186,6 +200,7 @@ def _storm(shards: int | None, rows) -> set[str]:
             _mutate(table, rng, live)
         _assert_battery(executor, table)
         _assert_null_index_parity(table)
+        _assert_windows_match_fresh(table)
     return {decision.path for decision in executor.plan_trace}
 
 
@@ -348,30 +363,6 @@ def test_batch_deltas_splice_without_rebuild():
     table.remove_many([1, 2])
     window = table_windows.window("price")
     assert table_windows.rebuild_count("price") == 1
-    assert list(window.ids) == _window_ids_by_price(table)
-
-
-def test_epoch_gap_forces_rebuild():
-    database, table = _fresh_database(None)
-    table_windows = windows_for(table)
-    table_windows.window("price")
-    # Simulate a missed delta: detach the listener, mutate, re-attach.
-    table.remove_listener(table_windows._on_delta)
-    table.update(1, {"price": 100.0})
-    table.add_listener(table_windows._on_delta)
-    window = table_windows.window("price")
-    assert table_windows.rebuild_count("price") == 2
-    assert list(window.ids) == _window_ids_by_price(table)
-
-
-def test_pending_overflow_rebuilds_once():
-    database, table = _fresh_database(None)
-    table_windows = windows_for(table)
-    table_windows.window("price")
-    for i in range(MAX_PENDING_DELTAS + 1):
-        table.update(1, {"price": 500.0 + i})
-    window = table_windows.window("price")
-    assert table_windows.rebuild_count("price") == 2
     assert list(window.ids) == _window_ids_by_price(table)
 
 

@@ -150,6 +150,23 @@ def main() -> None:
         offset = window.next_offset
     print(f"   walked {shown}/{window.total} ranked answers")
 
+    # A superlative names one product, so its only relaxation unit is
+    # make+model and its pool is the rest of the table.  That pool is
+    # ranked by score class — one scored row per distinct make/model,
+    # equal-score classes merged by record id — and walked lazily, so
+    # each page below reads the next classes, past the first score tier
+    # (the other Honda Accords).
+    cheapest = service.ask("cheapest honda accord", domain="cars", explain=True)
+    relax = next(entry for entry in cheapest.trace if entry.stage == "relax")
+    print("=" * 72)
+    print(f"Q: cheapest honda accord — {len(cheapest.exact_answers)} exact; "
+          f"relax: {relax.detail}")
+    for window in service.page_all(cheapest, page_size=30, max_depth=89):
+        tiers = len({answer.score for answer in window.answers})
+        kinds = sorted({answer.similarity_kind for answer in window.answers})
+        print(f"   page offset={window.offset}: {len(window)} answers, "
+              f"{tiers} score tiers ({', '.join(kinds)})")
+
     # Live data: mutations bump the table's epoch, which refreshes the
     # answer cache, the ranking column store and the fragment cache by
     # themselves — no invalidate_cache call needed.

@@ -1,15 +1,15 @@
 """Cursor-style pagination over a question's full ranking.
 
 The paper caps the presented list at 30 answers (Section 4.3.1), but
-the pipeline scores the whole candidate pool anyway — exact matches in
-evaluation order followed by every Rank_Sim-scored partial candidate,
+the pipeline ranks the whole candidate pool anyway — exact matches in
+evaluation order followed by every Rank_Sim-ranked partial candidate,
 kept on ``QuestionResult.ranked_pool``.  :func:`page_result` slices
 that ranking, so walking past the cap needs no re-execution and no
 re-scoring, and the ordering is stable because the scores are fixed
 when the question is answered.  The pool is a lazy read-only list: the
-answers past the presented ones are ordered (one sort, the first time
-a page reads past the presented prefix) and built only when a page
-reads them.
+answers past the presented ones are ordered (one sort of a scored
+pool, or a further walk over a single-unit question's score classes)
+and built only when a page reads them.
 """
 
 from __future__ import annotations

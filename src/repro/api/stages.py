@@ -245,9 +245,11 @@ class RelaxStage:
     """Section 4.3.1: N-1 relaxation and Eq. 5 Rank_Sim ordering.
 
     Runs only when relaxation is enabled and the exact matches do not
-    already fill the answer cap.  Every candidate is scored; the stage
-    builds the answers that fill the cap, and the rest of the ranking
-    is ordered and built only when a page reads it.
+    already fill the answer cap.  A multi-unit pool is scored whole; a
+    single-unit question ranks score classes instead of rows (the
+    detail names the path).  The stage builds the answers that fill
+    the cap, and the rest of the ranking is ordered and built only when
+    a page reads it.
     """
 
     name = "relax"
@@ -271,10 +273,12 @@ class RelaxStage:
         # Select and build the answers that fill the cap, inside the
         # stage's timing.
         ctx.partial[: ctx.options.max_answers - len(ctx.exact)]
-        detail = f"{len(ctx.partial)} ranked partial candidates"
+        path = getattr(ctx.partial, "rank_path", None)
+        notes = [] if path is None else [f"path={path}"]
         if ctx.options.top_k is not None:
-            detail += f" (top_k={ctx.options.top_k})"
-        return detail
+            notes.append(f"top_k={ctx.options.top_k}")
+        detail = f"{len(ctx.partial)} ranked partial candidates"
+        return f"{detail} ({', '.join(notes)})" if notes else detail
 
 
 def default_stages() -> list[PipelineStage]:

@@ -10,9 +10,10 @@ invalidation contracts):
   N×(N-1) predicate evaluations of running each relaxed query with N;
 * :mod:`repro.perf.colrank` — the columnar top-k ranking engine:
   column stores caught up from the table's delta log, slot-wise
-  scoring with distinct-value memos, and a lazy ranked pool that
-  orders and builds only the rows read — bit-identical to the legacy
-  ranker;
+  scoring with distinct-value memos, a lazy ranked pool that orders
+  and builds only the rows read, and single-unit questions ranked by
+  score class (one scored row per class) — bit-identical to the
+  legacy ranker;
 * :mod:`repro.perf.fragment_cache` — cross-question memoization of
   relaxation-unit id-sets, each caught up from the table's delta log
   when it is read;

@@ -28,9 +28,17 @@ record:
   heap (``heapq.nsmallest`` on the legacy ``(-score, record_id)`` key
   — documented to equal the full sort truncated), a later read past
   that prefix orders the pool once, and every row is built once.  A
-  question presents at most 30 answers, so a whole-table pool of
-  thousands of rows builds 30 ``ScoredRecord`` objects unless a caller
-  pages further.
+  question presents at most 30 answers, so a pool of thousands of
+  rows builds 30 ``ScoredRecord`` objects unless a caller pages
+  further.
+* a single-unit question relaxes to the whole table, and is ranked by
+  **score class** instead (:func:`class_rank_unit`): a record's score
+  there depends only on its values in the unit's class columns, so
+  the store keeps its record ids grouped by those values
+  (:meth:`ColumnStore.classes`), one representative row per class is
+  scored, and a :class:`ClassRankedPool` reads the classes best first
+  — equal-score classes merged by record id — without listing,
+  scoring or heap-selecting the table's rows.
 
 Both engines take satisfaction from the predicate kernel
 (:func:`~repro.qa.sql_generation.condition_predicate`) and failure
@@ -39,15 +47,18 @@ Anything the planner does not recognize (a condition on an unknown
 column, a mixed "any" unit from hand-built inputs, a record outside
 the store) returns ``None`` so the caller falls back to the legacy
 engine wholesale.  ``tests/test_ranking_parity.py`` holds the
-bit-identical guarantee across a generated question battery.
+bit-identical guarantee across a generated question battery, and
+``tests/test_ranked_pool.py`` holds the class ranking to the row
+ranking for every single-unit shape.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-from itertools import chain
-from typing import Sequence
+import threading
+from itertools import chain, islice, repeat
+from typing import Iterator, Sequence
 
 from repro.db.schema import AttributeType
 from repro.db.table import InsertDelta, MutationEvent, Record, Table, UpdateDelta
@@ -64,8 +75,10 @@ from repro.ranking.rank_sim import (
 from repro.structures.lazylist import LazyList
 
 __all__ = [
+    "ClassRankedPool",
     "ColumnStore",
     "RankedPool",
+    "class_rank_unit",
     "columnar_rank_units",
     "sharded_rank_units",
 ]
@@ -132,10 +145,17 @@ class ColumnStore:
                     for value in (record.get(name) for record in records)
                 ]
         self._slot_memo: dict[object, dict] = {}
+        #: Class-column set -> {class values: record ids, ascending}
+        #: (see :meth:`classes`).  Id tuples are never mutated; a
+        #: grouping dict is this store's own unless ``_cow_aliased``.
+        self._groupings: dict[tuple, dict[tuple, tuple[int, ...]]] = {}
+        #: Serializes grouping builds with the in-place append, the one
+        #: patch that mutates this store rather than a clone.
+        self._lock = threading.Lock()
         #: True when this store was produced by a copy-on-write update
-        #: and still *shares* list objects with its predecessor — the
-        #: in-place append fast path must not mutate those shared
-        #: lists, or the predecessor's snapshot tears (see
+        #: and still *shares* list objects (and grouping dicts) with
+        #: its predecessor — the in-place append fast path must not
+        #: mutate those, or the predecessor's snapshot tears (see
         #: :meth:`_apply_insert`).
         self._cow_aliased = False
 
@@ -153,6 +173,64 @@ class ColumnStore:
                 self._slot_memo = {}  # cheap reset; memos rebuild on use
             memo = self._slot_memo[memo_key] = {}
         return memo
+
+    def classes(self, columns: tuple) -> list[tuple[tuple, tuple[int, ...]]]:
+        """This store's record ids grouped by their values in *columns*.
+
+        ``(values, ids)`` pairs, ids ascending; ``None`` in *columns*
+        stands for the Type I key.  The grouping is built on first use
+        and patched by :meth:`apply` from then on.
+        """
+        with self._lock:
+            grouping = self._groupings.get(columns)
+            if grouping is None:
+                arrays = [self._array(column) for column in columns]
+                lists: dict[tuple, list[int]] = {}
+                for record, values in zip(self.records, zip(*arrays)):
+                    lists.setdefault(values, []).append(record.record_id)
+                grouping = {values: tuple(ids) for values, ids in lists.items()}
+                self._groupings[columns] = grouping
+            return list(grouping.items())
+
+    def _array(self, column: str | None) -> list:
+        if column is None:
+            return self.keys
+        values = self.numeric.get(column)
+        return self.categorical[column] if values is None else values
+
+    def _class_of(self, columns: tuple, row: int) -> tuple:
+        return tuple(self._array(column)[row] for column in columns)
+
+    def _regrouped(
+        self,
+        after: "ColumnStore",
+        record_id: int,
+        before_row: int | None,
+        after_row: int | None,
+    ) -> dict:
+        """*after*'s groupings: this store's, with *record_id* moved
+        from its class at *before_row* here to its class at
+        *after_row* in *after* (``None``: absent).  Groupings the move
+        leaves alone are shared."""
+        with self._lock:
+            groupings = list(self._groupings.items())
+        patched = {}
+        for columns, grouping in groupings:
+            old = None if before_row is None else self._class_of(columns, before_row)
+            new = None if after_row is None else after._class_of(columns, after_row)
+            if old != new:
+                grouping = dict(grouping)
+                if old is not None:
+                    ids = grouping.pop(old)
+                    at = bisect.bisect_left(ids, record_id)
+                    if len(ids) > 1:
+                        grouping[old] = ids[:at] + ids[at + 1 :]
+                if new is not None:
+                    ids = grouping.get(new, ())
+                    at = bisect.bisect_left(ids, record_id)
+                    grouping[new] = ids[:at] + (record_id,) + ids[at:]
+            patched[columns] = grouping
+        return patched
 
     # ------------------------------------------------------------------
     # incremental maintenance (delta patching)
@@ -176,6 +254,11 @@ class ColumnStore:
           a patched **shallow copy** (C-level list copies — no
           re-parsing, no re-stringifying) sharing the memos, so
           concurrent readers never see rows shift under their indices.
+
+        The groupings (:meth:`classes`) follow the same rules: the
+        in-place append adds the id to its class in this store's own
+        dicts, every other delta gives the new store copies of the
+        dicts whose class it moves (id tuples are never mutated).
 
         ``None`` comes back when the store does not hold the row the
         way the delta expects (an insert of a row it already holds, a
@@ -238,6 +321,7 @@ class ColumnStore:
             clone.keys = keys
         else:
             clone.keys = self.keys
+        clone._groupings = self._regrouped(clone, delta.record_id, row, row)
         clone._cow_aliased = True
         clone.epoch = target
         return clone
@@ -261,21 +345,26 @@ class ColumnStore:
             # copy instead (and the copy owns every list, so later
             # appends take the fast path again).
             return self._spliced(len(self.records), record, target)
-        row = len(self.records)
-        self.records.append(record)
-        self.keys.append(
-            tuple(
-                str(record.get(column, "") or "")
-                for column in self.type_i_columns
+        with self._lock:
+            row = len(self.records)
+            self.records.append(record)
+            self.keys.append(
+                tuple(
+                    str(record.get(column, "") or "")
+                    for column in self.type_i_columns
+                )
             )
-        )
-        for name, column in self.numeric.items():
-            column.append(parse_numeric(record.get(name)))
-        for name, column in self.categorical.items():
-            value = record.get(name)
-            column.append(None if value is None else str(value))
-        self.row_of[record_id] = row
-        self.epoch = target
+            for name, column in self.numeric.items():
+                column.append(parse_numeric(record.get(name)))
+            for name, column in self.categorical.items():
+                value = record.get(name)
+                column.append(None if value is None else str(value))
+            self.row_of[record_id] = row
+            # The largest id so far: it ends its class.
+            for columns, grouping in self._groupings.items():
+                values = self._class_of(columns, row)
+                grouping[values] = grouping.get(values, ()) + (record_id,)
+            self.epoch = target
         return self
 
     def _apply_remove(self, record_id: int, target: int) -> "ColumnStore | None":
@@ -293,6 +382,7 @@ class ColumnStore:
         clone.type_i_columns = self.type_i_columns
         clone._type_i_index = self._type_i_index
         clone._slot_memo = self._slot_memo
+        clone._lock = threading.Lock()
         clone._cow_aliased = False
         return clone
 
@@ -334,6 +424,11 @@ class ColumnStore:
         clone.row_of = {
             rec.record_id: row for row, rec in enumerate(clone.records)
         }
+        if record is None:
+            moved = (self.records[position].record_id, position, None)
+        else:
+            moved = (record.record_id, None, position)
+        clone._groupings = self._regrouped(clone, *moved)
         clone.epoch = target
         return clone
 
@@ -637,14 +732,16 @@ def _emit(
 class RankedPool(LazyList[ScoredRecord]):
     """A scored pool that orders and builds its rows only when read.
 
-    Holds, per pool row, the record, its Eq. 5 score and one
-    satisfaction entry per scoring slot — everything the ranking
-    decided.  Position *i* is the *i*-th row by the legacy
-    ``(-score, record_id)`` key.  The first read (an index or a
-    slice) selects the prefix up to the furthest position it asks for
-    with a bounded heap, a later read past that prefix orders the pool
-    once, and each position's :class:`~repro.ranking.rank_sim.ScoredRecord`
-    is built once (see :class:`~repro.structures.lazylist.LazyList`
+    The pool of a multi-unit question, or of any record list a caller
+    ranks (a single-unit question is ranked by score class,
+    :class:`ClassRankedPool`).  Holds, per pool row, the record, its
+    Eq. 5 score and one satisfaction entry per scoring slot —
+    everything the ranking decided.  Position *i* is the *i*-th row by
+    the legacy ``(-score, record_id)`` key.  The first read (an index
+    or a slice) selects the prefix up to the furthest position it asks
+    for with a bounded heap, a later read past that prefix orders the
+    pool once, and each position's
+    :class:`~repro.ranking.rank_sim.ScoredRecord` is built once (see :class:`~repro.structures.lazylist.LazyList`
     for the list behaviour and thread safety).  ``top_k`` only caps
     the length.
 
@@ -789,4 +886,155 @@ def sharded_rank_units(
         list(chain.from_iterable(shard_scores)),
         slots,
         top_k,
+    )
+
+
+# ----------------------------------------------------------------------
+# single-unit questions: rank score classes, not rows
+# ----------------------------------------------------------------------
+def _class_columns(unit: ScoringUnit) -> tuple:
+    """The columns *unit*'s score reads, ``None`` for the Type I key:
+    records with equal values there score alike (:func:`_condition_arrays`
+    reads the key for a positive Type I condition, else the column)."""
+    return tuple(
+        dict.fromkeys(
+            None
+            if condition.attribute_type is AttributeType.TYPE_I
+            and not condition.negated
+            and not _is_numeric_style(condition)
+            else condition.column
+            for condition in unit.conditions
+        )
+    )
+
+
+#: One class's share of one store: the store, the class's score, and
+#: the scored representative's slot columns and index in them.
+_Entry = tuple[ColumnStore, float, _Slots, int]
+
+
+def _by_class(
+    heap: list[tuple[float, int]],
+    members: list[list[tuple[_Entry, tuple[int, ...]]]],
+    exclude: set[int],
+) -> Iterator[tuple[int, _Entry]]:
+    """``(record_id, entry)`` best first: classes by descending score,
+    equal-score classes merged by id, *exclude* skipped.  Holds no
+    reference to the pool that reads it, so reference counting alone
+    frees both."""
+    while heap:
+        tier = [heapq.heappop(heap)]
+        while heap and heap[0][0] == tier[0][0]:
+            tier.append(heapq.heappop(heap))
+        runs = [
+            zip(ids, repeat(entry))
+            for _, index in tier
+            for entry, ids in members[index]
+        ]
+        for item in runs[0] if len(runs) == 1 else heapq.merge(*runs):
+            if item[0] not in exclude:
+                yield item
+
+
+class ClassRankedPool(LazyList[ScoredRecord]):
+    """A single-unit pool ranked by score class (:func:`class_rank_unit`).
+
+    Reads exactly like a :class:`RankedPool` of the same rows: position
+    *i* is the *i*-th record by the legacy ``(-score, record_id)`` key.
+    Reads advance one lazy walk over the classes (:func:`_by_class`), so
+    the first 30 answers cost O(classes + 30·log classes) however large
+    the table.  ``classes`` is the number of distinct score classes.
+
+    What a read returns was fixed at ranking time: id tuples are never
+    mutated, and each entry pins the column store it was ranked on.
+    """
+
+    def __init__(
+        self, size: int, ranked: Iterator[tuple[int, _Entry]], classes: int
+    ) -> None:
+        super().__init__(size)
+        self.classes = classes
+        self._ranked = ranked
+        self._order: list[tuple[int, _Entry]] = []
+
+    def _build_all(self, positions: list[int]) -> list[ScoredRecord]:
+        order = self._order
+        wanted = max(positions) + 1 - len(order)
+        if wanted > 0:
+            order.extend(islice(self._ranked, wanted))
+        built = []
+        for record_id, (store, score, slots, index) in map(
+            order.__getitem__, positions
+        ):
+            record = store.records[store.row_of[record_id]]
+            built.append(_emit(record, score, slots, index))
+        return built
+
+
+def class_rank_unit(
+    resources: RankingResources,
+    unit: ScoringUnit,
+    exclude: set[int],
+    top_k: int | None,
+) -> ClassRankedPool | None:
+    """Rank the whole table but *exclude* on one relaxation unit.
+
+    A one-unit question relaxes to the whole table (Section 4.3.1), and
+    a record's Eq. 5 score there depends only on its values in the
+    unit's class columns (:func:`_class_columns`).  So each store's
+    grouping by those values (:meth:`ColumnStore.classes`; one store
+    per shard, gathered through ``map_shards``) is scored one
+    representative row per class through :func:`_score_rows` — every
+    float, failed tuple and kind is the row engine's — and the classes
+    are read best first by :class:`ClassRankedPool`.  Its length is the
+    pool size, capped at *top_k*.  ``None`` means the columnar engine
+    cannot rank *unit* (no table attached, or an unplanned shape).
+    """
+    table = resources.table
+    stores = resources.shard_column_stores()
+    if stores is None:
+        store = resources.column_store()
+        stores = None if store is None else [store]
+    if stores is None or not _supports(stores[0], [unit]):
+        return None
+    columns = _class_columns(unit)
+    if len(stores) == 1:
+        gathered = [stores[0].classes(columns)]
+    else:
+        gathered = table.map_shards(
+            lambda index, _shard: stores[index].classes(columns)
+        )
+    # Class values -> (store, ids) for each store holding the class.
+    holders: dict[tuple, list[tuple[ColumnStore, tuple[int, ...]]]] = {}
+    for store, classes in zip(stores, gathered):
+        for values, ids in classes:
+            holders.setdefault(values, []).append((store, ids))
+    held = list(holders.values())
+    # One representative row per class, scored in the first store
+    # holding it: scores are per record, whichever store scores it.
+    represented: dict[ColumnStore, list[int]] = {}
+    for index, holding in enumerate(held):
+        represented.setdefault(holding[0][0], []).append(index)
+    type_i_fp, query_keys = _query_fingerprint(resources, [unit])
+    members: list = [None] * len(held)
+    heap: list[tuple[float, int]] = []
+    for store, indexes in represented.items():
+        rows = [store.row_of[held[index][0][1][0]] for index in indexes]
+        scores, slots = _score_rows(
+            store, resources, rows, [unit], type_i_fp, query_keys
+        )
+        for position, (index, score) in enumerate(zip(indexes, scores)):
+            members[index] = [
+                ((holder, score, slots, position), ids)
+                for holder, ids in held[index]
+            ]
+            heap.append((-score, index))
+    heapq.heapify(heap)
+    size = sum(len(ids) for holding in held for _, ids in holding) - sum(
+        record_id in store.row_of for store in stores for record_id in exclude
+    )
+    return ClassRankedPool(
+        size if top_k is None else min(top_k, size),
+        _by_class(heap, members, exclude),
+        len(held),
     )

@@ -126,11 +126,20 @@ class AnswerView(LazyList[Answer]):
     answer is built once, when its position is first read, so a
     ranking of thousands of rows costs only the answers someone reads
     (see :class:`~repro.structures.lazylist.LazyList`).
+
+    ``rank_path`` names how :meth:`CQAds.partial_answers` ranked a
+    view of partial answers: ``"classes"`` (score classes) or
+    ``"rows"``; ``None`` for any other view.
     """
 
-    def __init__(self, *parts: tuple[Sequence[Any], Callable[[Any], Answer]]) -> None:
+    def __init__(
+        self,
+        *parts: tuple[Sequence[Any], Callable[[Any], Answer]],
+        rank_path: str | None = None,
+    ) -> None:
         super().__init__(sum(len(source) for source, _ in parts))
         self._parts = parts
+        self.rank_path = rank_path
 
     @classmethod
     def concat(cls, *answer_lists: Sequence[Answer]) -> Sequence[Answer]:
@@ -587,10 +596,12 @@ class CQAds:
 
         Each relaxation unit is dropped in turn; the union of the
         relaxed queries' results, minus *exclude* (typically the exact
-        matches), is returned unranked.  Single-condition questions
-        fall back to the whole table (the paper's similarity-matching
-        case).  Used by the Figure 5 benchmark to feed every ranker
-        the same candidates.
+        matches), is returned unranked.  A single-unit question relaxes
+        to the whole table (the paper's similarity-matching case), and
+        the list copies it: :meth:`partial_answers` ranks such a
+        question by score class without this list, which is kept only
+        because ``perfbench/replay.py`` and the Figure 5 benchmark
+        (which feeds every ranker the same candidates) read it.
 
         Each unit's id-set is computed once and every relaxed pool is
         derived by intersection (:mod:`repro.perf.subplan`).
@@ -650,9 +661,14 @@ class CQAds:
         overrides the engine's ``ranking_engine`` per call.  Both
         default to the engine settings, like the other knobs.
 
-        The result is an :class:`AnswerView` over the ranking: every
-        candidate is scored here, but answers (and, on the columnar
-        engine, the order past the first read) are built only for the
+        The result is an :class:`AnswerView` over the ranking, whose
+        ``rank_path`` names how it was ranked.  On the columnar engine
+        a single-unit question (the whole table but *exclude*) is
+        ranked by score class, one scored row per class
+        (:func:`~repro.perf.colrank.class_rank_unit`, ``"classes"``);
+        any other pool is listed by :meth:`partial_candidates` and
+        every candidate scored here (``"rows"``).  Either way answers,
+        and the order past the first read, are built only for the
         positions a caller reads.
         """
         context = self.context(domain)
@@ -662,6 +678,23 @@ class CQAds:
             return []
         if top_k is None:
             top_k = self.ranking_top_k
+        if engine is None:
+            engine = self.ranking_engine
+        if ranker is not None and engine == "columnar" and len(units) == 1:
+            # Imported here for the same cycle as repro.perf.subplan.
+            from repro.perf.colrank import class_rank_unit
+
+            with span("relax.rank", path="classes") as node:
+                scored = class_rank_unit(
+                    context.resources, units[0], exclude, top_k
+                )
+                if node is not None:
+                    if scored is None:
+                        node.set_attribute("fallback", "rows")
+                    else:
+                        node.set_attribute("classes", scored.classes)
+            if scored is not None:
+                return AnswerView((scored, _ranked_answer), rank_path="classes")
         with span("relax.candidates"):
             pool = self.partial_candidates(
                 domain, interpretation, exclude, pool_cap=pool_cap
@@ -672,14 +705,9 @@ class CQAds:
             if top_k is not None:
                 pool = pool[:top_k]
             return AnswerView((pool, _unranked_answer))
-        with span("relax.rank", pool=len(pool)):
-            scored = ranker.rank_units(
-                pool,
-                units,
-                top_k=top_k,
-                engine=engine if engine is not None else self.ranking_engine,
-            )
-        return AnswerView((scored, _ranked_answer))
+        with span("relax.rank", path="rows", pool=len(pool)):
+            scored = ranker.rank_units(pool, units, top_k=top_k, engine=engine)
+        return AnswerView((scored, _ranked_answer), rank_path="rows")
 
     @staticmethod
     def _units_to_interpretation(

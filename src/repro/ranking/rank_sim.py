@@ -297,9 +297,11 @@ class RankSimRanker:
       :class:`~repro.perf.colrank.ColumnStore` (array lookups instead
       of per-record dict walking) and returns a
       :class:`~repro.perf.colrank.RankedPool`, which orders and builds
-      only the positions read.  Falls back to the legacy path
-      automatically when no table is attached to the resources or a
-      condition shape is outside the columnar planner.
+      only the positions read (a single-unit question's whole-table
+      pool is ranked by score class instead,
+      :func:`~repro.perf.colrank.class_rank_unit`).  Falls back to
+      the legacy path automatically when no table is attached to the
+      resources or a condition shape is outside the columnar planner.
     * ``"legacy"`` — the original per-record scoring and full sort,
       kept as the parity oracle.
     """

@@ -97,6 +97,11 @@ class WindowProbe:
         ]
 
 
+#: Class-column sets the store probe groups by (``None`` is the Type I
+#: key), as the single-unit ranking asks for them.
+GROUPINGS = ((None,), ("color",), ("price",), ("price", "color"))
+
+
 def _store_state(store: ColumnStore):
     return (
         store.epoch,
@@ -104,6 +109,7 @@ def _store_state(store: ColumnStore):
         store.keys,
         store.categorical,
         store.numeric,
+        {columns: dict(store.classes(columns)) for columns in GROUPINGS},
     )
 
 
@@ -129,9 +135,11 @@ class StoreProbe:
         else:
             stores = resources.shard_column_stores()
         if self.stores is not None:
-            # Only a rebuild mints a new slot memo; a patch shares it.
+            # Only a rebuild mints a new slot memo; a patch shares it,
+            # and must carry every grouping over (or it is built again).
             self.rebuilds += sum(
                 store._slot_memo is not old._slot_memo
+                or any(columns not in store._groupings for columns in GROUPINGS)
                 for store, old in zip(stores, self.stores)
             )
         self.stores = list(stores)
@@ -239,6 +247,12 @@ def test_point_write_patches_without_rebuild(consumer, layout):
     table.delete(ids[1])
     inserted = table.insert(_rows(1, seed=6)[0])
     table.update(inserted.record_id, {"price": 4321})
+    # A Type I update moves a record between classes; an explicit id
+    # below the largest lands mid-array.
+    moved = table.snapshot()[2]
+    table.update(moved.record_id, {"make": "saab", "model": "9-3"})
+    table.delete(ids[5])
+    table.insert(_rows(1, seed=8)[0], record_id=ids[5])
     state = probe.read()
     assert probe.rebuilds == built
     assert state == probe.fresh()

@@ -459,26 +459,31 @@ class TestConnectedSpanTree:
         system, obs = installed
         service = system.service(observability=obs)
 
-        def relax_children(question: str) -> dict[str, list[str]]:
+        def relax_children(question: str):
             with obs.trace("request") as root:
                 service.answer(AnswerRequest(question=question, domain="cars"))
             relax = root.find("stage.relax")
             assert relax is not None
-            return {
+            names = {
                 child.name: [node.name for node in child.walk()]
                 for child in relax.children
             }
+            return names, root.find("relax.rank").attributes, relax.attributes
 
         # Several relaxation units: their id-sets scatter per shard (a
         # price bound no other test asks, so the fragment cache misses).
-        multi = relax_children("blue honda accord less than 12345 dollars")
+        multi, rank, stage = relax_children("blue honda accord less than 12345 dollars")
         assert "shard.scatter" in multi["relax.candidates"]
         assert "shard.scatter" in multi["relax.rank"]
-        # One unit: the pool is the whole table, read from snapshots;
-        # only the ranking scatters.
-        single = relax_children("cheapest honda accord")
-        assert "shard.scatter" not in single["relax.candidates"]
+        assert rank["path"] == "rows" and rank["pool"] > 0
+        assert "path=rows" in stage["detail"]
+        # One unit: no pool is listed; the ranking gathers each shard's
+        # score classes.
+        single, rank, stage = relax_children("cheapest honda accord")
+        assert "relax.candidates" not in single
         assert "shard.scatter" in single["relax.rank"]
+        assert rank["path"] == "classes" and 0 < rank["classes"] < 150
+        assert "path=classes" in stage["detail"]
         service.close()
 
     def test_batch_pool_propagates_the_callers_span(self, installed):

@@ -17,7 +17,7 @@ from repro.db.sql.builder import QueryBuilder
 from repro.db.sql.executor import SQLExecutor, execute
 from repro.db.sql.parser import parse_select
 from repro.errors import ContradictionError
-from repro.perf.colrank import columnar_rank_units
+from repro.perf.colrank import class_rank_unit, columnar_rank_units
 from repro.perf.subplan import unit_id_sets
 from repro.qa.boolean_rules import merge_type_iii
 from repro.qa.conditions import Condition, ConditionOp
@@ -369,8 +369,9 @@ kernel_rows = st.fixed_dictionaries(
 )
 def test_every_consumer_agrees_on_satisfaction(condition, rows, windowed):
     """``condition_satisfied``, the SQL executor (window or
-    window-complement path), the fragment cache's patched set and the
-    columnar ranker's failed conditions give one verdict per row."""
+    window-complement path), the fragment cache's patched set, the
+    columnar ranker's failed conditions and the class ranking's give
+    one verdict per row."""
     if windowed:  # a 64-row table of repeated rows
         rows = (rows * 64)[:64]
     database = Database()
@@ -396,6 +397,11 @@ def test_every_consumer_agrees_on_satisfaction(condition, rows, windowed):
     ranked = columnar_rank_units(resources, records, [unit], None)
     assert ranked is not None  # every shape drawn here ranks columnar
     failed = {item.record.record_id: condition in item.failed for item in ranked}
+    classed = class_rank_unit(resources, unit, set(), None)
+    assert classed is not None and len(classed) == len(records)
+    class_failed = {
+        item.record.record_id: condition in item.failed for item in classed
+    }
 
     for record in records:
         satisfied = condition_satisfied(condition, record)
@@ -403,3 +409,4 @@ def test_every_consumer_agrees_on_satisfaction(condition, rows, windowed):
         assert (record.record_id in selected) == satisfied, context
         assert (record.record_id in patched) == satisfied, context
         assert failed[record.record_id] == (not satisfied), context
+        assert class_failed[record.record_id] == (not satisfied), context

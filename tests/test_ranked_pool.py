@@ -1,23 +1,31 @@
 """The lazy ranked pool behind ``QuestionResult.ranked_pool``.
 
 A question presents at most ``max_answers`` answers, but its ranked
-pool can be the whole table (a single relaxation unit).  The pool is
-scored when the question is answered and ordered and built only where
-it is read.  These tests pin that contract on a plain and a 4-shard
-cars build of 2,000 ads:
+pool can be the whole table (a single relaxation unit).  A multi-unit
+pool is scored when the question is answered; a single-unit question
+is ranked by score class instead, one scored row per class.  Either
+pool is ordered and built only where it is read.  These tests pin that
+contract on a plain and a 4-shard cars build of 2,000 ads:
 
 * answering builds no more ``ScoredRecord``/``Answer`` objects than it
   presents, while the pool still reports its full length;
+* answering "cheapest honda accord" scores at most one row per
+  distinct Type I key and never lists the table as a pool;
+* the class ranking equals the legacy row ranking for every
+  single-unit shape, ties between classes included;
 * ``page_all(..., max_depth=...)`` builds no more than it exports;
 * a full read equals the legacy engine's eager list;
-* the pool behaves like a read-only list, also under concurrent reads;
+* the pool behaves like a read-only list, also under concurrent reads,
+  and reference counting alone frees it;
 * what a late read returns was fixed when the question was ranked.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -25,7 +33,16 @@ import pytest
 from repro.api.requests import AnswerRequest
 from repro.api.service import AnswerService
 from repro.datagen.questions import make_generator
-from repro.qa.pipeline import MAX_ANSWERS, Answer, AnswerView
+from repro.db.schema import AttributeType
+from repro.perf import colrank
+from repro.qa.conditions import (
+    BooleanOperator,
+    Condition,
+    ConditionGroup,
+    ConditionOp,
+    Interpretation,
+)
+from repro.qa.pipeline import MAX_ANSWERS, CQAds, Answer, AnswerView
 from repro.ranking.rank_sim import ScoredRecord, condition_satisfied
 from repro.system import build_system
 
@@ -101,6 +118,135 @@ def test_answering_builds_only_the_presented_answers(system, service):
     assert len(result.ranked_pool) == len(system.database.table("car_ads")) == ADS
     assert len(scored) <= MAX_ANSWERS
     assert len(answers) <= MAX_ANSWERS
+
+
+def test_single_unit_answer_scores_one_row_per_class(system, service):
+    """The class path scores a representative per distinct Type I key
+    (per class, not per shard) and never lists the table as a pool."""
+    scored_rows: list[int] = []
+    score_rows = colrank._score_rows
+
+    def counting(store, resources, rows, *args):
+        scored_rows.extend(rows)
+        return score_rows(store, resources, rows, *args)
+
+    def whole_table(*args, **kwargs):
+        raise AssertionError("the single-unit pool was listed")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(colrank, "_score_rows", counting)
+        patch.setattr(CQAds, "partial_candidates", whole_table)
+        result = service.answer(WHOLE_TABLE)
+        assert len(result.answers) == MAX_ANSWERS
+    keys = {
+        (record["make"], record["model"])
+        for record in system.database.table("car_ads").snapshot()
+    }
+    assert len(result.ranked_pool) == ADS
+    assert 0 < len(scored_rows) <= len(keys)
+
+
+def _leaf(column, op, value, negated=False):
+    attribute_type = {
+        "make": AttributeType.TYPE_I,
+        "model": AttributeType.TYPE_I,
+        "color": AttributeType.TYPE_II,
+    }.get(column, AttributeType.TYPE_III)
+    return Condition(column, attribute_type, op, value, negated=negated)
+
+
+def _group(operator, *leaves):
+    return ConditionGroup(operator, list(leaves))
+
+
+EQ, LT, BETWEEN = ConditionOp.EQ, ConditionOp.LT, ConditionOp.BETWEEN
+#: One relaxation unit each.  "year = 2005" ties 2004 with 2006, so
+#: two classes of one score interleave by id.
+SINGLE_UNIT_SHAPES = {
+    "make+model": _group(
+        BooleanOperator.AND, _leaf("make", EQ, "honda"), _leaf("model", EQ, "accord")
+    ),
+    "make": _leaf("make", EQ, "honda"),
+    "type-ii": _leaf("color", EQ, "blue"),
+    "numeric-eq": _leaf("year", EQ, 2005),
+    "numeric-lt": _leaf("price", LT, 10000),
+    "numeric-between": _leaf("price", BETWEEN, (5000, 9000)),
+    # An OR-rooted tree is not relaxed; under an AND it is an "any" unit.
+    "any": _group(
+        BooleanOperator.AND,
+        _group(BooleanOperator.OR, _leaf("year", EQ, 2005), _leaf("mileage", LT, 50000)),
+    ),
+    "negated-any": _group(
+        BooleanOperator.AND,
+        _group(
+            BooleanOperator.OR,
+            _leaf("year", EQ, 2005, negated=True),
+            _leaf("mileage", LT, 100000, negated=True),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("top_k", [None, 45], ids=lambda k: f"top_k={k}")
+@pytest.mark.parametrize("shape", list(SINGLE_UNIT_SHAPES))
+def test_class_ranking_equals_the_row_ranking(system, shape, top_k):
+    cqads = system.cqads
+    interpretation = Interpretation(tree=SINGLE_UNIT_SHAPES[shape])
+    units = cqads.relaxation_units(interpretation)
+    assert len(units) == 1
+    ids = sorted(system.database.table("car_ads").all_ids())
+    exclude = set(ids[::97]) | {ids[-1] + 1000}  # one id the table lacks
+    answers = cqads.partial_answers("cars", interpretation, exclude, top_k=top_k)
+    assert answers.rank_path == "classes"
+    context = cqads.context("cars")
+    classed = colrank.class_rank_unit(context.resources, units[0], exclude, top_k)
+    rows = context.ranker().rank_units(
+        cqads.partial_candidates("cars", interpretation, exclude),
+        units,
+        top_k=top_k,
+        engine="legacy",
+    )
+    expected_size = len(ids) - len(exclude) + 1 if top_k is None else top_k
+    assert len(answers) == len(classed) == len(rows) == expected_size
+    assert [
+        (answer.record.record_id, repr(answer.score), answer.similarity_kind)
+        for answer in answers
+    ] == [
+        (item.record.record_id, repr(item.score), item.similarity_kind)
+        for item in rows
+    ]
+    assert [(item.record.record_id, item.failed) for item in classed] == [
+        (item.record.record_id, item.failed) for item in rows
+    ]
+    if shape == "numeric-eq" and top_k is None:
+        tied = [a for a in answers if a.record.get("year") in (2004, 2006)]
+        assert len({repr(answer.score) for answer in tied}) == 1
+        years = [answer.record["year"] for answer in tied]
+        assert sum(a != b for a, b in zip(years, years[1:])) > 1
+
+
+def test_class_ranked_pool_dies_by_reference_counting(service):
+    pools: list = []
+    rank = colrank.class_rank_unit
+
+    def keeping(*args):
+        pool = rank(*args)
+        pools.append(weakref.ref(pool))
+        return pool
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(colrank, "class_rank_unit", keeping)
+        result = service.answer(WHOLE_TABLE)
+    view = weakref.ref(result.ranked_pool)
+    result.ranked_pool[MAX_ANSWERS : MAX_ANSWERS + 100]  # past the first tier
+    assert len(pools) == 1 and pools[0]() is not None
+    gc.disable()
+    try:
+        del result
+        assert view() is None
+        assert pools[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_page_all_builds_at_most_the_exported_window(service):
@@ -228,21 +374,30 @@ def test_late_reads_return_what_was_ranked(shards):
         service = AnswerService(system.cqads)
         expected = _values(service.answer(WHOLE_TABLE).ranked_pool)
         pool = service.answer(WHOLE_TABLE).ranked_pool
-        # The tail: rows the pool has neither ordered nor built yet.
+        # The class walk stops inside the first score tier (the other
+        # honda accords); the tail is neither ordered nor built yet.
+        assert _values(pool[:MAX_ANSWERS]) == expected[:MAX_ANSWERS]
+        unread = [record_id for record_id, *_ in expected[MAX_ANSWERS : MAX_ANSWERS + 10]]
         tail = [record_id for record_id, *_ in expected[-60:]]
         table = system.database.table("car_ads")
-        for record_id in tail[:20]:
+        accord = {"make": "honda", "model": "accord", "color": "blue",
+                  "transmission": "manual", "doors": 4, "drivetrain": "fwd",
+                  "body_style": "sedan", "fuel": "gas", "year": 2001,
+                  "price": 1, "mileage": 1000}
+        for record_id in unread[:5]:  # out of the tier being read
+            table.update(record_id, {"make": "saab", "model": "9-3"})
+        for record_id in unread[5:]:  # re-inserted below the largest id
+            table.delete(record_id)
+            table.insert(accord, record_id=record_id)
+        for record_id in tail[:20]:  # into the first tier
             table.update(record_id, {"make": "honda", "model": "accord"})
         for record_id in tail[20:40]:
             table.delete(record_id)
         for _ in range(20):
-            table.insert(
-                {"make": "honda", "model": "accord", "color": "blue",
-                 "transmission": "manual", "doors": 4, "drivetrain": "fwd",
-                 "body_style": "sedan", "fuel": "gas", "year": 2001,
-                 "price": 1, "mileage": 1000}
-            )
+            table.insert(accord)
         assert _values(pool[-60:]) == expected[-60:]
         assert _values(pool) == expected
+        # A question asked now ranks the written table.
+        assert _values(service.answer(WHOLE_TABLE).ranked_pool) != expected
     finally:
         system.close()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.classify.features import question_features
 from repro.errors import ClassificationError
@@ -138,10 +138,15 @@ class MultinomialNaiveBayes(NaiveBayesClassifier):
 
 @dataclass(frozen=True)
 class _BetaParams:
-    """Fitted Beta(α, β) for one (class, word) rate distribution."""
+    """Fitted Beta(α, β) for one (class, word) rate distribution, with
+    the pmf's normalizer ``log B(α, β)`` computed once at fit time."""
 
     alpha: float
     beta: float
+    log_beta: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "log_beta", _log_beta(self.alpha, self.beta))
 
 
 def _log_beta(alpha: float, beta: float) -> float:
@@ -157,7 +162,7 @@ def _beta_binomial_log_pmf(x: int, n: int, params: _BetaParams) -> float:
     return (
         _log_choose(n, x)
         + _log_beta(x + params.alpha, n - x + params.beta)
-        - _log_beta(params.alpha, params.beta)
+        - params.log_beta
     )
 
 

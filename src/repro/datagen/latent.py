@@ -47,6 +47,17 @@ class LatentSimilarity:
         self._products_by_key: dict[tuple[str, ...], Product] = {
             product.key(): product for product in spec.products
         }
+        #: Each product's key, in ``spec.products`` order: the row and
+        #: column order of :attr:`product_table`.
+        self.product_keys: list[tuple[str, ...]] = [
+            product.key() for product in spec.products
+        ]
+        self._index_of = {key: index for index, key in enumerate(self.product_keys)}
+        #: ``product_table[i][j]``: similarity of products *i* and *j*.
+        self.product_table: list[list[float]] = [
+            [self._pair_similarity(key_a, key_b) for key_b in self.product_keys]
+            for key_a in self.product_keys
+        ]
         self._cluster_of: dict[str, int] = {}
         for index, cluster in enumerate(spec.word_clusters):
             for word in cluster:
@@ -68,13 +79,24 @@ class LatentSimilarity:
     def product_similarity(
         self, key_a: tuple[str, ...], key_b: tuple[str, ...]
     ) -> float:
-        """Ground-truth similarity of two products in [0, 1]."""
+        """Ground-truth similarity of two products in [0, 1] (0.0 when
+        either key is unknown), read from :attr:`product_table`."""
         if key_a == key_b:
             return SAME_PRODUCT
-        product_a = self._products_by_key.get(key_a)
-        product_b = self._products_by_key.get(key_b)
-        if product_a is None or product_b is None:
+        row = self._index_of.get(key_a)
+        column = self._index_of.get(key_b)
+        if row is None or column is None:
             return 0.0
+        return self.product_table[row][column]
+
+    def _pair_similarity(
+        self, key_a: tuple[str, ...], key_b: tuple[str, ...]
+    ) -> float:
+        """The similarity formula that fills :attr:`product_table`."""
+        if key_a == key_b:
+            return SAME_PRODUCT
+        product_a = self._products_by_key[key_a]
+        product_b = self._products_by_key[key_b]
         if product_a.group == product_b.group:
             return SAME_GROUP
         overlap = self._price_band_overlap(product_a, product_b)

@@ -29,7 +29,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.datagen.latent import LatentSimilarity
-from repro.datagen.vocab.base import DomainSpec, Product
+from repro.datagen.vocab.base import DomainSpec
 
 __all__ = ["LogResult", "LoggedQuery", "Session", "QueryLogGenerator", "generate_query_log"]
 
@@ -64,7 +64,14 @@ class Session:
 
 
 class QueryLogGenerator:
-    """Generates sessions for one domain."""
+    """Generates sessions for one domain.
+
+    Products are walked by their index in ``spec.products``, which is
+    the row order of *latent*'s :attr:`~LatentSimilarity.product_table`
+    (so *latent* must model *spec*).  Every similarity is a table read
+    and every key tuple is the product's one key, so the log costs the
+    random draws and little else.
+    """
 
     def __init__(
         self,
@@ -79,6 +86,10 @@ class QueryLogGenerator:
         self.rng = rng
         self.results_per_query = results_per_query
         self.reformulate_probability = reformulate_probability
+        self._keys = latent.product_keys
+        self._labels = [product.label() for product in spec.products]
+        self._table = latent.product_table
+        self._indices = range(len(spec.products))
         self._weights = [product.popularity for product in spec.products]
 
     # ------------------------------------------------------------------
@@ -96,50 +107,40 @@ class QueryLogGenerator:
             query = LoggedQuery(
                 user_id=user_id,
                 timestamp=timestamp,
-                text=product.label(),
-                product_key=product.key(),
+                text=self._labels[product],
+                product_key=self._keys[product],
             )
             query.results = self._results_for(product)
             session.queries.append(query)
             next_product = self._next_product(product)
-            similarity = self.latent.product_similarity(
-                product.key(), next_product.key()
-            )
+            similarity = self._table[product][next_product]
             # Similar reformulations come quickly; topic changes slowly.
             gap = 20.0 + 300.0 * (1.0 - similarity) + self.rng.uniform(0, 60)
             timestamp += gap
             product = next_product
         return session
 
-    def _random_product(self) -> Product:
-        return self.rng.choices(self.spec.products, weights=self._weights, k=1)[0]
+    def _random_product(self) -> int:
+        return self.rng.choices(self._indices, weights=self._weights, k=1)[0]
 
-    def _next_product(self, current: Product) -> Product:
+    def _next_product(self, current: int) -> int:
         if self.rng.random() < self.reformulate_probability:
-            weights = [
-                self.latent.product_similarity(current.key(), candidate.key())
-                + 0.01
-                for candidate in self.spec.products
-            ]
-            return self.rng.choices(self.spec.products, weights=weights, k=1)[0]
+            weights = [similarity + 0.01 for similarity in self._table[current]]
+            return self.rng.choices(self._indices, weights=weights, k=1)[0]
         return self._random_product()
 
-    def _results_for(self, queried: Product) -> list[LogResult]:
+    def _results_for(self, queried: int) -> list[LogResult]:
         """Ranked results: similar products float to the top, noisily."""
-        scored = []
-        for candidate in self.spec.products:
-            similarity = self.latent.product_similarity(
-                queried.key(), candidate.key()
-            )
-            scored.append((similarity + self.rng.gauss(0, 0.15), candidate))
-        scored.sort(key=lambda pair: -pair[0])
+        row = self._table[queried]
+        gauss = self.rng.gauss
+        noisy = [similarity + gauss(0, 0.15) for similarity in row]
+        # Stable: equal scores keep product order, reversed or not.
+        ranked = sorted(self._indices, key=noisy.__getitem__, reverse=True)
         results: list[LogResult] = []
-        for position, (noisy_score, candidate) in enumerate(
-            scored[: self.results_per_query], start=1
+        for position, candidate in enumerate(
+            ranked[: self.results_per_query], start=1
         ):
-            similarity = self.latent.product_similarity(
-                queried.key(), candidate.key()
-            )
+            similarity = row[candidate]
             click_probability = similarity * 0.8 / position**0.5
             clicked = self.rng.random() < click_probability
             dwell = 0.0
@@ -147,7 +148,7 @@ class QueryLogGenerator:
                 dwell = 20.0 + 240.0 * similarity + self.rng.uniform(0, 30)
             results.append(
                 LogResult(
-                    product_key=candidate.key(),
+                    product_key=self._keys[candidate],
                     rank=position,
                     clicked=clicked,
                     dwell_seconds=dwell,

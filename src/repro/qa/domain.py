@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from repro.db.schema import AttributeType, Column, TableSchema
 from repro.db.table import Table
 from repro.structures.trie import Trie
+from repro.text.shorthand import ShorthandIndex
 
 __all__ = ["TriePayload", "AdsDomain"]
 
@@ -64,6 +65,9 @@ class AdsDomain:
     value_ranges: dict[str, float] = field(default_factory=dict)
     numeric_bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
     _values_by_column: dict[str, list[str]] = field(default_factory=dict)
+    _shorthand_index: ShorthandIndex | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # construction
@@ -133,6 +137,7 @@ class AdsDomain:
         value = value.strip().lower()
         if not value:
             return
+        self._shorthand_index = None
         self._values_by_column.setdefault(column.name, [])
         if value not in self._values_by_column[column.name]:
             self._values_by_column[column.name].append(value)
@@ -200,6 +205,16 @@ class AdsDomain:
             if not column.is_numeric:
                 result.extend(self._values_by_column.get(column.name, []))
         return result
+
+    def shorthand_index(self) -> ShorthandIndex:
+        """:meth:`all_categorical_values` indexed for shorthand matching
+        (Section 4.2.3); built on first use, dropped by :meth:`add_value`."""
+        index = self._shorthand_index
+        if index is None:
+            index = self._shorthand_index = ShorthandIndex(
+                self.all_categorical_values()
+            )
+        return index
 
     def resolve_role(self, role: str) -> str | None:
         """Map an identifier role to this domain's column.

@@ -147,7 +147,7 @@ class QuestionTagger:
             tokens, corrections = self.corrector.correct_tokens(tokens)
         tokens = expand_shorthand(
             tokens,
-            self.domain.all_categorical_values(),
+            self.domain.shorthand_index(),
             skip=self._exempt_from_shorthand,
         )
         items: list[TaggedItem] = []

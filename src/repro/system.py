@@ -11,9 +11,11 @@ describes across Sections 3-4:
 5. register every domain with CQAds and train the JBBSM classifier on
    the ad texts.
 
-The returned :class:`BuiltSystem` keeps every intermediate artifact
-(datasets, latent models, matrices) so tests, examples and benchmarks
-can inspect or re-use them without rebuilding.
+The returned :class:`BuiltSystem` keeps the artifacts the answer path
+and the evaluation read (datasets, domains, latent models, matrices,
+ranking resources), so tests, examples and benchmarks can inspect or
+re-use them without rebuilding.  A domain's query log is not kept: it
+is garbage once its TI-matrix is learned.
 
 With ``lazy=True`` (what :meth:`repro.api.builder.SystemBuilder.lazy`
 sets), only the shared substrate (database, corpus, WS-matrix, the
@@ -37,7 +39,7 @@ from repro.classify.naive_bayes import NaiveBayesClassifier
 from repro.datagen.ads import DomainDataset, build_dataset
 from repro.datagen.corpus import generate_corpus
 from repro.datagen.latent import LatentSimilarity
-from repro.datagen.querylog import Session, generate_query_log
+from repro.datagen.querylog import generate_query_log
 from repro.datagen.vocab import DOMAIN_NAMES, build_domain_spec
 from repro.db.database import Database
 from repro.qa.domain import AdsDomain
@@ -55,12 +57,12 @@ __all__ = ["BuiltDomain", "BuiltSystem", "build_system"]
 
 @dataclass
 class BuiltDomain:
-    """All artifacts of one provisioned domain."""
+    """The kept artifacts of one provisioned domain (its query log is
+    dropped once the TI-matrix is learned)."""
 
     dataset: DomainDataset
     domain: AdsDomain
     latent: LatentSimilarity
-    sessions: list[Session]
     ti_matrix: TIMatrix
     resources: RankingResources
 
@@ -203,10 +205,11 @@ def _provision_domain(
     # symmetry with the paper's separate ebay statistics source).
     domain.value_ranges.update(dataset.value_ranges)
     latent = LatentSimilarity(spec)
-    sessions = generate_query_log(
-        spec, latent, n_sessions=sessions_per_domain, seed=seed + 4
+    ti_matrix = TIMatrix.from_query_log(
+        generate_query_log(
+            spec, latent, n_sessions=sessions_per_domain, seed=seed + 4
+        )
     )
-    ti_matrix = TIMatrix.from_query_log(sessions)
     resources = RankingResources(
         ti_matrix=ti_matrix,
         ws_matrix=system.ws_matrix,
@@ -221,7 +224,6 @@ def _provision_domain(
         dataset=dataset,
         domain=domain,
         latent=latent,
-        sessions=sessions,
         ti_matrix=ti_matrix,
         resources=resources,
     )

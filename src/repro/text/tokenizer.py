@@ -66,30 +66,36 @@ class Token:
 
 def normalize(word: str) -> str:
     """Lowercase *word* and strip commas used as thousands separators."""
-    return _COMMA_IN_NUMBER_RE.sub("", word).lower()
+    if "," in word:
+        word = _COMMA_IN_NUMBER_RE.sub("", word)
+    return word.lower()
+
+
+def _token_text(raw: str) -> str:
+    """The normalized text of one matched token (``$ 3000`` -> ``$3000``)."""
+    return normalize(raw.replace("$ ", "$"))
+
+
+def _prepare(text: str) -> str:
+    """Hyphens and slashes become spaces (``4-door`` is two tokens), so
+    the tagging trie only needs space-separated multi-word entries.  The
+    replacement is one-for-one, so match offsets stay offsets into
+    *text*."""
+    return text.replace("-", " ").replace("/", " ")
 
 
 def tokenize_with_spans(text: str) -> list[Token]:
-    """Tokenize *text*, returning :class:`Token` objects with spans.
-
-    Hyphens are treated as spaces (``4-door`` becomes two tokens) so
-    that the tagging trie only needs space-separated multi-word entries.
-    """
-    # Replacing hyphens/slashes with spaces keeps offsets aligned since
-    # the replacement is one-for-one.
-    prepared = text.replace("-", " ").replace("/", " ")
-    tokens: list[Token] = []
-    for match in _TOKEN_RE.finditer(prepared):
-        raw = match.group(0)
-        norm = normalize(raw.replace("$ ", "$"))
-        if norm:
-            tokens.append(Token(norm, match.start(), match.end()))
-    return tokens
+    """Tokenize *text*, returning :class:`Token` objects with spans."""
+    return [
+        Token(_token_text(match.group(0)), match.start(), match.end())
+        for match in _TOKEN_RE.finditer(_prepare(text))
+    ]
 
 
 def tokenize(text: str) -> list[str]:
-    """Tokenize *text* into a list of normalized token strings."""
-    return [token.text for token in tokenize_with_spans(text)]
+    """Tokenize *text* into normalized token strings: the texts of
+    :func:`tokenize_with_spans`, without a span object per token."""
+    return [_token_text(raw) for raw in _TOKEN_RE.findall(_prepare(text))]
 
 
 def iter_words(text: str) -> Iterator[str]:

@@ -4,7 +4,8 @@
   relaxation costs time and dilutes relevance);
 * spelling correction on/off under misspelling noise;
 * the 30-answer cap (iProspect statistic);
-* substring index vs. full scans for LIKE queries.
+* substring matching for LIKE queries: the hash index's distinct
+  values, each tested once, vs. a full scan.
 """
 
 from __future__ import annotations
@@ -142,7 +143,9 @@ def test_answer_cap_ablation(benchmark, full_system):
 
 
 def test_substring_index_ablation(benchmark, full_system):
-    """The length-3 substring index vs. a full scan (Section 4.5)."""
+    """Section 4.5's substring matching: a walk over the hash index's
+    distinct values (each tested once, matching buckets unioned) vs. a
+    full scan of the records."""
     table = full_system.domains["cars"].dataset.table
 
     def indexed() -> set[int]:
@@ -166,10 +169,10 @@ def test_substring_index_ablation(benchmark, full_system):
         format_table(
             ["access path", "200 lookups"],
             [
-                ["length-3 substring index (paper)", format_seconds(indexed_time)],
+                ["hash index distinct-value walk", format_seconds(indexed_time)],
                 ["full scan (ablation)", format_seconds(scan_time)],
             ],
-            title="Ablation — Section 4.5 substring index",
+            title="Ablation — Section 4.5 substring matching",
         )
     )
     assert indexed_time < scan_time

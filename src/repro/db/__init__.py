@@ -10,8 +10,9 @@ substrate:
   Type I/II/III attribute classification;
 * :mod:`repro.db.table` — record storage with validation and automatic
   index maintenance;
-* :mod:`repro.db.indexes` — hash (primary/secondary), sorted-numeric
-  and length-3 substring indexes;
+* :mod:`repro.db.indexes` — hash (primary/secondary) and NULL
+  indexes; the hash index also answers Section 4.5's substring
+  matching;
 * :mod:`repro.db.database` — the named-table catalog;
 * :mod:`repro.db.sql` — lexer, parser, AST and executor for the SQL
   subset CQAds generates (nested ``IN`` subqueries, ``BETWEEN``,

@@ -91,7 +91,6 @@ class Database:
     def create_table(
         self,
         schema: TableSchema,
-        substring_gram: int = 3,
         *,
         shards: int | None = None,
     ) -> Table:
@@ -113,22 +112,20 @@ class Database:
         if name in self._tables:
             raise ValueError(f"table {name!r} already exists")
         if shards is None:
-            table = Table(schema, substring_gram=substring_gram)
+            table = Table(schema)
         else:
             # Imported lazily: the shard facade builds on repro.db.table,
             # so a module-level import here would cycle the db package.
             from repro.shard.table import ShardedTable
 
-            table = ShardedTable(schema, shards, substring_gram=substring_gram)
+            table = ShardedTable(schema, shards)
         for listener in self._listeners:
             table.add_listener(listener)
         self._tables[name] = table
         if self._storage is not None:
             # After registration, before any row can exist: the logged
             # create frame always precedes the table's insert frames.
-            self._storage.on_create_table(
-                table, substring_gram=substring_gram, shards=shards
-            )
+            self._storage.on_create_table(table, shards=shards)
         return table
 
     def drop_table(self, name: str) -> None:

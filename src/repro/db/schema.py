@@ -177,6 +177,29 @@ class TableSchema:
         Returns the normalized record; raises :class:`SchemaError` on
         violations.
         """
+        normalized = self._normalize(record)
+        self._require_type_i(normalized, self.type_i_columns)
+        return normalized
+
+    def validate_values(self, values: dict[str, object]) -> dict[str, object]:
+        """Validate and normalize the *values* of an update.
+
+        The rules of :meth:`validate_record`, applied to the given
+        columns only: the Type I requirement covers the Type I columns
+        among them, since the stored row already met it for the rest.
+        """
+        normalized = self._normalize(values)
+        self._require_type_i(
+            normalized,
+            [
+                self._by_name[name]
+                for name in normalized
+                if self._by_name[name].attribute_type is AttributeType.TYPE_I
+            ],
+        )
+        return normalized
+
+    def _normalize(self, record: dict[str, object]) -> dict[str, object]:
         normalized: dict[str, object] = {}
         for key, value in record.items():
             column = self.column(key)
@@ -198,10 +221,14 @@ class TableSchema:
                 normalized[column.name] = int(number) if number.is_integer() else number
             else:
                 normalized[column.name] = str(value).strip().lower()
-        for column in self.type_i_columns:
+        return normalized
+
+    def _require_type_i(
+        self, normalized: dict[str, object], columns: list[Column]
+    ) -> None:
+        for column in columns:
             if not normalized.get(column.name):
                 raise SchemaError(
                     f"{self.table_name}: Type I column {column.name!r} is "
                     "required in every ad"
                 )
-        return normalized

@@ -7,9 +7,9 @@ it to MySQL.  This subpackage provides the equivalent machinery:
 * :mod:`repro.db.sql.lexer` / :mod:`repro.db.sql.parser` — tokenize and
   parse the dialect into the AST of :mod:`repro.db.sql.ast`;
 * :mod:`repro.db.sql.executor` — evaluate an AST against a
-  :class:`~repro.db.database.Database`, using the table's hash and
-  substring indexes for categorical equality and ``LIKE``, and the
-  ordered column windows for numeric and range predicates;
+  :class:`~repro.db.database.Database`, using the table's hash
+  indexes for categorical equality and ``LIKE``, and the ordered
+  column windows for numeric and range predicates;
 * :mod:`repro.db.sql.builder` — a small programmatic query builder the
   question pipeline uses so it never does string concatenation of
   untrusted question text into SQL.

@@ -111,9 +111,9 @@ class BetweenExpr:
 class LikeExpr:
     """``column LIKE pattern`` with % wildcards only.
 
-    CQAds uses LIKE for substring matching backed by the length-3
-    substring index, so the executor special-cases the
-    ``'%needle%'`` shape.
+    Section 4.5's substring matching; the executor tests each
+    distinct value of the column's hash index once, and special-cases
+    the ``'%needle%'`` shape as a plain substring test.
     """
 
     column: ColumnRef

@@ -75,7 +75,7 @@ class QueryBuilder:
         return BetweenExpr(self.column(column), Literal(low), Literal(high))
 
     def contains(self, column: str, needle: str) -> LikeExpr:
-        """Substring match, served by the length-3 substring index."""
+        """Substring match, served by the column's hash index."""
         return LikeExpr(self.column(column), f"%{needle}%")
 
     def not_(self, expr: Expr) -> NotExpr:

@@ -9,7 +9,9 @@ leaf predicates are answered by one structure per column kind —
 * every other comparison and BETWEEN leaf — numeric equality and
   ``IN`` lists, numeric, lexicographic and ``record_id`` ranges — via
   the ordered column windows (:mod:`repro.perf.window`),
-* ``LIKE '%needle%'`` via the length-3 substring index (Section 4.5).
+* every ``LIKE`` pattern via the hash index's distinct values, each
+  tested once, the matching buckets unioned (Section 4.5's substring
+  matching; see :mod:`repro.db.indexes`).
 
 The tree compiles before it runs (:func:`compile_where`): every
 comparison and BETWEEN leaf, NOTs folded in, becomes a
@@ -709,15 +711,13 @@ class SQLExecutor:
         pattern = expr.pattern.lower()
         stripped = pattern.strip("%")
         if "%" not in stripped and pattern.startswith("%") and pattern.endswith("%"):
-            # The common '%needle%' shape: answered by the substring
-            # index directly.
+            # The common '%needle%' shape: a plain substring test.
             return table.lookup_substring(name, stripped)
         regex = re.compile(
             "^" + ".*".join(re.escape(part) for part in pattern.split("%")) + "$"
         )
-        return table.scan(
-            lambda record: record.get(name) is not None
-            and regex.match(str(record.get(name))) is not None
+        return table.lookup_where(
+            name, lambda value: regex.match(value) is not None
         )
 
     def _eval_in(self, table: Table, expr: InExpr) -> set[int]:

@@ -1,20 +1,27 @@
 """Record storage for one ads domain, with automatic index maintenance.
 
-A :class:`Table` owns the records of one ads domain and keeps three
-index families consistent with them (Section 4.1.1 / 4.5 of the paper):
+A :class:`Table` owns the records of one ads domain and keeps two
+index families consistent with them (Section 4.1.1 of the paper):
 
 * a :class:`~repro.db.indexes.HashIndex` per Type I column (primary)
   and per Type II column (secondary);
-* a :class:`~repro.db.indexes.SubstringIndex` of length 3 per
-  categorical column;
 * a :class:`~repro.db.indexes.NullIndex` per column.
 
 Numeric Type III columns get no table-owned index: their ordered
 structure is the column window of :mod:`repro.perf.window`, which the
-SQL executor answers every numeric leaf from.
+SQL executor answers every numeric leaf from.  Section 4.5's length-3
+substring index is not kept either: a hash index's keys are its
+column's distinct values, so :meth:`Table.lookup_substring` and every
+``LIKE`` shape test each distinct value once and union the matching
+buckets (:meth:`Table.lookup_where`).  A categorical column without a
+hash index (only a Type III categorical column in a hand-built
+schema) scans.  NULL never matches.
 
 Records are plain dicts validated by the schema; each gets a stable
-integer id on insert.
+integer id on insert.  A write maintains only what it changes: an
+insert or delete indexes each column of its row once, and an update
+validates only the values it is given and moves the row between index
+entries only for the columns whose stored value changed.
 
 Every mutation (insert/delete/update) builds a *typed row delta* —
 :class:`InsertDelta`, :class:`RemoveDelta` or :class:`UpdateDelta`
@@ -43,8 +50,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from repro.db.indexes import HashIndex, NullIndex, SubstringIndex
-from repro.db.schema import AttributeType, TableSchema
+from repro.db.indexes import HashIndex, NullIndex
+from repro.db.schema import AttributeType, Column, TableSchema
 from repro.errors import RecordNotFoundError, SchemaError
 
 __all__ = [
@@ -194,7 +201,7 @@ class Record(dict):
 class Table:
     """Storage plus indexes for one ads domain."""
 
-    def __init__(self, schema: TableSchema, substring_gram: int = 3) -> None:
+    def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         self.name = schema.table_name
         self._records: dict[int, Record] = {}
@@ -207,24 +214,18 @@ class Table:
         #: Row deltas collected while notifications are suppressed
         #: (bulk mutations); the batch emits them as one BatchDelta.
         self._pending_deltas: list[MutationEvent] = []
-        self._hash_indexes: dict[str, HashIndex] = {}
-        self._substring_indexes: dict[str, SubstringIndex] = {}
         #: Per-column NULL-id sets (every schema column), so `!=`
         #: complements and NULL-semantics checks never re-scan.
         self._null_indexes: dict[str, NullIndex] = {
             column.name: NullIndex(column.name) for column in schema.columns
         }
-        for column in schema.columns:
-            if column.is_numeric:
-                continue
-            if column.attribute_type in (
-                AttributeType.TYPE_I,
-                AttributeType.TYPE_II,
-            ):
-                self._hash_indexes[column.name] = HashIndex(column.name)
-            self._substring_indexes[column.name] = SubstringIndex(
-                column.name, substring_gram
-            )
+        self._hash_indexes: dict[str, HashIndex] = {
+            column.name: HashIndex(column.name)
+            for column in schema.columns
+            if not column.is_numeric
+            and column.attribute_type
+            in (AttributeType.TYPE_I, AttributeType.TYPE_II)
+        }
 
     # ------------------------------------------------------------------
     # epoch, delta log and listeners
@@ -382,12 +383,15 @@ class Table:
         return removed
 
     def update(self, record_id: int, values: dict[str, object]) -> Record:
-        """Merge *values* into an existing record, revalidate, reindex.
+        """Merge *values* into an existing record, validate, reindex.
 
-        The record keeps its id and identity (it is mutated in place),
-        so references held elsewhere observe the new values.  The
-        logged :class:`UpdateDelta` carries exactly the columns whose
-        normalized value changed (with old and new values), so derived
+        Only *values* are validated (the stored row passed validation
+        when it landed), and only the columns whose normalized value
+        changed move between index entries.  The record keeps its id
+        and identity (it is mutated in place), so references held
+        elsewhere observe the new values.  The logged
+        :class:`UpdateDelta` carries exactly the changed columns (with
+        old and new values, in record column order), so derived
         structures patch the touched slots instead of rebuilding; a
         missing *record_id* raises
         :class:`~repro.errors.RecordNotFoundError`.
@@ -395,55 +399,59 @@ class Table:
         record = self._records.get(record_id)
         if record is None:
             raise RecordNotFoundError(self.name, record_id, "update")
-        merged = dict(record)
-        merged.update(values)
-        normalized = self.schema.validate_record(merged)
-        changed = tuple(
+        normalized = self.schema.validate_values(values)
+        changed = [
             column
             for column, value in normalized.items()
             if record.get(column) != value
-        )
+        ]
         old_values = {column: record.get(column) for column in changed}
-        new_values = {column: normalized[column] for column in changed}
-        self._index_record(record, add=False)
-        # normalized has every key the record has, so one C-level
-        # update swaps all values at once: a concurrent snapshot reader
-        # (a window or store build) sees the record whole, old or new.
+        # One C-level update swaps every given value at once: a
+        # concurrent snapshot reader (a window or store build) sees the
+        # record whole, old or new.  New columns land after the
+        # existing ones, in the order *values* names them.
         record.update(normalized)
-        self._index_record(record, add=True)
+        if len(changed) > 1:
+            # The delta lists columns in record order, new ones last.
+            changed = [column for column in record if column in old_values]
+            old_values = {column: old_values[column] for column in changed}
+        for column in changed:
+            self._index_value(column, old_values[column], record_id, add=False)
+            self._index_value(column, normalized[column], record_id, add=True)
         self._commit(
             UpdateDelta(
                 self,
                 "update",
                 record_id,
                 self._epoch + 1,
-                changed_columns=changed,
+                changed_columns=tuple(changed),
                 old_values=old_values,
-                new_values=new_values,
+                new_values={column: normalized[column] for column in changed},
                 record=record,
             )
         )
         return record
 
     def _index_record(self, record: Record, add: bool) -> None:
-        # NULL tracking must sweep the schema, not the record: a NULL
-        # can be an absent key, which record.items() never yields.
-        for column_name, null_index in self._null_indexes.items():
-            if record.get(column_name) is None:
-                (null_index.add if add else null_index.discard)(
-                    record.record_id
-                )
-        for column_name, value in record.items():
-            hash_index = self._hash_indexes.get(column_name)
-            if hash_index is not None:
-                (hash_index.add if add else hash_index.remove)(
-                    value, record.record_id
-                )
-            substring_index = self._substring_indexes.get(column_name)
-            if substring_index is not None:
-                (substring_index.add if add else substring_index.remove)(
-                    value, record.record_id
-                )
+        # Sweep the schema, not the record: a NULL can be an absent
+        # key, which record.items() never yields.
+        for column_name in self._null_indexes:
+            self._index_value(
+                column_name, record.get(column_name), record.record_id, add
+            )
+
+    def _index_value(
+        self, column_name: str, value: object, record_id: int, add: bool
+    ) -> None:
+        """Add *record_id* to (or drop it from) the index entry of
+        *value* in *column_name*: its NULL set, or its hash bucket."""
+        if value is None:
+            null_index = self._null_indexes[column_name]
+            (null_index.add if add else null_index.discard)(record_id)
+            return
+        hash_index = self._hash_indexes.get(column_name)
+        if hash_index is not None:
+            (hash_index.add if add else hash_index.remove)(value, record_id)
 
     # ------------------------------------------------------------------
     # access
@@ -492,38 +500,46 @@ class Table:
     # index-backed lookups (used by the SQL executor's planner)
     # ------------------------------------------------------------------
     def lookup_equal(self, column_name: str, value: object) -> set[int]:
-        """Ids with the categorical ``column == value`` via the best
-        available index (numeric columns are answered by the ordered
-        windows of :mod:`repro.perf.window`)."""
-        column = self.schema.column(column_name)
-        if column.is_numeric:
-            raise SchemaError(
-                f"equality lookup on numeric column {column_name!r}"
-            )
+        """Ids with the categorical ``column == value`` via the column's
+        hash index, or a scan when it has none (numeric columns are
+        answered by the ordered windows of :mod:`repro.perf.window`)."""
+        column = self._categorical(column_name, "equality")
         normalized = str(value).lower()
         hash_index = self._hash_indexes.get(column.name)
         if hash_index is not None:
             return hash_index.lookup(normalized)
-        # Categorical column without a hash index (not Type I/II):
-        # fall back to the substring index with exact verification.
-        substring_index = self._substring_indexes.get(column.name)
-        if substring_index is not None:
-            return {
-                record_id
-                for record_id in substring_index.search(normalized)
-                if self._records[record_id].get(column.name) == normalized
-            }
         return self.scan(lambda record: record.get(column.name) == normalized)
 
     def lookup_substring(self, column_name: str, needle: str) -> set[int]:
-        """Ids whose categorical column contains *needle* (length-3 index)."""
-        index = self._substring_indexes.get(column_name.lower())
-        if index is None:
-            needle = needle.lower()
-            return self.scan(
-                lambda record: needle in str(record.get(column_name.lower(), ""))
-            )
-        return index.search(needle)
+        """Ids whose categorical column contains *needle* (the
+        Section 4.5 substring match; NULL never matches)."""
+        needle = needle.lower()
+        return self.lookup_where(column_name, lambda value: needle in value)
+
+    def lookup_where(
+        self, column_name: str, test: Callable[[str], bool]
+    ) -> set[int]:
+        """Ids whose categorical column holds a value passing *test*.
+
+        A hash-indexed column runs *test* once per distinct value and
+        unions the matching buckets; a column without one scans.  NULL
+        never passes, and a numeric column raises
+        :class:`~repro.errors.SchemaError`.
+        """
+        name = self._categorical(column_name, "pattern").name
+        hash_index = self._hash_indexes.get(name)
+        if hash_index is not None:
+            return hash_index.lookup_matching(test)
+        return self.scan(
+            lambda record: (value := record.get(name)) is not None
+            and test(value)
+        )
+
+    def _categorical(self, column_name: str, lookup: str) -> Column:
+        column = self.schema.column(column_name)
+        if column.is_numeric:
+            raise SchemaError(f"{lookup} lookup on numeric column {column_name!r}")
+        return column
 
     def distinct_values(self, column_name: str) -> list[object]:
         """Distinct values of a column (via index when available)."""

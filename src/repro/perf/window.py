@@ -34,7 +34,7 @@ shards' windows current.
 
 Concurrency stance: window arrays are spliced in place under the
 owner's lock while readers go unsynchronized — the guarantees the
-table's own hash and substring indexes give (reads racing a write may
+table's own hash and NULL indexes give (reads racing a write may
 see either side of it, never a torn structure thanks to the GIL).  An
 :class:`IdWindow` captures its slice bounds at creation and must be
 consumed within the evaluating query, like any other index lookup.

@@ -76,16 +76,9 @@ class ShardedTable:
         scatter-gather machinery live over a single shard, which is
         how the parity battery pins the facade to the plain table).
         Fixed for the table's lifetime.
-    substring_gram:
-        Passed through to each shard's substring indexes.
     """
 
-    def __init__(
-        self,
-        schema: TableSchema,
-        shard_count: int,
-        substring_gram: int = 3,
-    ) -> None:
+    def __init__(self, schema: TableSchema, shard_count: int) -> None:
         if shard_count < 1:
             raise ValueError(f"shard_count must be >= 1, got {shard_count}")
         self.schema = schema
@@ -93,7 +86,7 @@ class ShardedTable:
         self.shard_count = shard_count
         self.shards: list[Table] = []
         for index in range(shard_count):
-            shard = Table(schema, substring_gram=substring_gram)
+            shard = Table(schema)
             # Distinct names keep shard-level diagnostics and cache keys
             # unambiguous; nothing resolves these through the catalog.
             shard.name = f"{self.name}::shard{index}"
@@ -336,6 +329,11 @@ class ShardedTable:
         return self._union(
             lambda shard: shard.lookup_substring(column_name, needle)
         )
+
+    def lookup_where(
+        self, column_name: str, test: Callable[[str], bool]
+    ) -> set[int]:
+        return self._union(lambda shard: shard.lookup_where(column_name, test))
 
     def scan(self, predicate: Callable[[Record], bool]) -> set[int]:
         # Each shard scans its own snapshot (Table.scan), so a

@@ -59,16 +59,14 @@ class StorageBackend(Protocol):
     subscribes to the delta stream.  ``on_create_table`` fires after a
     table is registered but before it can hold rows, so the backend
     can log the configuration that mere deltas cannot reconstruct
-    (schema, gram length, shard count).  ``close``
+    (schema and shard count).  ``close``
     releases file handles; further mutations on a closed backend are
     an error.
     """
 
     def attach(self, database: "Database") -> None: ...  # pragma: no cover
 
-    def on_create_table(
-        self, table, *, substring_gram: int, shards: int | None
-    ) -> None: ...  # pragma: no cover
+    def on_create_table(self, table, *, shards: int | None) -> None: ...  # pragma: no cover
 
     def close(self) -> None: ...  # pragma: no cover
 
@@ -82,9 +80,7 @@ class MemoryBackend:
     def attach(self, database: "Database") -> None:
         self.database = database
 
-    def on_create_table(
-        self, table, *, substring_gram: int, shards: int | None
-    ) -> None:
+    def on_create_table(self, table, *, shards: int | None) -> None:
         pass
 
     def close(self) -> None:
@@ -248,9 +244,7 @@ class WalBackend:
     # ------------------------------------------------------------------
     # the delta stream
     # ------------------------------------------------------------------
-    def on_create_table(
-        self, table, *, substring_gram: int, shards: int | None
-    ) -> None:
+    def on_create_table(self, table, *, shards: int | None) -> None:
         with self._lock:
             self._append_frames([create_frame(table)])
 

@@ -3,8 +3,7 @@
 Frame vocabulary (the ``"t"`` discriminator):
 
 ==========  =================================================================
-``create``  a table was created: full schema, substring-gram length
-            and shard count
+``create``  a table was created: full schema and shard count
 ``drop``    a table was dropped
 ``ins``     one row inserted — global id + normalized values
 ``del``     one row deleted
@@ -20,7 +19,9 @@ A sharded table is placed by :func:`repro.shard.partition.shard_of`,
 so the shard count is all a frame needs to route records.  Frames
 written before placement was fixed may carry a ``"partitioner"`` key:
 ``"hash"`` is that same placement and loads; any other value raises
-:class:`~repro.errors.StorageError`.
+:class:`~repro.errors.StorageError`.  Frames written while tables
+kept a substring index carry its gram length as ``"gram"``; it is
+ignored on load.
 
 Replay leans on two properties of the db layer: schema normalization
 is **idempotent** (stored values re-validate to themselves, so a
@@ -121,16 +122,9 @@ def _check_placement(frame: dict) -> None:
 
 def table_meta_of(table) -> dict:
     """The ``create``-frame configuration of a live table (or facade)."""
-    shards = getattr(table, "shard_count", None)
-    inner = table.shards[0] if shards is not None else table
-    if inner._substring_indexes:
-        gram = next(iter(inner._substring_indexes.values())).gram_length
-    else:  # pragma: no cover - every schema has a categorical column
-        gram = 3
     return {
         "schema": schema_to_json(table.schema),
-        "gram": gram,
-        "shards": shards,
+        "shards": getattr(table, "shard_count", None),
     }
 
 
@@ -194,9 +188,7 @@ def apply_frame(database: "Database", frame: dict) -> None:
     if kind == "create":
         _check_placement(frame)
         database.create_table(
-            schema_from_json(frame["schema"]),
-            substring_gram=frame["gram"],
-            shards=frame["shards"],
+            schema_from_json(frame["schema"]), shards=frame["shards"]
         )
     elif kind == "drop":
         database.drop_table(frame["table"])
@@ -263,9 +255,7 @@ def restore_table(database: "Database", frame: dict) -> None:
             f"image holds {len(frame['shard_images'])}"
         )
     table = database.create_table(
-        schema_from_json(frame["schema"]),
-        substring_gram=frame["gram"],
-        shards=shards,
+        schema_from_json(frame["schema"]), shards=shards
     )
     if shards is None:
         for record_id, values in frame["records"]:

@@ -1,7 +1,7 @@
 """Canonical state digests for recovery-parity assertions.
 
 "Bit-parity" in the crash tests means: records (values **and** dict
-order), the hash and substring indexes' internal structure, epoch
+order), the hash indexes' buckets, the NULL indexes' id sets, epoch
 counters and id allocators are identical between the recovered
 database and the uninterrupted oracle.  :func:`database_state` lowers
 all of that into one JSON-serializable structure;
@@ -31,17 +31,9 @@ def _index_state(table) -> dict:
             )
             for name, index in sorted(table._hash_indexes.items())
         },
-        "substring": {
-            name: {
-                "gram": index.gram_length,
-                "grams": sorted(
-                    (gram, sorted(ids))
-                    for gram, ids in index._grams.items()
-                    if ids
-                ),
-                "values": sorted(index._values.items()),
-            }
-            for name, index in sorted(table._substring_indexes.items())
+        "null": {
+            name: sorted(index.ids())
+            for name, index in sorted(table._null_indexes.items())
         },
     }
 

@@ -1,8 +1,10 @@
-"""Tests for the hash and substring indexes."""
+"""Tests for the hash index, and for the substring matching it serves."""
 
 from __future__ import annotations
 
-from repro.db.indexes import HashIndex, SubstringIndex
+from repro.db.indexes import HashIndex
+from repro.db.table import Table
+from tests.conftest import small_car_schema
 
 
 class TestHashIndex:
@@ -40,6 +42,20 @@ class TestHashIndex:
             index.add(value, record_id)
         assert sorted(index.distinct_values()) == ["blue", "red"]
 
+    def test_lookup_matching_tests_each_distinct_value_once(self):
+        index = HashIndex("model")
+        for record_id, value in enumerate(["accord", "corolla", "accord"], 1):
+            index.add(value, record_id)
+        tested = []
+
+        def contains_cor(value):
+            tested.append(value)
+            return "cor" in value
+
+        assert index.lookup_matching(contains_cor) == {1, 2, 3}
+        assert sorted(tested) == ["accord", "corolla"]
+        assert index.lookup_matching(lambda value: value == "camry") == set()
+
     def test_lookup_returns_copy(self):
         index = HashIndex("color")
         index.add("blue", 1)
@@ -49,43 +65,41 @@ class TestHashIndex:
 
 
 class TestSubstringIndex:
+    """Section 4.5's substring matching, now answered by the model
+    column's hash index: each distinct value is tested once."""
+
     def make(self):
-        index = SubstringIndex("model", gram_length=3)
-        for record_id, value in enumerate(
-            ["accord", "corolla", "camry", "cobalt"], 1
-        ):
-            index.add(value, record_id)
-        return index
+        table = Table(small_car_schema())
+        for value in ["accord", "corolla", "camry", "cobalt"]:
+            table.insert({"make": "honda", "model": value})
+        return table
 
     def test_search_exact_substring(self):
-        assert self.make().search("cor") == {1, 2}  # acCORd, CORolla
-        assert self.make().search("accord") == {1}
+        assert self.make().lookup_substring("model", "cor") == {1, 2}  # acCORd, CORolla
+        assert self.make().lookup_substring("model", "accord") == {1}
 
     def test_search_short_needle_falls_back(self):
-        # needles shorter than the gram length still work (full scan):
+        # needles shorter than three characters match like any other:
         # acCOrd, COrolla, CObalt all contain "co"
-        assert self.make().search("co") == {1, 2, 4}
+        assert self.make().lookup_substring("model", "co") == {1, 2, 4}
 
     def test_search_missing(self):
-        assert self.make().search("zzz") == set()
-
-    def test_candidates_is_superset(self):
-        index = self.make()
-        for needle in ("cor", "oll", "acc"):
-            assert index.search(needle) <= index.candidates(needle)
+        assert self.make().lookup_substring("model", "zzz") == set()
 
     def test_short_strings_indexed_whole(self):
-        index = SubstringIndex("model", gram_length=3)
-        index.add("m3", 1)
-        assert index.search("m3") == {1}
+        table = Table(small_car_schema())
+        table.insert({"make": "bmw", "model": "m3"})
+        assert table.lookup_substring("model", "m3") == {1}
 
     def test_remove(self):
-        index = self.make()
-        index.remove("accord", 1)
-        assert index.search("accord") == set()
-        assert index.search("cor") == {2}
+        table = self.make()
+        table.delete(1)
+        assert table.lookup_substring("model", "accord") == set()
+        assert table.lookup_substring("model", "cor") == {2}
+        table.update(2, {"model": "civic"})
+        assert table.lookup_substring("model", "cor") == set()
 
     def test_case_insensitive(self):
-        index = SubstringIndex("model")
-        index.add("Accord", 1)
-        assert index.search("ACCORD") == {1}
+        table = Table(small_car_schema())
+        table.insert({"make": "honda", "model": "Accord"})
+        assert table.lookup_substring("model", "ACCORD") == {1}

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the core data structures and
 invariants: the trie, similar_text, the stemmer, shorthand detection,
-the substring index, SQL round-tripping, Num_Sim, Rule 1 merging and
+substring matching, SQL round-tripping, Num_Sim, Rule 1 merging and
 the one definition of predicate satisfaction."""
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.db.database import Database
-from repro.db.indexes import SubstringIndex
-from repro.db.schema import AttributeType
+from repro.db.schema import AttributeType, Column, ColumnKind, TableSchema
 from repro.db.sql.builder import QueryBuilder
 from repro.db.sql.executor import SQLExecutor, execute
 from repro.db.sql.parser import parse_select
@@ -160,15 +159,68 @@ def test_shorthand_requires_subsequence(short, value):
 
 
 # ----------------------------------------------------------------------
-# substring index
+# substring matching: lookup_substring and LIKE
 # ----------------------------------------------------------------------
-@given(st.lists(words, min_size=1, max_size=20), words)
-def test_substring_index_matches_naive_scan(values, needle):
-    index = SubstringIndex("x", gram_length=3)
-    for record_id, value in enumerate(values):
-        index.add(value, record_id)
-    expected = {i for i, v in enumerate(values) if needle in v}
-    assert index.search(needle) == expected
+def substring_schema() -> TableSchema:
+    """A hash-indexed categorical column (``color``, Type II) beside a
+    hash-less one (``note``, a categorical Type III column)."""
+    return TableSchema(
+        table_name="notes",
+        columns=[
+            Column("make", AttributeType.TYPE_I),
+            Column("color", AttributeType.TYPE_II),
+            Column("note", AttributeType.TYPE_III),
+            Column("price", AttributeType.TYPE_III, ColumnKind.NUMERIC),
+        ],
+    )
+
+
+#: Short texts over a small alphabet, so needles often match; the empty
+#: string is a stored value too (only Type I values must be non-empty).
+short_texts = st.text(alphabet="abnoe", max_size=5)
+substring_rows = st.fixed_dictionaries(
+    {
+        "make": st.text(alphabet="abnoe", min_size=1, max_size=5),
+        "color": st.one_of(st.none(), short_texts),
+        "note": st.one_of(st.none(), short_texts),
+        "price": st.one_of(st.none(), st.integers(0, 9)),
+    }
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(substring_rows, min_size=1, max_size=12),
+    needle=st.text(alphabet="abnoeAN", max_size=3),
+    column=st.sampled_from(("make", "color", "note")),
+    shards=st.sampled_from((None, 4)),
+)
+def test_substring_matching_agrees_with_a_naive_scan(rows, needle, column, shards):
+    """``Table.lookup_substring`` and ``LIKE '%x%'``, ``'x%'`` and
+    ``'%x'`` select exactly the rows a scan of the stored values does:
+    on hash-indexed and hash-less columns, plain and sharded, and never
+    a NULL row (``str(None)`` holds "one")."""
+    database = Database()
+    table = database.create_table(substring_schema(), shards=shards)
+    records = [table.insert(row) for row in rows]
+    lowered = needle.lower()
+
+    def scanned(test) -> set[int]:
+        return {
+            record.record_id
+            for record in records
+            if record.get(column) is not None and test(record[column])
+        }
+
+    def like(pattern: str) -> set[int]:
+        sql = f"SELECT * FROM notes WHERE {column} LIKE '{pattern}'"
+        return set(execute(database, sql).record_ids())
+
+    contains = scanned(lambda value: lowered in value)
+    assert table.lookup_substring(column, needle) == contains
+    assert like(f"%{needle}%") == contains
+    assert like(f"{needle}%") == scanned(lambda value: value.startswith(lowered))
+    assert like(f"%{needle}") == scanned(lambda value: value.endswith(lowered))
 
 
 # ----------------------------------------------------------------------

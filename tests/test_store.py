@@ -249,9 +249,7 @@ class TestRoundTrips:
     def test_sharded_table_recovers_bit_identical(self, tmp_path):
         directory = str(tmp_path / "store")
         database = Database(storage=WalBackend(directory, fsync="off"))
-        table = database.create_table(
-            small_car_schema(), substring_gram=2, shards=3
-        )
+        table = database.create_table(small_car_schema(), shards=3)
         mutate_a_little(table)
         database.storage.snapshot()
         table.insert({"make": "fiat", "model": "500", "price": 3000})
@@ -261,8 +259,6 @@ class TestRoundTrips:
         # Configuration survived, not just rows.
         rebuilt = recovered.table("car_ads")
         assert rebuilt.shard_count == 3
-        gram = next(iter(rebuilt.shards[0]._substring_indexes.values()))
-        assert gram.gram_length == 2
         # Every live id is reachable through the routed reads and
         # writes, not merely present in some shard's image.
         live_ids = sorted(table.all_ids())
@@ -272,6 +268,50 @@ class TestRoundTrips:
             assert dict(rebuilt.get(record_id)) == dict(table.get(record_id))
             rebuilt.delete(record_id)
         assert len(rebuilt) == 0
+
+    def test_frames_carrying_a_gram_length_still_recover(self, tmp_path):
+        """Frames written while tables kept a substring index carry its
+        gram length as ``"gram"``, right after ``"schema"``.  A WAL and
+        a snapshot holding such frames recover bit-identically; new
+        frames omit the key."""
+        directory = str(tmp_path / "store")
+        database = Database(storage=WalBackend(directory, fsync="off"))
+        table = database.create_table(small_car_schema(), shards=3)
+        mutate_a_little(table)
+        database.storage.snapshot()
+        table.update(1, {"color": None, "transmission": "manual"})
+        database.storage.close()
+
+        def with_gram(frame: dict) -> dict:
+            if frame["t"] not in ("create", "table"):
+                return frame
+            assert "gram" not in frame
+            old: dict = {}
+            for key, value in frame.items():
+                old[key] = value
+                if key == "schema":
+                    old["gram"] = 2
+            return old
+
+        fs = FileSystem()
+        rewritten = 0
+        for name in sorted(os.listdir(directory)):
+            path = f"{directory}/{name}"
+            frames = [with_gram(frame) for frame in read_frames(fs, path).frames]
+            rewritten += sum(1 for frame in frames if "gram" in frame)
+            with open(path, "wb") as handle:
+                handle.write(b"".join(encode_frame(frame) for frame in frames))
+        assert rewritten == 2  # wal-000000's create, the snapshot's table
+
+        # Snapshot image + WAL tail, then the full WAL history alone.
+        recovered, report = recover_database(directory)
+        assert report.snapshot is not None
+        assert fingerprint(recovered) == fingerprint(database)
+        os.remove(snapshot_path(directory, report.base_generation))
+        replayed, report = recover_database(directory)
+        assert report.snapshot is None
+        assert fingerprint(replayed) == fingerprint(database)
+        assert replayed.table("car_ads").shard_count == 3
 
     def test_restore_rejects_a_record_on_the_wrong_shard(self):
         table = Database().create_table(small_car_schema(), shards=2)

@@ -15,7 +15,7 @@ The api_redesign PR routes every question through
    where popular questions repeat (120 questions drawn from 40
    templates) vs a serial loop.  The win comes from answering each
    distinct request once (frozen requests are hashable, the pipeline is
-   read-only) plus thread-pool overlap;
+   read-only);
 4. **instrumentation overhead** — the unified observability hooks
    (:mod:`repro.obs`) run unconditionally on the answer path; with no
    observability configured they take the no-op/counter-only fast
@@ -55,7 +55,6 @@ QUICK = bool(os.environ.get("BENCH_API_QUICK"))
 #: Distinct question templates and how often each repeats in the batch.
 UNIQUE_QUESTIONS = 12 if QUICK else 40
 REPEAT_FACTOR = 3
-BATCH_WORKERS = 4
 
 #: The observability budget: idle hooks must cost under this share of
 #: the per-question pipeline time (ISSUE 9 acceptance criterion).
@@ -138,19 +137,13 @@ def test_batch_vs_serial_throughput(service, questions):
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    dedup_only = service.answer_batch(workload, workers=1)
+    batched = service.answer_batch(workload)
     dedup_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    batched = service.answer_batch(workload, workers=BATCH_WORKERS)
-    batch_seconds = time.perf_counter() - started
 
     # Input order and answer-for-answer parity with the serial loop.
     for serial_result, batch_result in zip(serial, batched):
         assert serial_result.question == batch_result.question
         assert _signature(serial_result) == _signature(batch_result)
-    for serial_result, dedup_result in zip(serial, dedup_only):
-        assert _signature(serial_result) == _signature(dedup_result)
 
     per_question = len(workload)
     rows = [
@@ -161,16 +154,10 @@ def test_batch_vs_serial_throughput(service, questions):
             "1.00x",
         ],
         [
-            "batch workers=1 (dedup only)",
+            "answer_batch (dedup, then serial)",
             format_seconds(dedup_seconds),
             f"{per_question / dedup_seconds:.0f} q/s",
             f"{serial_seconds / dedup_seconds:.2f}x",
-        ],
-        [
-            f"batch workers={BATCH_WORKERS}",
-            format_seconds(batch_seconds),
-            f"{per_question / batch_seconds:.0f} q/s",
-            f"{serial_seconds / batch_seconds:.2f}x",
         ],
     ]
     emit(
@@ -183,10 +170,9 @@ def test_batch_vs_serial_throughput(service, questions):
             ),
         )
     )
-    # Deduplication alone must already beat the serial loop on a
-    # repeat-heavy workload; the threaded batch must not regress it.
+    # Deduplication must beat the serial loop on a repeat-heavy
+    # workload.
     assert dedup_seconds < serial_seconds
-    assert batch_seconds < serial_seconds
 
 
 def test_instrumentation_overhead_budget(service, questions):

@@ -3,13 +3,11 @@
 Builds a single-domain system with the fluent :class:`SystemBuilder`,
 then exercises the three :class:`AnswerService` entry points —
 ``answer`` (one request, with per-request options), ``answer_batch``
-(thread-pool fan-out, results in input order) and ``page`` (cursor
-pagination past the paper's 30-answer cap) — then scale-out:
-``.shards(4)`` scatter-gather over hash-placed shards (see
-PERFORMANCE.md, "Sharded scatter-gather execution") — then the async
-service tier (:class:`~repro.serve.AsyncAnswerService`): single-flight
-coalescing, admission control and deadlines over the same engine —
-then durability: ``.storage(directory)`` logs every
+(repeated requests answered once, results in input order) and
+``page`` (cursor pagination past the paper's 30-answer cap) — then
+scale-out: ``.shards(4)`` scatter-gather over hash-placed shards (see
+PERFORMANCE.md, "Sharded scatter-gather execution") — then
+durability: ``.storage(directory)`` logs every
 mutation to a checksummed write-ahead log, and
 :func:`repro.open_database` recovers the bit-identical database
 after a restart (or crash; see PERFORMANCE.md, "Durability") —
@@ -41,13 +39,11 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-import asyncio
 import tempfile
 import time
 
 from repro import (
     AnswerRequest,
-    AsyncAnswerService,
     InMemoryTraceSink,
     MetricsRegistry,
     Observability,
@@ -56,7 +52,6 @@ from repro import (
     set_default_registry,
 )
 from repro.db.sql.executor import SQLExecutor
-from repro.errors import DeadlineExceededError
 from repro.store import database_fingerprint
 
 
@@ -86,10 +81,10 @@ def main() -> None:
         "Show me Black Silver cars",             # mutually exclusive values
     ]
 
-    # Batched answering: one thread-pool pass, results in input order.
+    # Batched answering: equal requests are answered once, and the
+    # results come back in input order.
     results = service.answer_batch(
-        [AnswerRequest(question=q, domain="cars") for q in questions],
-        workers=4,
+        [AnswerRequest(question=q, domain="cars") for q in questions]
     )
 
     for question, result in zip(questions, results):
@@ -276,32 +271,6 @@ def main() -> None:
     print(f"   inserted ad #{spare.record_id} landed on shard {shard}; "
           f"only that shard's caches were patched")
     sharded_table.delete(spare.record_id)
-
-    # The service tier: an asyncio front door with admission control.
-    # Identical in-flight questions coalesce into one engine run,
-    # per-tenant token buckets and a bounded queue shed excess load
-    # with typed errors, and per-request deadlines bound each caller's
-    # wait (see PERFORMANCE.md, "Service tier", and
-    # `python -m repro load ...` for an open-loop load driver).
-    print("=" * 72)
-    print("Async service tier: coalescing a burst of duplicate questions ...")
-
-    async def service_tier_demo() -> None:
-        async with AsyncAnswerService(service, workers=2, max_queue=8) as tier:
-            burst = await tier.answer_batch(
-                AnswerRequest(question=question, domain="cars")
-                for _ in range(8)
-            )
-            stats = tier.stats()
-            print(f"   {len(burst)} concurrent identical questions -> "
-                  f"{stats.executed} engine run(s), "
-                  f"{stats.coalesced} coalesced waiters")
-            try:
-                await tier.ask(question, domain="cars", deadline=1e-6)
-            except DeadlineExceededError as exc:
-                print(f"   a 1us deadline sheds typed: {exc}")
-
-    asyncio.run(service_tier_demo())
 
     # Durability: point the builder at a directory and every typed
     # mutation delta is appended to a CRC-checksummed write-ahead log

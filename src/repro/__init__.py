@@ -22,7 +22,7 @@ Quickstart (the service-layer API)::
 
     # per-request overrides, batching and pagination:
     result = service.ask("blue honda", max_answers=5, explain=True)
-    results = service.answer_batch(["honda accord", "red bmw"], workers=4)
+    results = service.answer_batch(["honda accord", "red bmw", "honda accord"])
     page = service.page(result, offset=30, limit=30)  # past the 30-cap
 
 Legacy API: :func:`build_system` and ``CQAds.answer(question)`` remain
@@ -35,11 +35,6 @@ Public surface:
 * :mod:`repro.api` — the service layer: :class:`SystemBuilder`,
   :class:`AnswerService`, :class:`AnswerRequest`/:class:`AnswerOptions`,
   :class:`QueryPipeline` with pluggable stages, :class:`AnswerPage`;
-* :mod:`repro.serve` — the async service tier:
-  :class:`AsyncAnswerService` with per-tenant token-bucket rate
-  limiting, single-flight coalescing of identical in-flight requests,
-  bounded admission queues with typed shed errors, and per-service
-  stats (``SystemBuilder().build_async_service()``);
 * :func:`build_system` — one-call provisioning (synthetic ads, query
   logs, corpus, similarity matrices, classifier);
 * :class:`CQAds` — the engine (domains, classifier, N-1 relaxation);
@@ -76,7 +71,6 @@ from repro.obs import (
 from repro.qa.conditions import Condition, ConditionOp, Interpretation, Superlative
 from repro.qa.domain import AdsDomain
 from repro.qa.pipeline import MAX_ANSWERS, Answer, CQAds, QuestionResult
-from repro.serve import AsyncAnswerService, ServiceStats
 from repro.store import (
     RecoveryReport,
     WalBackend,
@@ -105,8 +99,6 @@ __all__ = [
     "AnswerPage",
     "AnswerRequest",
     "AnswerService",
-    "AsyncAnswerService",
-    "ServiceStats",
     "QueryPipeline",
     "RecoveryReport",
     "SystemBuilder",

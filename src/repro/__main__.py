@@ -10,20 +10,9 @@ Two modes:
 
 ``python -m repro batch questions.txt``
     Answer one question per line of the file (``-`` for stdin) through
-    :meth:`repro.api.service.AnswerService.answer_batch` and emit a
-    JSON array of results to stdout — the scripted counterpart of the
-    interactive mode.
-
-``python -m repro load``
-    Drive synthetic **open-loop** traffic (arrivals on a fixed
-    schedule, regardless of completions — the load model under which
-    queues actually grow) through the async service tier
-    (:class:`repro.serve.AsyncAnswerService`) and report p50/p99
-    latency, shed counts by typed error, and the single-flight
-    coalescing hit rate.  ``--rps``/``--duration`` set the offered
-    load, ``--workers``/``--queue``/``--rate``/``--burst``/
-    ``--deadline`` set the admission knobs, and ``--distinct``
-    controls how duplicate-heavy the question mix is.
+    :meth:`repro.api.service.AnswerService.answer_batch` (repeated
+    questions are answered once) and emit a JSON array of results to
+    stdout — the scripted counterpart of the interactive mode.
 
 ``python -m repro snapshot DIR``
     Durability maintenance: provision a system **into** DIR when the
@@ -41,13 +30,14 @@ Two modes:
 ``python -m repro stats``
     Observability smoke: provision a small WAL-backed system with the
     unified observability layer attached (:mod:`repro.obs`), drive a
-    short traced workload through the async service tier, and print
-    the resulting metrics as Prometheus text exposition (``--json``
-    for the snapshot dict, ``--trace`` to also print a request's span
-    tree).  ``--check`` additionally asserts the export parses and the
-    core metric families are non-zero — the CI smoke mode.
+    short traced workload through an answer-cached ``AnswerService``,
+    and print the resulting metrics as Prometheus text exposition
+    (``--json`` for the snapshot dict, ``--trace`` to also print a
+    request's span tree).  ``--check`` additionally asserts the export
+    parses and the core metric families are non-zero — the CI smoke
+    mode.
 
-The word ``batch``/``load``/``snapshot``/``recover``/``stats`` in
+The word ``batch``/``snapshot``/``recover``/``stats`` in
 first position selects the subcommand; to ask the literal one-word
 question "batch", put the flags (if any) first and separate the
 question with ``--``: ``python -m repro --domains cars -- batch``.
@@ -56,20 +46,16 @@ question with ``--``: ``python -m repro --domains cars -- batch``.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
-import random
 import sys
 
 from repro.api import AnswerRequest, AnswerService, SystemBuilder
 from repro.datagen.vocab import DOMAIN_NAMES
-from repro.errors import ServiceError
 from repro.qa.pipeline import SERVICE_TIMING_KEYS
 
 __all__ = [
     "build_arg_parser",
     "build_batch_parser",
-    "build_load_parser",
     "build_recover_parser",
     "build_snapshot_parser",
     "build_stats_parser",
@@ -157,12 +143,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
     )
     _add_provisioning_arguments(parser)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="thread-pool size for answer_batch (default 4)",
-    )
-    parser.add_argument(
         "--max-answers",
         type=int,
         default=None,
@@ -179,88 +159,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="JSON indentation (default 2; 0 for compact output)",
-    )
-    return parser
-
-
-def build_load_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro load",
-        description=(
-            "Drive open-loop synthetic traffic through the async "
-            "service tier and report latency percentiles, shed counts "
-            "and the coalescing hit rate."
-        ),
-    )
-    _add_provisioning_arguments(parser)
-    parser.add_argument(
-        "--rps",
-        type=float,
-        default=50.0,
-        help="offered load: request arrivals per second (default 50)",
-    )
-    parser.add_argument(
-        "--duration",
-        type=float,
-        default=5.0,
-        help="seconds of offered traffic (default 5)",
-    )
-    parser.add_argument(
-        "--distinct",
-        type=int,
-        default=12,
-        help=(
-            "distinct questions in the mix; arrivals sample uniformly "
-            "from this pool, so smaller means more duplicate-heavy "
-            "(default 12)"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="concurrent engine invocations (default 4)",
-    )
-    parser.add_argument(
-        "--queue",
-        type=int,
-        default=32,
-        help="bounded admission queue depth (default 32)",
-    )
-    parser.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="shared token-bucket refill rate, req/s (default: unlimited)",
-    )
-    parser.add_argument(
-        "--burst",
-        type=float,
-        default=None,
-        help="token-bucket burst capacity (default: max(rate, 1))",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="per-request deadline in seconds (default: none)",
-    )
-    parser.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable single-flight coalescing (baseline comparison)",
-    )
-    parser.add_argument(
-        "--cache",
-        type=int,
-        default=None,
-        metavar="CAPACITY",
-        help="attach an answer cache of this capacity (default: none)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the report as JSON instead of text",
     )
     return parser
 
@@ -336,7 +234,7 @@ def build_stats_parser() -> argparse.ArgumentParser:
         "--requests",
         type=int,
         default=24,
-        help="requests to drive through the async service (default 24)",
+        help="requests to drive through the service (default 24)",
     )
     parser.add_argument(
         "--json",
@@ -353,8 +251,8 @@ def build_stats_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "smoke mode: assert the Prometheus export parses and the "
-            "core metric families (cache hit/miss, stage latencies, "
-            "serve counters, WAL ops) are non-zero; exit 1 otherwise"
+            "core metric families (cache hit/miss, stage and request "
+            "latencies, WAL ops) are non-zero; exit 1 otherwise"
         ),
     )
     return parser
@@ -380,9 +278,6 @@ def _stats_workload(args: argparse.Namespace, obs) -> str:
         if args.shards is not None:
             builder = builder.shards(args.shards)
         system = builder.build()
-        service = system.async_service(
-            cache=64, observability=obs, workers=2, max_queue=16
-        )
         cqads = system.cqads
 
         from repro.datagen.questions import make_generator
@@ -391,21 +286,14 @@ def _stats_workload(args: argparse.Namespace, obs) -> str:
             system.domain(domains[0]).dataset, seed=args.seed
         )
         pool = [generator.generate().text for _ in range(6)]
-
-        async def drive() -> None:
-            # Duplicate-heavy so the answer cache and the singleflight
-            # table both see hits; sequential re-asks hit the cache,
-            # concurrent duplicates coalesce.
+        # Duplicate-heavy: sequential re-asks hit the answer cache, and
+        # the batch's duplicates are answered once.
+        with system.service(cache=64, observability=obs) as service:
             for index in range(max(1, args.requests)):
-                await service.ask(
-                    pool[index % len(pool)], domain=domains[0]
-                )
-            await service.answer_batch(
-                [pool[0]] * 4, return_exceptions=True
+                service.ask(pool[index % len(pool)], domain=domains[0])
+            service.answer_batch(
+                [AnswerRequest(question=pool[0], domain=domains[0])] * 4
             )
-            await service.close()
-
-        asyncio.run(drive())
 
         schema = cqads.domain(domains[0]).schema
         numeric = next(
@@ -425,8 +313,9 @@ def _stats_workload(args: argparse.Namespace, obs) -> str:
 
             for sink in obs.tracer.sinks:
                 if isinstance(sink, InMemoryTraceSink) and sink.roots:
-                    # The richest retained tree (a coalesced hit keeps
-                    # no children; a full engine pass keeps them all).
+                    # The richest retained tree (an answer-cache hit
+                    # keeps no stages; a full engine pass keeps them
+                    # all).
                     root = max(
                         sink.roots, key=lambda r: sum(1 for _ in r.walk())
                     )
@@ -460,12 +349,10 @@ def _check_stats_export(rendered: str, sharded: bool = False) -> list[str]:
             failures.append(f"cache family {family!r} recorded no lookups")
     if total("repro_stage_seconds_count") <= 0:
         failures.append("no pipeline stage latencies recorded")
-    if total("repro_serve_requests_total", outcome="completed") <= 0:
-        failures.append("serve tier recorded no completed requests")
+    if total("repro_api_request_seconds_count") <= 0:
+        failures.append("no request latency observations recorded")
     if total("repro_wal_ops_total") <= 0:
         failures.append("no WAL operations recorded")
-    if total("repro_serve_request_seconds_count") <= 0:
-        failures.append("no serve latency observations recorded")
     if sharded:
         rows = [
             value
@@ -767,165 +654,11 @@ def _batch_main(argv: list[str]) -> int:
             request.with_options(max_answers=args.max_answers)
             for request in requests
         ]
-    print(
-        f"answering {len(requests)} questions "
-        f"({args.workers} workers) ...",
-        file=sys.stderr,
-    )
-    results = service.answer_batch(requests, workers=args.workers)
+    print(f"answering {len(requests)} questions ...", file=sys.stderr)
+    results = service.answer_batch(requests)
     payload = [_result_to_json(result, args.top) for result in results]
     json.dump(payload, sys.stdout, indent=args.indent or None)
     print()
-    return 0
-
-
-def _percentile(values: list[float], q: float) -> float | None:
-    """The *q*-quantile (0..1) by nearest-rank on sorted *values*."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
-    return ordered[index]
-
-
-async def _drive_open_loop(
-    service, arrivals: list[tuple[float, AnswerRequest]]
-) -> dict:
-    """Fire *arrivals* on their schedule; collect latency + shed stats.
-
-    Open-loop: every arrival fires at its scheduled offset whether or
-    not earlier requests completed, which is what exposes queue growth
-    and shedding under overload (a closed loop would self-throttle).
-    """
-    loop = asyncio.get_running_loop()
-    start = loop.time() + 0.02
-    latencies: list[float] = []
-    shed: dict[str, int] = {}
-
-    async def one(offset: float, request: AnswerRequest) -> None:
-        delay = (start + offset) - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        begun = loop.time()
-        try:
-            await service.answer(request)
-        except ServiceError as exc:
-            name = type(exc).__name__
-            shed[name] = shed.get(name, 0) + 1
-        else:
-            latencies.append(loop.time() - begun)
-
-    await asyncio.gather(
-        *(one(offset, request) for offset, request in arrivals)
-    )
-    stats = service.stats()
-    return {
-        "offered": len(arrivals),
-        "completed": len(latencies),
-        "p50_ms": (_percentile(latencies, 0.50) or 0.0) * 1000,
-        "p99_ms": (_percentile(latencies, 0.99) or 0.0) * 1000,
-        "shed": shed,
-        "shed_rate": stats.shed_rate,
-        "engine_invocations": stats.executed,
-        "coalesced": stats.coalesced,
-        "coalescing_hit_rate": stats.coalescing_hit_rate,
-        # Service-side view: the serve tier's own latency histogram
-        # (admission to completion), estimated from fixed buckets —
-        # complements the client-observed p50_ms/p99_ms above.
-        "latency_hist": stats.latency.as_dict() if stats.latency else None,
-        "stats": stats.as_dict(),
-    }
-
-
-def _load_main(argv: list[str]) -> int:
-    args = build_load_parser().parse_args(argv)
-    if args.rps <= 0:
-        print("--rps must be positive", file=sys.stderr)
-        return 1
-    domains = args.domains
-    if domains is None and args.domain is not None:
-        domains = [args.domain]
-    print("provisioning CQAds ...", file=sys.stderr)
-    builder = SystemBuilder().ads_per_domain(args.ads).with_seed(args.seed)
-    if domains is not None:
-        builder = builder.with_domains(domains)
-    if args.shards is not None:
-        builder = builder.shards(args.shards)
-    system = builder.build()
-
-    from repro.datagen.questions import make_generator
-
-    names = sorted(system.domains)
-    pool: list[AnswerRequest] = []
-    for index in range(max(1, args.distinct)):
-        name = names[index % len(names)]
-        generator = make_generator(
-            system.domain(name).dataset, seed=args.seed + index
-        )
-        pool.append(
-            AnswerRequest(question=generator.generate().text, domain=name)
-        )
-
-    rng = random.Random(args.seed)
-    total = max(1, int(args.rps * args.duration))
-    interval = 1.0 / args.rps
-    arrivals = [
-        (index * interval, pool[rng.randrange(len(pool))])
-        for index in range(total)
-    ]
-
-    service = system.async_service(
-        cache=args.cache,
-        workers=args.workers,
-        max_queue=args.queue,
-        rate=args.rate,
-        burst=args.burst,
-        default_deadline=args.deadline,
-        coalesce=not args.no_coalesce,
-    )
-
-    async def run() -> dict:
-        try:
-            return await _drive_open_loop(service, arrivals)
-        finally:
-            await service.close()
-
-    print(
-        f"offering {total} requests at {args.rps:g} req/s "
-        f"({len(pool)} distinct questions, {args.workers} workers, "
-        f"queue {args.queue}) ...",
-        file=sys.stderr,
-    )
-    report = asyncio.run(run())
-    if args.json:
-        json.dump(report, sys.stdout, indent=2)
-        print()
-        return 0
-    print(f"offered:            {report['offered']}")
-    print(f"completed:          {report['completed']}")
-    print(f"p50 latency:        {report['p50_ms']:.1f} ms")
-    print(f"p99 latency:        {report['p99_ms']:.1f} ms")
-    hist = report["latency_hist"]
-    if hist:
-        print(
-            f"service histogram:  p50 {hist['p50'] * 1000:.1f} ms, "
-            f"p95 {hist['p95'] * 1000:.1f} ms, "
-            f"p99 {hist['p99'] * 1000:.1f} ms "
-            f"({hist['count']} observed)"
-        )
-    print(f"engine invocations: {report['engine_invocations']}")
-    print(
-        f"coalesced:          {report['coalesced']} "
-        f"({report['coalescing_hit_rate']:.1%} of submitted)"
-    )
-    shed = report["shed"]
-    if shed:
-        shed_list = ", ".join(
-            f"{name}: {count}" for name, count in sorted(shed.items())
-        )
-        print(f"shed:               {sum(shed.values())} ({shed_list})")
-    else:
-        print("shed:               0")
     return 0
 
 
@@ -933,8 +666,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "batch":
         return _batch_main(argv[1:])
-    if argv and argv[0] == "load":
-        return _load_main(argv[1:])
     if argv and argv[0] == "snapshot":
         return _snapshot_main(argv[1:])
     if argv and argv[0] == "recover":

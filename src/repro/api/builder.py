@@ -27,12 +27,9 @@ builder only collects arguments, so both surfaces stay byte-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.classify.naive_bayes import NaiveBayesClassifier
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.serve.service import AsyncAnswerService
 from repro.obs import Observability
 from repro.perf.answer_cache import AnswerCache
 from repro.system import BuiltSystem, build_system
@@ -60,8 +57,6 @@ class SystemBuilder:
         self._train_classifier = True
         self._lazy = False
         self._answer_cache_capacity: int | None = None
-        self._batch_workers = 4
-        self._async_limits: dict[str, object] = {}
         self._storage_directory = None
         self._storage_options: dict[str, object] = {}
         self._storage_backend = None
@@ -150,12 +145,6 @@ class SystemBuilder:
         self._cqads_options.update(cqads_options)
         return self
 
-    def batch_workers(self, count: int) -> "SystemBuilder":
-        """Size of the service's persistent batch thread pool
-        (:meth:`~repro.api.service.AnswerService.answer_batch`)."""
-        self._batch_workers = count
-        return self
-
     def answer_cache(self, capacity: int | None = 1024) -> "SystemBuilder":
         """Attach a bounded answer cache to :meth:`build_service`.
 
@@ -165,19 +154,6 @@ class SystemBuilder:
         ``None`` removes a previously-configured cache.
         """
         self._answer_cache_capacity = capacity
-        return self
-
-    def async_limits(self, **limits) -> "SystemBuilder":
-        """Admission-control knobs for :meth:`build_async_service`.
-
-        Accepts the :class:`~repro.serve.service.AsyncAnswerService`
-        constructor keywords: ``workers`` (concurrent engine calls),
-        ``max_queue`` (bounded wait queue), ``rate``/``burst`` (shared
-        default token bucket), ``tenant_rates`` (per-tenant buckets),
-        ``default_deadline`` and ``coalesce``.  Later calls merge over
-        earlier ones.
-        """
-        self._async_limits.update(limits)
         return self
 
     def storage(self, directory, **options) -> "SystemBuilder":
@@ -219,7 +195,7 @@ class SystemBuilder:
     def observability(
         self, obs: "Observability | bool | None" = True
     ) -> "SystemBuilder":
-        """Attach an observability bundle to the built services.
+        """Attach an observability bundle to the built service.
 
         ``True`` (the default) creates an :class:`~repro.obs.Observability`
         over the process-default metrics registry with tracing
@@ -228,10 +204,11 @@ class SystemBuilder:
         configured :class:`~repro.obs.Observability` to control the
         registry, trace sinks and slow-query threshold; ``None`` /
         ``False`` removes a previously-configured bundle.  The bundle
-        flows into :meth:`build_service` and (inherited by the async
-        tier) :meth:`build_async_service`: request roots, stage spans,
-        executor/shard/cache/WAL child spans and the service latency
-        histograms all hang off it.
+        flows into :meth:`build_service`: each request opens an
+        ``api.answer`` root on its tracer, and the stage, executor,
+        shard, cache and WAL spans hang off that root.  Metrics go to
+        the process-default registry, which is the bundle's unless it
+        was given another one (then call its ``install()``).
         """
         if obs is True:
             obs = Observability()
@@ -293,25 +270,5 @@ class SystemBuilder:
             else None
         )
         return AnswerService(
-            self.build().cqads,
-            cache=cache,
-            max_workers=self._batch_workers,
-            observability=self._observability,
-        )
-
-    def build_async_service(self, **limits) -> "AsyncAnswerService":
-        """Provision the system behind an async, admission-controlled
-        front door (:class:`~repro.serve.service.AsyncAnswerService`).
-
-        The answer cache and batch-pool settings configure the wrapped
-        synchronous service exactly as :meth:`build_service` would;
-        *limits* override any :meth:`async_limits` collected so far.
-        The async service owns the sync one — ``await close()``
-        releases both.
-        """
-        from repro.serve.service import AsyncAnswerService
-
-        merged = {**self._async_limits, **limits}
-        return AsyncAnswerService(
-            self.build_service(), own_service=True, **merged
+            self.build().cqads, cache=cache, observability=self._observability
         )

@@ -67,14 +67,6 @@ class AnswerOptions:
         the service has one; ``False`` forces a fresh pipeline run
         without touching the cache.  No-op on services built without a
         cache.
-    deadline:
-        Per-request time budget in seconds, honoured by
-        :class:`~repro.serve.AsyncAnswerService` (shed with
-        :class:`~repro.errors.DeadlineExceededError` when it expires
-        while queued or awaiting a result).  ``None`` defers to the
-        async service's ``default_deadline`` (unbounded by default).
-        Ignored by the synchronous :class:`AnswerService`, which never
-        queues.
     """
 
     max_answers: int | None = None
@@ -85,7 +77,6 @@ class AnswerOptions:
     top_k: int | None = None
     explain: bool = False
     use_cache: bool | None = None
-    deadline: float | None = None
 
     def merged(self, **overrides) -> "AnswerOptions":
         """A copy with *overrides* applied (fluent convenience)."""
@@ -133,13 +124,11 @@ class ResolvedOptions:
     explain: bool
     use_cache: bool = True
     top_k: int | None = None
-    deadline: float | None = None
 
     def fingerprint(self) -> tuple:
         """The answer-cache key component: every resolved knob that can
-        change the result.  ``use_cache`` and ``deadline`` are excluded
-        — they control cache participation and scheduling, not the
-        answer."""
+        change the result.  ``use_cache`` is excluded — it controls
+        cache participation, not the answer."""
         return (
             self.max_answers,
             self.correct_spelling,
@@ -166,10 +155,6 @@ class ResolvedOptions:
             )
         if options.top_k is not None and options.top_k < 1:
             raise ValueError(f"top_k must be positive, got {options.top_k}")
-        if options.deadline is not None and options.deadline <= 0:
-            raise ValueError(
-                f"deadline must be positive, got {options.deadline}"
-            )
         max_answers = (
             options.max_answers
             if options.max_answers is not None
@@ -210,5 +195,4 @@ class ResolvedOptions:
                 if options.top_k is not None
                 else engine.ranking_top_k
             ),
-            deadline=options.deadline,
         )

@@ -5,9 +5,9 @@ customized :class:`~repro.api.stages.QueryPipeline`) behind three
 calls:
 
 * :meth:`AnswerService.answer` — one request, one result;
-* :meth:`AnswerService.answer_batch` — many requests fanned out over a
-  thread pool, results in input order, duplicate requests answered
-  once (the pipeline is read-only, so sharing results is safe);
+* :meth:`AnswerService.answer_batch` — many requests, results in input
+  order, duplicate requests answered once (the pipeline is read-only,
+  so sharing results is safe);
 * :meth:`AnswerService.page` — cursor pagination over a result's full
   ranking, past the paper's 30-answer cap, without re-ranking.
 
@@ -23,28 +23,21 @@ the mutating call returns.  :meth:`AnswerService.invalidate_cache`
 remains as a manual override but is no longer required (see
 ``PERFORMANCE.md``).
 
-Batches run on a **persistent** thread pool created lazily and sized
-by ``max_workers``; call :meth:`close` (or use the service as a
-context manager) to release it and unsubscribe the mutation listener.
+Every call runs on the caller's thread.  :meth:`close` (or leaving
+the service's ``with`` block) unsubscribes the mutation listener;
+after it, :meth:`answer`, :meth:`answer_batch` and :meth:`page` raise
+:class:`~repro.errors.ServiceClosedError`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Hashable, Iterable, Sequence
 
 from repro.db.table import MutationEvent
 from repro.errors import ServiceClosedError
-from repro.obs import (
-    Observability,
-    cache_event,
-    current_span,
-    propagate,
-    span,
-)
+from repro.obs import Observability, cache_event, current_span, span
 from repro.obs.registry import get_default_registry
 from repro.perf.answer_cache import AnswerCache
 from repro.qa.pipeline import CQAds, QuestionResult
@@ -64,22 +57,14 @@ class AnswerService:
         cqads: CQAds,
         pipeline: QueryPipeline | None = None,
         cache: AnswerCache | int | None = None,
-        max_workers: int = 4,
         observability: Observability | None = None,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
         self.cqads = cqads
         self.observability = observability
         self.pipeline = pipeline if pipeline is not None else cqads.pipeline()
         if isinstance(cache, int):
             cache = AnswerCache(cache)
         self.cache = cache
-        self.max_workers = max_workers
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_size = 0
-        self._retired_executors: list[ThreadPoolExecutor] = []
-        self._executor_lock = threading.Lock()
         self._closed = False
         self._subscribed = False
         #: Monotonic mutation generations, embedded in every cache key.
@@ -100,7 +85,7 @@ class AnswerService:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the batch thread pool and the mutation listener.
+        """Mark the service closed and release the mutation listener.
 
         Idempotent.  A closed service refuses new work:
         :meth:`answer`, :meth:`answer_batch` and :meth:`page` raise
@@ -109,16 +94,7 @@ class AnswerService:
         the old untyped error) — build a fresh service over the same
         engine to resume answering.
         """
-        with self._executor_lock:
-            self._closed = True
-            executors = self._retired_executors + (
-                [self._executor] if self._executor is not None else []
-            )
-            self._executor = None
-            self._retired_executors = []
-            self._executor_size = 0
-        for executor in executors:
-            executor.shutdown(wait=True)
+        self._closed = True
         if self._subscribed:
             self.cqads.database.remove_listener(self._on_table_mutation)
             self._subscribed = False
@@ -128,27 +104,6 @@ class AnswerService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _pool(self, size: int) -> ThreadPoolExecutor:
-        """The persistent batch executor, grown if *size* exceeds it."""
-        with self._executor_lock:
-            if self._closed:
-                raise ServiceClosedError("AnswerService")
-            if self._executor is not None and size > self._executor_size:
-                # A caller asked for more parallelism than the pool
-                # has.  The old executor is *retired*, not shut down:
-                # a concurrent batch may already hold a reference and
-                # be about to submit to it — shutting it down here
-                # would raise under its feet.  close() reaps them.
-                self._retired_executors.append(self._executor)
-                self._executor = None
-            if self._executor is None:
-                self._executor_size = max(size, self.max_workers, self._executor_size)
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._executor_size,
-                    thread_name_prefix="answer-service",
-                )
-            return self._executor
 
     # ------------------------------------------------------------------
     # mutation-epoch listener
@@ -190,8 +145,8 @@ class AnswerService:
         request = AnswerRequest.of(request)
         if self._closed:
             raise ServiceClosedError("AnswerService")
-        # Root-or-child tracing: under an active trace (the serve tier,
-        # or a batch sibling) this nests; with configured observability
+        # Root-or-child tracing: under an active trace (the caller's
+        # own, or a batch the caller traces) this nests; with configured observability
         # and no active trace it opens a root that exports on exit.
         if self.observability is not None and current_span() is None:
             context = self.observability.trace(
@@ -309,39 +264,25 @@ class AnswerService:
 
     # ------------------------------------------------------------------
     def answer_batch(
-        self,
-        requests: Iterable[AnswerRequest | str],
-        workers: int | None = None,
+        self, requests: Iterable[AnswerRequest | str]
     ) -> list[QuestionResult]:
         """Answer *requests*, returning results in input order.
 
-        The pipeline only reads the provisioned system, so requests fan
-        out over the service's **persistent** thread pool (created
-        lazily, sized by the constructor's ``max_workers``, reused
-        across batches — see :meth:`close`).  ``workers`` defaults to
-        ``max_workers``; pass ``1`` to force a serial batch, or a
-        larger value to grow the pool for this and later batches.
         Requests that compare equal (same question, domain and options
         — both dataclasses are frozen) are answered once and share the
-        same result object, which is where most of the batch win comes
-        from on realistic workloads where popular questions repeat.
+        same result object, which is where the batch win comes from on
+        workloads where popular questions repeat.  The distinct
+        requests are answered one after another on the caller's
+        thread, so under an active trace their ``api.answer`` spans
+        nest under the caller's span.
         """
         if self._closed:
             raise ServiceClosedError("AnswerService")
         items = [AnswerRequest.of(item) for item in requests]
-        order = list(dict.fromkeys(items))
-        effective = self.max_workers if workers is None else workers
-        if effective <= 1 or len(order) <= 1:
-            results = [self.answer(request) for request in order]
-        else:
-            # propagate() carries the caller's active span (if any)
-            # into the pool's worker threads so per-request child spans
-            # attach to the batch's tree rather than vanishing.
-            results = list(
-                self._pool(effective).map(propagate(self.answer), order)
-            )
-        by_request = dict(zip(order, results))
-        return [by_request[request] for request in items]
+        answered = {
+            request: self.answer(request) for request in dict.fromkeys(items)
+        }
+        return [answered[request] for request in items]
 
     # ------------------------------------------------------------------
     def page(

@@ -25,7 +25,7 @@ skipped ones) on ``QuestionResult.trace``.
 
 Stages are deliberately stateless: all working state lives on the
 :class:`StageContext`, so one pipeline instance can serve concurrent
-requests (``AnswerService.answer_batch`` relies on this).
+requests (callers answering on several threads rely on this).
 """
 
 from __future__ import annotations
@@ -298,7 +298,7 @@ class QueryPipeline:
     The default composition reproduces the seed's ``CQAds.answer``
     bit-for-bit; :meth:`replacing` and :meth:`inserting_after` derive
     customized pipelines without mutating the original (pipelines are
-    shared across threads by ``answer_batch``).
+    shared by every thread that answers through them).
     """
 
     def __init__(self, stages: Sequence[PipelineStage] | None = None) -> None:

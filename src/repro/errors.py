@@ -129,12 +129,11 @@ class StorageError(ReproError):
 
 
 class ServiceError(ReproError):
-    """Base class for service-tier failures (`repro.api` / `repro.serve`).
+    """Base class for failures of the front door (`repro.api`).
 
-    Everything a *caller of the front door* can hit that is about the
-    service's state or load — not about the question itself — derives
-    from here, so clients can write one ``except ServiceError`` around
-    a request and treat the subclasses as retry hints.
+    Errors about the service's own state — not about the question —
+    derive from here, so a client can write one ``except ServiceError``
+    around a request.  :class:`ServiceClosedError` is the one subclass.
     """
 
 
@@ -149,73 +148,3 @@ class ServiceClosedError(ServiceError, RuntimeError):
     def __init__(self, service: str = "service") -> None:
         super().__init__(f"{service} is closed")
         self.service = service
-
-
-class ServiceOverloadError(ServiceError):
-    """Base class for load-shedding rejections (retry later).
-
-    Raised *before* any engine work happens: a shed request consumed a
-    rate-limit token check and a queue-depth check, nothing more, so
-    shedding is how the tier stays cheap under overload.
-    """
-
-
-class RateLimitedError(ServiceOverloadError):
-    """A tenant exhausted its token bucket (including burst capacity).
-
-    Attributes
-    ----------
-    tenant:
-        The rejected tenant key, or ``None`` for the shared default
-        bucket.
-    retry_after:
-        Seconds until the bucket will hold enough tokens again
-        (``inf`` for a zero-rate bucket) — the ``Retry-After`` hint.
-    """
-
-    def __init__(self, tenant: object = None, retry_after: float = 0.0) -> None:
-        who = "default bucket" if tenant is None else f"tenant {tenant!r}"
-        super().__init__(
-            f"rate limited ({who}); retry after {retry_after:.3f}s"
-        )
-        self.tenant = tenant
-        self.retry_after = retry_after
-
-
-class QueueFullError(ServiceOverloadError):
-    """The bounded admission queue was full — the request was shed.
-
-    Attributes
-    ----------
-    capacity:
-        The queue bound the service was configured with.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(
-            f"admission queue full ({capacity} waiting); request shed"
-        )
-        self.capacity = capacity
-
-
-class DeadlineExceededError(ServiceError):
-    """A request's deadline expired before a result was produced.
-
-    Attributes
-    ----------
-    deadline:
-        The per-request budget in seconds.
-    phase:
-        Where the budget ran out: ``"queued"`` (still waiting for a
-        worker slot) or ``"awaiting"`` (the flight was running but did
-        not finish in time — the engine call itself is not cancelled,
-        so a coalesced waiter with a longer budget may still get the
-        result).
-    """
-
-    def __init__(self, deadline: float, phase: str = "awaiting") -> None:
-        super().__init__(
-            f"deadline of {deadline:.3f}s exceeded while {phase}"
-        )
-        self.deadline = deadline
-        self.phase = phase

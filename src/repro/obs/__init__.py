@@ -5,13 +5,16 @@ One import point for the whole layer::
     from repro.obs import Observability, InMemoryTraceSink
 
     obs = Observability(slow_threshold_s=0.25)
-    obs.tracer.add_sink(InMemoryTraceSink())
+    sink = InMemoryTraceSink()
+    obs.tracer.add_sink(sink)
     service = (
-        SystemBuilder.from_rows(...)
+        SystemBuilder()
+        .with_domains("cars")
         .observability(obs)
-        .build_async_service()
+        .build_service()
     )
-    ...
+    service.ask("blue honda accord", domain="cars")
+    print(sink.last().describe())
     print(render_prometheus(obs.registry))
 
 Three submodules:
@@ -20,14 +23,14 @@ Three submodules:
   histograms in a snapshot-to-frozen :class:`MetricsRegistry`, with a
   process-default registry backing the always-on hooks.
 - :mod:`repro.obs.trace` — the ``contextvars``-carried :class:`Span`
-  tree, :func:`span`/:func:`propagate` primitives, the
-  :class:`Tracer` with sinks and slow-query log.
+  tree, the :func:`span` primitive, the :class:`Tracer` with sinks
+  and slow-query log.
 - :mod:`repro.obs.export` — Prometheus text rendering + the minimal
   parser the CI smoke step uses.
 
 :class:`Observability` bundles a registry and a tracer into the single
-object ``SystemBuilder.observability()`` and the service constructors
-accept.
+object ``SystemBuilder.observability()`` and the ``AnswerService``
+constructor accept.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .trace import (
     Span,
     Tracer,
     current_span,
-    propagate,
     span,
 )
 
@@ -79,7 +81,6 @@ __all__ = [
     "get_default_registry",
     "observe_stage",
     "parse_prometheus_text",
-    "propagate",
     "record_recovery_damage",
     "record_recovery_timings",
     "render_prometheus",

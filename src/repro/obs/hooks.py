@@ -15,7 +15,7 @@ Metric name taxonomy (all prefixed ``repro_``):
 name                            type         labels
 ==============================  ===========  ==========================
 repro_cache_requests_total      counter      cache ∈ {answer, fragment,
-                                             window, singleflight},
+                                             window},
                                              outcome ∈ {hit, miss}
 repro_stage_seconds             histogram    stage (pipeline stage name)
 repro_wal_ops_total             counter      op ∈ {append, fsync,
@@ -26,8 +26,6 @@ repro_wal_damage_total          counter      reason (FrameScan damage
 repro_recovery_seconds          histogram    phase ∈ {snapshot_load,
                                              replay}
 repro_plan_trace_dropped_total  counter      —
-repro_serve_requests_total      counter      outcome (Counters fields)
-repro_serve_request_seconds     histogram    —
 repro_api_request_seconds       histogram    —
 repro_shard_rows                gauge (fn)   table, shard
 repro_shard_scatter_seconds     histogram    table, shard
@@ -59,7 +57,7 @@ __all__ = [
 ]
 
 #: The cache families the unified layer accounts for.
-CACHE_FAMILIES = ("answer", "fragment", "window", "singleflight")
+CACHE_FAMILIES = ("answer", "fragment", "window")
 
 
 #: Per-registry memo of the cache-family counters, so the hot

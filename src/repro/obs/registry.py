@@ -1,10 +1,9 @@
 """`MetricsRegistry`: counters, gauges and fixed-bucket histograms.
 
-Every layer of the stack already counts things — the serve tier's
-:class:`~repro.serve.stats.Counters`, the LRU caches' hit/miss pairs,
-the WAL's append/snapshot tallies, the executor's ``plan_trace`` — but
-each spoke its own dialect.  This module gives them one: a metric is a
-``(name, labels)`` pair registered in a :class:`MetricsRegistry`, and
+Every layer of the stack counts things — the caches' hit/miss pairs,
+the WAL's append/snapshot tallies, the executor's ``plan_trace`` — and
+this module gives them one dialect: a metric is a ``(name, labels)``
+pair registered in a :class:`MetricsRegistry`, and
 :meth:`MetricsRegistry.snapshot` freezes the whole registry into an
 immutable :class:`MetricsSnapshot` the exporters
 (:func:`repro.obs.export.render_prometheus`, the CLI ``stats``
@@ -16,9 +15,7 @@ takes the registry lock once per distinct ``(name, labels)`` pair;
 same GIL-guarded stance :mod:`repro.perf.window` takes for its reader
 side.  A counter increment racing a snapshot may or may not be
 included; a histogram's ``sum`` and ``count`` may disagree by the one
-observation in flight.  Metrics tolerate that; invariants that cannot
-(the serve tier's accounting identities) live on the event loop and
-stay exact.
+observation in flight.  Metrics tolerate that.
 
 Histograms use fixed upper-bound buckets (:data:`LATENCY_BUCKETS` by
 default, tuned for the microsecond-to-seconds range the answer path
@@ -26,8 +23,9 @@ spans) so percentile estimates (:meth:`Histogram.percentile`) cost a
 cumulative walk over ~16 integers rather than retaining samples.
 
 A process-default registry (:func:`get_default_registry`) backs the
-always-on instrumentation hooks; inject a private registry through
-``SystemBuilder.observability()`` to isolate a system's metrics.
+always-on instrumentation hooks; to isolate a run's metrics, make a
+private registry the default (``Observability(MetricsRegistry())``
+then ``.install()``, or :func:`set_default_registry`).
 """
 
 from __future__ import annotations
@@ -69,11 +67,11 @@ def _labels_of(labels: dict) -> Labels:
 
 
 class Counter:
-    """A monotonically increasing count (shed requests, cache hits...).
+    """A monotonically increasing count (cache hits, WAL appends...).
 
-    ``value`` is public and writable so a migrated legacy surface (the
-    serve tier's ``Counters`` view) can keep its exact ``+=`` /
-    assignment semantics; new code should use :meth:`inc`.
+    ``value`` is public so a hot hook can bump it with a plain ``+=``
+    (see :func:`repro.obs.hooks.cache_event`); other code uses
+    :meth:`inc`.
     """
 
     __slots__ = ("name", "labels", "value")
@@ -340,18 +338,6 @@ class MetricsRegistry:
         if not isinstance(metric, Histogram):
             raise TypeError(f"{name}{key} is registered as {type(metric).__name__}")
         return metric
-
-    def register(self, metric) -> None:
-        """Adopt an externally created instrument (the serve tier's
-        per-service counters register themselves this way when a system
-        is built with observability)."""
-        with self._lock:
-            existing = self._metrics.get((metric.name, metric.labels))
-            if existing is not None and existing is not metric:
-                raise ValueError(
-                    f"{metric.name}{metric.labels} is already registered"
-                )
-            self._metrics[(metric.name, metric.labels)] = metric
 
     def snapshot(self) -> MetricsSnapshot:
         """Freeze every instrument into an immutable snapshot."""

@@ -1,23 +1,16 @@
 """Request-scoped tracing: a `Span` tree carried via `contextvars`.
 
-A traced request produces **one connected tree**: the serve tier (or
-``AnswerService.answer`` when called directly under a
-:meth:`Tracer.trace` block) opens a root span, every pipeline stage /
-executor leaf / shard scatter call / cache lookup / WAL operation
-attaches a child or an event to whatever span is current, and on root
-exit the tree is exported to the configured sinks (JSON-lines file,
-in-memory buffer) plus a slow-query log when the request exceeded the
-tracer's threshold.
-
-Propagation. The current span lives in a :data:`ContextVar`, so within
-one thread (and across ``asyncio`` task boundaries, which copy the
-context at ``create_task`` time) children attach automatically.  The
-two thread-hopping boundaries — the batch ``ThreadPoolExecutor`` and
-the serve tier's ``run_in_executor`` dispatch — wrap their callables
-with :func:`propagate`, which captures the caller's span and re-pins
-it inside the worker with a set/reset token.  Deliberately **not** ``copy_context().run``: a single request
-fans the same logical context out to several workers at once, and
-CPython refuses concurrent re-entry of one ``Context`` object.
+A traced request produces **one connected tree**:
+``AnswerService.answer`` opens an ``api.answer`` root on its
+observability bundle's tracer (or a child, when the caller is already
+inside a :meth:`Tracer.trace` block), every pipeline stage / executor
+leaf / shard scatter call / cache lookup / WAL operation attaches a
+child or an event to whatever span is current, and on root exit the
+tree is exported to the configured sinks (JSON-lines file, in-memory
+buffer) plus a slow-query log when the request exceeded the tracer's
+threshold.  The current span lives in a :data:`ContextVar` and a
+request runs on its caller's thread, so children attach automatically
+and requests answered on other threads never share a tree.
 
 Cost stance. When no trace is active (``current_span()`` is ``None``)
 every instrumentation site reduces to one ContextVar read and a
@@ -25,9 +18,8 @@ falsy branch — :func:`span` hands back a shared no-op context manager
 allocating nothing.  That is the path the ≤5% overhead gate in
 ``benchmarks/bench_api_overhead.py`` holds to account.
 
-Span mutation is single-writer in practice (one worker executes one
-subtree at a time); the only cross-thread structural write is a parent
-adopting a child, which is a GIL-atomic ``list.append``.
+Span mutation is single-writer: a tree is built by the one thread
+that answers its request.
 """
 
 from __future__ import annotations
@@ -44,7 +36,6 @@ __all__ = [
     "Span",
     "Tracer",
     "current_span",
-    "propagate",
     "span",
 ]
 
@@ -219,28 +210,6 @@ def span(name: str, **attributes):
     if parent is None:
         return _NULL_SPAN
     return _SpanContext(Span(name, parent=parent, attributes=attributes or None))
-
-
-def propagate(fn):
-    """Bind the caller's current span into *fn* for another thread.
-
-    Captures ``current_span()`` now; the wrapper pins it (set/reset
-    token) around the call in whatever worker thread runs it.  With no
-    active span the original callable is returned untouched, keeping
-    executor dispatch on the fast path zero-cost.
-    """
-    captured = _CURRENT_SPAN.get()
-    if captured is None:
-        return fn
-
-    def wrapper(*args, **kwargs):
-        token = _CURRENT_SPAN.set(captured)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _CURRENT_SPAN.reset(token)
-
-    return wrapper
 
 
 class JsonLinesTraceSink:

@@ -77,7 +77,7 @@ class FragmentCache:
         self._trees: dict[tuple[str, "ScoringUnit"], tuple[object, Compiled]] = {}
         #: Lookups served (caught up if need be) and lookups the caller
         #: had to evaluate; counted under ``_count_lock`` because
-        #: ``answer_batch`` threads look up concurrently.
+        #: requests answered on several threads look up concurrently.
         self.hits = 0
         self.misses = 0
         self._count_lock = threading.Lock()

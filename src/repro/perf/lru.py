@@ -19,8 +19,8 @@ class LRUCache:
     """Bounded mapping with least-recently-used eviction.
 
     Every operation takes the internal lock, so the cache is safe to
-    share across the threads of
-    :meth:`repro.api.service.AnswerService.answer_batch`.  Values are
+    share across threads that call
+    :meth:`repro.api.service.AnswerService.answer` at once.  Values are
     returned as stored — callers share them, which is safe for the
     immutable/append-only results this codebase caches.
     """

@@ -74,10 +74,10 @@ __all__ = [
 #: Section 4.3.1 / 5.1: up to 30 (in)exact answers per question.
 MAX_ANSWERS = 30
 
-#: Non-stage entries the service tier stores in ``QuestionResult.timings``:
-#: ``"cache"``/``"coalesced"`` are booleans, ``"queue_wait"`` is seconds
-#: spent in the async admission queue.  Excluded from ``elapsed_seconds``.
-SERVICE_TIMING_KEYS = frozenset({"cache", "coalesced", "queue_wait"})
+#: Non-stage entries ``AnswerService`` stores in ``QuestionResult.timings``:
+#: ``"cache"`` is the answer-cache hit boolean.  Excluded from
+#: ``elapsed_seconds``.
+SERVICE_TIMING_KEYS = frozenset({"cache"})
 
 
 @dataclass(frozen=True)
@@ -187,11 +187,10 @@ class QuestionResult:
 
     ``timings`` maps each executed stage name to its wall-clock seconds;
     ``elapsed_seconds`` (the seed's single number) is derived from it.
-    The service tier also stores non-stage *metadata* under the
-    :data:`SERVICE_TIMING_KEYS` keys — ``"cache"`` (answer-cache hit
-    boolean), ``"coalesced"`` (single-flight waiter boolean) and
-    ``"queue_wait"`` (admission-queue seconds) — which
-    ``elapsed_seconds`` excludes so it stays the pipeline's own time.
+    :class:`~repro.api.service.AnswerService` also stores non-stage
+    *metadata* under the :data:`SERVICE_TIMING_KEYS` keys — ``"cache"``
+    (answer-cache hit boolean) — which ``elapsed_seconds`` excludes so
+    it stays the pipeline's own time.
     """
 
     question: str
@@ -208,7 +207,7 @@ class QuestionResult:
     @property
     def elapsed_seconds(self) -> float:
         """Total pipeline time — the sum of the per-stage timings
-        (service-tier metadata keys are excluded)."""
+        (service metadata keys are excluded)."""
         return sum(
             seconds
             for stage, seconds in self.timings.items()
@@ -500,8 +499,8 @@ class CQAds:
         """Section 3: route the question to its ads domain.
 
         On-demand training is double-checked under a lock so that
-        concurrent requests (``AnswerService.answer_batch``) never
-        observe a half-trained classifier.
+        requests answered on several threads at once never observe a
+        half-trained classifier.
         """
         if self.classifier_warmup is not None:
             self.classifier_warmup()

@@ -132,7 +132,7 @@ class RankingResources:
     _query_keys_memo: dict[tuple, list[Key]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Serializes store catch-up, so concurrent ``answer_batch``
+    #: Serializes store catch-up, so requests answered on several
     #: threads never apply one delta twice.
     _store_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False

@@ -35,8 +35,7 @@ Scatter work (per-shard ranking in :mod:`repro.perf.colrank`) runs
 through :meth:`map_shards`, one shard after another on the caller's
 thread.  The scoring is CPU-bound Python, so under the interpreter
 lock a thread pool could not overlap it; and a plain loop cannot
-deadlock the :class:`~repro.api.service.AnswerService` batch pool a
-scatter is issued from.
+deadlock, whatever thread a scatter is issued from.
 """
 
 from __future__ import annotations

@@ -50,7 +50,6 @@ from repro.ranking.ws_matrix import WSMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.api.service import AnswerService
-    from repro.serve.service import AsyncAnswerService
 
 __all__ = ["BuiltDomain", "BuiltSystem", "build_system"]
 
@@ -92,8 +91,9 @@ class BuiltSystem:
     def ensure_domain(self, name: str) -> BuiltDomain:
         """Provision *name* on first access (no-op when already built).
 
-        Thread-safe: concurrent requests (``answer_batch``) may race to
-        the same unprovisioned domain; exactly one provisions it.
+        Thread-safe: requests answered on several threads at once may
+        race to the same unprovisioned domain; exactly one provisions
+        it.
         """
         if name not in self.domains:
             if self._provisioner is None or name not in self.requested_domains:
@@ -138,48 +138,19 @@ class BuiltSystem:
         self.close()
 
     def service(
-        self,
-        cache: int | None = None,
-        max_workers: int = 4,
-        observability=None,
+        self, cache: int | None = None, observability=None
     ) -> "AnswerService":
         """An :class:`~repro.api.service.AnswerService` over this system.
 
         ``cache`` attaches a bounded answer cache of that capacity
         (see :meth:`repro.api.builder.SystemBuilder.answer_cache`);
-        ``max_workers`` sizes the service's persistent batch pool;
         ``observability`` attaches a :class:`~repro.obs.Observability`
-        bundle (request tracing + metric registration).
+        bundle (request tracing).
         """
         from repro.api.service import AnswerService
 
         return AnswerService(
-            self.cqads,
-            cache=cache,
-            max_workers=max_workers,
-            observability=observability,
-        )
-
-    def async_service(
-        self, cache: int | None = None, observability=None, **limits
-    ) -> "AsyncAnswerService":
-        """An admission-controlled asyncio front-end over this system.
-
-        Builds a fresh synchronous :class:`AnswerService` (with an
-        answer cache of capacity *cache* when given, and the
-        *observability* bundle when given) and wraps it in an
-        :class:`~repro.serve.service.AsyncAnswerService`, which owns it
-        — ``await async_service.close()`` releases both.  *limits* are
-        the async service's knobs (``workers``, ``max_queue``,
-        ``rate``/``burst``, ``tenant_rates``, ``default_deadline``,
-        ``coalesce``); see :mod:`repro.serve`.
-        """
-        from repro.serve.service import AsyncAnswerService
-
-        return AsyncAnswerService(
-            self.service(cache=cache, observability=observability),
-            own_service=True,
-            **limits,
+            self.cqads, cache=cache, observability=observability
         )
 
 

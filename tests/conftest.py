@@ -9,6 +9,8 @@ runtime.  Tests that mutate state build their own small fixtures.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -105,6 +107,44 @@ def fresh_engine(cqads: CQAds, domain: str) -> CQAds:
         ),
     )
     return engine
+
+
+def run_together(target, argument_lists, switch_interval=None, timeout=60.0):
+    """Call ``target(*args)`` on one thread per entry of
+    *argument_lists*, all released at once by a barrier.
+
+    *switch_interval*, when given, shortens the interpreter's thread
+    switch interval for the run (restored afterwards) so races show up.
+    Fails if a thread is still running after *timeout* seconds, and
+    re-raises the first error a thread hit.
+    """
+    barrier = threading.Barrier(len(argument_lists))
+    errors: list[Exception] = []
+
+    def run(args) -> None:
+        try:
+            barrier.wait(timeout=timeout)
+            target(*args)
+        except Exception as error:  # re-raised on the caller's thread
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=run, args=(args,), daemon=True)
+        for args in argument_lists
+    ]
+    interval = sys.getswitchinterval()
+    if switch_interval is not None:
+        sys.setswitchinterval(switch_interval)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "threads hung"
+    if errors:
+        raise errors[0]
 
 
 @pytest.fixture()

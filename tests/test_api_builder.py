@@ -8,6 +8,7 @@ from repro.api import AnswerService, SystemBuilder
 from repro.classify.naive_bayes import BetaBinomialNaiveBayes
 from repro.qa.pipeline import CQAds
 from repro.system import BuiltSystem, build_system
+from tests.conftest import run_together
 
 SMALL = dict(ads=40, sessions=30, corpus=30)
 
@@ -192,13 +193,40 @@ class TestLazyProvisioning:
         assert service.cqads.domains() == ["cars", "motorcycles"]
 
     def test_lazy_batch_concurrent_requests(self):
-        service = small_builder("cars", "motorcycles").lazy().build_service()
+        """Classified requests racing on a lazy build: the provisioning
+        lock builds each domain once, and the classifier's training
+        lock trains it once, before any request reads it."""
+        system = small_builder("cars", "motorcycles").lazy().build()
+        provisioned: list[str] = []
+        provision = system._provisioner
+
+        def counting(name):
+            provisioned.append(name)
+            return provision(name)
+
+        system._provisioner = counting
+        trainings: list[str] = []
+        train = system.cqads.classifier.train
+
+        def counting_train(*args, **kwargs):
+            trainings.append("train")
+            return train(*args, **kwargs)
+
+        system.cqads.classifier.train = counting_train
+        service = system.service()
         questions = [
             "blue honda accord",
             "harley davidson sportster",
             "4 door toyota camry sedan",
             "yamaha r6",
         ]
-        results = service.answer_batch(questions, workers=4)
-        assert [r.question for r in results] == questions
-        assert {r.domain for r in results} == {"cars", "motorcycles"}
+        results: dict[str, object] = {}
+
+        def ask(question: str) -> None:
+            results[question] = service.answer(question)
+
+        run_together(ask, [(q,) for q in questions], switch_interval=1e-6)
+        assert sorted(provisioned) == ["cars", "motorcycles"]
+        assert trainings == ["train"]
+        assert [results[q].question for q in questions] == questions
+        assert {results[q].domain for q in questions} == {"cars", "motorcycles"}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.api import (
@@ -14,7 +16,8 @@ from repro.api import (
 from repro.datagen.questions import make_generator
 from repro.datagen.vocab import DOMAIN_NAMES
 from repro.errors import ClassificationError, ServiceClosedError
-from repro.qa.pipeline import MAX_ANSWERS
+from repro.perf.answer_cache import AnswerCache
+from repro.qa.pipeline import MAX_ANSWERS, SERVICE_TIMING_KEYS
 from repro.system import build_system
 
 TABLE2_QUESTION = "Find Honda Accord blue less than 15000 dollars"
@@ -171,7 +174,7 @@ class TestBatch:
             AnswerRequest(question=q, domain="cars") for q in self.QUESTIONS
         ]
         serial = [service.answer(r) for r in requests]
-        batched = service.answer_batch(requests, workers=4)
+        batched = service.answer_batch(requests)
         assert len(batched) == len(requests)
         for serial_result, batch_result in zip(serial, batched):
             assert batch_result.question == serial_result.question
@@ -181,20 +184,32 @@ class TestBatch:
         requests = [
             AnswerRequest(question=q, domain="cars") for q in self.QUESTIONS
         ]
-        batched = service.answer_batch(requests, workers=4)
+        batched = service.answer_batch(requests)
         assert batched[0] is batched[4]
 
     def test_accepts_bare_strings(self, service):
-        results = service.answer_batch(["honda", "toyota camry"], workers=2)
+        results = service.answer_batch(["honda", "toyota camry"])
         assert [r.question for r in results] == ["honda", "toyota camry"]
 
-    def test_single_worker_path(self, service):
+    def test_single_worker_path(self, cars_system):
+        """A batch answers each distinct request once, in input order,
+        on the caller's own thread."""
+        recording = AnswerService(cars_system.cqads)
+        answered = []
+        answer = recording.answer
+
+        def record(request):
+            answered.append((request.question, threading.get_ident()))
+            return answer(request)
+
+        recording.answer = record
         requests = [
-            AnswerRequest(question=q, domain="cars")
-            for q in self.QUESTIONS[:3]
+            AnswerRequest(question=q, domain="cars") for q in self.QUESTIONS
         ]
-        serial = [service.answer(r) for r in requests]
-        batched = service.answer_batch(requests, workers=1)
+        batched = recording.answer_batch(requests)
+        distinct = list(dict.fromkeys(self.QUESTIONS))
+        assert answered == [(q, threading.get_ident()) for q in distinct]
+        serial = [recording.answer(r) for r in requests]
         for serial_result, batch_result in zip(serial, batched):
             assert _signature(batch_result) == _signature(serial_result)
 
@@ -455,56 +470,16 @@ class TestPluggableStages:
 
 
 class TestServiceLifecycle:
-    """The persistent batch pool and the close()/context protocol."""
-
-    def test_batch_pool_is_created_lazily_and_reused(self, cars_system):
-        service = AnswerService(cars_system.cqads, max_workers=2)
-        try:
-            assert service._executor is None  # nothing until a batch runs
-            requests = [
-                AnswerRequest(question=q, domain="cars")
-                for q in (TABLE2_QUESTION, "honda", "toyota camry")
-            ]
-            service.answer_batch(requests)
-            pool = service._executor
-            assert pool is not None
-            service.answer_batch(requests)
-            assert service._executor is pool  # reused across batches
-        finally:
-            service.close()
-
-    def test_workers_request_can_grow_the_pool(self, cars_system):
-        service = AnswerService(cars_system.cqads, max_workers=2)
-        try:
-            requests = [
-                AnswerRequest(question=q, domain="cars")
-                for q in (TABLE2_QUESTION, "honda", "toyota camry")
-            ]
-            service.answer_batch(requests, workers=2)
-            assert service._executor_size == 2
-            first_pool = service._executor
-            service.answer_batch(requests, workers=6)
-            assert service._executor_size == 6
-            # The outgrown pool is retired, NOT shut down: a batch that
-            # grabbed it concurrently must still be able to submit.
-            assert service._retired_executors == [first_pool]
-            assert first_pool.submit(lambda: 41 + 1).result() == 42
-            service.answer_batch(requests, workers=3)  # never shrinks
-            assert service._executor_size == 6
-        finally:
-            service.close()
-        with pytest.raises(RuntimeError):
-            first_pool.submit(lambda: None)  # close() reaps retirees
+    """The close()/context protocol."""
 
     def test_close_is_idempotent_and_refuses_new_work(self, cars_system):
-        service = AnswerService(cars_system.cqads, max_workers=2)
+        service = AnswerService(cars_system.cqads)
         result = service.answer(
             AnswerRequest(question=TABLE2_QUESTION, domain="cars")
         )
         service.answer_batch([TABLE2_QUESTION, "honda"])
         service.close()
         service.close()
-        assert service._executor is None
         # A closed service refuses every entry point with the typed
         # error — which still satisfies the legacy RuntimeError
         # contract for callers written against the old message.
@@ -513,9 +488,7 @@ class TestServiceLifecycle:
                 AnswerRequest(question=TABLE2_QUESTION, domain="cars")
             )
         with pytest.raises(ServiceClosedError):
-            service.answer_batch([TABLE2_QUESTION], workers=1)
-        with pytest.raises(ServiceClosedError):
-            service.answer_batch([TABLE2_QUESTION, "honda"], workers=4)
+            service.answer_batch([TABLE2_QUESTION, "honda"])
         with pytest.raises(ServiceClosedError):
             service.page(TABLE2_QUESTION, offset=0, limit=5)
         with pytest.raises(ServiceClosedError):
@@ -527,14 +500,54 @@ class TestServiceLifecycle:
 
     def test_context_manager_closes_and_unsubscribes(self, cars_system):
         database = cars_system.cqads.database
-        with AnswerService(
-            cars_system.cqads, cache=8, max_workers=2
-        ) as service:
+        with AnswerService(cars_system.cqads, cache=8) as service:
             assert service._subscribed
             service.answer_batch([TABLE2_QUESTION, "honda"])
-        assert service._executor is None
         assert not service._subscribed
+        assert service._on_table_mutation not in database._listeners
 
-    def test_rejects_nonpositive_workers(self, cars_system):
-        with pytest.raises(ValueError):
-            AnswerService(cars_system.cqads, max_workers=0)
+
+class TestCacheTimingFlag:
+    """``timings["cache"]``: the one service metadata key."""
+
+    def test_sync_service_reports_hit_and_miss(self, cars_system):
+        service = AnswerService(cars_system.cqads, cache=AnswerCache(16))
+        request = AnswerRequest(question=TABLE2_QUESTION, domain="cars")
+        miss = service.answer(request)
+        hit = service.answer(request)
+        assert miss.timings["cache"] is False
+        assert hit.timings["cache"] is True
+        assert _signature(miss) == _signature(hit)
+        service.close()
+
+    def test_flag_does_not_pollute_elapsed_seconds(self, cars_system):
+        service = AnswerService(cars_system.cqads, cache=AnswerCache(16))
+        request = AnswerRequest(question=TABLE2_QUESTION, domain="cars")
+        result = service.answer(request)
+        stage_total = sum(
+            seconds
+            for stage, seconds in result.timings.items()
+            if stage not in SERVICE_TIMING_KEYS
+        )
+        assert result.elapsed_seconds == pytest.approx(stage_total)
+        # A boolean flag naively summed would add ~1.0s; elapsed must
+        # stay in engine territory (well under a second on 250 ads).
+        assert result.elapsed_seconds < 0.9
+        service.close()
+
+    def test_cacheless_and_bypassing_requests_leave_flag_unset(
+        self, cars_system
+    ):
+        bare = AnswerService(cars_system.cqads)
+        assert "cache" not in bare.answer(
+            AnswerRequest(question=TABLE2_QUESTION, domain="cars")
+        ).timings
+        cached = AnswerService(cars_system.cqads, cache=AnswerCache(16))
+        bypass = cached.answer(
+            AnswerRequest(question=TABLE2_QUESTION, domain="cars").with_options(
+                use_cache=False
+            )
+        )
+        assert "cache" not in bypass.timings
+        bare.close()
+        cached.close()

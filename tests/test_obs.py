@@ -1,8 +1,8 @@
 """Tests for the unified observability layer (:mod:`repro.obs`).
 
 Covers the three submodules (registry, trace, export) in isolation,
-the migrated serve-tier counter surface, the satellite wiring
-(plan-trace drop accounting, recovery metrics), and the integration
+the satellite wiring (plan-trace drop accounting, recovery metrics),
+concurrent requests' separate trees, and the integration
 acceptance criterion: one traced request through a sharded,
 WAL-backed system yields a single connected span tree covering
 stage → executor leaf → shard scatter → cache → WAL spans.
@@ -14,10 +14,8 @@ previous one afterwards (the ``registry`` fixture).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
-import threading
 
 import pytest
 
@@ -31,14 +29,12 @@ from repro.obs import (
     Tracer,
     current_span,
     parse_prometheus_text,
-    propagate,
     render_prometheus,
     set_default_registry,
     span,
 )
 from repro.obs.registry import Histogram
-from repro.serve.stats import Counters, LatencySummary
-from tests.conftest import SMALL_CAR_ROWS, small_car_schema
+from tests.conftest import SMALL_CAR_ROWS, run_together, small_car_schema
 
 
 @pytest.fixture()
@@ -48,11 +44,6 @@ def registry():
     previous = set_default_registry(fresh)
     yield fresh
     set_default_registry(previous)
-
-
-def run(coro):
-    """Run one async scenario to completion (no pytest-asyncio here)."""
-    return asyncio.run(coro)
 
 
 # ----------------------------------------------------------------------
@@ -78,20 +69,6 @@ class TestRegistry:
             registry.histogram("thing")
         with pytest.raises(TypeError, match="registered as Counter"):
             registry.gauge("thing")
-
-    def test_register_adopts_external_instruments(self):
-        registry = MetricsRegistry()
-        counters = Counters()
-        for field in Counters.FIELDS:
-            registry.register(counters._counters[field])
-        counters.submitted += 2
-        snapshot = registry.snapshot()
-        assert snapshot.counter_value(
-            "repro_serve_requests_total", outcome="submitted"
-        ) == 2
-        # Adopting a *different* instrument under a taken key is refused.
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register(Counters()._counters["submitted"])
 
     def test_callback_gauge_sampled_at_snapshot_time(self):
         registry = MetricsRegistry()
@@ -176,39 +153,7 @@ class TestPrometheusExport:
 
 
 # ----------------------------------------------------------------------
-# serve counters: the migrated surface stays bit-identical
-# ----------------------------------------------------------------------
-class TestCountersView:
-    def test_attribute_semantics(self):
-        counters = Counters()
-        counters.submitted += 1
-        counters.completed += 1
-        counters.submitted += 1
-        assert counters.submitted == 2
-        counters.submitted = 0  # direct reset, as benches do
-        assert counters.submitted == 0
-        with pytest.raises(AttributeError):
-            counters.nonsense
-        with pytest.raises(AttributeError):
-            counters.nonsense = 3
-
-    def test_snapshot_carries_latency_summary(self):
-        counters = Counters()
-        counters.submitted = 4
-        histogram = Histogram("repro_serve_request_seconds")
-        histogram.observe(0.002)
-        summary = LatencySummary.from_histogram(histogram.sample())
-        stats = counters.snapshot(0, 0, 0, latency=summary)
-        assert stats.latency.count == 1
-        assert stats.as_dict()["latency"]["p50"] == pytest.approx(
-            histogram.percentile(0.50)
-        )
-        # Without a summary the legacy dict shape is untouched.
-        assert "latency" not in counters.snapshot(0, 0, 0).as_dict()
-
-
-# ----------------------------------------------------------------------
-# trace: spans, propagation, sinks, slow log
+# trace: spans, sinks, slow log
 # ----------------------------------------------------------------------
 class TestTrace:
     def test_span_without_trace_is_a_shared_noop(self):
@@ -253,28 +198,6 @@ class TestTrace:
         assert root.attributes["error"] == "ValueError"
         assert root.find("stage.boom").attributes["error"] == "ValueError"
         assert current_span() is None  # context fully unwound
-
-    def test_propagate_pins_the_span_into_another_thread(self):
-        tracer = Tracer()
-        seen = []
-
-        def work():
-            seen.append(current_span())
-            with span("child"):
-                pass
-
-        with tracer.trace("request") as root:
-            thread = threading.Thread(target=propagate(work))
-            thread.start()
-            thread.join()
-        assert seen == [root]
-        assert [c.name for c in root.children] == ["child"]
-
-    def test_propagate_without_a_span_returns_the_callable_unwrapped(self):
-        def fn():
-            pass
-
-        assert propagate(fn) is fn
 
     def test_slow_query_log(self, tmp_path):
         path = tmp_path / "slow.jsonl"
@@ -486,7 +409,7 @@ class TestConnectedSpanTree:
         assert "path=classes" in stage["detail"]
         service.close()
 
-    def test_batch_pool_propagates_the_callers_span(self, installed):
+    def test_batch_answers_nest_under_the_callers_span(self, installed):
         system, obs = installed
         service = system.service(observability=obs)
         requests = [
@@ -494,40 +417,45 @@ class TestConnectedSpanTree:
             for question in _questions(system, 4)
         ]
         with obs.trace("batch") as root:
-            results = service.answer_batch(requests, workers=3)
-        assert len(results) == len(requests)
+            results = service.answer_batch(requests + requests[:2])
+        assert len(results) == len(requests) + 2
         api_spans = root.find_all("api.answer")
         assert len(api_spans) == len(set(requests))
+        assert all(node in root.children for node in api_spans)
         assert {node.trace_id for node in root.walk()} == {root.trace_id}
+        assert obs.tracer.sinks[0].roots == [root]  # one exported tree
         service.close()
 
-    def test_async_serve_roots_do_not_interleave(self, installed):
+    def test_concurrent_request_roots_do_not_interleave(self, installed):
         system, obs = installed
         sink = obs.tracer.sinks[0]
         questions = _questions(system, 6)
+        service = system.service(observability=obs)
 
-        async def drive():
-            service = system.async_service(observability=obs, workers=2)
-            try:
-                await asyncio.gather(
-                    *(service.ask(q, domain="cars") for q in questions)
-                )
-            finally:
-                await service.close()
+        def ask(question: str) -> None:
+            service.ask(question, domain="cars")
 
-        run(drive())
+        run_together(ask, [(question,) for question in questions])
         roots = list(sink.roots)
         assert len(roots) == len(questions)
         assert len({root.trace_id for root in roots}) == len(roots)
+        assert sorted(root.attributes["question"] for root in roots) == sorted(
+            questions
+        )
+        span_ids = [node.span_id for root in roots for node in root.walk()]
+        assert len(span_ids) == len(set(span_ids))  # no span in two trees
         for root in roots:
-            assert root.name == "serve.request"
-            # Every span below this root belongs to this trace: work
-            # done on pool threads for one request never leaks into a
-            # concurrent request's tree.
+            assert root.name == "api.answer"
+            # Every span below this root belongs to this trace, and no
+            # other request's stages leaked into it.
             assert {node.trace_id for node in root.walk()} == {root.trace_id}
-            api_spans = root.find_all("api.answer")
-            assert len(api_spans) == 1
-            assert api_spans[0].attributes["question"] == root.attributes["question"]
+            assert root.find_all("api.answer") == [root]
+            stages = [
+                node.name for node in root.walk() if node.name.startswith("stage.")
+            ]
+            assert len(stages) == len(set(stages))
+            assert "stage.tag" in stages
+        service.close()
 
     def test_untraced_requests_record_metrics_but_no_spans(self, installed):
         system, obs = installed
@@ -543,34 +471,6 @@ class TestConnectedSpanTree:
         assert stage is not None and stage.count >= 1
         service.close()
 
-    def test_async_stats_expose_latency_percentiles(self, installed):
-        system, obs = installed
-
-        async def drive(observability):
-            service = system.async_service(
-                observability=observability, workers=1
-            )
-            try:
-                for question in _questions(system, 3):
-                    await service.ask(question, domain="cars")
-                return service.stats()
-            finally:
-                await service.close()
-
-        # Unconfigured service: the latency histogram is private and
-        # starts fresh, so the counts are exact.
-        stats = run(drive(None))
-        assert stats.latency is not None
-        assert stats.latency.count == 3
-        assert stats.latency.p50 is not None and stats.latency.p50 > 0
-        payload = stats.as_dict()["latency"]
-        assert payload["p99"] >= payload["p50"]
-        # Configured service: the histogram lives in the shared
-        # registry, so a second service accumulates onto it.
-        before = obs.registry.histogram("repro_serve_request_seconds").count
-        stats = run(drive(obs))
-        assert stats.latency.count == before + 3
-
     def test_prometheus_export_covers_every_cache_family(self, installed):
         system, obs = installed
         service = system.service(cache=8, observability=obs)
@@ -581,15 +481,6 @@ class TestConnectedSpanTree:
             service.answer(AnswerRequest(question=question, domain="cars"))
         sql = "SELECT record_id FROM car_ads WHERE price < 100000000"
         execute(system.database, sql)
-
-        async def coalesce():
-            serve = system.async_service(observability=obs, workers=1)
-            try:
-                await serve.ask(questions[0], domain="cars")
-            finally:
-                await serve.close()
-
-        run(coalesce())
         parsed = parse_prometheus_text(obs.render_prometheus())
         seen = {
             dict(labels).get("cache")
@@ -597,10 +488,4 @@ class TestConnectedSpanTree:
             if name == "repro_cache_requests_total"
         }
         assert set(CACHE_FAMILIES) <= seen
-        outcomes = {
-            dict(labels).get("outcome")
-            for (name, labels) in parsed["samples"]
-            if name == "repro_serve_requests_total"
-        }
-        assert set(Counters.FIELDS) == outcomes
         service.close()

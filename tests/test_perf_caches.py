@@ -20,6 +20,7 @@ from repro.api.service import AnswerService
 from repro.perf.answer_cache import AnswerCache
 from repro.perf.lru import LRUCache
 from repro.system import build_system
+from tests.conftest import run_together
 
 
 @pytest.fixture(scope="module")
@@ -174,22 +175,16 @@ class TestAnswerCache:
             request.question: _signature(service.answer(request))
             for request in requests
         }
-        errors: list[Exception] = []
 
         def worker() -> None:
-            try:
-                results = service.answer_batch(requests * 5, workers=4)
-                for request, result in zip(requests * 5, results):
-                    assert _signature(result) == warm[request.question]
-            except Exception as error:  # pragma: no cover - failure path
-                errors.append(error)
+            for request in requests * 5:
+                result = service.answer(request)
+                assert _signature(result) == warm[request.question]
+            results = service.answer_batch(requests * 5)
+            for request, result in zip(requests * 5, results):
+                assert _signature(result) == warm[request.question]
 
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
+        run_together(worker, [()] * 6)
         assert service.cache.hits > 0
         assert len(service.cache) == len(questions)
 

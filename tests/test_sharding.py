@@ -37,7 +37,12 @@ from repro.qa.sql_generation import evaluate_interpretation
 from repro.shard import ShardedTable, shard_of
 from repro.system import build_system
 
-from tests.conftest import SMALL_CAR_ROWS, fresh_engine, small_car_schema
+from tests.conftest import (
+    SMALL_CAR_ROWS,
+    fresh_engine,
+    run_together,
+    small_car_schema,
+)
 
 QUESTIONS_PER_DOMAIN = 100
 PIPELINE_QUESTIONS_PER_DOMAIN = 10
@@ -481,10 +486,10 @@ class TestConcurrency:
             rebuilt.answer(request)
         )
 
-    def test_scatter_batch_inside_answer_batch_cannot_deadlock(self):
-        """No-hang guard for the shared-pool hazard: a 4-shard scatter
-        issued from every worker of a 2-worker ``answer_batch`` always
-        completes."""
+    def test_concurrent_answers_on_four_shards_cannot_deadlock(self):
+        """No-hang guard: requests answered on several threads at once,
+        each scattering over 4 shards, all complete, with the answers
+        a serial pass gives."""
         system = build_system(
             ["cars"],
             ads_per_domain=60,
@@ -497,17 +502,17 @@ class TestConcurrency:
             AnswerRequest(question=generator.generate().text, domain="cars")
             for _ in range(6)
         ]
-        with AnswerService(system.cqads, max_workers=2) as service:
-            outcome: list = []
+        with AnswerService(system.cqads) as service:
+            outcome: dict[int, object] = {}
 
-            def run_batch():
-                outcome.append(service.answer_batch(requests))
+            def answer(index: int) -> None:
+                outcome[index] = service.answer(requests[index])
 
-            worker = threading.Thread(target=run_batch, daemon=True)
-            worker.start()
-            worker.join(timeout=60)
-            assert not worker.is_alive(), "answer_batch deadlocked"
-        assert len(outcome) == 1 and len(outcome[0]) == len(requests)
+            run_together(answer, [(index,) for index in range(len(requests))])
+            for index, request in enumerate(requests):
+                assert _result_signature(outcome[index]) == _result_signature(
+                    service.answer(request)
+                )
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.api import AnswerRequest, AnswerService, SystemBuilder
@@ -662,8 +663,7 @@ def _batch_main(argv: list[str]) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+def _dispatch(argv: list[str]) -> int:
     if argv and argv[0] == "batch":
         return _batch_main(argv[1:])
     if argv and argv[0] == "snapshot":
@@ -673,6 +673,23 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "stats":
         return _stats_main(argv[1:])
     return _ask_main(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    try:
+        code = _dispatch(argv)
+        # Flushed here, so a reader that went away raises below rather
+        # than in the interpreter's own flush at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point stdout at
+        # devnull so the exit flush cannot fail again (the SIGPIPE
+        # recipe of the Python docs), and end quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

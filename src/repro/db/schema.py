@@ -124,6 +124,11 @@ class TableSchema:
                 "Type I (identifier) column"
             )
         self._by_name = {column.name: column for column in self.columns}
+        # Built once: every insert validates a whole row against them.
+        self._type_i = self.columns_of_type(AttributeType.TYPE_I)
+        self._numeric_names = frozenset(
+            column.name for column in self.columns if column.is_numeric
+        )
 
     # ------------------------------------------------------------------
     def column(self, name: str) -> Column:
@@ -178,7 +183,7 @@ class TableSchema:
         violations.
         """
         normalized = self._normalize(record)
-        self._require_type_i(normalized, self.type_i_columns)
+        self._require_type_i(normalized, self._type_i)
         return normalized
 
     def validate_values(self, values: dict[str, object]) -> dict[str, object]:
@@ -201,26 +206,27 @@ class TableSchema:
 
     def _normalize(self, record: dict[str, object]) -> dict[str, object]:
         normalized: dict[str, object] = {}
+        by_name, numeric = self._by_name, self._numeric_names
         for key, value in record.items():
-            column = self.column(key)
+            # Stored rows use the canonical (lowercase) names, so the
+            # exact key almost always hits; column() lowercases the rest.
+            name = key if key in by_name else self.column(key).name
             if value is None:
-                normalized[column.name] = None
-                continue
-            if column.is_numeric:
+                normalized[name] = None
+            elif name in numeric:
                 if isinstance(value, bool) or not isinstance(value, (int, float, str)):
                     raise SchemaError(
-                        f"{self.table_name}.{column.name}: numeric column got "
-                        f"{value!r}"
+                        f"{self.table_name}.{name}: numeric column got {value!r}"
                     )
                 number = parse_numeric(value)
                 if number is None:
                     raise SchemaError(
-                        f"{self.table_name}.{column.name}: cannot convert "
+                        f"{self.table_name}.{name}: cannot convert "
                         f"{value!r} to a number"
                     )
-                normalized[column.name] = int(number) if number.is_integer() else number
+                normalized[name] = int(number) if number.is_integer() else number
             else:
-                normalized[column.name] = str(value).strip().lower()
+                normalized[name] = str(value).strip().lower()
         return normalized
 
     def _require_type_i(

@@ -11,9 +11,11 @@ record:
   stored categorical strings, parsed floats for numeric columns, and
   the Type I key tuple per row.  It records the table epoch it
   reflects; the next ranking call after a mutation catches it up from
-  the table's delta log (:meth:`ColumnStore.apply`, one delta at a
-  time) or rebuilds it when the log cannot bridge the gap (see
-  :mod:`repro.db.table`) — no manual invalidation.
+  the table's delta log (:meth:`ColumnStore.caught_up`: written rows
+  are appended, never rewritten, and each catch-up returns a new
+  version that owns its ``row_of``) or rebuilds it when the log cannot
+  bridge the gap (see :mod:`repro.db.table`) or dead rows would
+  outnumber live ones — no manual invalidation.
 * :func:`columnar_rank_units` scores a pool **by column**: each scoring
   slot (a condition, or a whole "any" unit) produces a satisfied/
   contribution array over the pool in one tight loop, with per-distinct
@@ -55,8 +57,8 @@ ranking for every single-unit shape.
 from __future__ import annotations
 
 import bisect
+import copy
 import heapq
-import threading
 from itertools import chain, islice, repeat
 from typing import Iterator, Sequence
 
@@ -93,26 +95,40 @@ _KIND_BY_TYPE = {
 
 
 class ColumnStore:
-    """A columnar image of one table at one epoch.
+    """One version of a table's append-only columnar image.
 
-    Rows are ordered by ``record_id``; ``row_of`` maps an id to its
-    row.  ``categorical[column][row]`` is the stored string (``None``
-    when absent), ``numeric[column][row]`` the parsed float (``None``
-    when absent or unparseable), ``keys[row]`` the Type I key tuple —
-    the same tuple :meth:`RankingResources.record_key` builds.
+    ``row_of`` maps each record id of the table at ``epoch`` to its
+    row.  ``records[row]`` is the record, ``categorical[column][row]``
+    the stored string (``None`` when absent), ``numeric[column][row]``
+    the parsed float (``None`` when absent or unparseable) and
+    ``keys[row]`` the Type I key tuple — the same tuple
+    :meth:`RankingResources.record_key` builds.
+
+    Rows are never rewritten.  :meth:`caught_up` makes the next
+    version, which shares every array and owns a copy of ``row_of``:
+    an insert appends the record's row, an update appends a copy of
+    the record's row with its changed columns replaced, and a remove
+    only drops the id from the new ``row_of``.  A version reaches rows
+    only through its own ``row_of``, and no later write touches those
+    rows, so an older version (held by a pool paged after writes, or
+    by another thread) keeps a whole image for as long as it is read.
+    Rows outside the newest ``row_of`` are dead; the rebuild that
+    :meth:`caught_up` asks for once they would outnumber the live
+    rows drops them.
 
     ``_slot_memo`` caches, per condition (and per Type I constraint
     fingerprint), the distinct-value → ``(satisfied, contribution)``
     mapping, so the expensive similarity machinery runs once per
     distinct stored value per criterion, across every question asked
-    against this epoch.
+    against this table.  The memos are value-keyed, hence
+    membership-independent, and every version shares them.
     """
 
     def __init__(self, table: Table, type_i_columns: Sequence[str]) -> None:
         # Epoch read first: if a mutation lands mid-build, the store is
-        # tagged with the older epoch and the next access rebuilds it.
-        # snapshot() copies the record list atomically, so a concurrent
-        # insert/delete cannot crash the scan.
+        # tagged with the older epoch and the next access replays that
+        # mutation or rebuilds.  snapshot() copies the record list
+        # atomically, so a concurrent insert/delete cannot crash the scan.
         self.epoch = table.epoch
         self.table_name = table.name
         records = sorted(table.snapshot(), key=lambda record: record.record_id)
@@ -124,13 +140,7 @@ class ColumnStore:
         self._type_i_index = {
             column: index for index, column in enumerate(self.type_i_columns)
         }
-        self.keys: list[Key] = [
-            tuple(
-                str(record.get(column, "") or "")
-                for column in self.type_i_columns
-            )
-            for record in records
-        ]
+        self.keys: list[Key] = [self._key(record) for record in records]
         self.categorical: dict[str, list[str | None]] = {}
         self.numeric: dict[str, list[float | None]] = {}
         for column in table.schema.columns:
@@ -146,18 +156,10 @@ class ColumnStore:
                 ]
         self._slot_memo: dict[object, dict] = {}
         #: Class-column set -> {class values: record ids, ascending}
-        #: (see :meth:`classes`).  Id tuples are never mutated; a
-        #: grouping dict is this store's own unless ``_cow_aliased``.
+        #: (see :meth:`classes`).  Each version owns its dict; the
+        #: grouping dicts and id tuples in it are never mutated once a
+        #: version is published.
         self._groupings: dict[tuple, dict[tuple, tuple[int, ...]]] = {}
-        #: Serializes grouping builds with the in-place append, the one
-        #: patch that mutates this store rather than a clone.
-        self._lock = threading.Lock()
-        #: True when this store was produced by a copy-on-write update
-        #: and still *shares* list objects (and grouping dicts) with
-        #: its predecessor — the in-place append fast path must not
-        #: mutate those, or the predecessor's snapshot tears (see
-        #: :meth:`_apply_insert`).
-        self._cow_aliased = False
 
     #: Distinct scoring slots memoized per store before the memo map is
     #: reset.  A slot's inner dict is bounded by the column's distinct
@@ -175,22 +177,34 @@ class ColumnStore:
         return memo
 
     def classes(self, columns: tuple) -> list[tuple[tuple, tuple[int, ...]]]:
-        """This store's record ids grouped by their values in *columns*.
+        """This version's record ids grouped by their values in *columns*.
 
         ``(values, ids)`` pairs, ids ascending; ``None`` in *columns*
         stands for the Type I key.  The grouping is built on first use
-        and patched by :meth:`apply` from then on.
+        from ``row_of`` in id order, and :meth:`caught_up` carries it
+        into later versions.  Two threads may both build it; they
+        build the same grouping and ``setdefault`` keeps one.
         """
-        with self._lock:
-            grouping = self._groupings.get(columns)
-            if grouping is None:
-                arrays = [self._array(column) for column in columns]
-                lists: dict[tuple, list[int]] = {}
-                for record, values in zip(self.records, zip(*arrays)):
-                    lists.setdefault(values, []).append(record.record_id)
-                grouping = {values: tuple(ids) for values, ids in lists.items()}
-                self._groupings[columns] = grouping
-            return list(grouping.items())
+        grouping = self._groupings.get(columns)
+        if grouping is None:
+            row_of = self.row_of
+            ids = sorted(row_of)
+            rows = [row_of[record_id] for record_id in ids]
+            arrays = [self._array(column) for column in columns]
+            lists: dict[tuple, list[int]] = {}
+            for record_id, values in zip(
+                ids, zip(*([array[row] for row in rows] for array in arrays))
+            ):
+                lists.setdefault(values, []).append(record_id)
+            grouping = self._groupings.setdefault(
+                columns, {values: tuple(members) for values, members in lists.items()}
+            )
+        return list(grouping.items())
+
+    def _key(self, record: Record) -> Key:
+        return tuple(
+            str(record.get(column, "") or "") for column in self.type_i_columns
+        )
 
     def _array(self, column: str | None) -> list:
         if column is None:
@@ -201,236 +215,130 @@ class ColumnStore:
     def _class_of(self, columns: tuple, row: int) -> tuple:
         return tuple(self._array(column)[row] for column in columns)
 
-    def _regrouped(
-        self,
-        after: "ColumnStore",
-        record_id: int,
-        before_row: int | None,
-        after_row: int | None,
-    ) -> dict:
-        """*after*'s groupings: this store's, with *record_id* moved
-        from its class at *before_row* here to its class at
-        *after_row* in *after* (``None``: absent).  Groupings the move
-        leaves alone are shared."""
-        with self._lock:
-            groupings = list(self._groupings.items())
-        patched = {}
-        for columns, grouping in groupings:
-            old = None if before_row is None else self._class_of(columns, before_row)
-            new = None if after_row is None else after._class_of(columns, after_row)
-            if old != new:
-                grouping = dict(grouping)
-                if old is not None:
-                    ids = grouping.pop(old)
-                    at = bisect.bisect_left(ids, record_id)
-                    if len(ids) > 1:
-                        grouping[old] = ids[:at] + ids[at + 1 :]
-                if new is not None:
-                    ids = grouping.get(new, ())
-                    at = bisect.bisect_left(ids, record_id)
-                    grouping[new] = ids[:at] + (record_id,) + ids[at:]
-            patched[columns] = grouping
-        return patched
-
     # ------------------------------------------------------------------
-    # incremental maintenance (delta patching)
+    # incremental maintenance: one new version per catch-up
     # ------------------------------------------------------------------
-    def apply(self, delta: MutationEvent) -> "ColumnStore | None":
-        """Apply one row delta of the table's log; ``None`` = rebuild.
+    def caught_up(self, deltas: Sequence[MutationEvent]) -> "ColumnStore | None":
+        """The version after *deltas*, the table's log tail since this
+        version's epoch (oldest first); ``None`` asks for a rebuild.
 
-        Returns the store reflecting the post-delta table state, tagged
-        with the delta's epoch — the slot memos are value-keyed, so
-        they survive every patch:
+        The new version shares the arrays and slot memos, owns a copy
+        of ``row_of`` (one C-level ``dict`` copy) and is tagged with the
+        last delta's epoch.  Its groupings are this version's, with a
+        grouping dict copied the first time a delta moves an id between
+        its classes.
 
-        * an :class:`~repro.db.table.UpdateDelta` returns a
-          copy-on-write clone that re-slots only the changed columns'
-          arrays (and the key list when a Type I column moved),
-          sharing every untouched array — concurrent readers of this
-          store keep a fully consistent pre-update image;
-        * an :class:`~repro.db.table.InsertDelta` with the table's
-          usual monotonic id appends in place (append-only is safe
-          under readers: existing slots never move); a mid-array
-          insert and every :class:`~repro.db.table.RemoveDelta` return
-          a patched **shallow copy** (C-level list copies — no
-          re-parsing, no re-stringifying) sharing the memos, so
-          concurrent readers never see rows shift under their indices.
-
-        The groupings (:meth:`classes`) follow the same rules: the
-        in-place append adds the id to its class in this store's own
-        dicts, every other delta gives the new store copies of the
-        dicts whose class it moves (id tuples are never mutated).
-
-        ``None`` comes back when the store does not hold the row the
-        way the delta expects (an insert of a row it already holds, a
-        remove or update of one it lacks: a build that raced the
-        write).  The caller then rebuilds.
+        ``None`` comes back when the store does not hold a row the way
+        a delta expects (an insert of a row it already holds, a remove
+        or update of one it lacks: a build that raced the write), when
+        an update changes a column the store lacks, and when dead rows
+        would outnumber live ones: the arrays stay within about twice
+        the live rows, and each rebuild is paid for by the writes that
+        made rows dead.  Catch-ups append to the shared arrays, so the
+        caller serializes them (:class:`RankingResources` holds its
+        store lock).
         """
-        if isinstance(delta, UpdateDelta):
-            return self._apply_update(delta, delta.epoch)
-        if isinstance(delta, InsertDelta):
-            return self._apply_insert(delta.record, delta.epoch)
-        return self._apply_remove(delta.record_id, delta.epoch)
-
-    def _apply_update(
-        self, delta: UpdateDelta, target: int
-    ) -> "ColumnStore | None":
-        """Copy-on-write per changed column: the clone shares every
-        untouched array (and the records/row_of/memos) with this store,
-        and only the changed columns' lists — plus the key list when a
-        Type I column moved — are copied and re-slotted.  Concurrent
-        readers holding the old store keep a fully consistent
-        pre-update image (the snapshot isolation the rebuild path
-        gives), at the cost of O(rows) pointer copies per changed
-        column instead of O(1) slot writes."""
-        row = self.row_of.get(delta.record_id)
-        if row is None:
-            return None
-        if not all(
-            column in self.numeric or column in self.categorical
-            for column in delta.changed_columns
-        ):
-            return None  # schema drift: never patch half a row
-        clone = self._shared_clone()
-        clone.records = self.records
-        clone.row_of = self.row_of
-        clone.numeric = dict(self.numeric)
-        clone.categorical = dict(self.categorical)
-        for column in delta.changed_columns:
-            value = delta.new_values.get(column)
-            if column in clone.numeric:
-                patched = list(clone.numeric[column])
-                patched[row] = parse_numeric(value)
-                clone.numeric[column] = patched
+        if not deltas:
+            return self
+        records, keys = self.records, self.keys
+        arrays = [
+            (name, values, parse_numeric) for name, values in self.numeric.items()
+        ] + [(name, values, _text) for name, values in self.categorical.items()]
+        # dict.copy() clones the hash table even after a remove left a
+        # hole in it; dict(row_of) re-inserts every key then (5x slower).
+        row_of = self.row_of.copy()
+        groupings = self._groupings.copy()
+        copied: set[tuple] = set()
+        for delta in deltas:
+            record_id = delta.record_id
+            old = row_of.get(record_id)
+            if isinstance(delta, InsertDelta):
+                if old is not None:
+                    return None
+                record = delta.record
+                key = self._key(record)
+                row = [convert(record.get(name)) for name, _, convert in arrays]
+            elif isinstance(delta, UpdateDelta):
+                changed = delta.changed_columns
+                if old is None or not all(
+                    column in self.numeric or column in self.categorical
+                    for column in changed
+                ):
+                    return None  # a raced build, or schema drift
+                if not changed:
+                    continue
+                new_values = delta.new_values
+                record, key = records[old], keys[old]
+                if any(column in self._type_i_index for column in changed):
+                    parts = list(key)
+                    for column in changed:
+                        index = self._type_i_index.get(column)
+                        if index is not None:
+                            parts[index] = str(new_values.get(column) or "")
+                    key = tuple(parts)
+                row = [
+                    convert(new_values.get(name)) if name in changed else values[old]
+                    for name, values, convert in arrays
+                ]
             else:
-                patched = list(clone.categorical[column])
-                patched[row] = None if value is None else str(value)
-                clone.categorical[column] = patched
-        touched_keys = [
-            column
-            for column in delta.changed_columns
-            if column in self._type_i_index
-        ]
-        if touched_keys:
-            key = list(self.keys[row])
-            for column in touched_keys:
-                key[self._type_i_index[column]] = str(
-                    delta.new_values.get(column) or ""
-                )
-            keys = list(self.keys)
-            keys[row] = tuple(key)
-            clone.keys = keys
-        else:
-            clone.keys = self.keys
-        clone._groupings = self._regrouped(clone, delta.record_id, row, row)
-        clone._cow_aliased = True
-        clone.epoch = target
-        return clone
-
-    def _apply_insert(self, record: Record, target: int) -> "ColumnStore | None":
-        record_id = record.record_id
-        if record_id in self.row_of:
+                if old is None:
+                    return None
+                del row_of[record_id]
+                self._regroup(groupings, copied, record_id, old, None)
+                continue
+            # Every value is computed before the first append, so the
+            # arrays always grow together.
+            new = len(records)
+            records.append(record)
+            keys.append(key)
+            for (_, values, _), value in zip(arrays, row):
+                values.append(value)
+            row_of[record_id] = new
+            self._regroup(groupings, copied, record_id, old, new)
+        if len(records) - len(row_of) > len(row_of):
             return None
-        if self.records and self.records[-1].record_id > record_id:
-            # Out-of-order explicit id: splice a patched copy so rows
-            # never shift under a concurrent reader of this store.
-            position = bisect.bisect_left(
-                self.records, record_id, key=lambda rec: rec.record_id
-            )
-            return self._spliced(position, record, target)
-        if self._cow_aliased:
-            # This store still shares lists with the pre-update store a
-            # concurrent reader may hold; appending in place would grow
-            # the shared arrays while the reader's copied (changed)
-            # column stays short — a torn snapshot.  Append via a full
-            # copy instead (and the copy owns every list, so later
-            # appends take the fast path again).
-            return self._spliced(len(self.records), record, target)
-        with self._lock:
-            row = len(self.records)
-            self.records.append(record)
-            self.keys.append(
-                tuple(
-                    str(record.get(column, "") or "")
-                    for column in self.type_i_columns
-                )
-            )
-            for name, column in self.numeric.items():
-                column.append(parse_numeric(record.get(name)))
-            for name, column in self.categorical.items():
-                value = record.get(name)
-                column.append(None if value is None else str(value))
-            self.row_of[record_id] = row
-            # The largest id so far: it ends its class.
-            for columns, grouping in self._groupings.items():
-                values = self._class_of(columns, row)
-                grouping[values] = grouping.get(values, ()) + (record_id,)
-            self.epoch = target
-        return self
+        version = copy.copy(self)
+        version.row_of = row_of
+        version._groupings = groupings
+        version.epoch = deltas[-1].epoch
+        return version
 
-    def _apply_remove(self, record_id: int, target: int) -> "ColumnStore | None":
-        position = self.row_of.get(record_id)
-        if position is None:
-            return None
-        return self._spliced(position, None, target)
+    def _regroup(
+        self,
+        groupings: dict,
+        copied: set,
+        record_id: int,
+        before: int | None,
+        after: int | None,
+    ) -> None:
+        """Move *record_id* in *groupings* from its class at row
+        *before* to its class at row *after* (``None``: absent).  A
+        grouping dict is copied the first time it changes in this
+        catch-up (*copied* holds the class-column sets already copied);
+        id tuples are replaced, never mutated."""
+        for columns in list(groupings):
+            old = None if before is None else self._class_of(columns, before)
+            new = None if after is None else self._class_of(columns, after)
+            if old == new:
+                continue
+            grouping = groupings[columns]
+            if columns not in copied:
+                grouping = groupings[columns] = grouping.copy()
+                copied.add(columns)
+            if old is not None:
+                ids = grouping.pop(old)
+                at = bisect.bisect_left(ids, record_id)
+                if len(ids) > 1:
+                    grouping[old] = ids[:at] + ids[at + 1 :]
+            if new is not None:
+                ids = grouping.get(new, ())
+                at = bisect.bisect_left(ids, record_id)
+                grouping[new] = ids[:at] + (record_id,) + ids[at:]
 
-    def _shared_clone(self) -> "ColumnStore":
-        """A new store sharing this one's immutable/value-keyed parts:
-        the schema metadata and the slot memos (distinct-value keyed,
-        hence membership-independent).  Callers fill in the arrays."""
-        clone = ColumnStore.__new__(ColumnStore)
-        clone.table_name = self.table_name
-        clone.type_i_columns = self.type_i_columns
-        clone._type_i_index = self._type_i_index
-        clone._slot_memo = self._slot_memo
-        clone._lock = threading.Lock()
-        clone._cow_aliased = False
-        return clone
 
-    def _spliced(
-        self, position: int, record: Record | None, target: int
-    ) -> "ColumnStore":
-        """A shallow copy with *record* inserted at *position* (or the
-        row there removed when ``record is None``), sharing the slot
-        memos (value-keyed, hence membership-independent)."""
-
-        def splice(values: list, inserted) -> list:
-            if record is None:
-                return values[:position] + values[position + 1 :]
-            return values[:position] + [inserted] + values[position:]
-
-        clone = self._shared_clone()
-        clone.records = splice(self.records, record)
-        clone.keys = splice(
-            self.keys,
-            None
-            if record is None
-            else tuple(
-                str(record.get(column, "") or "")
-                for column in self.type_i_columns
-            ),
-        )
-        clone.numeric = {
-            name: splice(
-                values, None if record is None else parse_numeric(record.get(name))
-            )
-            for name, values in self.numeric.items()
-        }
-        clone.categorical = {}
-        for name, values in self.categorical.items():
-            value = None if record is None else record.get(name)
-            clone.categorical[name] = splice(
-                values, None if value is None else str(value)
-            )
-        clone.row_of = {
-            rec.record_id: row for row, rec in enumerate(clone.records)
-        }
-        if record is None:
-            moved = (self.records[position].record_id, position, None)
-        else:
-            moved = (record.record_id, None, position)
-        clone._groupings = self._regrouped(clone, *moved)
-        clone.epoch = target
-        return clone
+def _text(value: object) -> str | None:
+    """A categorical column's stored string (``None`` when absent)."""
+    return None if value is None else str(value)
 
 
 # ----------------------------------------------------------------------

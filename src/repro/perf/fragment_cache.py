@@ -24,11 +24,12 @@ delta it reflects.  :meth:`FragmentCache.get` replays the table's (or
 shard's) delta log since then
 (:meth:`~repro.db.table.Table.deltas_since`): each touched record is
 tested against the unit and its id added to or discarded from the set,
-and the entry moves to the newest epoch.  When the log cannot bridge
-the gap the lookup is a miss, and the caller re-evaluates the unit and
-stores the fresh set with :meth:`~FragmentCache.put`.  A write costs
-this cache nothing; a unit that is never asked again never pays for
-the writes it missed.
+and the entry moves to the newest epoch.  An update that changes none
+of the unit's columns cannot change its membership and is skipped.
+When the log cannot bridge the gap the lookup is a miss, and the
+caller re-evaluates the unit and stores the fresh set with
+:meth:`~FragmentCache.put`.  A write costs this cache nothing; a unit
+that is never asked again never pays for the writes it missed.
 
 The per-record test runs the executor's own compiled WHERE tree for
 the unit (:func:`repro.db.sql.executor.compile_where` over
@@ -52,7 +53,7 @@ from typing import TYPE_CHECKING
 
 from repro.db.sql.builder import QueryBuilder
 from repro.db.sql.executor import Compiled, compile_where
-from repro.db.table import RemoveDelta, Table
+from repro.db.table import RemoveDelta, Table, UpdateDelta
 from repro.obs.hooks import cache_event
 from repro.perf.lru import LRUCache
 
@@ -71,10 +72,13 @@ class FragmentCache:
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self._entries = LRUCache(capacity)
-        #: ``(table name, unit) -> (schema, compiled WHERE tree)``: what
-        #: catch-up tests touched records with.  The schema check
-        #: recompiles for a table re-created under the same name.
-        self._trees: dict[tuple[str, "ScoringUnit"], tuple[object, Compiled]] = {}
+        #: ``(table name, unit) -> (schema, compiled WHERE tree, the
+        #: unit's columns)``: what catch-up tests touched records with.
+        #: The schema check recompiles for a table re-created under the
+        #: same name.
+        self._trees: dict[
+            tuple[str, "ScoringUnit"], tuple[object, Compiled, frozenset[str]]
+        ] = {}
         #: Lookups served (caught up if need be) and lookups the caller
         #: had to evaluate; counted under ``_count_lock`` because
         #: requests answered on several threads look up concurrently.
@@ -154,9 +158,13 @@ class FragmentCache:
         if deltas is None:
             return None
         _name, _shard, unit = key
-        tree = self._unit_tree(table, unit)
+        tree, columns = self._unit_tree(table, unit)
         patched = ids
         for delta in deltas:
+            if isinstance(delta, UpdateDelta) and columns.isdisjoint(
+                delta.changed_columns
+            ):
+                continue  # no column the unit reads changed
             record_id = delta.record_id
             member = not isinstance(delta, RemoveDelta) and tree.matches(
                 delta.record
@@ -171,19 +179,24 @@ class FragmentCache:
         self._entries.put(key, (deltas[-1].epoch, patched))
         return patched
 
-    def _unit_tree(self, table: Table, unit: "ScoringUnit") -> Compiled:
-        """*unit*'s WHERE tree as the executor compiles it, memoized."""
+    def _unit_tree(
+        self, table: Table, unit: "ScoringUnit"
+    ) -> tuple[Compiled, frozenset[str]]:
+        """*unit*'s WHERE tree as the executor compiles it, and the
+        columns its conditions read (schema names are lowercase, and
+        the tree resolves a column case-insensitively), memoized."""
         key = (table.name, unit)
         cached = self._trees.get(key)
         if cached is not None and cached[0] is table.schema:
-            return cached[1]
+            return cached[1], cached[2]
         # Imported here, not at module top: subplan imports the qa
         # package, whose pipeline imports this module — a load-time
         # cycle.
         from repro.perf.subplan import unit_expression
 
         tree = compile_where(table, unit_expression(QueryBuilder(table.name), unit))
+        columns = frozenset(condition.column.lower() for condition in unit.conditions)
         if len(self._trees) >= self.capacity:
             self._trees = {}  # cheap reset; trees recompile on use
-        self._trees[key] = (table.schema, tree)
-        return tree
+        self._trees[key] = (table.schema, tree, columns)
+        return tree, columns

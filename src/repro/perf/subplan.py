@@ -230,13 +230,13 @@ def shared_partial_candidates(
     candidates: dict[int, Record] = {}
     for pool_ids in pools:
         if superlative is None:
-            records = table.fetch(pool_ids)
+            records = table.fetch(pool_ids, budget)
         else:
             assert order_statement is not None
             records = executor.execute_with_ids(order_statement, pool_ids).records
             records = apply_superlative(records, superlative)
-        if budget is not None:
-            records = records[:budget]
+            if budget is not None:
+                records = records[:budget]
         for record in records:
             if record.record_id not in exclude:
                 candidates.setdefault(record.record_id, record)

@@ -132,8 +132,9 @@ class RankingResources:
     _query_keys_memo: dict[tuple, list[Key]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Serializes store catch-up, so requests answered on several
-    #: threads never apply one delta twice.
+    #: Serializes store catch-up: requests answered on several threads
+    #: must not append rows to the arrays a store's versions share at
+    #: once, nor replay one delta twice.
     _store_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -168,12 +169,14 @@ class RankingResources:
         """The columnar image of the attached table at its current epoch.
 
         Caught up lazily whenever the table's epoch has moved: the
-        table's delta log since the store's epoch is applied through
-        :meth:`~repro.perf.colrank.ColumnStore.apply` — per-slot
-        patches instead of re-deriving every row — and the store is
-        rebuilt only when the log cannot bridge the gap.  ``None`` when
-        no table is attached or the table is sharded (its stores are
-        per shard, :meth:`shard_column_stores`).  Catch-up runs under
+        table's delta log since the store's epoch goes to
+        :meth:`~repro.perf.colrank.ColumnStore.caught_up`, which
+        appends the written rows and returns a new version (a version
+        handed out earlier keeps its image), and the store is rebuilt
+        only when the log cannot bridge the gap or dead rows would
+        outnumber live ones.  ``None`` when no table is attached or the
+        table is sharded (its stores are per shard,
+        :meth:`shard_column_stores`).  Catch-up runs under
         ``_store_lock``.
         """
         table = self.table
@@ -225,19 +228,13 @@ class RankingResources:
         self, store: "ColumnStore | None", table: Table
     ) -> "ColumnStore":
         """*store* brought to *table*'s epoch from its delta log, or a
-        fresh build when there is no store or the log cannot bridge
-        the gap (caller holds ``_store_lock``)."""
+        fresh build when there is no store, the log cannot bridge the
+        gap or the store asks for one (caller holds ``_store_lock``)."""
         from repro.perf.colrank import ColumnStore
 
         if store is not None and store.epoch != table.epoch:
             deltas = table.deltas_since(store.epoch)
-            if deltas is None:
-                store = None
-            else:
-                for delta in deltas:
-                    store = store.apply(delta)
-                    if store is None:
-                        break
+            store = None if deltas is None else store.caught_up(deltas)
         if store is None:
             store = ColumnStore(table, self.type_i_columns)
         return store

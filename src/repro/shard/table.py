@@ -44,6 +44,7 @@ import heapq
 import threading
 import time
 from dataclasses import replace
+from itertools import islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.db.schema import TableSchema
@@ -297,14 +298,15 @@ class ShardedTable:
         """
         return list(self)
 
-    def fetch(self, record_ids: Iterable[int]) -> list[Record]:
-        """Records for *record_ids*, sorted by id for determinism."""
-        result: list[Record] = []
-        for record_id in sorted(record_ids):
-            record = self.shard_for(record_id).get(record_id)
-            if record is not None:
-                result.append(record)
-        return result
+    def fetch(
+        self, record_ids: Iterable[int], limit: int | None = None
+    ) -> list[Record]:
+        """Records for *record_ids*, sorted by id for determinism;
+        absent ids are skipped, and with *limit* the lookup stops after
+        that many present records (see :meth:`Table.fetch`)."""
+        found = (self.shard_for(id_).get(id_) for id_ in sorted(record_ids))
+        present = (record for record in found if record is not None)
+        return list(present if limit is None else islice(present, limit))
 
     def all_ids(self) -> set[int]:
         ids: set[int] = set()

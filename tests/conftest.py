@@ -109,6 +109,31 @@ def fresh_engine(cqads: CQAds, domain: str) -> CQAds:
     return engine
 
 
+def store_image(store, groupings=()) -> tuple:
+    """A ranking column store's logical image: its epoch, then for each
+    id in ``row_of`` (ascending) the record id held at its row, its
+    Type I key and its column values, then the store's grouping for
+    each class-column set in *groupings*.
+
+    This is what a reader reaches through the store's own ``row_of``;
+    the array layout (dead rows, row order) is not part of it, so a
+    caught-up version and a fresh build compare equal exactly when
+    they answer alike.
+    """
+    rows = [
+        (
+            record_id,
+            store.records[row].record_id,
+            store.keys[row],
+            {name: values[row] for name, values in store.categorical.items()},
+            {name: values[row] for name, values in store.numeric.items()},
+        )
+        for record_id, row in sorted(store.row_of.items())
+    ]
+    classes = {columns: dict(store.classes(columns)) for columns in groupings}
+    return store.epoch, rows, classes
+
+
 def run_together(target, argument_lists, switch_interval=None, timeout=60.0):
     """Call ``target(*args)`` on one thread per entry of
     *argument_lists*, all released at once by a barrier.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.db.predicate import parse_numeric
 from repro.db.schema import AttributeType, Column, ColumnKind, TableSchema
 from repro.errors import SchemaError, UnknownColumnError
 from tests.conftest import small_car_schema
@@ -131,3 +132,74 @@ class TestValidateRecord:
             schema.validate_record(
                 {"make": "honda", "model": "accord", "price": True}
             )
+
+
+def _reference_validate(schema: TableSchema, record: dict) -> dict:
+    """``validate_record`` written out: a case-insensitive column lookup
+    per key and the Type I columns listed on every call."""
+    normalized: dict = {}
+    for key, value in record.items():
+        column = schema.column(key)
+        if value is None:
+            normalized[column.name] = None
+        elif column.is_numeric:
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                raise SchemaError(
+                    f"{schema.table_name}.{column.name}: numeric column got {value!r}"
+                )
+            number = parse_numeric(value)
+            if number is None:
+                raise SchemaError(
+                    f"{schema.table_name}.{column.name}: cannot convert "
+                    f"{value!r} to a number"
+                )
+            normalized[column.name] = int(number) if number.is_integer() else number
+        else:
+            normalized[column.name] = str(value).strip().lower()
+    for column in schema.columns_of_type(AttributeType.TYPE_I):
+        if not normalized.get(column.name):
+            raise SchemaError(
+                f"{schema.table_name}: Type I column {column.name!r} is "
+                "required in every ad"
+            )
+    return normalized
+
+
+def _outcome(validate, record: dict):
+    """The normalized items in order, or the error's type and message."""
+    try:
+        return list(validate(record).items())
+    except Exception as error:  # the reference raises what the schema does
+        return type(error), str(error)
+
+
+VALIDATION_ROWS = [
+    {"Make": " Honda ", "MODEL": "Accord", "Price": "9000", "Color": "Blue"},
+    {"make": "honda", "model": "civic", "price": " 12.5 ", "mileage": "1e3"},
+    {"make": "honda", "model": "fit", "price": float("nan")},
+    {"make": "honda", "model": "fit", "Price": "NaN"},
+    {"make": "honda", "model": "fit", "price": True},
+    {"make": "honda", "model": "fit", "YEAR": False},
+    {"make": "honda", "model": "fit", "color": True, "transmission": 6},
+    {"make": "honda", "model": "fit", "Color": None, "PRICE": None},
+    {"make": None, "model": "fit"},
+    {"MAKE": "", "model": "fit"},
+    {"make": "honda", "Model": None},
+    {"make": "honda", "model": "fit", "price": [9000]},
+    {"make": "honda", "model": "fit", "price": "cheap"},
+    {"make": "honda", "model": "fit", "price": 2**60 + 1, "year": 2005.0},
+    {"Make": "Honda", "make": "toyota", "model": "corolla"},
+    {"make": "honda", "model": "fit", "Colour": "red"},
+    {"price": 5000, "make": "kia", "model": "rio"},
+]
+
+
+@pytest.mark.parametrize("row", VALIDATION_ROWS)
+def test_validate_record_matches_the_written_out_rules(row):
+    """Normalized values, their order and every error message equal the
+    written-out reference: mixed-case keys, numeric strings, NaN, bools
+    and ``None`` included."""
+    schema = small_car_schema()
+    assert _outcome(schema.validate_record, row) == _outcome(
+        lambda record: _reference_validate(schema, record), row
+    )

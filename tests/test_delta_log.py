@@ -44,7 +44,7 @@ from repro.ranking.rank_sim import RankingResources, ScoringUnit
 from repro.ranking.ti_matrix import TIMatrix
 from repro.ranking.ws_matrix import WSMatrix
 from repro.store.codec import restore_table, table_frame
-from tests.conftest import small_car_schema
+from tests.conftest import small_car_schema, store_image
 
 TYPE_I_COLUMNS = ["make", "model"]
 COLUMN = "price"
@@ -103,14 +103,7 @@ GROUPINGS = ((None,), ("color",), ("price",), ("price", "color"))
 
 
 def _store_state(store: ColumnStore):
-    return (
-        store.epoch,
-        store.row_of,
-        store.keys,
-        store.categorical,
-        store.numeric,
-        {columns: dict(store.classes(columns)) for columns in GROUPINGS},
-    )
+    return store_image(store, GROUPINGS)
 
 
 class StoreProbe:

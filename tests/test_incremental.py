@@ -24,6 +24,7 @@ proved here:
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -42,7 +43,12 @@ from repro.ranking.rank_sim import RankingResources, ScoringUnit
 from repro.ranking.ti_matrix import TIMatrix
 from repro.ranking.ws_matrix import WSMatrix
 from repro.system import build_system
-from tests.conftest import fresh_engine, small_car_schema
+from tests.conftest import (
+    fresh_engine,
+    run_together,
+    small_car_schema,
+    store_image,
+)
 
 TYPE_I_COLUMNS = ["make", "model"]
 SHARD_COUNTS = (1, 2, 4)
@@ -100,15 +106,14 @@ def _mutate(rng: random.Random, table) -> None:
         table.remove_many(rng.sample(ids, min(len(ids), rng.randint(1, 3))))
 
 
+#: Class-column sets the store signature groups by (``None`` is the
+#: Type I key), so every storm step also checks the groupings a
+#: catch-up carries forward.
+GROUPINGS = ((None,), ("color",), ("price",), ("price", "color"))
+
+
 def _store_signature(store: ColumnStore):
-    return (
-        store.epoch,
-        [record.record_id for record in store.records],
-        store.row_of,
-        store.keys,
-        store.categorical,
-        store.numeric,
-    )
+    return store_image(store, GROUPINGS)
 
 
 def _resources_for(table) -> RankingResources:
@@ -139,10 +144,9 @@ def test_column_store_storm_plain_table(seed):
         patched = resources.column_store()
         fresh = ColumnStore(table, TYPE_I_COLUMNS)
         assert _store_signature(patched) == _store_signature(fresh)
-        # Every patch path (in-place append, copy-on-write update,
-        # splice) shares the old store's value-keyed slot memos; only
-        # a rebuild mints a fresh memo dict.  Count the survivals to
-        # prove the delta path actually runs.
+        # Every caught-up version shares the old store's value-keyed
+        # slot memos; only a rebuild mints a fresh memo dict.  Count
+        # the survivals to prove the delta path actually runs.
         patch_survivals += patched._slot_memo is before._slot_memo
     assert patch_survivals > STORM_STEPS // 2
 
@@ -181,83 +185,169 @@ def test_detach_window_falls_back_to_rebuild():
     assert store.categorical["color"][row] == "green"
 
 
-def test_out_of_order_insert_patches_by_splice():
-    """An explicit low id after higher ids splices a copy (rows must
-    not shift under concurrent readers of the old store)."""
+def _car(make: str, model: str, color: str, price: int) -> dict:
+    return {"make": make, "model": model, "color": color,
+            "transmission": "manual", "price": price}
+
+
+def test_out_of_order_insert_leaves_old_version_whole():
+    """An explicit low id after higher ids appends a row to a new
+    version; the old version, read through its own ``row_of``, still
+    holds exactly its one record."""
     table = Database().create_table(small_car_schema())
     table.insert(_random_row(random.Random(8)), record_id=10)
     resources = _resources_for(table)
     before = resources.column_store()
+    image = _store_signature(before)
     table.insert(_random_row(random.Random(9)), record_id=3)
     after = resources.column_store()
-    assert after is not before  # spliced copy, not an in-place shift
-    assert [r.record_id for r in after.records] == [3, 10]
+    assert after is not before and after.row_of is not before.row_of
+    assert sorted(after.row_of) == [3, 10]
     assert _store_signature(after) == _store_signature(
         ColumnStore(table, TYPE_I_COLUMNS)
     )
-    assert before.row_of == {10: 0}  # the old image is untouched
+    assert before.row_of == {10: 0}
+    assert _store_signature(before) == image  # the old image is untouched
 
 
 def test_update_keeps_old_store_image_consistent():
-    """Copy-on-write updates: a reader holding the pre-update store
-    sees a fully consistent old image (no torn mixed-epoch rows), and
-    untouched columns share their arrays with the patched clone."""
+    """An update appends the record's new row to a new version that
+    shares every array: a reader holding the pre-update version sees
+    the old values through its own ``row_of``."""
     table = Database().create_table(small_car_schema())
-    table.insert(
-        {"make": "honda", "model": "accord", "color": "blue",
-         "transmission": "manual", "price": 9000}
-    )
+    table.insert(_car("honda", "accord", "blue", 9000))
     resources = _resources_for(table)
     before = resources.column_store()
-    row = before.row_of[1]
+    image = _store_signature(before)
     table.update(1, {"color": "green", "price": 1234})
     after = resources.column_store()
     assert after is not before  # readers of the old object are safe
-    assert before.categorical["color"][row] == "blue"  # old image frozen
+    assert _store_signature(before) == image  # old image frozen
+    row = before.row_of[1]
+    assert before.categorical["color"][row] == "blue"
     assert before.numeric["price"][row] == 9000.0
+    row = after.row_of[1]
     assert after.categorical["color"][row] == "green"
     assert after.numeric["price"][row] == 1234.0
-    # Untouched state is shared, not copied.
-    assert after.categorical["transmission"] is before.categorical["transmission"]
-    assert after.keys is before.keys  # no Type I column changed
-    assert after.records is before.records
-
-
-def test_append_after_update_does_not_tear_old_snapshot():
-    """Regression: an insert folded right after a copy-on-write update
-    must not append onto the lists the update clone still shares with
-    the pre-update store — every array of the old snapshot keeps its
-    pre-update length and values."""
-    table = Database().create_table(small_car_schema())
-    table.insert(
-        {"make": "honda", "model": "accord", "color": "blue",
-         "transmission": "manual", "price": 9000}
-    )
-    resources = _resources_for(table)
-    before = resources.column_store()
-    table.update(1, {"color": "green"})
-    table.insert(
-        {"make": "mazda", "model": "mx5", "color": "red", "price": 7000}
-    )
-    after = resources.column_store()
+    assert after.keys[row] == ("honda", "accord")
     assert _store_signature(after) == _store_signature(
         ColumnStore(table, TYPE_I_COLUMNS)
     )
-    # The old snapshot is whole: one row everywhere, original values.
-    assert len(before.records) == 1
-    assert before.row_of == {1: 0}
-    assert all(len(values) == 1 for values in before.categorical.values())
-    assert all(len(values) == 1 for values in before.numeric.values())
-    assert before.categorical["color"] == ["blue"]
-    # A second append lands in place again (the copy owns its lists).
-    table.insert(
-        {"make": "ford", "model": "focus", "color": "silver", "price": 6000}
+    # The arrays are shared, not copied; each version owns its row_of.
+    assert after.categorical["transmission"] is before.categorical["transmission"]
+    assert after.keys is before.keys
+    assert after.records is before.records
+    assert after.row_of is not before.row_of
+
+
+def test_append_after_update_does_not_tear_old_snapshot():
+    """Each version keeps its image while later versions append to the
+    arrays they share: after an update, an insert, an out-of-order
+    insert and a delete, every earlier version still reads exactly
+    what it read when it was made."""
+    table = Database().create_table(small_car_schema())
+    table.insert(_car("honda", "accord", "blue", 9000))
+    resources = _resources_for(table)
+    versions = [resources.column_store()]
+    images = [_store_signature(versions[0])]
+    writes = [
+        lambda: table.update(1, {"color": "green"}),
+        lambda: table.insert(_car("mazda", "mx5", "red", 7000), record_id=5),
+        lambda: table.insert(_car("ford", "focus", "silver", 6000), record_id=3),
+        lambda: table.delete(1),
+    ]
+    for write in writes:
+        write()
+        store = resources.column_store()
+        assert all(store is not version for version in versions)
+        assert _store_signature(store) == _store_signature(
+            ColumnStore(table, TYPE_I_COLUMNS)
+        )
+        versions.append(store)
+        images.append(_store_signature(store))
+        assert [_store_signature(version) for version in versions] == images
+    first = versions[0]
+    assert first.row_of == {1: 0}
+    assert first.categorical["color"][0] == "blue"
+    assert sorted(versions[-1].row_of) == [3, 5]
+
+
+def test_held_versions_stay_whole_under_concurrent_catch_up():
+    """Readers hold store versions while a writer inserts, updates and
+    deletes and the readers themselves catch the store up, appending
+    to the arrays the versions share (and rebuilding once dead rows
+    outnumber live ones): every held version reads, to the end, exactly
+    what it read when it was handed out."""
+    table = Database().create_table(small_car_schema())
+    table.insert_many([_random_row(random.Random(81)) for _ in range(30)])
+    resources = _resources_for(table)
+    resources.column_store()
+    written = threading.Event()
+    caught = threading.Event()
+    epochs: list[int] = []
+
+    def write() -> None:
+        rng = random.Random(82)
+        try:
+            for _ in range(300):
+                caught.clear()
+                _mutate(rng, table)
+                caught.wait(timeout=0.05)  # pace: let a reader catch up
+        finally:
+            written.set()
+
+    def read() -> None:
+        held = []
+        while not written.is_set():
+            store = resources.column_store()
+            caught.set()
+            epochs.append(store.epoch)
+            held.append((store, _store_signature(store)))
+            for version, image in held[-8:]:
+                assert _store_signature(version) == image
+        for version, image in held:
+            assert _store_signature(version) == image
+
+    run_together(
+        lambda role: role(), [(write,), (read,), (read,), (read,)],
+        switch_interval=1e-5,
     )
-    final = resources.column_store()
-    assert final is after
-    assert _store_signature(final) == _store_signature(
+    assert len(set(epochs)) > 100  # the readers held many versions
+    assert _store_signature(resources.column_store()) == _store_signature(
         ColumnStore(table, TYPE_I_COLUMNS)
     )
+
+
+def test_dead_rows_outnumbering_live_ones_rebuild():
+    """Rows are appended, never rewritten, so updates and deletes leave
+    dead rows behind; once dead rows would outnumber the live ones the
+    catch-up rebuilds (a fresh slot memo, arrays back to the live
+    rows), and until then it shares the memo."""
+    table = Database().create_table(small_car_schema())
+    table.insert_many([_car("honda", "accord", "blue", 1000 + n) for n in range(4)])
+    resources = _resources_for(table)
+    store = resources.column_store()
+    store.memo("warm")["value"] = (True, 1.0)
+    for step in range(4):
+        table.update(1, {"price": 2000 + step})
+        caught = resources.column_store()
+        assert len(caught.records) == 5 + step  # dead rows: step + 1
+        assert caught._slot_memo is store._slot_memo
+    table.update(1, {"price": 9999})  # dead rows 5 > live rows 4
+    rebuilt = resources.column_store()
+    assert rebuilt._slot_memo is not store._slot_memo
+    assert "warm" not in rebuilt._slot_memo
+    assert len(rebuilt.records) == len(rebuilt.row_of) == 4
+    assert _store_signature(rebuilt) == _store_signature(
+        ColumnStore(table, TYPE_I_COLUMNS)
+    )
+    # Deletes count too: the live rows shrink as the dead ones grow.
+    table.delete(2)
+    table.delete(3)
+    kept = resources.column_store()
+    assert kept._slot_memo is rebuilt._slot_memo
+    table.delete(4)  # dead rows 3 > live rows 1
+    assert resources.column_store()._slot_memo is not rebuilt._slot_memo
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +430,43 @@ def test_lexicographic_range_condition_patches_like_executor():
     (patched,) = unit_id_sets(executor, table, [unit], cache)
     assert patched == unit_id_sets(executor, table, [unit], None)[0]
     assert patched == {1, 3}
+
+
+def test_update_outside_a_units_columns_skips_its_tree(monkeypatch):
+    """Catch-up replays an update only for the units that read a column
+    it changed: after a ``color`` update a cached price unit's set
+    comes back by identity without its tree being run, while a color
+    unit's set follows the update."""
+    from repro.db.predicate import Predicate
+
+    database = Database()
+    table = database.create_table(small_car_schema())
+    table.insert_many([_random_row(random.Random(66)) for _ in range(10)])
+    cache = CQAds(database).fragment_cache
+    executor = SQLExecutor(database)
+    units = [
+        ScoringUnit(conditions=(
+            Condition("price", AttributeType.TYPE_III, ConditionOp.LT, 10000),
+        )),
+        ScoringUnit(conditions=(
+            Condition("color", AttributeType.TYPE_II, ConditionOp.EQ, "purple"),
+        )),
+    ]
+    held = unit_id_sets(executor, table, units, cache)
+    tested: list[str] = []
+    matches = Predicate.matches
+
+    def spy(predicate, record):
+        tested.append(predicate.column)
+        return matches(predicate, record)
+
+    monkeypatch.setattr(Predicate, "matches", spy)
+    table.update(1, {"color": "purple"})
+    caught = unit_id_sets(executor, table, units, cache)
+    assert tested == ["color"]
+    assert caught[0] is held[0]
+    assert 1 in caught[1]
+    assert caught == unit_id_sets(executor, table, units, None)
 
 
 def test_absorbed_sets_are_fresh_copies():

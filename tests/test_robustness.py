@@ -3,6 +3,11 @@ degenerate tables, and the CLI surface."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import build_arg_parser
@@ -171,3 +176,28 @@ class TestCLI:
         )
         assert code == 1
         assert "no results" in capsys.readouterr().out
+
+    def test_closed_stdout_ends_quietly(self):
+        """A reader that goes away (``| head -1``) ends a JSON-printing
+        subcommand with exit status 1 and no ``BrokenPipeError``
+        traceback."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "batch", "-",
+             "--domains", "motorcycles", "--ads", "80"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # Nobody reads stdout: its first write finds the pipe closed.
+        process.stdout.close()
+        _, stderr = process.communicate(b"yamaha r6\n", timeout=120)
+        assert process.returncode == 1
+        assert b"answering 1 questions" in stderr
+        assert b"Traceback" not in stderr
+        assert b"BrokenPipeError" not in stderr

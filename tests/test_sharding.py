@@ -129,6 +129,19 @@ class TestShardedTableFacade:
         assert sharded.get(4) is sharded.shard_for(4).get(4)
         assert sharded.get(999) is None
 
+    @pytest.mark.parametrize("limit", [0, 1, 3, 5, 100])
+    def test_fetch_limit_keeps_the_first_present_records(
+        self, oracle_pair, limit
+    ):
+        """``fetch(ids, n) == fetch(ids)[:n]``, absent ids mixed in."""
+        wanted = {999, 7, 0, 3, 5, 1000, 1, 4, -2}
+        for table in oracle_pair:
+            limited = table.fetch(wanted, limit)
+            assert [r.record_id for r in limited] == [
+                r.record_id for r in table.fetch(wanted)[:limit]
+            ]
+            assert all(a is b for a, b in zip(limited, table.fetch(wanted)))
+
     def test_mutations_route_and_aggregate_epochs(self, oracle_pair):
         plain, sharded = oracle_pair
         assert sharded.epoch == plain.epoch == len(SMALL_CAR_ROWS)
@@ -375,8 +388,8 @@ class TestShardAwareCaching:
     def test_point_mutation_patches_one_column_store(
         self, mutable_sharded_system
     ):
-        """Delta maintenance: the insert lands as an in-place append on
-        the owning shard's store; siblings are untouched."""
+        """Delta maintenance: the insert lands in a new version of the
+        owning shard's store; siblings are untouched."""
         cqads = mutable_sharded_system.cqads
         resources = cqads.context("cars").resources
         table = cqads.database.table("car_ads")

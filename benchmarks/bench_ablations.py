@@ -18,6 +18,7 @@ from repro.datagen.questions import make_generator
 from repro.evaluation.reporting import format_percent, format_seconds, format_table
 from repro.qa.pipeline import CQAds
 from repro.qa.sql_generation import evaluate_interpretation
+from tests.test_perf_parity import relaxed_interpretation
 
 
 def test_spelling_correction_ablation(benchmark, full_system):
@@ -88,7 +89,7 @@ def test_relaxation_depth_ablation(benchmark, full_system):
     started = time.perf_counter()
     for keep in itertools.combinations(range(len(units)), max(len(units) - 2, 1)):
         remaining = [units[i] for i in keep]
-        relaxed = cqads._units_to_interpretation(remaining, result.interpretation)  # noqa: SLF001
+        relaxed = relaxed_interpretation(remaining, result.interpretation)
         for record in evaluate_interpretation(
             full_system.database, built.domain, relaxed
         ):

@@ -22,14 +22,15 @@ still works and returns bit-identical answers — it is a thin shim over
 the same pipeline — but new code should prefer this surface.
 
 Performance note: ``.answer_cache(1024)`` on the builder memoizes
-repeated questions, and the relaxation/ranking/execution layers share
-subplans, ranking fragments and plans automatically.  Every cache is
-versioned by the tables' **mutation epochs**: inserting, deleting or
-updating ads refreshes cached answers by itself — no manual
-``invalidate_cache`` call is required after mutations (the method
-survives as an override).  Range/BETWEEN predicates are answered by
-ordered column windows under a selectivity-adaptive planner (the
-explain trace shows which access path each leaf took).  See
+repeated questions, and the relaxation layer shares subplans within
+a question and relaxation-unit id-sets (fragments) across questions
+automatically.  Every cache is versioned by the tables' **mutation
+epochs**: inserting, deleting or updating ads refreshes cached answers
+by itself — no manual ``invalidate_cache`` call is required after
+mutations (the method survives as an override).  Range/BETWEEN
+predicates are answered by ordered column windows, and a leaf matching
+most of the table by the window's complement (the explain trace shows
+which access path each leaf took).  See
 ``PERFORMANCE.md`` for the algorithms and knobs, including
 ``AnswerOptions(top_k=...)`` to bound the ranked pool with the
 columnar top-k engine.
@@ -208,10 +209,10 @@ def main() -> None:
     # Range predicates: ordered column windows answer =, <, >, >=, <=
     # and BETWEEN leaves on numeric columns with two bisects into a
     # delta-maintained sorted array (spliced in place by the same typed
-    # deltas that patch the caches above), and a selectivity-adaptive
-    # planner picks the window or its complement, when the range
-    # matches most of the pool, per leaf, at any table size (see
-    # PERFORMANCE.md, "Ordered windows & adaptive planning").  The
+    # deltas that patch the caches above).  A leaf whose window holds
+    # more than half the table is carried as the window's complement,
+    # decided from the leaf's own count at any table size (see
+    # PERFORMANCE.md, "Ordered windows and complement access").  The
     # execute stage surfaces its per-leaf decisions in the explain
     # trace, and a standalone SQLExecutor exposes them
     # programmatically.
@@ -235,8 +236,7 @@ def main() -> None:
           f"access paths: {executor.plan_summary()}")
     for decision in executor.plan_trace:
         print(f"     {decision.column} {decision.shape}: {decision.path} "
-              f"(predicted selectivity {decision.predicted:.2f}, "
-              f"observed {decision.observed:.2f})")
+              f"(matched {decision.observed:.2f} of {decision.rows} rows)")
 
     # Scale-out: the same recipe partitioned across 4 shards.  Every
     # read scatters and gathers behind the single-table surface, the

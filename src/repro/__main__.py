@@ -64,6 +64,26 @@ __all__ = [
 ]
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type`` accepting integers of at least *minimum*, so
+    a bad count fails at parse time with a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
 def _add_provisioning_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--domain",
@@ -81,7 +101,7 @@ def _add_provisioning_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--ads",
-        type=int,
+        type=_int_at_least(1),
         default=500,
         help="synthetic ads per domain (default 500, the paper's scale)",
     )
@@ -90,7 +110,7 @@ def _add_provisioning_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--shards",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         metavar="N",
         help=(
@@ -114,7 +134,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_provisioning_arguments(parser)
     parser.add_argument(
         "--top",
-        type=int,
+        type=_int_at_least(0),
         default=10,
         help="how many answers to print (default 10)",
     )
@@ -145,13 +165,13 @@ def build_batch_parser() -> argparse.ArgumentParser:
     _add_provisioning_arguments(parser)
     parser.add_argument(
         "--max-answers",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help="per-request answer cap (default: the engine's 30)",
     )
     parser.add_argument(
         "--top",
-        type=int,
+        type=_int_at_least(0),
         default=10,
         help="answers to include per question in the JSON (default 10)",
     )
@@ -233,7 +253,7 @@ def build_stats_parser() -> argparse.ArgumentParser:
     _add_provisioning_arguments(parser)
     parser.add_argument(
         "--requests",
-        type=int,
+        type=_int_at_least(1),
         default=24,
         help="requests to drive through the service (default 24)",
     )
@@ -290,7 +310,7 @@ def _stats_workload(args: argparse.Namespace, obs) -> str:
         # Duplicate-heavy: sequential re-asks hit the answer cache, and
         # the batch's duplicates are answered once.
         with system.service(cache=64, observability=obs) as service:
-            for index in range(max(1, args.requests)):
+            for index in range(args.requests):
                 service.ask(pool[index % len(pool)], domain=domains[0])
             service.answer_batch(
                 [AnswerRequest(question=pool[0], domain=domains[0])] * 4

@@ -2,13 +2,9 @@
 
 The seed's ``build_system()`` packs seven keyword arguments plus
 ``**cqads_options`` into one call; the builder names each knob as a
-chainable method and adds two things the function can't express
-cleanly:
-
-* **lazy per-domain provisioning** (:meth:`SystemBuilder.lazy`) — the
-  shared substrate is built up front, each domain on first use;
-* a direct :meth:`SystemBuilder.build_service` that returns the
-  :class:`~repro.api.service.AnswerService` most callers actually want.
+chainable method and adds a direct :meth:`SystemBuilder.build_service`
+that returns the :class:`~repro.api.service.AnswerService` most
+callers actually want.
 
 ::
 
@@ -55,7 +51,6 @@ class SystemBuilder:
         self._seed = 7
         self._classifier: NaiveBayesClassifier | None = None
         self._train_classifier = True
-        self._lazy = False
         self._answer_cache_capacity: int | None = None
         self._storage_directory = None
         self._storage_options: dict[str, object] = {}
@@ -139,8 +134,7 @@ class SystemBuilder:
         """Engine-level answering defaults (``correct_spelling``,
         ``relax_partial``, ``ordered_evaluation``,
         ``partial_pool_per_query``, ``ranking_engine``,
-        ``ranking_top_k``, ``fragment_cache``) —
-        still overridable per request where an
+        ``ranking_top_k``) — still overridable per request where an
         :class:`~repro.api.requests.AnswerOptions` field exists."""
         self._cqads_options.update(cqads_options)
         return self
@@ -217,18 +211,6 @@ class SystemBuilder:
         self._observability = obs
         return self
 
-    # -- provisioning strategy -----------------------------------------
-    def lazy(self, lazy: bool = True) -> "SystemBuilder":
-        """Defer per-domain provisioning to first use.
-
-        ``build()`` then returns immediately with the shared substrate
-        (database, corpus, WS-matrix, engine); each domain's ads, query
-        log and TI-matrix are generated on the first
-        ``system.domain(name)`` / ``ensure_domain(name)`` call.
-        """
-        self._lazy = lazy
-        return self
-
     # -- terminal operations -------------------------------------------
     def _storage_for_build(self):
         if self._storage_backend is not None:
@@ -254,7 +236,6 @@ class SystemBuilder:
             seed=self._seed,
             classifier=self._classifier,
             train_classifier=self._train_classifier,
-            lazy=self._lazy,
             **self._cqads_options,
         )
 

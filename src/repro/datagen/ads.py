@@ -217,8 +217,8 @@ def build_dataset(
     ads = generator.generate_many(ads_per_domain)
     table = database.create_table(spec.schema, shards=shards)
     # insert_many notifies mutation listeners once for the whole seed
-    # batch — on a warm system (lazy provisioning) per-row inserts
-    # would run every cache-invalidation sweep per ad.
+    # batch — on a running system (a domain added after the build)
+    # per-row inserts would notify them once per ad.
     records = table.insert_many(ad.values for ad in ads)
     dataset = DomainDataset(spec=spec, table=table, ads=ads, records=records)
     dataset.compute_value_ranges()

@@ -130,8 +130,8 @@ class Predicate:
     (one key: the hash index on a categorical column, the id itself on
     ``record_id``, a window slice on a numeric column) or a range shape
     (``range``, ``lex-range``, ``between``, ``id-range``,
-    ``id-between``).  The executor's access planner keys on every shape
-    a window answers.  ``low``/``high`` bound the interval (``None`` =
+    ``id-between``); the executor's access-path trace names the shape
+    of every leaf a window answers.  ``low``/``high`` bound the interval (``None`` =
     unbounded on that side); an interval bounded on both sides
     (``equal``, BETWEEN) is closed.
     """

@@ -37,16 +37,16 @@ changing any result set (all pure set algebra — see
   ranges before substring scans before complements), short-circuiting
   as soon as the accumulated intersection is empty (or the union
   covers the table);
-* **ordered windows + adaptive access-path planning** — numeric
-  equality, range, comparison and BETWEEN leaves are answered by
-  bisecting a delta-maintained sorted column window
-  (:mod:`repro.perf.window`) into a lazy :class:`_WindowSet` that
-  intersects by membership instead of materializing, and a
-  per-``(table, column, shape)`` :class:`AccessPlanner` tracks
-  observed selectivity to choose between the window and its
-  *complement* (when the interval matches most of the table) per
-  leaf, whatever the table's size.  Every choice is recorded on the
-  executor's ``plan_trace`` for explain output.
+* **ordered windows** — numeric equality, range, comparison and
+  BETWEEN leaves are answered by bisecting a delta-maintained sorted
+  column window (:mod:`repro.perf.window`) into a lazy
+  :class:`_WindowSet` that intersects by membership instead of
+  materializing; a leaf whose window holds more than
+  ``COMPLEMENT_THRESHOLD`` of the table's rows is carried as its
+  *complement* instead, whatever the table's size.  The choice is
+  made from the leaf's own count, so it depends only on the leaf and
+  the table, and is recorded on the executor's ``plan_trace`` for
+  explain output.
 
 The pseudo-column ``record_id`` is available on every table; CQAds uses
 it for the paper's ``Car_ID IN (subquery)`` idiom (Example 7).
@@ -55,7 +55,6 @@ it for the paper's ``Car_ID IN (subquery)`` idiom (Example 7).
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Union
 
@@ -91,8 +90,6 @@ from repro.perf.window import IdWindow, windows_for
 
 __all__ = [
     "AccessDecision",
-    "AccessPlanner",
-    "DEFAULT_ACCESS_PLANNER",
     "SQLExecutor",
     "SQLResult",
     "compile_leaf",
@@ -100,8 +97,8 @@ __all__ = [
     "execute",
 ]
 
-#: A range leaf flips to the *complement* representation when its
-#: predicted selectivity exceeds this fraction (a wide range has a
+#: A range leaf is carried as its *complement* when its window holds
+#: more than this fraction of the table's rows (a wide range has a
 #: small outside, so carrying the complement keeps AND chains cheap).
 COMPLEMENT_THRESHOLD = 0.5
 
@@ -118,60 +115,20 @@ MAX_PLAN_TRACE = 4096
 class AccessDecision:
     """One recorded access-path choice for one WHERE leaf (or sort).
 
-    ``shape`` names the leaf family the planner keys on (``equal``,
-    ``range``, ``between``, ``lex-range``, ``id-range``,
-    ``id-between``, ``order-by``); ``path`` is what was chosen
-    (``window``, ``window-complement``, ``window-order``);
-    ``predicted``/``observed`` are the planner's selectivity estimate
-    before the leaf ran and the fraction actually matched (``None``
-    for an ORDER BY, which the planner does not see).
+    ``shape`` names the leaf family (``equal``, ``range``,
+    ``between``, ``lex-range``, ``id-range``, ``id-between``,
+    ``order-by``); ``path`` is what was chosen (``window``,
+    ``window-complement``, ``window-order``); ``observed`` is the
+    fraction of the table's ``rows`` the leaf matched, which chose the
+    path (``None`` for an ORDER BY).
     """
 
     table: str
     column: str
     shape: str
     path: str
-    predicted: float | None
     observed: float | None
     rows: int
-
-
-class AccessPlanner:
-    """Running per-``(table, column, shape)`` selectivity estimates.
-
-    An exponentially weighted moving average (``ALPHA = 0.5``) over
-    the observed match fractions: heavy enough smoothing to ignore one
-    odd query, fast enough to flip the access path after a couple of
-    consistently wide (or narrow) ranges.  Thread-safe; the module
-    shares one :data:`DEFAULT_ACCESS_PLANNER` across executors, because
-    executors are built per call and a per-instance planner would never
-    learn anything.
-    """
-
-    ALPHA = 0.5
-    DEFAULT_SELECTIVITY = 0.25
-
-    def __init__(self) -> None:
-        self._stats: dict[tuple[str, str, str], float] = {}
-        self._lock = threading.Lock()
-
-    def predict(self, key: tuple[str, str, str]) -> float:
-        """The current selectivity estimate for *key* (default prior)."""
-        return self._stats.get(key, self.DEFAULT_SELECTIVITY)
-
-    def observe(self, key: tuple[str, str, str], selectivity: float) -> None:
-        """Fold one observed match fraction into the estimate."""
-        with self._lock:
-            prior = self._stats.get(key)
-            if prior is None:
-                self._stats[key] = selectivity
-            else:
-                self._stats[key] = prior + self.ALPHA * (selectivity - prior)
-
-
-#: Shared planner instance (see :class:`AccessPlanner`); tests pass a
-#: private planner to keep their selectivity history isolated.
-DEFAULT_ACCESS_PLANNER = AccessPlanner()
 
 
 class _IdSet:
@@ -373,20 +330,12 @@ class SQLResult:
 class SQLExecutor:
     """Evaluates parsed SELECT statements against a database.
 
-    ``planner`` supplies the selectivity stats that choose each
-    windowed leaf's access path (shared :data:`DEFAULT_ACCESS_PLANNER`
-    when omitted).  Each evaluated windowed leaf appends an
-    :class:`AccessDecision` to ``plan_trace``, which the explain
-    pipeline surfaces.
+    Each evaluated windowed leaf appends an :class:`AccessDecision` to
+    ``plan_trace``, which the explain pipeline surfaces.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        planner: AccessPlanner | None = None,
-    ) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.planner = planner if planner is not None else DEFAULT_ACCESS_PLANNER
         self.plan_trace: list[AccessDecision] = []
         #: Decisions evicted by the ``MAX_PLAN_TRACE`` cap — surfaced in
         #: :meth:`plan_summary` so a truncated trace is never mistaken
@@ -541,13 +490,7 @@ class SQLExecutor:
         present.sort(key=lambda pair: pair[0])
         self._record(
             AccessDecision(
-                table.name,
-                column,
-                "order-by",
-                "window-order",
-                None,
-                None,
-                len(records),
+                table.name, column, "order-by", "window-order", None, len(records)
             )
         )
         return [record for _, record in present] + absent
@@ -668,43 +611,26 @@ class SQLExecutor:
         """Answer one interval leaf through the window layer.
 
         Builds the column's :class:`~repro.perf.window.IdWindow` — one
-        segment per shard — observes its selectivity, and returns
-        either the lazy window or (predicted-wide intervals) its
-        complement as a plain outside-ids set.  Every outcome lands on
-        ``plan_trace``.
+        segment per shard — and counts it: a leaf matching more than
+        ``COMPLEMENT_THRESHOLD`` of the table's rows is returned as its
+        complement, a plain set of the outside ids, and any other leaf
+        as the lazy window.  Every outcome lands on ``plan_trace``.
         """
         name, shape = leaf.column, leaf.shape
         rows = len(table)
         window = IdWindow(table, leaf, windows_for(table).column_windows(name))
         observed = (window.count() / rows) if rows else 0.0
-        key = (table.name, name, shape)
-        predicted = self.planner.predict(key)
-        self.planner.observe(key, observed)
-        if predicted > COMPLEMENT_THRESHOLD:
-            # Predicted wide: carry the (small) complement instead —
-            # the windowed ids outside the range plus the unwindowed
-            # NULL rows.
+        if observed > COMPLEMENT_THRESHOLD:
+            # Wide: carry the (small) complement instead — the windowed
+            # ids outside the range plus the unwindowed NULL rows.
             outside = window.outside()
             if leaf.kind != RECORD_ID:
                 outside |= table.null_ids(name)
-            self._record(
-                AccessDecision(
-                    table.name,
-                    name,
-                    shape,
-                    "window-complement",
-                    predicted,
-                    observed,
-                    rows,
-                )
-            )
-            return _IdSet(outside, complemented=True)
-        self._record(
-            AccessDecision(
-                table.name, name, shape, "window", predicted, observed, rows
-            )
-        )
-        return _WindowSet(window)
+            path, ids = "window-complement", _IdSet(outside, complemented=True)
+        else:
+            path, ids = "window", _WindowSet(window)
+        self._record(AccessDecision(table.name, name, shape, path, observed, rows))
+        return ids
 
     def _eval_like(self, table: Table, expr: LikeExpr) -> set[int]:
         name = expr.column.name

@@ -502,7 +502,7 @@ class Table:
         return index.ids() if index is not None else set()
 
     # ------------------------------------------------------------------
-    # index-backed lookups (used by the SQL executor's planner)
+    # index-backed lookups (the SQL executor's categorical leaves)
     # ------------------------------------------------------------------
     def lookup_equal(self, column_name: str, value: object) -> set[int]:
         """Ids with the categorical ``column == value`` via the column's

@@ -21,9 +21,8 @@ invalidation contracts):
   ``array``-backed (value, id) views caught up from the table's delta
   log on read, the one ordered structure a column has.  They
   answer numeric equality, ``IN``, range, BETWEEN and lexicographic
-  leaves with two bisects each (the SQL executor's
-  selectivity-adaptive planner picks the window or its complement per
-  leaf);
+  leaves with two bisects each (the SQL executor carries a leaf that
+  matches more than half the table as the window's complement);
 * :mod:`repro.perf.lru` — the generic bounded, thread-safe LRU the
   caches are built on (stdlib-only, importable from any layer);
 * :mod:`repro.perf.answer_cache` — memoized full question results for

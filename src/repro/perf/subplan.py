@@ -67,9 +67,10 @@ __all__ = [
 def unit_expression(builder: QueryBuilder, unit: ScoringUnit):
     """One relaxation unit as a WHERE expression.
 
-    Mirrors :meth:`repro.qa.pipeline.CQAds._units_to_interpretation`:
-    an "any" unit with several branches is an OR group, everything
-    else an AND over the unit's conditions.
+    An "any" unit with several branches (an incomplete number's
+    alternatives) is the OR of its conditions; every other unit is the
+    AND of its conditions, so a question's relaxed query is the AND of
+    its kept units.
     """
     expressions = [
         condition_to_expr(builder, condition) for condition in unit.conditions

@@ -40,7 +40,7 @@ from repro.db.schema import AttributeType
 from repro.db.table import MutationEvent, Record
 from repro.errors import ClassificationError
 from repro.obs import span
-from repro.perf.fragment_cache import DEFAULT_CAPACITY, FragmentCache
+from repro.perf.fragment_cache import FragmentCache
 from repro.qa.conditions import (
     BooleanOperator,
     Condition,
@@ -278,14 +278,6 @@ class CQAds:
         The pool is ordered and built only where it is read, so the
         bound saves no work on the answer path — it limits how far
         pagination can walk.
-    fragment_cache:
-        Cross-question memoization of relaxation-unit id-sets
-        (:mod:`repro.perf.fragment_cache`); each entry records the
-        table (or shard) epoch it reflects and catches up from the
-        table's delta log when it is next read.  Pass a capacity, a
-        prebuilt
-        :class:`~repro.perf.fragment_cache.FragmentCache`, or ``None``
-        to disable.
     shards:
         The engine's scatter-gather degree: the shard count its
         backing tables are expected to be partitioned into
@@ -314,9 +306,15 @@ class CQAds:
         partial_pool_per_query: int | None = None,
         ranking_engine: str = "columnar",
         ranking_top_k: int | None = None,
-        fragment_cache: FragmentCache | int | None = DEFAULT_CAPACITY,
         shards: int | None = None,
     ) -> None:
+        if max_answers < 1:
+            raise ValueError(f"max_answers must be positive, got {max_answers}")
+        if partial_pool_per_query is not None and partial_pool_per_query < 1:
+            raise ValueError(
+                "partial_pool_per_query must be positive, got "
+                f"{partial_pool_per_query}"
+            )
         if ranking_engine not in self.RANKING_ENGINES:
             raise ValueError(
                 f"ranking_engine must be one of {self.RANKING_ENGINES}, "
@@ -337,13 +335,14 @@ class CQAds:
         self.ordered_evaluation = ordered_evaluation
         self.ranking_engine = ranking_engine
         self.ranking_top_k = ranking_top_k
-        if isinstance(fragment_cache, int):
-            fragment_cache = FragmentCache(fragment_cache)
-        self.fragment_cache = fragment_cache
+        #: Cross-question memoization of relaxation-unit id-sets
+        #: (:mod:`repro.perf.fragment_cache`); each entry records the
+        #: table (or shard) epoch it reflects and catches up from the
+        #: table's delta log when it is next read.
+        self.fragment_cache = FragmentCache()
         # Table drops are the one write this engine must hear as it
         # lands (everything else catches up from the delta logs on
-        # read), so the listener is registered even with the cache
-        # disabled.
+        # read).
         database.add_listener(self._on_table_mutation)
         # Each N-1 query contributes at most this many candidates —
         # the paper's per-query retrieval cap ("up to 30 (in)exact
@@ -356,14 +355,6 @@ class CQAds:
         #: Whether the pool cap was chosen by the caller (per-request
         #: ``max_answers`` overrides re-derive it only when it wasn't).
         self.partial_pool_explicit = partial_pool_per_query is not None
-        #: Hook invoked when an unregistered domain is requested —
-        #: lazy builds point this at ``BuiltSystem.ensure_domain`` so
-        #: named-domain requests provision on first use.
-        self.domain_loader: Callable[[str], object] | None = None
-        #: Hook invoked before classification trains — lazy builds
-        #: point this at ``BuiltSystem.provision_all`` so the classifier
-        #: sees every requested domain's training texts.
-        self.classifier_warmup: Callable[[], None] | None = None
         self._contexts: dict[str, _DomainContext] = {}
         self._classifier_trained = False
         self._train_lock = threading.Lock()
@@ -381,8 +372,7 @@ class CQAds:
         """
         if event.kind != "drop":
             return
-        if self.fragment_cache is not None:
-            self.fragment_cache.invalidate(event.table.name)
+        self.fragment_cache.invalidate(event.table.name)
         domain = self.registered_domain_for_table(event.table.name)
         if domain is not None:
             resources = self._contexts[domain].resources
@@ -439,9 +429,8 @@ class CQAds:
     def registered_domain_for_table(self, table_name: str) -> str | None:
         """The registered domain whose table is *table_name*, if any.
 
-        Looks only at already-registered domains (never triggers lazy
-        provisioning) — this is what mutation listeners use to map a
-        table event back to a domain.
+        This is what mutation listeners use to map a table event back
+        to a domain.
         """
         for name, context in self._contexts.items():
             if context.domain.schema.table_name == table_name:
@@ -452,27 +441,15 @@ class CQAds:
         return sorted(self._contexts.keys())
 
     def domain(self, name: str) -> AdsDomain:
-        self._maybe_load(name)
         return self._contexts[name].domain
-
-    def _maybe_load(self, name: str) -> None:
-        """Provision *name* through ``domain_loader`` on lazy builds."""
-        if name not in self._contexts and self.domain_loader is not None:
-            try:
-                self.domain_loader(name)
-            except KeyError:
-                pass  # not a requested domain either; fall through
 
     def context(self, name: str) -> _DomainContext:
         """The registered context for *name* (stages' entry point).
 
-        With a ``domain_loader`` attached (lazy builds), an unknown
-        name is provisioned on first use before failing.  Resources
-        registered before their table existed are bound to it here, on
-        first use, so the columnar engine works regardless of
-        registration order.
+        Resources registered before their table existed are bound to
+        it here, on first use, so the columnar engine works regardless
+        of registration order.
         """
-        self._maybe_load(name)
         try:
             context = self._contexts[name]
         except KeyError:
@@ -502,8 +479,6 @@ class CQAds:
         requests answered on several threads at once never observe a
         half-trained classifier.
         """
-        if self.classifier_warmup is not None:
-            self.classifier_warmup()
         if len(self._contexts) == 1:
             return next(iter(self._contexts))
         if not self._classifier_trained:
@@ -707,21 +682,3 @@ class CQAds:
         with span("relax.rank", path="rows", pool=len(pool)):
             scored = ranker.rank_units(pool, units, top_k=top_k, engine=engine)
         return AnswerView((scored, _ranked_answer), rank_path="rows")
-
-    @staticmethod
-    def _units_to_interpretation(
-        units: list[ScoringUnit], original: Interpretation
-    ) -> Interpretation:
-        nodes = []
-        for unit in units:
-            if unit.mode == "any" and len(unit.conditions) > 1:
-                nodes.append(
-                    ConditionGroup(BooleanOperator.OR, list(unit.conditions))
-                )
-            else:
-                nodes.extend(unit.conditions)
-        if len(nodes) == 1:
-            tree = nodes[0]
-        else:
-            tree = ConditionGroup(BooleanOperator.AND, list(nodes))
-        return Interpretation(tree=tree, superlative=original.superlative)

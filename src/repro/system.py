@@ -15,14 +15,8 @@ The returned :class:`BuiltSystem` keeps the artifacts the answer path
 and the evaluation read (datasets, domains, latent models, matrices,
 ranking resources), so tests, examples and benchmarks can inspect or
 re-use them without rebuilding.  A domain's query log is not kept: it
-is garbage once its TI-matrix is learned.
-
-With ``lazy=True`` (what :meth:`repro.api.builder.SystemBuilder.lazy`
-sets), only the shared substrate (database, corpus, WS-matrix, the
-engine) is built up front; each domain is provisioned on first access
-through :meth:`BuiltSystem.ensure_domain`.  Eager and lazy builds are
-deterministic and identical per domain — every generator is seeded per
-call, so provisioning order does not matter.
+is garbage once its TI-matrix is learned.  Builds are deterministic —
+every generator is seeded per call.
 
 Prefer :class:`repro.api.builder.SystemBuilder` for new code; this
 function remains the single implementation both surfaces share.
@@ -31,9 +25,8 @@ function remains the single implementation both surfaces share.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.classify.naive_bayes import NaiveBayesClassifier
 from repro.datagen.ads import DomainDataset, build_dataset
@@ -75,45 +68,10 @@ class BuiltSystem:
     domains: dict[str, BuiltDomain] = field(default_factory=dict)
     ws_matrix: WSMatrix | None = None
     corpus: list[str] = field(default_factory=list)
-    #: Names this system was asked to serve (provisioned or pending).
-    requested_domains: tuple[str, ...] = ()
-    _provisioner: Callable[[str], BuiltDomain] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _provision_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def domain(self, name: str) -> BuiltDomain:
-        """The provisioned artifacts for *name* (provisions lazily)."""
-        return self.ensure_domain(name)
-
-    def ensure_domain(self, name: str) -> BuiltDomain:
-        """Provision *name* on first access (no-op when already built).
-
-        Thread-safe: requests answered on several threads at once may
-        race to the same unprovisioned domain; exactly one provisions
-        it.
-        """
-        if name not in self.domains:
-            if self._provisioner is None or name not in self.requested_domains:
-                raise KeyError(name)
-            with self._provision_lock:
-                if name not in self.domains:
-                    self.domains[name] = self._provisioner(name)
+        """The provisioned artifacts for *name* (``KeyError`` if none)."""
         return self.domains[name]
-
-    def provision_all(self) -> None:
-        """Provision every requested domain that is still pending."""
-        for name in self.requested_domains:
-            self.ensure_domain(name)
-
-    @property
-    def pending_domains(self) -> tuple[str, ...]:
-        """Requested domains not yet provisioned (lazy builds only)."""
-        return tuple(
-            name for name in self.requested_domains if name not in self.domains
-        )
 
     @property
     def storage(self):
@@ -208,7 +166,6 @@ def build_system(
     seed: int = 7,
     classifier: NaiveBayesClassifier | None = None,
     train_classifier: bool = True,
-    lazy: bool = False,
     storage=None,
     **cqads_options,
 ) -> BuiltSystem:
@@ -216,12 +173,8 @@ def build_system(
 
     The defaults match the paper's scale: 500 ads per domain, one table
     per domain, a 30-answer cap.  Smaller values make unit tests fast.
-
-    With ``lazy=True`` the shared substrate (corpus, WS-matrix, engine)
-    is built immediately but per-domain provisioning is deferred to the
-    first :meth:`BuiltSystem.ensure_domain` (or ``domain``) call;
-    classifier training then happens on demand inside
-    :meth:`CQAds.classify_question`.
+    With ``train_classifier=False`` the classifier trains on demand,
+    on the first question :meth:`CQAds.classify_question` routes.
 
     ``shards=N`` (a :class:`~repro.qa.pipeline.CQAds` option, passed
     through ``**cqads_options``) partitions every domain's table
@@ -243,32 +196,20 @@ def build_system(
 
         storage = WalBackend(storage)
     database = Database(storage=storage)
-    specs = [build_domain_spec(name) for name in names]
-    spec_by_name = {spec.name: spec for spec in specs}
-    corpus = generate_corpus(specs, n_documents=corpus_documents, seed=seed)
+    # The engine checks its options before any provisioning work.
     cqads = CQAds(database, classifier=classifier, **cqads_options)
+    specs = [build_domain_spec(name) for name in names]
+    corpus = generate_corpus(specs, n_documents=corpus_documents, seed=seed)
     system = BuiltSystem(
         cqads=cqads,
         database=database,
         ws_matrix=WSMatrix.from_corpus(corpus),
         corpus=corpus,
-        requested_domains=tuple(spec.name for spec in specs),
     )
-    system._provisioner = lambda name: _provision_domain(
-        system,
-        spec_by_name[name],
-        ads_per_domain,
-        sessions_per_domain,
-        seed,
-    )
-    if lazy:
-        # Named-domain requests provision on first use; classification
-        # first provisions everything so the classifier is trained on
-        # the full domain set.
-        cqads.domain_loader = system.ensure_domain
-        cqads.classifier_warmup = system.provision_all
-        return system
-    system.provision_all()
+    for spec in specs:
+        system.domains[spec.name] = _provision_domain(
+            system, spec, ads_per_domain, sessions_per_domain, seed
+        )
     if train_classifier and len(names) > 1:
         cqads.train_classifier()
     return system

@@ -1,6 +1,8 @@
-"""Tests for the fluent SystemBuilder and lazy provisioning."""
+"""Tests for the fluent SystemBuilder and its eager provisioning."""
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -35,7 +37,6 @@ class TestFluentBuild:
         assert builder.train_classifier(False) is builder
         assert builder.max_answers(5) is builder
         assert builder.answer_defaults(relax_partial=False) is builder
-        assert builder.lazy() is builder
 
     def test_build_matches_build_system(self):
         via_builder = small_builder("cars").with_seed(7).build()
@@ -80,7 +81,7 @@ class TestFluentBuild:
             .build()
         )
         assert varargs.cqads.domains() == iterable.cqads.domains()
-        assert varargs.requested_domains == ("cars", "motorcycles")
+        assert list(varargs.domains) == ["cars", "motorcycles"]
 
     def test_build_service(self):
         service = small_builder("cars").build_service()
@@ -119,114 +120,65 @@ class TestBuiltSystemConstruction:
         assert isinstance(system, BuiltSystem)
         assert system.cqads.database is system.database
 
-    def test_requested_domains_recorded(self):
-        system = small_builder("cars").build()
-        assert system.requested_domains == ("cars",)
-        assert system.pending_domains == ()
+    def test_every_requested_domain_is_provisioned(self):
+        system = small_builder("cars", "motorcycles").build()
+        assert list(system.domains) == ["cars", "motorcycles"]
+        assert system.cqads.domains() == ["cars", "motorcycles"]
+        built = system.domain("cars")
+        assert built is system.domains["cars"]
+        assert len(built.dataset.records) == SMALL["ads"]
+        assert system.ws_matrix is not None
+        assert system.corpus
 
     def test_unknown_domain_raises_keyerror(self):
         system = small_builder("cars").build()
         with pytest.raises(KeyError):
             system.domain("boats")
-
-
-class TestLazyProvisioning:
-    def test_nothing_provisioned_until_first_access(self):
-        system = small_builder("cars", "motorcycles").lazy().build()
-        assert system.domains == {}
-        assert system.pending_domains == ("cars", "motorcycles")
-        assert system.cqads.domains() == []
-        # The shared substrate exists up front.
-        assert system.ws_matrix is not None
-        assert system.corpus
-
-    def test_first_access_provisions_and_registers(self):
-        system = small_builder("cars", "motorcycles").lazy().build()
-        built = system.domain("cars")
-        assert len(built.dataset.records) == SMALL["ads"]
-        assert system.cqads.domains() == ["cars"]
-        assert system.pending_domains == ("motorcycles",)
-        # Second access is a no-op returning the same artifacts.
-        assert system.domain("cars") is built
-
-    def test_lazy_answers_match_eager(self):
-        question = "blue honda accord"
-        eager = small_builder("cars").build()
-        lazy = small_builder("cars").lazy().build()
-        lazy.ensure_domain("cars")
-        assert (
-            lazy.cqads.answer(question, domain="cars").records()
-            == eager.cqads.answer(question, domain="cars").records()
-        )
-
-    def test_provision_all_completes_the_system(self):
-        system = small_builder("cars", "motorcycles").lazy().build()
-        system.provision_all()
-        assert system.pending_domains == ()
-        assert system.cqads.domains() == ["cars", "motorcycles"]
-        result = system.cqads.answer("harley davidson sportster")
-        assert result.domain == "motorcycles"
-
-    def test_lazy_unknown_domain_raises_keyerror(self):
-        system = small_builder("cars").lazy().build()
-        with pytest.raises(KeyError):
-            system.ensure_domain("boats")
-
-    def test_lazy_service_provisions_named_domain_on_demand(self):
-        service = small_builder("cars", "motorcycles").lazy().build_service()
-        assert service.cqads.domains() == []
-        result = service.ask("blue honda accord", domain="cars")
-        assert result.answers
-        assert service.cqads.domains() == ["cars"]
-
-    def test_lazy_engine_domain_accessor_provisions(self):
-        system = small_builder("cars").lazy().build()
-        # The engine-level accessor provisions too, like context().
-        assert system.cqads.domain("cars").name == "cars"
         with pytest.raises(KeyError):
             system.cqads.domain("boats")
 
-    def test_lazy_service_classification_provisions_everything(self):
-        service = small_builder("cars", "motorcycles").lazy().build_service()
+
+class TestEagerProvisioning:
+    """A build provisions every domain before it returns; only the
+    classifier may wait for the first question it routes."""
+
+    def test_service_answers_named_and_classified_questions(self):
+        service = small_builder("cars", "motorcycles").build_service()
+        assert service.cqads.domains() == ["cars", "motorcycles"]
+        assert service.ask("blue honda accord", domain="cars").answers
         result = service.ask("harley davidson sportster low miles")
         assert result.domain == "motorcycles"
-        assert service.cqads.domains() == ["cars", "motorcycles"]
 
-    def test_lazy_batch_concurrent_requests(self):
-        """Classified requests racing on a lazy build: the provisioning
-        lock builds each domain once, and the classifier's training
-        lock trains it once, before any request reads it."""
-        system = small_builder("cars", "motorcycles").lazy().build()
-        provisioned: list[str] = []
-        provision = system._provisioner
-
-        def counting(name):
-            provisioned.append(name)
-            return provision(name)
-
-        system._provisioner = counting
+    def test_concurrent_classification_trains_once(self):
+        """Questions racing to classify on an untrained classifier: the
+        training lock trains it once, before any of them reads it."""
+        system = (
+            small_builder("cars", "motorcycles").train_classifier(False).build()
+        )
+        cqads = system.cqads
         trainings: list[str] = []
-        train = system.cqads.classifier.train
+        train = cqads.classifier.train
 
-        def counting_train(*args, **kwargs):
+        def slow_counting_train(*args, **kwargs):
             trainings.append("train")
+            time.sleep(0.02)  # holds the race window open
             return train(*args, **kwargs)
 
-        system.cqads.classifier.train = counting_train
-        service = system.service()
+        cqads.classifier.train = slow_counting_train
         questions = [
             "blue honda accord",
             "harley davidson sportster",
             "4 door toyota camry sedan",
             "yamaha r6",
+            "red ford focus",
+            "kawasaki ninja",
         ]
-        results: dict[str, object] = {}
+        routed: dict[str, str] = {}
 
-        def ask(question: str) -> None:
-            results[question] = service.answer(question)
+        def classify(question: str) -> None:
+            routed[question] = cqads.classify_question(question)
 
-        run_together(ask, [(q,) for q in questions], switch_interval=1e-6)
-        assert sorted(provisioned) == ["cars", "motorcycles"]
+        run_together(classify, [(q,) for q in questions], switch_interval=1e-6)
         assert trainings == ["train"]
-        assert [results[q].question for q in questions] == questions
-        assert {results[q].domain for q in questions} == {"cars", "motorcycles"}
+        assert routed == {q: cqads.classify_question(q) for q in questions}
+        assert set(routed.values()) == {"cars", "motorcycles"}

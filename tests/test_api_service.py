@@ -11,6 +11,7 @@ from repro.api import (
     AnswerRequest,
     AnswerService,
     QueryPipeline,
+    SystemBuilder,
     page_result,
 )
 from repro.datagen.questions import make_generator
@@ -135,6 +136,23 @@ class TestRequestOptions:
             service.ask("honda", domain="cars", max_answers=0)
         with pytest.raises(ValueError):
             service.ask("honda", domain="cars", partial_pool_per_query=0)
+
+    def test_non_positive_engine_defaults_rejected(self, car_database):
+        """The engine-level defaults fail as the per-request values do,
+        at construction, instead of answering nothing."""
+        from repro.qa.pipeline import CQAds
+
+        for name, value in (
+            ("max_answers", 0),
+            ("max_answers", -3),
+            ("partial_pool_per_query", 0),
+            ("partial_pool_per_query", -1),
+        ):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                CQAds(car_database, **{name: value})
+        builder = SystemBuilder().with_domains("cars").max_answers(0)
+        with pytest.raises(ValueError, match="max_answers must be positive"):
+            builder.build()
 
 
 class TestParityAcrossDomains:

@@ -242,7 +242,7 @@ class TestPlanTraceDrop:
         executor = SQLExecutor(Database())
         decision = AccessDecision(
             table="car_ads", column="price", shape="range",
-            path="window", predicted=0.5, observed=0.5, rows=10,
+            path="window", observed=0.5, rows=10,
         )
         executor.plan_trace.extend([decision] * MAX_PLAN_TRACE)
         tracer = Tracer()

@@ -20,6 +20,7 @@ import pytest
 from repro.datagen.questions import make_generator
 from repro.datagen.vocab import DOMAIN_NAMES
 from repro.perf.subplan import drop_intersections
+from repro.qa.conditions import BooleanOperator, ConditionGroup, Interpretation
 from repro.qa.sql_generation import evaluate_interpretation
 from repro.system import build_system
 
@@ -35,6 +36,20 @@ def parity_system():
         corpus_documents=150,
         train_classifier=False,
     )
+
+
+def relaxed_interpretation(units, original):
+    """The relaxed query that keeps exactly *units*: an "any" unit with
+    several branches is an OR group, every other unit adds its
+    conditions to one AND, and *original*'s superlative is kept."""
+    nodes = []
+    for unit in units:
+        if unit.mode == "any" and len(unit.conditions) > 1:
+            nodes.append(ConditionGroup(BooleanOperator.OR, list(unit.conditions)))
+        else:
+            nodes.extend(unit.conditions)
+    tree = nodes[0] if len(nodes) == 1 else ConditionGroup(BooleanOperator.AND, nodes)
+    return Interpretation(tree=tree, superlative=original.superlative)
 
 
 def n_relaxed_queries(cqads, domain, interpretation, exclude):
@@ -55,7 +70,7 @@ def n_relaxed_queries(cqads, domain, interpretation, exclude):
     budget = cqads.partial_pool_per_query + len(exclude)
     candidates = {}
     for dropped in range(len(units)):
-        relaxed = cqads._units_to_interpretation(
+        relaxed = relaxed_interpretation(
             units[:dropped] + units[dropped + 1:], interpretation
         )
         for record in evaluate_interpretation(

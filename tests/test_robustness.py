@@ -10,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import build_arg_parser
+from repro.__main__ import (
+    build_arg_parser,
+    build_batch_parser,
+    build_stats_parser,
+)
 from repro.db.database import Database
 from repro.qa.domain import AdsDomain
 from repro.qa.pipeline import CQAds
@@ -153,6 +157,36 @@ class TestCLI:
         )
         assert args.domains == ["cars", "motorcycles"]
         assert args.ads == 50
+
+    @pytest.mark.parametrize(
+        "parser, argv",
+        [
+            (build_arg_parser, ["q", "--ads", "0"]),
+            (build_arg_parser, ["q", "--ads", "-5"]),
+            (build_arg_parser, ["q", "--shards", "0"]),
+            (build_arg_parser, ["q", "--top", "-1"]),
+            (build_batch_parser, ["-", "--max-answers", "0"]),
+            (build_batch_parser, ["-", "--ads", "0"]),
+            (build_batch_parser, ["-", "--top", "-1"]),
+            (build_stats_parser, ["--requests", "0"]),
+        ],
+    )
+    def test_bad_counts_fail_at_parse_time(self, parser, argv, capsys):
+        """A count below its minimum is a usage error (exit 2) before
+        anything is provisioned."""
+        with pytest.raises(SystemExit) as raised:
+            parser().parse_args(argv)
+        assert raised.value.code == 2
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+    def test_smallest_counts_are_accepted(self):
+        args = build_arg_parser().parse_args(
+            ["q", "--ads", "1", "--shards", "1", "--top", "0"]
+        )
+        assert (args.ads, args.shards, args.top) == (1, 1, 0)
+        args = build_batch_parser().parse_args(["-", "--max-answers", "1"])
+        assert args.max_answers == 1
 
     def test_main_end_to_end(self, capsys):
         from repro.__main__ import main

@@ -1,4 +1,4 @@
-"""Ordered window indexes + selectivity-adaptive planning.
+"""Ordered window indexes and the access path of each range leaf.
 
 Three batteries:
 
@@ -10,10 +10,13 @@ Three batteries:
   selects, and the delta-maintained per-column null index must agree
   with a fresh scan.  The storm starts once from the 8-row table and
   once from an 80-row one; at either size every interval leaf takes a
-  window or its complement;
-* **planner decisions** — observed selectivity flips a leaf from the
-  lazy window to its complement representation, with identical
-  results, and every choice lands on the executor's ``plan_trace``;
+  window or its complement, and from 80 rows both occur;
+* **access paths** — a leaf matching more than half the table is
+  carried as the window's complement, any other as the lazy window,
+  decided from the leaf's own count: the path depends only on the leaf
+  and the table, never on the questions asked before, and every choice
+  lands on the executor's ``plan_trace`` and on the ``access`` events
+  of the ``executor.evaluate`` span;
 * **delta maintenance** — an instrumented rebuild counter proves a
   point update splices the window in place (no rebuild); after every
   storm round each built window, caught up from the table's delta log,
@@ -30,7 +33,8 @@ import pytest
 
 from tests.conftest import SMALL_CAR_ROWS, small_car_schema
 from repro.db.database import Database
-from repro.db.sql.executor import AccessPlanner, SQLExecutor
+from repro.db.sql.executor import SQLExecutor
+from repro.obs import MetricsRegistry, Observability
 from repro.perf.window import ColumnWindow, windows_for
 
 MAKES = ("honda", "toyota", "ford", "bmw", "chevy", "kia")
@@ -190,8 +194,7 @@ def _assert_windows_match_fresh(table) -> None:
 def _storm(shards: int | None, rows) -> set[str]:
     """Run the storm from *rows*; the access paths its leaves took."""
     database, table = _fresh_database(shards, rows)
-    # A private planner keeps selectivity history isolated per test.
-    executor = SQLExecutor(database, planner=AccessPlanner())
+    executor = SQLExecutor(database)
     rng = random.Random(2026_08_08 + (shards or 0))
     live = sorted(table.all_ids())
     _assert_battery(executor, table)
@@ -214,18 +217,16 @@ def test_mutation_storm_parity(shards):
 
 @pytest.mark.parametrize("shards", [None, 1, 2, 4])
 def test_mutation_storm_parity_from_large_table(shards):
-    """From an 80-row table: leaves take windows or their complements."""
+    """From an 80-row table: leaves take windows and their complements."""
     rng = random.Random(2026_08_09)
     rows = [_random_row(rng) for _ in range(80)]
-    paths = _storm(shards, rows)
-    assert "window" in paths
-    assert paths <= {"window", "window-complement"}
+    assert _storm(shards, rows) == {"window", "window-complement"}
 
 
 def test_empty_table_and_empty_window():
     database = Database()
     database.create_table(small_car_schema())
-    executor = SQLExecutor(database, planner=AccessPlanner())
+    executor = SQLExecutor(database)
     for where, _ in BATTERY:
         assert executor.execute_sql(SELECT + where).record_ids() == []
 
@@ -234,7 +235,7 @@ def test_record_id_between_bisects_not_scans():
     """record_id BETWEEN answers from the id window, holes included."""
     database, table = _bulk_database()
     table.delete(3)  # a hole inside the range
-    executor = SQLExecutor(database, planner=AccessPlanner())
+    executor = SQLExecutor(database)
     sql = SELECT + "record_id BETWEEN 2 AND 6"
     assert sorted(executor.execute_sql(sql).record_ids()) == [2, 4, 5, 6]
     decision = executor.plan_trace[-1]
@@ -242,7 +243,7 @@ def test_record_id_between_bisects_not_scans():
 
 
 # ----------------------------------------------------------------------
-# planner decisions
+# access paths: each leaf decides from its own count
 # ----------------------------------------------------------------------
 def _bulk_database(rows: int = 400):
     rng = random.Random(99)
@@ -263,43 +264,68 @@ def _bulk_database(rows: int = 400):
     return database, table
 
 
-def test_selectivity_flip_switches_access_path():
+def test_wide_leaf_takes_the_complement_on_its_first_run():
     database, table = _bulk_database()
-    planner = AccessPlanner()
-    adaptive = SQLExecutor(database, planner=planner)
+    executor = SQLExecutor(database)
+    expected = sorted(r.record_id for r in table if r["price"] > 600)
+    wide = SELECT + "price > 600"
+    assert sorted(executor.execute_sql(wide).record_ids()) == expected
+    decision = executor.plan_trace[-1]
+    assert (decision.table, decision.column, decision.shape) == (
+        "car_ads", "price", "range"
+    )
+    assert decision.path == "window-complement"
+    assert decision.rows == len(table)
+    assert decision.observed == len(expected) / len(table)
 
-    narrow = "SELECT * FROM car_ads WHERE price < 600"
-    adaptive.execute_sql(narrow)
-    first = adaptive.plan_trace[-1]
-    assert first.path == "window"
-    assert first.shape == "range"
-    assert first.table == "car_ads" and first.column == "price"
-    assert first.rows == len(table)
-    assert first.observed is not None and 0.0 <= first.observed <= 1.0
 
-    # Consistently wide ranges drive the EWMA past the complement
-    # threshold; the decision flips and the answers must not move.
-    wide = "SELECT * FROM car_ads WHERE price > 0"
-    expected = sorted(r.record_id for r in table if r["price"] > 0)
-    paths = []
+def test_narrow_leaf_after_wide_ones_takes_the_window():
+    database, table = _bulk_database()
+    executor = SQLExecutor(database)
     for _ in range(4):
-        assert sorted(adaptive.execute_sql(wide).record_ids()) == expected
-        paths.append(adaptive.plan_trace[-1].path)
-    assert paths[0] == "window"
-    assert paths[-1] == "window-complement"
+        executor.execute_sql(SELECT + "price > 600")
+    assert executor.plan_trace[-1].path == "window-complement"
+    expected = sorted(r.record_id for r in table if r["price"] < 600)
+    narrow = SELECT + "price < 600"
+    assert sorted(executor.execute_sql(narrow).record_ids()) == expected
+    assert executor.plan_trace[-1].path == "window"
+
+
+def test_access_events_do_not_depend_on_earlier_questions(cars_system):
+    """A question's ``access`` events are the same before and after a
+    burst of wide-range questions on the same column."""
+    obs = Observability(MetricsRegistry())
+
+    def access_events(service, question: str) -> list[dict]:
+        with obs.trace("request") as root:
+            service.ask(question, domain="cars")
+        node = root.find("executor.evaluate")
+        return [attributes for _, name, attributes in node.events
+                if name == "access"]
+
+    narrow = "honda under $4000"
+    with cars_system.service(observability=obs) as service:
+        before = access_events(service, narrow)
+        wide = [access_events(service, "cars over $1000") for _ in range(4)]
+        after = access_events(service, narrow)
+    assert [event["path"] for event in before] == ["window"]
+    assert {event["path"] for events in wide for event in events} == {
+        "window-complement"
+    }
+    assert after == before
 
 
 def test_plan_trace_records_window_path_on_tiny_tables():
     database, _ = _fresh_database(None)  # 8 rows
-    adaptive = SQLExecutor(database, planner=AccessPlanner())
-    adaptive.execute_sql("SELECT * FROM car_ads WHERE price < 8000")
-    assert adaptive.plan_trace[-1].path == "window"
-    assert adaptive.plan_summary() == "window x1"
+    executor = SQLExecutor(database)
+    executor.execute_sql("SELECT * FROM car_ads WHERE price < 8000")
+    assert executor.plan_trace[-1].path == "window"
+    assert executor.plan_summary() == "window x1"
 
 
 def test_plan_summary_counts_paths():
     database, _ = _bulk_database()
-    executor = SQLExecutor(database, planner=AccessPlanner())
+    executor = SQLExecutor(database)
     assert executor.plan_summary() == "no planned leaves"
     executor.execute_sql("SELECT * FROM car_ads WHERE price < 600")
     executor.execute_sql("SELECT * FROM car_ads WHERE price < 600")
@@ -311,7 +337,7 @@ def test_window_assisted_order_by_matches_sort():
     # Sprinkle NULL prices so the absent-last rule is exercised.
     for record_id in list(table.all_ids())[:25]:
         table.update(record_id, {"price": None})
-    adaptive = SQLExecutor(database, planner=AccessPlanner())
+    executor = SQLExecutor(database)
     # Present prices by (price, id); DESC reverses them; NULLs last by id.
     present = _window_ids_by_price(table)
     absent = sorted(r.record_id for r in table if r.get("price") is None)
@@ -320,8 +346,8 @@ def test_window_assisted_order_by_matches_sort():
         ("SELECT * FROM car_ads ORDER BY price DESC", present[::-1] + absent),
         ("SELECT * FROM car_ads ORDER BY price LIMIT 40", present[:40]),
     ):
-        assert adaptive.execute_sql(sql).record_ids() == expected
-    assert any(d.path == "window-order" for d in adaptive.plan_trace)
+        assert executor.execute_sql(sql).record_ids() == expected
+    assert any(d.path == "window-order" for d in executor.plan_trace)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.datagen.questions import make_generator
 from repro.evaluation.reporting import format_percent, format_seconds, format_table
 from repro.qa.pipeline import CQAds
 from repro.qa.sql_generation import evaluate_interpretation
-from tests.test_perf_parity import relaxed_interpretation
+from tests.reference_rank import relaxed_interpretation
 
 
 def test_spelling_correction_ablation(benchmark, full_system):

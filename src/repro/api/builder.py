@@ -133,8 +133,8 @@ class SystemBuilder:
     def answer_defaults(self, **cqads_options) -> "SystemBuilder":
         """Engine-level answering defaults (``correct_spelling``,
         ``relax_partial``, ``ordered_evaluation``,
-        ``partial_pool_per_query``, ``ranking_engine``,
-        ``ranking_top_k``) — still overridable per request where an
+        ``partial_pool_per_query``, ``ranking_top_k``) — still
+        overridable per request where an
         :class:`~repro.api.requests.AnswerOptions` field exists."""
         self._cqads_options.update(cqads_options)
         return self

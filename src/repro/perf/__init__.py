@@ -12,8 +12,9 @@ invalidation contracts):
   column stores caught up from the table's delta log, slot-wise
   scoring with distinct-value memos, a lazy ranked pool that orders
   and builds only the rows read, and single-unit questions ranked by
-  score class (one scored row per class) — bit-identical to the
-  legacy ranker;
+  score class (one scored row per class) — the one Eq. 5 scorer,
+  held bit for bit to the plain-loop statement in
+  ``tests/reference_rank.py``;
 * :mod:`repro.perf.fragment_cache` — cross-question memoization of
   relaxation-unit id-sets, each caught up from the table's delta log
   when it is read;

@@ -1,11 +1,11 @@
-"""The columnar top-k ranking engine (Eq. 5, fast path).
+"""The columnar top-k ranking engine (Eq. 5).
 
-The legacy :class:`~repro.ranking.rank_sim.RankSimRanker` walks every
-pooled record with nested per-record/per-condition Python loops — a
-dict lookup, a string lowering and a method-call chain per check — and
-then fully sorts the pool even though the pipeline presents at most 30
-answers.  This module restructures that work around the table, not the
-record:
+Written from the paper, Eq. 5 is a loop over the pool's records and,
+inside it, over the question's conditions — a dict lookup and a
+similarity call per check — followed by a full sort, although the
+pipeline presents at most 30 answers (``tests/reference_rank.py``
+keeps that statement).  This module does the work around the table,
+not the record:
 
 * :class:`ColumnStore` materializes contiguous per-column arrays:
   stored categorical strings, parsed floats for numeric columns, and
@@ -21,14 +21,16 @@ record:
   contribution array over the pool in one tight loop, with per-distinct
   -value memos cached on the store so repeated criteria across
   questions ("make = toyota", "price < 10000") are evaluated once per
-  table state.  Scores accumulate slot-by-slot in the legacy addition
-  order, so every float is bit-identical to the per-record path.
+  table state.  Scores accumulate slot-by-slot in Eq. 5's order (unit
+  by unit, condition by condition), so every float is bit-identical to
+  the per-record sum.
 * the result is a :class:`RankedPool`: scores and slot satisfaction
   columns are computed up front, but the order and each
   :class:`~repro.ranking.rank_sim.ScoredRecord` only when a position
   is read.  The first read selects the prefix it needs with a bounded
-  heap (``heapq.nsmallest`` on the legacy ``(-score, record_id)`` key
-  — documented to equal the full sort truncated), a later read past
+  heap (``heapq.nsmallest`` on the presentation key ``(-score,
+  record_id)`` — documented to equal the full sort truncated), a later
+  read past
   that prefix orders the pool once, and every row is built once.  A
   question presents at most 30 answers, so a pool of thousands of
   rows builds 30 ``ScoredRecord`` objects unless a caller pages
@@ -42,16 +44,19 @@ record:
   — equal-score classes merged by record id — without listing,
   scoring or heap-selecting the table's rows.
 
-Both engines take satisfaction from the predicate kernel
+Satisfaction comes from the predicate kernel
 (:func:`~repro.qa.sql_generation.condition_predicate`) and failure
-similarities from the same ``TIMatrix``/``WSMatrix``/``Num_Sim`` code.
-Anything the planner does not recognize (a condition on an unknown
-column, a mixed "any" unit from hand-built inputs, a record outside
-the store) returns ``None`` so the caller falls back to the legacy
-engine wholesale.  ``tests/test_ranking_parity.py`` holds the
-bit-identical guarantee across a generated question battery, and
-``tests/test_ranked_pool.py`` holds the class ranking to the row
-ranking for every single-unit shape.
+similarities from the ``TIMatrix``/``WSMatrix``/``Num_Sim`` code.  A
+ranking this module cannot give raises
+:class:`~repro.errors.RankingError`: resources with no table attached,
+or a unit outside the planner (a condition on a column the store
+lacks, a mixed "any" unit from hand-built inputs).  A pool record the
+caught-up store no longer holds was deleted after the pool was listed;
+the pool is a snapshot, so the record is dropped.  The tests hold the
+engine to ``tests/reference_rank.py`` bit for bit: a generated
+question battery (``tests/test_ranking_parity.py``), every single-unit
+shape on the class path (``tests/test_ranked_pool.py``) and the golden
+corpus (``tests/test_reference_rank.py``).
 """
 
 from __future__ import annotations
@@ -62,9 +67,10 @@ import heapq
 from itertools import chain, islice, repeat
 from typing import Iterator, Sequence
 
+from repro.db.predicate import NUMERIC, parse_numeric
 from repro.db.schema import AttributeType
 from repro.db.table import InsertDelta, MutationEvent, Record, Table, UpdateDelta
-from repro.db.predicate import NUMERIC, parse_numeric
+from repro.errors import RankingError
 from repro.qa.conditions import Condition
 from repro.qa.sql_generation import condition_predicate
 from repro.ranking.num_sim import condition_num_sim
@@ -101,8 +107,8 @@ class ColumnStore:
     row.  ``records[row]`` is the record, ``categorical[column][row]``
     the stored string (``None`` when absent), ``numeric[column][row]``
     the parsed float (``None`` when absent or unparseable) and
-    ``keys[row]`` the Type I key tuple — the same tuple
-    :meth:`RankingResources.record_key` builds.
+    ``keys[row]`` the Type I key tuple (each Type I column's value as
+    a string, ``""`` when absent).
 
     Rows are never rewritten.  :meth:`caught_up` makes the next
     version, which shares every array and owns a copy of ``row_of``:
@@ -361,24 +367,45 @@ def _condition_supported(store: ColumnStore, condition: Condition) -> bool:
     return condition.column in store._type_i_index
 
 
-def _supports(store: ColumnStore, units: Sequence[ScoringUnit]) -> bool:
+def _check_planned(store: ColumnStore, units: Sequence[ScoringUnit]) -> None:
+    """Raise :class:`RankingError` for a unit no slot evaluator covers."""
     for unit in units:
         if unit.mode == "any" and len(unit.conditions) > 1:
             # Multi-branch "any" units must be numeric branches that are
             # all positive (Num_Sim, what relaxation_units produces) or
             # all negated (every violated branch scores 0.0), so the
-            # failed kind is static; exotic hand-built mixes keep their
-            # legacy best-kind bookkeeping.
+            # failed kind is static.
             negated = unit.conditions[0].negated
             if not all(
                 condition.negated == negated and _is_numeric_style(condition)
                 for condition in unit.conditions
             ):
-                return False
+                raise RankingError(
+                    "an 'any' unit ranks only all-positive or all-negated "
+                    "numeric branches, got "
+                    + " OR ".join(c.describe() for c in unit.conditions)
+                )
         for condition in unit.conditions:
             if not _condition_supported(store, condition):
-                return False
-    return True
+                raise RankingError(
+                    f"table {store.table_name!r} has no rankable column "
+                    f"for {condition.describe()!r}"
+                )
+
+
+def _stores(resources: RankingResources) -> list[ColumnStore]:
+    """The column stores to rank on: one per shard of a sharded table,
+    else one; :class:`RankingError` when no table is attached."""
+    stores = resources.shard_column_stores()
+    if stores is None:
+        store = resources.column_store()
+        if store is None:
+            raise RankingError(
+                "the ranking resources have no table attached "
+                "(RankingResources.attach_table)"
+            )
+        stores = [store]
+    return stores
 
 
 # ----------------------------------------------------------------------
@@ -521,7 +548,7 @@ def _any_unit_arrays(
             continue
         # All branches failed, so each branch array holds its failure
         # similarity at this row; similarities are non-negative, so the
-        # legacy ">= best" running max is a plain max.
+        # best branch is a plain running max from 0.0.
         best = 0.0
         for _, branch_contrib in branches:
             value = branch_contrib[i]
@@ -564,10 +591,10 @@ def _score_rows(
 ) -> tuple[list[float], _Slots]:
     """Slot arrays and accumulated scores for one store's pool rows.
 
-    Slots come in the legacy slot order: each condition of an "all"
-    unit is its own slot, a multi-branch "any" unit is one slot.
-    Accumulating slot-by-slot reproduces the legacy per-record
-    addition order, so scores are bit-identical — and per-record, so
+    Slots come in Eq. 5's order: each condition of an "all" unit is its
+    own slot, a multi-branch "any" unit is one slot.  Accumulating
+    slot-by-slot reproduces the per-record addition order, so scores
+    are bit-identical to a record-by-record sum — and per-record, so
     the same floats come out whichever store (whole-table or
     per-shard) the record is scored through.
     """
@@ -578,8 +605,8 @@ def _score_rows(
             sat, contrib = _any_unit_arrays(
                 store, resources, unit, rows, type_i_fp, query_keys
             )
-            # _supports() guaranteed homogeneous numeric branches, so
-            # the legacy best-kind bookkeeping always lands on one kind.
+            # _check_planned() guaranteed homogeneous numeric branches,
+            # so the best branch's kind is the same for every row.
             kind = "negation" if unit.conditions[0].negated else "Num_Sim"
             slot_list = [(unit.conditions, kind, sat, contrib)]
         else:
@@ -602,9 +629,9 @@ def _score_rows(
 
 
 def _select(scores: list[float], record_ids: list[int], k: int) -> list[int]:
-    """The first *k* pool indices in the legacy presentation order.
+    """The first *k* pool indices in presentation order.
 
-    nsmallest on the legacy ``(-score, record_id)`` key is documented
+    nsmallest on the ``(-score, record_id)`` key is documented
     as ``sorted(...)[:k]``, ties (equal scores) included, and sorts
     outright once *k* reaches the pool size.
     """
@@ -645,7 +672,7 @@ class RankedPool(LazyList[ScoredRecord]):
     :class:`ClassRankedPool`).  Holds, per pool row, the record, its
     Eq. 5 score and one satisfaction entry per scoring slot —
     everything the ranking decided.  Position *i* is the *i*-th row by
-    the legacy ``(-score, record_id)`` key.  The first read (an index
+    the ``(-score, record_id)`` key.  The first read (an index
     or a slice) selects the prefix up to the furthest position it asks
     for with a bounded heap, a later read past that prefix orders the
     pool once, and each position's
@@ -692,32 +719,25 @@ def columnar_rank_units(
     records: list[Record],
     units: Sequence[ScoringUnit],
     top_k: int | None,
-) -> RankedPool | None:
-    """Rank *records* columnar-ly; ``None`` means "use the legacy path".
+) -> RankedPool:
+    """Rank *records* by Eq. 5 over *units*, best first.
 
-    Reads exactly like the legacy ``rank_units`` result (full sort,
-    then ``[:top_k]``): same records, same float scores, same failed
-    tuples, same kinds, same order — but as a :class:`RankedPool`,
-    which orders and builds only the positions read.  When the
-    resources' table is a :class:`repro.shard.table.ShardedTable` the
-    scoring scatters across per-shard column stores (see
-    :func:`sharded_rank_units`).
+    Reads like the full sort by ``(-score, record_id)`` cut to
+    ``top_k``, but as a :class:`RankedPool`, which orders and builds
+    only the positions read.  A record the caught-up store no longer
+    holds is dropped; :class:`RankingError` when no table is attached
+    or a unit is outside the planner.  When the resources' table is a
+    :class:`repro.shard.table.ShardedTable` the scoring scatters across
+    per-shard column stores (see :func:`sharded_rank_units`).
     """
     table = resources.table
     if table is not None and getattr(table, "shards", None) is not None:
         return sharded_rank_units(resources, table, records, units, top_k)
-    store = resources.column_store()
-    if store is None:
-        return None
-    if not records:
-        return RankedPool([], [], [], top_k)
-    if not _supports(store, units):
-        return None
-    try:
-        rows = [store.row_of[record.record_id] for record in records]
-    except KeyError:
-        return None  # a record outside the store (foreign table?)
-
+    (store,) = _stores(resources)
+    _check_planned(store, units)
+    row_of = store.row_of
+    records = [record for record in records if record.record_id in row_of]
+    rows = [row_of[record.record_id] for record in records]
     type_i_fp, query_keys = _query_fingerprint(resources, units)
     scores, slots = _score_rows(
         store, resources, rows, units, type_i_fp, query_keys
@@ -731,7 +751,7 @@ def sharded_rank_units(
     records: list[Record],
     units: Sequence[ScoringUnit],
     top_k: int | None,
-) -> RankedPool | None:
+) -> RankedPool:
     """Scatter-gather scoring over a sharded table's pool.
 
     The pool partitions by record placement; each shard's slice is
@@ -750,33 +770,24 @@ def sharded_rank_units(
     shard's epoch *before* copying its snapshot, so a mid-flight
     insert is either absent from that store or irrelevant (it cannot
     be in the pool, which was gathered earlier); a pool record that
-    vanished from its shard makes this function return ``None`` and
-    the caller re-scores the live records on the legacy path.
+    vanished from its shard is dropped, like on a plain table.
     """
-    if not records:
-        return RankedPool([], [], [], top_k)
-    stores = resources.shard_column_stores()
-    if stores is None:
-        return None
-    # Support is schema-determined, hence identical across shards.
-    if not _supports(stores[0], units):
-        return None
+    stores = _stores(resources)
+    # Planning is schema-determined, hence identical across shards.
+    _check_planned(stores[0], units)
     groups: list[list[Record]] = [[] for _ in stores]
     for record in records:
-        groups[table.shard_of(record.record_id)].append(record)
+        index = table.shard_of(record.record_id)
+        if record.record_id in stores[index].row_of:
+            groups[index].append(record)
     type_i_fp, query_keys = _query_fingerprint(resources, units)
 
     def score_shard(index: int, _shard: Table):
         store = stores[index]
-        try:
-            rows = [store.row_of[record.record_id] for record in groups[index]]
-        except KeyError:
-            return None  # pool record mutated away mid-flight
+        rows = [store.row_of[record.record_id] for record in groups[index]]
         return _score_rows(store, resources, rows, units, type_i_fp, query_keys)
 
     gathered = table.map_shards(score_shard)
-    if any(result is None for result in gathered):
-        return None
     shard_scores = [scores for scores, _slots in gathered]
     shard_slots = [slots for _scores, slots in gathered]
     # Every shard scores the same slots in the same order; only the
@@ -848,7 +859,7 @@ class ClassRankedPool(LazyList[ScoredRecord]):
     """A single-unit pool ranked by score class (:func:`class_rank_unit`).
 
     Reads exactly like a :class:`RankedPool` of the same rows: position
-    *i* is the *i*-th record by the legacy ``(-score, record_id)`` key.
+    *i* is the *i*-th record by the ``(-score, record_id)`` key.
     Reads advance one lazy walk over the classes (:func:`_by_class`), so
     the first 30 answers cost O(classes + 30·log classes) however large
     the table.  ``classes`` is the number of distinct score classes.
@@ -884,7 +895,7 @@ def class_rank_unit(
     unit: ScoringUnit,
     exclude: set[int],
     top_k: int | None,
-) -> ClassRankedPool | None:
+) -> ClassRankedPool:
     """Rank the whole table but *exclude* on one relaxation unit.
 
     A one-unit question relaxes to the whole table (Section 4.3.1), and
@@ -895,16 +906,12 @@ def class_rank_unit(
     representative row per class through :func:`_score_rows` — every
     float, failed tuple and kind is the row engine's — and the classes
     are read best first by :class:`ClassRankedPool`.  Its length is the
-    pool size, capped at *top_k*.  ``None`` means the columnar engine
-    cannot rank *unit* (no table attached, or an unplanned shape).
+    pool size, capped at *top_k*.  :class:`RankingError` when no table
+    is attached or *unit* is outside the planner.
     """
     table = resources.table
-    stores = resources.shard_column_stores()
-    if stores is None:
-        store = resources.column_store()
-        stores = None if store is None else [store]
-    if stores is None or not _supports(stores[0], [unit]):
-        return None
+    stores = _stores(resources)
+    _check_planned(stores[0], [unit])
     columns = _class_columns(unit)
     if len(stores) == 1:
         gathered = [stores[0].classes(columns)]

@@ -265,12 +265,6 @@ class CQAds:
         Domain classifier; defaults to the paper's JBBSM Naive Bayes.
     correct_spelling / relax_partial:
         Feature switches used by the ablation benchmarks.
-    ranking_engine:
-        ``"columnar"`` (default) scores partial candidates through the
-        per-epoch column store and orders only the ranking positions
-        read (:mod:`repro.perf.colrank`); ``"legacy"`` keeps the
-        per-record scoring and full sort as the parity oracle.
-        Bit-identical output (``tests/test_ranking_parity.py``).
     ranking_top_k:
         Default bound on the length of the ranked partial pool
         (``None`` keeps the full ranking so cursor pagination can walk
@@ -291,9 +285,16 @@ class CQAds:
 
     All of these are *defaults*: :class:`repro.api.requests.AnswerOptions`
     can override any of them for a single request.
+
+    Partial candidates are always ranked by the columnar engine
+    (:mod:`repro.perf.colrank`), held to the Eq. 5 statement in
+    ``tests/reference_rank.py``.
     """
 
-    RANKING_ENGINES = ("columnar", "legacy")
+    #: The one ranking engine.  A constant, not an option: it stays
+    #: only because ``perfbench/replay.py`` passes it to
+    #: :meth:`~repro.ranking.rank_sim.RankSimRanker.rank_units`.
+    ranking_engine = "columnar"
 
     def __init__(
         self,
@@ -304,7 +305,6 @@ class CQAds:
         relax_partial: bool = True,
         ordered_evaluation: bool = True,
         partial_pool_per_query: int | None = None,
-        ranking_engine: str = "columnar",
         ranking_top_k: int | None = None,
         shards: int | None = None,
     ) -> None:
@@ -314,11 +314,6 @@ class CQAds:
             raise ValueError(
                 "partial_pool_per_query must be positive, got "
                 f"{partial_pool_per_query}"
-            )
-        if ranking_engine not in self.RANKING_ENGINES:
-            raise ValueError(
-                f"ranking_engine must be one of {self.RANKING_ENGINES}, "
-                f"got {ranking_engine!r}"
             )
         if ranking_top_k is not None and ranking_top_k < 1:
             raise ValueError(
@@ -333,7 +328,6 @@ class CQAds:
         self.correct_spelling = correct_spelling
         self.relax_partial = relax_partial
         self.ordered_evaluation = ordered_evaluation
-        self.ranking_engine = ranking_engine
         self.ranking_top_k = ranking_top_k
         #: Cross-question memoization of relaxation-unit id-sets
         #: (:mod:`repro.perf.fragment_cache`); each entry records the
@@ -409,9 +403,9 @@ class CQAds:
         ``training_texts`` (typically the domain's ad texts) feed the
         classifier; ``resources`` enable partial-match ranking.  When
         the domain's table already exists in the database, the
-        resources are bound to it so the columnar ranking engine can
-        build its per-epoch column store (no table, no columnar path —
-        the ranker falls back to the legacy scorer).
+        resources are bound to it, since the ranker scores through its
+        column store; otherwise :meth:`context` binds them on first use
+        once the table exists.
         """
         tagger = QuestionTagger(domain, correct_spelling=self.correct_spelling)
         if resources is not None:
@@ -573,9 +567,10 @@ class CQAds:
         matches), is returned unranked.  A single-unit question relaxes
         to the whole table (the paper's similarity-matching case), and
         the list copies it: :meth:`partial_answers` ranks such a
-        question by score class without this list, which is kept only
-        because ``perfbench/replay.py`` and the Figure 5 benchmark
-        (which feeds every ranker the same candidates) read it.
+        question by score class without this list.  The whole-table
+        branch stays only for ``perfbench/replay.py``, the Figure 5
+        experiment (which feeds every ranker the same candidates) and
+        the unranked answers of a domain without ranking resources.
 
         Each unit's id-set is computed once and every relaxed pool is
         derived by intersection (:mod:`repro.perf.subplan`).
@@ -624,37 +619,35 @@ class CQAds:
         *,
         pool_cap: int | None = None,
         top_k: int | None = None,
-        engine: str | None = None,
     ) -> Sequence[Answer]:
         """The scored N-1 answer list, best first.
 
         With ranking resources the pool is ordered by Eq. 5's Rank_Sim;
         without them the N-1 retrieval order (by record id) is kept and
         answers are marked ``unranked``.  ``top_k`` bounds the ranked
-        list (identical to the full ranking truncated); ``engine``
-        overrides the engine's ``ranking_engine`` per call.  Both
-        default to the engine settings, like the other knobs.
+        list (identical to the full ranking truncated); it defaults to
+        the engine's ``ranking_top_k`` and must be positive.
 
         The result is an :class:`AnswerView` over the ranking, whose
-        ``rank_path`` names how it was ranked.  On the columnar engine
-        a single-unit question (the whole table but *exclude*) is
-        ranked by score class, one scored row per class
+        ``rank_path`` names how it was ranked.  A single-unit question
+        (the whole table but *exclude*) is ranked by score class, one
+        scored row per class
         (:func:`~repro.perf.colrank.class_rank_unit`, ``"classes"``);
         any other pool is listed by :meth:`partial_candidates` and
         every candidate scored here (``"rows"``).  Either way answers,
         and the order past the first read, are built only for the
         positions a caller reads.
         """
+        if top_k is None:
+            top_k = self.ranking_top_k
+        elif top_k < 1:
+            raise ValueError(f"top_k must be positive, got {top_k}")
         context = self.context(domain)
         ranker = context.ranker()
         units = self.relaxation_units(interpretation)
         if len(units) < 1:
             return []
-        if top_k is None:
-            top_k = self.ranking_top_k
-        if engine is None:
-            engine = self.ranking_engine
-        if ranker is not None and engine == "columnar" and len(units) == 1:
+        if ranker is not None and len(units) == 1:
             # Imported here for the same cycle as repro.perf.subplan.
             from repro.perf.colrank import class_rank_unit
 
@@ -663,12 +656,8 @@ class CQAds:
                     context.resources, units[0], exclude, top_k
                 )
                 if node is not None:
-                    if scored is None:
-                        node.set_attribute("fallback", "rows")
-                    else:
-                        node.set_attribute("classes", scored.classes)
-            if scored is not None:
-                return AnswerView((scored, _ranked_answer), rank_path="classes")
+                    node.set_attribute("classes", scored.classes)
+            return AnswerView((scored, _ranked_answer), rank_path="classes")
         with span("relax.candidates"):
             pool = self.partial_candidates(
                 domain, interpretation, exclude, pool_cap=pool_cap
@@ -680,5 +669,5 @@ class CQAds:
                 pool = pool[:top_k]
             return AnswerView((pool, _unranked_answer))
         with span("relax.rank", path="rows", pool=len(pool)):
-            scored = ranker.rank_units(pool, units, top_k=top_k, engine=engine)
+            scored = ranker.rank_units(pool, units, top_k=top_k)
         return AnswerView((scored, _ranked_answer), rank_path="rows")

@@ -11,7 +11,10 @@ failed condition contributes its type-specific similarity:
 * Type III — Num_Sim (Eq. 4) against the attribute's value range.
 
 Records are then presented in descending Rank_Sim order, which is the
-ordering of the paper's Table 2.
+ordering of the paper's Table 2.  :class:`RankSimRanker` scores by
+column over the attached table's column store
+(:mod:`repro.perf.colrank`); ``tests/reference_rank.py`` writes Eq. 5
+down as plain loops over records, and the tests hold the ranker to it.
 
 Whether a condition is satisfied is never decided here:
 :func:`condition_satisfied` asks the predicate kernel
@@ -19,13 +22,10 @@ Whether a condition is satisfied is never decided here:
 a record is an exact match for Rank_Sim exactly when the SQL executor
 returns it.
 
-A domain's :class:`RankingResources` hold the columnar ranker's column
-stores (:mod:`repro.perf.colrank`), which follow the attached table's
-delta log on read like every other derived structure
-(:meth:`~repro.db.table.Table.deltas_since`).  Nothing here listens to
-the table, and nothing is cached per record: the per-record engine
-computes a record's Type I key (:meth:`RankingResources.record_key`)
-when it scores the record.
+A domain's :class:`RankingResources` hold the column stores, which
+follow the attached table's delta log on read like every other derived
+structure (:meth:`~repro.db.table.Table.deltas_since`).  Nothing here
+listens to the table, and nothing is cached per record.
 """
 
 from __future__ import annotations
@@ -34,11 +34,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.db.schema import AttributeType
 from repro.db.table import Record, Table
 from repro.qa.conditions import Condition
 from repro.qa.sql_generation import condition_predicate
-from repro.ranking.num_sim import condition_num_sim
 from repro.ranking.ti_matrix import TIMatrix
 from repro.ranking.ws_matrix import WSMatrix
 
@@ -111,9 +109,9 @@ class RankingResources:
     type_i_columns: list[str]
     product_keys: list[Key] = field(default_factory=list)
     #: The backing table, attached by :meth:`attach_table` when the
-    #: domain is registered.  Enables the columnar ranking engine
-    #: (:mod:`repro.perf.colrank`): without a table, rankers fall back
-    #: to the per-record legacy path.
+    #: domain is registered.  The ranker scores through its column
+    #: stores (:mod:`repro.perf.colrank`); without a table, ranking
+    #: raises :class:`~repro.errors.RankingError`.
     table: Table | None = None
     _column_store: "ColumnStore | None" = field(
         default=None, repr=False, compare=False
@@ -142,9 +140,9 @@ class RankingResources:
     def attach_table(self, table: Table) -> None:
         """Bind these resources to their backing *table*.
 
-        Turns on the columnar engine (``column_store``).  Stores of a
-        previously attached table are dropped: their epochs say
-        nothing about this one.
+        The ranker reads the table through :meth:`column_store` (or
+        :meth:`shard_column_stores`).  Stores of a previously attached
+        table are dropped: their epochs say nothing about this one.
         """
         if self.table is table:
             return
@@ -156,9 +154,9 @@ class RankingResources:
     def detach_table(self) -> None:
         """Forget the table and drop the column stores.
 
-        Rankers fall back to the legacy engine until a re-attach
-        (:meth:`repro.qa.pipeline.CQAds.context` re-attaches lazily on
-        next use).  Idempotent.
+        Ranking raises :class:`~repro.errors.RankingError` until a
+        re-attach (:meth:`repro.qa.pipeline.CQAds.context` re-attaches
+        lazily on next use).  Idempotent.
         """
         with self._store_lock:
             self.table = None
@@ -239,12 +237,6 @@ class RankingResources:
             store = ColumnStore(table, self.type_i_columns)
         return store
 
-    def record_key(self, record: Record) -> Key:
-        """The record's Type I key tuple (the TI-matrix coordinate)."""
-        return tuple(
-            str(record.get(column, "") or "") for column in self.type_i_columns
-        )
-
     def query_keys(self, type_i_values: dict[str, str]) -> list[Key]:
         """Product keys consistent with the question's Type I values.
 
@@ -287,271 +279,55 @@ class ScoredRecord:
 class RankSimRanker:
     """Scores and orders partially-matched records per Eq. 5.
 
-    Two engines produce bit-identical output
-    (``tests/test_ranking_parity.py``):
-
-    * ``"columnar"`` (default) — scores through the table's per-epoch
-      :class:`~repro.perf.colrank.ColumnStore` (array lookups instead
-      of per-record dict walking) and returns a
-      :class:`~repro.perf.colrank.RankedPool`, which orders and builds
-      only the positions read (a single-unit question's whole-table
-      pool is ranked by score class instead,
-      :func:`~repro.perf.colrank.class_rank_unit`).  Falls back to
-      the legacy path automatically when no table is attached to the
-      resources or a condition shape is outside the columnar planner.
-    * ``"legacy"`` — the original per-record scoring and full sort,
-      kept as the parity oracle.
+    Scoring runs by column over the attached table's column stores
+    (:func:`~repro.perf.colrank.columnar_rank_units`) and returns a
+    :class:`~repro.perf.colrank.RankedPool`, which orders and builds
+    only the positions read.  A ranking the column stores cannot give
+    raises :class:`~repro.errors.RankingError`: resources with no table
+    attached, or a unit outside the columnar planner.  A pool record
+    the table no longer holds was deleted after the pool was listed,
+    and is dropped.
     """
 
-    ENGINES = ("columnar", "legacy")
-
-    def __init__(
-        self, resources: RankingResources, engine: str = "columnar"
-    ) -> None:
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"engine must be one of {self.ENGINES}, got {engine!r}"
-            )
+    def __init__(self, resources: RankingResources) -> None:
         self.resources = resources
-        self.engine = engine
-
-    def _resolve_engine(self, engine: str | None) -> str:
-        if engine is None:
-            return self.engine
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"engine must be one of {self.ENGINES}, got {engine!r}"
-            )
-        return engine
-
-    def _columnar(
-        self,
-        records: list[Record],
-        units: list[ScoringUnit],
-        top_k: int | None,
-    ) -> Sequence[ScoredRecord] | None:
-        # Imported here: colrank needs ScoredRecord/ScoringUnit from
-        # this module, so a top-level import would cycle.
-        from repro.perf.colrank import columnar_rank_units
-
-        return columnar_rank_units(self.resources, records, units, top_k)
-
-    # ------------------------------------------------------------------
-    def score(
-        self, record: Record, conditions: list[Condition]
-    ) -> ScoredRecord:
-        """Rank_Sim(record, Q) for a question's exact conditions."""
-        type_i_values = {
-            condition.column: str(condition.value)
-            for condition in conditions
-            if condition.attribute_type is AttributeType.TYPE_I
-            and not condition.negated
-        }
-        query_keys = self.resources.query_keys(type_i_values)
-        score = 0.0
-        failed: list[Condition] = []
-        kinds: set[str] = set()
-        for condition in conditions:
-            if condition_satisfied(condition, record):
-                score += 1.0
-                continue
-            failed.append(condition)
-            similarity, kind = self._failed_similarity(
-                condition, record, query_keys, {}
-            )
-            score += similarity
-            kinds.add(kind)
-        if not failed:
-            kind = "exact"
-        elif len(kinds) == 1:
-            kind = kinds.pop()
-        else:
-            kind = "mixed"
-        return ScoredRecord(
-            record=record, score=score, failed=tuple(failed), similarity_kind=kind
-        )
 
     def rank(
         self,
         records: list[Record],
         conditions: list[Condition],
         top_k: int | None = None,
-        engine: str | None = None,
     ) -> Sequence[ScoredRecord]:
-        """Order *records* by descending Rank_Sim (ties by record id).
-
-        Per-condition scoring is the degenerate unit case (every
-        condition its own slot), so the columnar engine serves it too.
-        """
-        if self._resolve_engine(engine) == "columnar":
-            units = [
-                ScoringUnit(conditions=(condition,)) for condition in conditions
-            ]
-            selected = self._columnar(records, units, top_k)
-            if selected is not None:
-                return selected
-        scored = [self.score(record, conditions) for record in records]
-        scored.sort(key=lambda item: (-item.score, item.record.record_id))
-        if top_k is not None:
-            scored = scored[:top_k]
-        return scored
-
-    # ------------------------------------------------------------------
-    def score_units(
-        self, record: Record, units: list[ScoringUnit]
-    ) -> ScoredRecord:
-        """Eq. 5 over relaxation units instead of raw conditions.
-
-        An "all" unit scores its leaves individually (satisfied leaves
-        contribute 1, failed ones their similarity — Table 2's
-        treatment of make+model).  An "any" unit contributes the best
-        of its branches: 1 when some branch is satisfied, otherwise the
-        maximum branch similarity.
-        """
-        query_keys = self._query_keys_for_units(units)
-        return self._score_units_with_keys(record, units, query_keys, {})
-
-    def _query_keys_for_units(self, units: list[ScoringUnit]) -> list[Key]:
-        all_conditions = [
-            condition for unit in units for condition in unit.conditions
-        ]
-        type_i_values = {
-            condition.column: str(condition.value)
-            for condition in all_conditions
-            if condition.attribute_type is AttributeType.TYPE_I
-            and not condition.negated
-        }
-        return self.resources.query_keys(type_i_values)
-
-    def _score_units_with_keys(
-        self,
-        record: Record,
-        units: list[ScoringUnit],
-        query_keys: list[Key],
-        ti_cache: dict[Key, float],
-    ) -> ScoredRecord:
-        score = 0.0
-        failed: list[Condition] = []
-        kinds: set[str] = set()
-        for unit in units:
-            if unit.mode == "any":
-                if any(
-                    condition_satisfied(condition, record)
-                    for condition in unit.conditions
-                ):
-                    score += 1.0
-                    continue
-                best = 0.0
-                best_kind = "Num_Sim"
-                for condition in unit.conditions:
-                    similarity, kind = self._failed_similarity(
-                        condition, record, query_keys, ti_cache
-                    )
-                    if similarity >= best:
-                        best, best_kind = similarity, kind
-                score += best
-                failed.extend(unit.conditions)
-                kinds.add(best_kind)
-                continue
-            for condition in unit.conditions:
-                if condition_satisfied(condition, record):
-                    score += 1.0
-                    continue
-                failed.append(condition)
-                similarity, kind = self._failed_similarity(
-                    condition, record, query_keys, ti_cache
-                )
-                score += similarity
-                kinds.add(kind)
-        if not failed:
-            kind = "exact"
-        elif len(kinds) == 1:
-            kind = kinds.pop()
-        else:
-            kind = "mixed"
-        return ScoredRecord(
-            record=record, score=score, failed=tuple(failed), similarity_kind=kind
-        )
+        """Order *records* by descending Rank_Sim (ties by record id),
+        every condition its own scoring unit: the baselines' signature,
+        under which the Figure 5 bench times it."""
+        units = [ScoringUnit(conditions=(condition,)) for condition in conditions]
+        return self.rank_units(records, units, top_k)
 
     def rank_units(
         self,
         records: list[Record],
         units: list[ScoringUnit],
         top_k: int | None = None,
-        engine: str | None = None,
+        engine: str = "columnar",
     ) -> Sequence[ScoredRecord]:
         """Order *records* by unit-based Rank_Sim, best first.
 
-        The legacy engine scores and sorts everything and returns a
-        list cut to ``top_k``.  The columnar engine scores everything
-        up front but returns a read-only
-        :class:`~repro.perf.colrank.RankedPool` that reads the same:
-        it orders and builds a ``ScoredRecord`` only for the positions
-        read (a bounded heap for the first read), and ``top_k`` only
-        caps its length.
+        An "all" unit scores its conditions one by one; an "any" unit
+        scores 1 when a branch is satisfied, else its best branch.  The
+        scores are computed up front, but the returned
+        :class:`~repro.perf.colrank.RankedPool` orders and builds a
+        ``ScoredRecord`` only for the positions read (a bounded heap
+        for the first read).  ``top_k`` only caps its length, and must
+        be positive.  ``engine`` accepts only ``"columnar"``: it stays
+        because ``perfbench/replay.py`` passes ``CQAds.ranking_engine``.
         """
-        if self._resolve_engine(engine) == "columnar":
-            selected = self._columnar(records, units, top_k)
-            if selected is not None:
-                return selected
-        query_keys = self._query_keys_for_units(units)
-        # Pool records share a handful of distinct product identities;
-        # memoize the TI-matrix lookup per identity.
-        ti_cache: dict[Key, float] = {}
-        scored = [
-            self._score_units_with_keys(record, units, query_keys, ti_cache)
-            for record in records
-        ]
-        scored.sort(key=lambda item: (-item.score, item.record.record_id))
-        if top_k is not None:
-            scored = scored[:top_k]
-        return scored
+        if engine != "columnar":
+            raise ValueError(f"engine must be 'columnar', got {engine!r}")
+        if top_k is not None and top_k < 1:
+            raise ValueError(f"top_k must be positive, got {top_k}")
+        # Imported here: colrank needs ScoredRecord/ScoringUnit from
+        # this module, so a top-level import would cycle.
+        from repro.perf.colrank import columnar_rank_units
 
-    # ------------------------------------------------------------------
-    def _failed_similarity(
-        self,
-        condition: Condition,
-        record: Record,
-        query_keys: list[Key],
-        ti_cache: dict[Key, float],
-    ) -> tuple[float, str]:
-        if condition.negated:
-            # A violated negation has no "close" reading: the record
-            # has exactly what the user excluded.
-            return 0.0, "negation"
-        if condition.attribute_type is AttributeType.TYPE_I:
-            return self._type_i_similarity(record, query_keys, ti_cache), "TI_Sim"
-        if condition.attribute_type is AttributeType.TYPE_II:
-            return self._type_ii_similarity(condition, record), "Feat_Sim"
-        return self._type_iii_similarity(condition, record), "Num_Sim"
-
-    def _type_i_similarity(
-        self, record: Record, query_keys: list[Key], ti_cache: dict[Key, float]
-    ) -> float:
-        if not query_keys:
-            return 0.0
-        record_key = self.resources.record_key(record)
-        cached = ti_cache.get(record_key)
-        if cached is not None:
-            return cached
-        similarity = max(
-            self.resources.ti_matrix.normalized(query_key, record_key)
-            for query_key in query_keys
-        )
-        ti_cache[record_key] = similarity
-        return similarity
-
-    def _type_ii_similarity(self, condition: Condition, record: Record) -> float:
-        value = record.get(condition.column)
-        if value is None:
-            return 0.0
-        return self.resources.ws_matrix.value_similarity(
-            str(condition.value), str(value)
-        )
-
-    def _type_iii_similarity(self, condition: Condition, record: Record) -> float:
-        value = record.get(condition.column)
-        if value is None:
-            return 0.0
-        value_range = self.resources.value_ranges.get(condition.column, 0.0)
-        return condition_num_sim(condition, float(value), value_range)
+        return columnar_rank_units(self.resources, records, units, top_k)

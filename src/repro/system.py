@@ -191,12 +191,10 @@ def build_system(
     :meth:`repro.api.builder.SystemBuilder.storage`.
     """
     names = list(domain_names) if domain_names is not None else list(DOMAIN_NAMES)
-    if isinstance(storage, (str, os.PathLike)):
-        from repro.store import WalBackend
-
-        storage = WalBackend(storage)
-    database = Database(storage=storage)
-    # The engine checks its options before any provisioning work.
+    database = Database()
+    # The engine checks its options, and every domain name is looked
+    # up, before the backend writes anything: a rejected build leaves
+    # the storage directory as it found it.
     cqads = CQAds(database, classifier=classifier, **cqads_options)
     specs = [build_domain_spec(name) for name in names]
     corpus = generate_corpus(specs, n_documents=corpus_documents, seed=seed)
@@ -206,6 +204,13 @@ def build_system(
         ws_matrix=WSMatrix.from_corpus(corpus),
         corpus=corpus,
     )
+    if isinstance(storage, (str, os.PathLike)):
+        from repro.store import WalBackend
+
+        storage = WalBackend(storage)
+    if storage is not None:
+        # Before the first table exists, so the log holds every create.
+        database.attach_storage(storage)
     for spec in specs:
         system.domains[spec.name] = _provision_domain(
             system, spec, ads_per_domain, sessions_per_domain, seed

@@ -510,27 +510,31 @@ def test_shard_of_matches_actual_placement():
 
 def test_reused_record_id_never_serves_ghost_memos():
     """delete + Table.insert(record_id=) resurrecting the id must not
-    score the new record with the dead record's memoized key/values."""
+    score the new record with the dead record's key/values."""
     table = Database().create_table(small_car_schema())
     table.insert(
         {"make": "honda", "model": "accord", "color": "blue", "price": 9000}
     )
     resources = _resources_for(table)
-    record = table.get(1)
-    assert resources.record_key(record) == ("honda", "accord")
+
+    def image(record_id):
+        store = resources.column_store()
+        row = store.row_of[record_id]
+        return store.keys[row], store.categorical["color"][row]
+
+    assert image(1) == (("honda", "accord"), "blue")
     table.delete(1)
-    reborn = table.insert(
+    table.insert(
         {"make": "toyota", "model": "corolla", "color": "red", "price": 4000},
         record_id=1,
     )
-    assert resources.record_key(reborn) == ("toyota", "corolla")
-    # The bulk path evicts too (remove_many emits one BatchDelta).
-    resources.record_key(reborn)
+    assert image(1) == (("toyota", "corolla"), "red")
+    # The bulk path too (remove_many emits one BatchDelta).
     table.remove_many([1])
-    reborn_again = table.insert(
+    table.insert(
         {"make": "mazda", "model": "mx5", "color": "silver"}, record_id=1
     )
-    assert resources.record_key(reborn_again) == ("mazda", "mx5")
+    assert image(1) == (("mazda", "mx5"), "silver")
 
 
 # ----------------------------------------------------------------------

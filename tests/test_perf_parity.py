@@ -4,13 +4,16 @@ Section 4.3.1 defines the N-1 candidate pool as the union of N relaxed
 queries, each dropping one relaxation unit.  The engine never runs
 those queries: it evaluates each unit once and derives every pool by
 set intersection (:mod:`repro.perf.subplan`).  The acceptance bar is
-*bit-identical* output against :func:`n_relaxed_queries`, the
-definition written out below — same candidates in the same order,
-and the same scored partial answers — on 100 generated questions per
-domain, all eight domains, driven by the intended interpretations (so
-Boolean trees, superlatives, negations, "any" units and the budget cap
-all get exercised).  End-to-end answers are pinned by the golden
-corpus (``tests/test_golden.py``).
+*bit-identical* output against
+:func:`tests.reference_rank.n_relaxed_queries`, the definition written
+out there — same candidates in the same order — and the engine's
+scored partial answers against that pool ranked by the reference's
+Eq. 5, on 100 generated questions per domain, all eight domains,
+driven by the intended interpretations (so Boolean trees,
+superlatives, negations, "any" units and the budget cap all get
+exercised).  End-to-end answers are pinned by the golden corpus
+(``tests/test_golden.py``), which ``tests/test_reference_rank.py``
+holds to the reference.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ import pytest
 from repro.datagen.questions import make_generator
 from repro.datagen.vocab import DOMAIN_NAMES
 from repro.perf.subplan import drop_intersections
-from repro.qa.conditions import BooleanOperator, ConditionGroup, Interpretation
 from repro.qa.sql_generation import evaluate_interpretation
 from repro.system import build_system
+
+from tests.reference_rank import n_relaxed_queries, rank
 
 QUESTIONS_PER_DOMAIN = 100
 
@@ -38,55 +42,12 @@ def parity_system():
     )
 
 
-def relaxed_interpretation(units, original):
-    """The relaxed query that keeps exactly *units*: an "any" unit with
-    several branches is an OR group, every other unit adds its
-    conditions to one AND, and *original*'s superlative is kept."""
-    nodes = []
-    for unit in units:
-        if unit.mode == "any" and len(unit.conditions) > 1:
-            nodes.append(ConditionGroup(BooleanOperator.OR, list(unit.conditions)))
-        else:
-            nodes.extend(unit.conditions)
-    tree = nodes[0] if len(nodes) == 1 else ConditionGroup(BooleanOperator.AND, nodes)
-    return Interpretation(tree=tree, superlative=original.superlative)
-
-
-def n_relaxed_queries(cqads, domain, interpretation, exclude):
-    """The N-1 candidate pool by its definition: one query per drop.
-
-    Each relaxed query keeps every unit but one and is answered by the
-    exact-match path, capped at the engine's per-query budget plus the
-    excluded records; its records outside *exclude* join the pool, and
-    earlier drops win ties.  A question with a single unit relaxes to
-    the whole table; one without units is not relaxed.
-    """
-    units = cqads.relaxation_units(interpretation)
-    if not units:
-        return []
-    table = cqads.database.table(cqads.domain(domain).schema.table_name)
-    if len(units) == 1:
-        return [record for record in table if record.record_id not in exclude]
-    budget = cqads.partial_pool_per_query + len(exclude)
-    candidates = {}
-    for dropped in range(len(units)):
-        relaxed = relaxed_interpretation(
-            units[:dropped] + units[dropped + 1:], interpretation
-        )
-        for record in evaluate_interpretation(
-            cqads.database, cqads.domain(domain), relaxed, limit=budget
-        ):
-            if record.record_id not in exclude:
-                candidates.setdefault(record.record_id, record)
-    return list(candidates.values())
-
-
 @pytest.mark.parametrize("domain", DOMAIN_NAMES)
 def test_engine_parity_per_domain(parity_system, domain):
     """The engine's pool and scored partial answers equal the
     definition's, question by question."""
     cqads = parity_system.cqads
-    ranker = cqads.context(domain).ranker()
+    resources = cqads.context(domain).resources
     generator = make_generator(parity_system.domain(domain).dataset, seed=97)
     compared = 0
     nonempty = 0
@@ -105,7 +66,7 @@ def test_engine_parity_per_domain(parity_system, domain):
         answers = cqads.partial_answers(domain, interpretation, exclude)
         assert not any(answer.exact for answer in answers)
         units = cqads.relaxation_units(interpretation)
-        reference = ranker.rank_units(expected, units) if expected else []
+        reference = rank(resources, expected, units)
         assert [
             (a.record.record_id, a.score, a.similarity_kind) for a in answers
         ] == [

@@ -11,10 +11,12 @@ contract on a plain and a 4-shard cars build of 2,000 ads:
   presents, while the pool still reports its full length;
 * answering "cheapest honda accord" scores at most one row per
   distinct Type I key and never lists the table as a pool;
-* the class ranking equals the legacy row ranking for every
-  single-unit shape, ties between classes included;
+* the class ranking equals the row-by-row ranking of Eq. 5
+  (``tests/reference_rank.py``) for every single-unit shape, ties
+  between classes included;
 * ``page_all(..., max_depth=...)`` builds no more than it exports;
-* a full read equals the legacy engine's eager list;
+* a full read equals the exact matches followed by the reference's
+  ranking of the N-1 pool;
 * the pool behaves like a read-only list, also under concurrent reads,
   and reference counting alone frees it;
 * what a late read returns was fixed when the question was ranked.
@@ -43,8 +45,10 @@ from repro.qa.conditions import (
     Interpretation,
 )
 from repro.qa.pipeline import MAX_ANSWERS, CQAds, Answer, AnswerView
-from repro.ranking.rank_sim import ScoredRecord, condition_satisfied
+from repro.ranking.rank_sim import ScoredRecord
 from repro.system import build_system
+
+from tests import reference_rank
 
 ADS = 2000
 SCALE = dict(ads_per_domain=ADS, sessions_per_domain=300, corpus_documents=200)
@@ -54,8 +58,8 @@ BUILDS = (None, 4)
 WHOLE_TABLE = AnswerRequest(question="cheapest honda accord", domain="cars")
 
 
-def _build(shards, **options):
-    return build_system(["cars"], shards=shards, **SCALE, **options)
+def _build(shards):
+    return build_system(["cars"], shards=shards, **SCALE)
 
 
 @pytest.fixture(scope="module", params=BUILDS, ids=lambda n: f"shards={n}")
@@ -83,25 +87,6 @@ def _counting(cls):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cls, "__init__", counted)
         yield built
-
-
-def _signature(result, answers):
-    """Record id, exactness, repr(score), kind and failed conditions."""
-    conditions = result.interpretation.conditions()
-    return [
-        (
-            answer.record.record_id,
-            answer.exact,
-            repr(answer.score),
-            answer.similarity_kind,
-            [
-                index
-                for index, condition in enumerate(conditions)
-                if not condition_satisfied(condition, answer.record)
-            ],
-        )
-        for answer in answers
-    ]
 
 
 def _values(answers):
@@ -200,11 +185,8 @@ def test_class_ranking_equals_the_row_ranking(system, shape, top_k):
     assert answers.rank_path == "classes"
     context = cqads.context("cars")
     classed = colrank.class_rank_unit(context.resources, units[0], exclude, top_k)
-    rows = context.ranker().rank_units(
-        cqads.partial_candidates("cars", interpretation, exclude),
-        units,
-        top_k=top_k,
-        engine="legacy",
+    rows = reference_rank.reference_partial_answers(
+        cqads, "cars", interpretation, exclude, top_k
     )
     expected_size = len(ids) - len(exclude) + 1 if top_k is None else top_k
     assert len(answers) == len(classed) == len(rows) == expected_size
@@ -267,25 +249,23 @@ def _questions(system, count):
     return texts
 
 
-def test_full_read_equals_the_legacy_engine(system, service):
-    legacy_system = _build(system.cqads.shards, ranking_engine="legacy")
-    try:
-        legacy = AnswerService(legacy_system.cqads)
-        relaxed = 0
-        for text in _questions(system, 24):
-            request = AnswerRequest(question=text, domain="cars")
-            lazy = service.answer(request)
-            eager = legacy.answer(request)
-            assert lazy.message == eager.message, text
-            if lazy.interpretation is None:
-                continue
-            assert _signature(lazy, lazy.ranked_pool) == _signature(
-                eager, eager.ranked_pool
-            ), text
-            relaxed += any(not answer.exact for answer in lazy.ranked_pool)
-        assert relaxed >= 5  # the battery really ranks partial pools
-    finally:
-        legacy_system.close()
+def test_full_read_equals_the_reference(system, service):
+    relaxed = 0
+    for text in _questions(system, 24):
+        result = service.answer(AnswerRequest(question=text, domain="cars"))
+        if result.interpretation is None:
+            continue
+        exact, partial = reference_rank.reference_answer(
+            system.cqads, "cars", result.interpretation
+        )
+        assert _values(result.ranked_pool) == [
+            (record.record_id, True, "inf", "exact") for record in exact
+        ] + [
+            (item.record.record_id, False, repr(item.score), item.similarity_kind)
+            for item in partial
+        ], text
+        relaxed += bool(partial)
+    assert relaxed >= 5  # the battery really ranks partial pools
 
 
 def test_pool_behaves_like_a_list(service):

@@ -1,16 +1,19 @@
-"""Parity: the columnar top-k ranking engine vs the legacy full sort.
+"""Parity: the columnar top-k ranking engine vs Eq. 5 as written.
 
-The acceptance bar mirrors PR 2's relaxation parity: *bit-identical*
-output — same records, same float scores, same failed-condition
-tuples, same similarity kinds, same order (ties included, since the
-``(-score, record_id)`` key is a total order).  Three layers:
+The oracle is ``tests/reference_rank.py``, Eq. 5 and the N-1 pool as
+plain loops over records.  The bar is *bit-identical* output — same
+records, same float scores, same failed-condition tuples, same
+similarity kinds, same order (ties included, since the ``(-score,
+record_id)`` key is a total order).  Four layers:
 
-* **ranker level** — ``rank_units(engine="columnar", top_k=30)`` vs
-  the legacy full sort truncated to 30, and the unbounded columnar
-  ranking vs the full legacy ranking, on 100 generated questions per
-  domain across all eight domains;
-* **pipeline level** — full ``AnswerService.answer`` runs with the
-  engine flipped between ``ranking_engine`` settings;
+* **ranker level** — ``rank_units(top_k=30)`` vs the reference cut to
+  30, and the unbounded ranking vs the whole reference ranking, on 100
+  generated questions per domain across all eight domains;
+* **pipeline level** — full ``AnswerService.answer`` runs against the
+  exact matches followed by the reference's ranked N-1 pool;
+* **typed answers** — a pool record deleted after the pool was listed
+  is dropped (plain and sharded), resources without a table and a unit
+  outside the planner raise :class:`~repro.errors.RankingError`;
 * **epoch invalidation** — mutating a table bumps its epoch, so the
   column store rebuilds and the fragment/answer caches miss instead of
   serving pre-mutation state; no manual invalidation anywhere.
@@ -24,9 +27,15 @@ from repro.api.requests import AnswerRequest
 from repro.api.service import AnswerService
 from repro.datagen.questions import make_generator
 from repro.datagen.vocab import DOMAIN_NAMES
-from repro.perf.colrank import columnar_rank_units
+from repro.db.schema import AttributeType
+from repro.errors import RankingError
+from repro.perf.colrank import class_rank_unit
+from repro.qa.conditions import Condition, ConditionOp
 from repro.qa.sql_generation import evaluate_interpretation
+from repro.ranking.rank_sim import RankingResources, RankSimRanker, ScoringUnit
 from repro.system import build_system
+
+from tests import reference_rank
 
 QUESTIONS_PER_DOMAIN = 100
 PIPELINE_QUESTIONS_PER_DOMAIN = 15
@@ -69,12 +78,12 @@ def _result_signature(result):
 
 @pytest.mark.parametrize("domain", DOMAIN_NAMES)
 def test_columnar_topk_parity_per_domain(parity_system, domain):
-    """Columnar top-30 == legacy full sort truncated, 100 q/domain."""
+    """Columnar top-30 == the reference cut to 30, 100 q/domain."""
     cqads = parity_system.cqads
     context = cqads.context(domain)
     ranker = context.ranker()
     assert ranker is not None
-    assert context.resources.table is not None  # columnar engine armed
+    assert context.resources.table is not None
     generator = make_generator(parity_system.domain(domain).dataset, seed=313)
     compared = 0
     nonempty = 0
@@ -92,19 +101,17 @@ def test_columnar_topk_parity_per_domain(parity_system, domain):
         )
         exclude = {record.record_id for record in exact}
         pool = cqads.partial_candidates(domain, interpretation, exclude)
-        legacy_full = ranker.rank_units(pool, units, engine="legacy")
-        columnar_topk = ranker.rank_units(
-            pool, units, top_k=TOP_K, engine="columnar"
-        )
+        reference = reference_rank.rank(context.resources, pool, units)
+        columnar_topk = ranker.rank_units(pool, units, top_k=TOP_K)
         assert _scored_signature(columnar_topk) == _scored_signature(
-            legacy_full[:TOP_K]
+            reference[:TOP_K]
         ), f"top-k divergence on {question.kind!r}: {question.text!r}"
-        # The unbounded columnar ranking must equal the full sort too
+        # The unbounded ranking must equal the whole reference too
         # (sampled — it shares every scoring path with the top-k run).
         if index % 5 == 0:
-            columnar_full = ranker.rank_units(pool, units, engine="columnar")
+            columnar_full = ranker.rank_units(pool, units)
             assert _scored_signature(columnar_full) == _scored_signature(
-                legacy_full
+                reference
             ), f"full divergence on {question.kind!r}: {question.text!r}"
         compared += 1
         nonempty += bool(pool)
@@ -112,35 +119,36 @@ def test_columnar_topk_parity_per_domain(parity_system, domain):
     assert nonempty > 0  # the battery must exercise actual ranking
 
 
+def reference_ranked_pool(cqads, domain, interpretation):
+    """``(record id, exact, score, kind)`` per entry of the reference's
+    answer: what ``QuestionResult.ranked_pool`` must read."""
+    exact, partial = reference_rank.reference_answer(cqads, domain, interpretation)
+    return [(record.record_id, True, float("inf"), "exact") for record in exact] + [
+        (item.record.record_id, False, item.score, item.similarity_kind)
+        for item in partial
+    ]
+
+
 @pytest.mark.parametrize("domain", DOMAIN_NAMES[:4])
 def test_pipeline_parity_per_domain(parity_system, domain):
-    """End-to-end answers are bit-identical under either engine."""
+    """End-to-end ranked pools equal the exact matches followed by the
+    reference's ranking of the N-1 pool, and answers are its prefix."""
     cqads = parity_system.cqads
     service = parity_system.service()
     generator = make_generator(
         parity_system.domain(domain).dataset, noise_rate=0.3, seed=59
     )
-    questions = [
-        generator.generate().text for _ in range(PIPELINE_QUESTIONS_PER_DOMAIN)
-    ]
-    original = cqads.ranking_engine
-    try:
-        cqads.ranking_engine = "legacy"
-        legacy = [
-            service.answer(AnswerRequest(question=text, domain=domain))
-            for text in questions
-        ]
-        cqads.ranking_engine = "columnar"
-        columnar = [
-            service.answer(AnswerRequest(question=text, domain=domain))
-            for text in questions
-        ]
-    finally:
-        cqads.ranking_engine = original
-    for text, legacy_result, columnar_result in zip(questions, legacy, columnar):
-        assert _result_signature(legacy_result) == _result_signature(
-            columnar_result
-        ), f"pipeline divergence on {text!r}"
+    relaxed = 0
+    for _ in range(PIPELINE_QUESTIONS_PER_DOMAIN):
+        text = generator.generate().text
+        result = service.answer(AnswerRequest(question=text, domain=domain))
+        if result.interpretation is None:
+            continue
+        expected = reference_ranked_pool(cqads, domain, result.interpretation)
+        assert _answer_signature(result.ranked_pool) == expected, text
+        assert _answer_signature(result.answers) == expected[: cqads.max_answers]
+        relaxed += any(not answer.exact for answer in result.ranked_pool)
+    assert relaxed > 0  # the battery really ranks partial pools
 
 
 #: "not <bare number>" reads as an "any" unit of negated Type III
@@ -154,7 +162,7 @@ NEGATED_ANY_QUESTIONS = (
 
 def test_negated_any_units_rank_columnar(mutable_system):
     """All-negated "any" units get a columnar slot of kind "negation",
-    bit-identical to the legacy engine's best-branch bookkeeping."""
+    bit-identical to the reference's best branch."""
     cqads = mutable_system.cqads
     context = cqads.context("cars")
     ranker = context.ranker()
@@ -176,14 +184,111 @@ def test_negated_any_units_rank_columnar(mutable_system):
         )
         exclude = {record.record_id for record in exact}
         pool = cqads.partial_candidates("cars", interpretation, exclude)
-        columnar = columnar_rank_units(context.resources, pool, units, None)
-        assert columnar is not None, question  # no legacy fallback
-        legacy = ranker.rank_units(pool, units, engine="legacy")
-        assert _scored_signature(columnar) == _scored_signature(legacy), question
+        columnar = ranker.rank_units(pool, units)
+        reference = reference_rank.rank(context.resources, pool, units)
+        assert _scored_signature(columnar) == _scored_signature(reference), question
         kinds.update(item.similarity_kind for item in columnar)
         if question == NEGATED_ANY_QUESTIONS[0]:
             assert violator.record_id in [item.record.record_id for item in columnar]
     assert "negation" in kinds
+
+
+# ----------------------------------------------------------------------
+# typed answers: what the engine does with a pool or unit it cannot rank
+# ----------------------------------------------------------------------
+TII, TIII = AttributeType.TYPE_II, AttributeType.TYPE_III
+BLUE_UNDER_15000 = [
+    ScoringUnit(conditions=(Condition("color", TII, ConditionOp.EQ, "blue"),)),
+    ScoringUnit(conditions=(Condition("price", TIII, ConditionOp.LT, 15000),)),
+]
+
+
+@pytest.mark.parametrize("shards", [None, 4], ids=lambda n: f"shards={n}")
+def test_pool_record_deleted_mid_flight_is_dropped(shards):
+    """A pool is a snapshot: a record deleted after it was listed is
+    dropped from the ranking, and the rest rank like the reference."""
+    system = build_system(
+        ["cars"],
+        ads_per_domain=80,
+        sessions_per_domain=100,
+        corpus_documents=100,
+        shards=shards,
+    )
+    try:
+        resources = system.cqads.context("cars").resources
+        ranker = RankSimRanker(resources)
+        table = system.database.table("car_ads")
+        pool = sorted(table.snapshot(), key=lambda record: record.record_id)
+        assert len(ranker.rank_units(pool, BLUE_UNDER_15000)) == len(pool)
+        gone = {record.record_id for record in pool[::7]}
+        for record_id in gone:
+            table.delete(record_id)
+        ranked = ranker.rank_units(pool, BLUE_UNDER_15000)
+        kept = [record for record in pool if record.record_id not in gone]
+        assert len(ranked) == len(pool) - len(gone)
+        assert _scored_signature(ranked) == _scored_signature(
+            reference_rank.rank(resources, kept, BLUE_UNDER_15000)
+        )
+    finally:
+        system.close()
+
+
+def test_resources_without_a_table_raise(mutable_system):
+    attached = mutable_system.cqads.context("cars").resources
+    resources = RankingResources(
+        ti_matrix=attached.ti_matrix,
+        ws_matrix=attached.ws_matrix,
+        value_ranges=dict(attached.value_ranges),
+        type_i_columns=list(attached.type_i_columns),
+        product_keys=list(attached.product_keys),
+    )
+    ranker = RankSimRanker(resources)
+    pool = mutable_system.database.table("car_ads").snapshot()[:10]
+    conditions = [unit.conditions[0] for unit in BLUE_UNDER_15000]
+    with pytest.raises(RankingError, match="no table attached"):
+        ranker.rank_units(pool, BLUE_UNDER_15000)
+    with pytest.raises(RankingError, match="no table attached"):
+        ranker.rank(pool, conditions)
+    with pytest.raises(RankingError, match="no table attached"):
+        class_rank_unit(resources, BLUE_UNDER_15000[0], set(), None)
+
+
+#: Units no columnar slot covers: "any" units whose branches mix
+#: kinds or signs (relaxation_units never builds them), and conditions
+#: on columns the table lacks.
+UNPLANNED_UNITS = {
+    "mixed-any": ScoringUnit(
+        conditions=(
+            Condition("price", TIII, ConditionOp.LT, 9000),
+            Condition("color", TII, ConditionOp.EQ, "blue"),
+        ),
+        mode="any",
+    ),
+    "half-negated-any": ScoringUnit(
+        conditions=(
+            Condition("year", TIII, ConditionOp.EQ, 2005),
+            Condition("price", TIII, ConditionOp.EQ, 2005, negated=True),
+        ),
+        mode="any",
+    ),
+    "unknown-numeric": ScoringUnit(
+        conditions=(Condition("horsepower", TIII, ConditionOp.GT, 200),)
+    ),
+    "unknown-categorical": ScoringUnit(
+        conditions=(Condition("trim", TII, ConditionOp.EQ, "sport"),)
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(UNPLANNED_UNITS))
+def test_unplanned_units_raise(mutable_system, shape):
+    unit = UNPLANNED_UNITS[shape]
+    resources = mutable_system.cqads.context("cars").resources
+    pool = mutable_system.database.table("car_ads").snapshot()
+    with pytest.raises(RankingError):
+        RankSimRanker(resources).rank_units(pool, [BLUE_UNDER_15000[0], unit])
+    with pytest.raises(RankingError):
+        class_rank_unit(resources, unit, set(), None)
 
 
 def test_top_k_option_bounds_ranked_pool(parity_system):
@@ -320,7 +425,7 @@ def test_mutation_auto_invalidates_answer_cache(mutable_system):
 
 def test_update_refreshes_ranking_caches(mutable_system):
     """An in-place update is visible to the columnar ranker (the
-    per-record key/lowered caches and column store cannot go stale)."""
+    column store's values and Type I keys cannot go stale)."""
     cqads = mutable_system.cqads
     resources = cqads.context("cars").resources
     table = cqads.database.table("car_ads")
@@ -329,9 +434,16 @@ def test_update_refreshes_ranking_caches(mutable_system):
     store = resources.column_store()
     row = store.row_of[record.record_id]
     assert store.categorical["color"][row] == "blue"
-    key_before = resources.record_key(record)
+    key_before = store.keys[row]
     table.update(record.record_id, {"color": "green", "model": donor["model"]})
     store = resources.column_store()
-    assert store.categorical["color"][store.row_of[record.record_id]] == "green"
-    assert resources.record_key(record) == key_before  # rebuilt, same identity
+    row = store.row_of[record.record_id]
+    assert store.categorical["color"][row] == "green"
+    assert store.keys[row] == key_before  # same identity after the update
+    table.update(record.record_id, {"model": "zz-unknown"})
+    store = resources.column_store()
+    assert store.keys[store.row_of[record.record_id]] == (
+        donor["make"],
+        "zz-unknown",
+    )
     table.delete(record.record_id)

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.builder import SystemBuilder
+from repro.db.database import Database
 from repro.db.schema import AttributeType
-from repro.qa.conditions import Condition, ConditionOp
+from repro.qa.conditions import Condition, ConditionOp, Interpretation
+from repro.qa.pipeline import CQAds
 from repro.ranking.num_sim import condition_num_sim, num_sim
 from repro.ranking.rank_sim import (
     RankSimRanker,
     ScoringUnit,
     condition_satisfied,
 )
+
+from tests import reference_rank
 
 TI = AttributeType.TYPE_I
 TII = AttributeType.TYPE_II
@@ -117,7 +122,7 @@ class TestRankSim:
         ]
         if not exact:
             pytest.skip("no exact match in this dataset draw")
-        scored = ranker.score(exact[0], self.conditions())
+        scored = ranker.rank([exact[0]], self.conditions())[0]
         assert scored.score == pytest.approx(4.0)
         assert scored.similarity_kind == "exact"
 
@@ -132,7 +137,7 @@ class TestRankSim:
         ]
         if not wrong_color:
             pytest.skip("no wrong-color accord in this draw")
-        scored = ranker.score(wrong_color[0], self.conditions())
+        scored = ranker.rank([wrong_color[0]], self.conditions())[0]
         assert 3.0 <= scored.score < 4.0
         assert scored.similarity_kind == "Feat_Sim"
         assert len(scored.failed) == 1
@@ -143,8 +148,8 @@ class TestRankSim:
         if not camry or not corvette:
             pytest.skip("dataset draw lacks a needed product")
         conditions = self.conditions()
-        camry_score = ranker.score(camry[0], conditions)
-        corvette_score = ranker.score(corvette[0], conditions)
+        camry_score = ranker.rank([camry[0]], conditions)[0]
+        corvette_score = ranker.rank([corvette[0]], conditions)[0]
         # TI_Sim learned from the query log: Camry (same segment as
         # Accord) must outrank Corvette.
         assert camry_score.score != corvette_score.score
@@ -169,7 +174,7 @@ class TestRankSim:
             mode="any",
         )
         cheap = [r for r in table if r["price"] < 9000][0]
-        scored = ranker.score_units(cheap, [unit])
+        scored = ranker.rank_units([cheap], [unit])[0]
         assert scored.score == pytest.approx(1.0)
 
     def test_units_anchor_bundling(self, ranker, table):
@@ -187,19 +192,72 @@ class TestRankSim:
         ]
         if not blue_camry:
             pytest.skip("no blue camry in this draw")
-        scored = ranker.score_units(blue_camry[0], units)
+        scored = ranker.rank_units([blue_camry[0]], units)[0]
         # 1 for blue + two TI similarities in (0, 1)
         assert 1.0 < scored.score < 3.0
         assert scored.similarity_kind == "TI_Sim"
 
-    def test_rank_units_matches_score_units(self, ranker, table):
+    def test_rank_units_matches_the_reference(self, ranker, table):
         units = [
             ScoringUnit(conditions=(Condition("make", TI, ConditionOp.EQ, "honda"),)),
             ScoringUnit(conditions=(Condition("color", TII, ConditionOp.EQ, "blue"),)),
         ]
         records = list(table)[:30]
         ranked = ranker.rank_units(records, units)
-        for item in ranked:
-            assert item.score == pytest.approx(
-                ranker.score_units(item.record, units).score
-            )
+        expected = reference_rank.rank(ranker.resources, records, units)
+        assert [
+            (item.record.record_id, item.score, item.failed, item.similarity_kind)
+            for item in ranked
+        ] == [
+            (item.record.record_id, item.score, item.failed, item.similarity_kind)
+            for item in expected
+        ]
+
+    @pytest.mark.parametrize("top_k", [0, -1, -30])
+    def test_top_k_below_one_is_rejected(self, cars_system, ranker, table, top_k):
+        records = list(table)[:30]
+        units = [ScoringUnit(conditions=(condition,)) for condition in self.conditions()]
+        with pytest.raises(ValueError, match="top_k must be positive"):
+            ranker.rank_units(records, units, top_k=top_k)
+        with pytest.raises(ValueError, match="top_k must be positive"):
+            ranker.rank(records, self.conditions(), top_k=top_k)
+        cqads = cars_system.cqads
+        for interpretation in (
+            Interpretation(tree=self.conditions()[2]),  # one unit: classes
+            cqads.answer("blue honda accord", domain="cars").interpretation,
+        ):
+            with pytest.raises(ValueError, match="top_k must be positive"):
+                cqads.partial_answers("cars", interpretation, set(), top_k=top_k)
+
+
+class TestReplayNames:
+    """``perfbench/replay.py`` (the traced benchmark pass) still passes
+    ``engine=CQAds.ranking_engine`` to ``rank_units``; these names stay
+    until that file goes, and nothing else may set a ranking engine."""
+
+    def test_ranking_engine_is_the_columnar_constant(self):
+        assert CQAds.ranking_engine == "columnar"
+        assert CQAds(Database()).ranking_engine == "columnar"
+
+    def test_rank_units_accepts_only_columnar(self, cars_system):
+        ranker = RankSimRanker(cars_system.domains["cars"].resources)
+        records = list(cars_system.domains["cars"].dataset.table)[:40]
+        units = [
+            ScoringUnit(conditions=(Condition("make", TI, ConditionOp.EQ, "honda"),)),
+            ScoringUnit(conditions=(Condition("price", TIII, ConditionOp.LT, 9000),)),
+        ]
+        named = ranker.rank_units(
+            records, units, top_k=5, engine=cars_system.cqads.ranking_engine
+        )
+        assert list(named) == list(ranker.rank_units(records, units, top_k=5))
+        for engine in ("legacy", "", None, "COLUMNAR"):
+            with pytest.raises(ValueError, match="engine must be 'columnar'"):
+                ranker.rank_units(records, units, engine=engine)
+
+    def test_ranking_engine_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            CQAds(Database(), ranking_engine="columnar")
+        with pytest.raises(TypeError):
+            SystemBuilder().with_domains("cars").ads_per_domain(20).answer_defaults(
+                ranking_engine="legacy"
+            ).build()

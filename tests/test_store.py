@@ -27,7 +27,7 @@ import pytest
 from repro.api import AnswerRequest, AnswerService, SystemBuilder
 from repro.db.database import Database
 from repro.db.table import MutationEvent
-from repro.errors import StorageError, UnknownTableError
+from repro.errors import ReproError, StorageError, UnknownTableError
 from repro.perf.answer_cache import AnswerCache
 from repro.qa.pipeline import CQAds
 from repro.store import (
@@ -663,6 +663,42 @@ class TestWiring:
         builder = SystemBuilder().storage(str(tmp_path / "store"))
         builder.storage(None)
         assert builder._storage_for_build() is None
+
+    @pytest.mark.parametrize(
+        "reject",
+        [
+            lambda builder: builder.max_answers(0),
+            lambda builder: builder.shards(0),
+            lambda builder: builder.with_domains("cars", "no_such_domain"),
+        ],
+        ids=["max_answers=0", "shards=0", "unknown-domain"],
+    )
+    def test_rejected_build_leaves_the_directory_untouched(self, tmp_path, reject):
+        """A build that fails on its recipe writes nothing, so the same
+        directory takes a good build afterwards."""
+        directory = tmp_path / "store"
+        directory.mkdir()
+
+        def builder():
+            return (
+                SystemBuilder()
+                .with_domains("cars")
+                .ads_per_domain(8)
+                .sessions_per_domain(20)
+                .corpus_documents(20)
+                .storage(str(directory), fsync="off")
+            )
+
+        with pytest.raises((ValueError, ReproError)):
+            reject(builder()).build()
+        assert list(directory.iterdir()) == []
+        system = builder().build()
+        try:
+            assert system.storage.directory == str(directory)
+            assert len(system.database.table("car_ads")) == 8
+        finally:
+            system.close()
+        assert recover_database(str(directory))[1].records == 8
 
 
 # ----------------------------------------------------------------------

@@ -273,7 +273,8 @@ def build_stats_parser() -> argparse.ArgumentParser:
         help=(
             "smoke mode: assert the Prometheus export parses and the "
             "core metric families (cache hit/miss, stage and request "
-            "latencies, WAL ops) are non-zero; exit 1 otherwise"
+            "latencies, WAL ops, fragment cache size) are non-zero; "
+            "exit 1 otherwise"
         ),
     )
     return parser
@@ -357,11 +358,13 @@ def _check_stats_export(rendered: str, sharded: bool = False) -> list[str]:
     samples = parsed["samples"]
 
     def total(name: str, **labels) -> float:
+        """The samples' sum; a NaN gauge (its object collected) adds 0."""
         wanted = tuple(sorted(labels.items()))
         return sum(
             value
             for (sample_name, sample_labels), value in samples.items()
             if sample_name == name
+            and value == value
             and all(pair in sample_labels for pair in wanted)
         )
 
@@ -374,13 +377,11 @@ def _check_stats_export(rendered: str, sharded: bool = False) -> list[str]:
         failures.append("no request latency observations recorded")
     if total("repro_wal_ops_total") <= 0:
         failures.append("no WAL operations recorded")
+    for gauge in ("repro_fragment_cache_entries", "repro_fragment_cache_bytes"):
+        if total(gauge) <= 0:
+            failures.append(f"gauge {gauge} absent or zero")
     if sharded:
-        rows = [
-            value
-            for (name, _labels), value in samples.items()
-            if name == "repro_shard_rows" and value == value  # drop NaN
-        ]
-        if not rows or sum(rows) <= 0:
+        if total("repro_shard_rows") <= 0:
             failures.append("per-shard row gauges absent or all zero")
         if total("repro_shard_scatter_seconds_count") <= 0:
             failures.append("no per-shard scatter latencies recorded")

@@ -164,7 +164,9 @@ class SystemBuilder:
         **fresh** backend on the directory, so the one-recipe-many-
         systems contract holds — but two live systems must not share a
         directory.  A pre-built :class:`~repro.store.StorageBackend`
-        instance is also accepted (single build only).  ``None``
+        instance is also accepted: the first build that succeeds takes
+        it, so a build rejected on its recipe leaves it for the next
+        one, and a later build runs in memory.  ``None``
         removes a previously-configured storage.
         """
         from repro.store import StorageBackend
@@ -214,11 +216,7 @@ class SystemBuilder:
     # -- terminal operations -------------------------------------------
     def _storage_for_build(self):
         if self._storage_backend is not None:
-            backend = self._storage_backend
-            # An attached backend cannot serve a second build; surface
-            # the single-build contract instead of a late attach error.
-            self._storage_backend = None
-            return backend
+            return self._storage_backend
         if self._storage_directory is None:
             return None
         from repro.store import WalBackend
@@ -227,7 +225,7 @@ class SystemBuilder:
 
     def build(self) -> BuiltSystem:
         """Provision and return the system."""
-        return build_system(
+        system = build_system(
             storage=self._storage_for_build(),
             domain_names=self._domains,
             ads_per_domain=self._ads_per_domain,
@@ -238,6 +236,10 @@ class SystemBuilder:
             train_classifier=self._train_classifier,
             **self._cqads_options,
         )
+        # The built system owns a backend instance now, so no second
+        # build may take it; a build that raised left it for the next.
+        self._storage_backend = None
+        return system
 
     def build_service(self) -> AnswerService:
         """Provision the system and wrap it in an :class:`AnswerService`.

@@ -29,6 +29,8 @@ repro_plan_trace_dropped_total  counter      —
 repro_api_request_seconds       histogram    —
 repro_shard_rows                gauge (fn)   table, shard
 repro_shard_scatter_seconds     histogram    table, shard
+repro_fragment_cache_entries    gauge (fn)   —
+repro_fragment_cache_bytes      gauge (fn)   —
 ==============================  ===========  ==========================
 
 Cost stance: each hook is a dict lookup on the default registry plus
@@ -51,6 +53,7 @@ __all__ = [
     "observe_stage",
     "record_recovery_damage",
     "record_recovery_timings",
+    "register_fragment_cache_gauges",
     "register_shard_rows_gauge",
     "shard_scatter_observe",
     "wal_op",
@@ -163,6 +166,29 @@ def register_shard_rows_gauge(table, shard_index: int) -> None:
     get_default_registry().gauge_fn(
         "repro_shard_rows", shard_rows, table=table_name, shard=str(shard_index)
     )
+
+
+def register_fragment_cache_gauges(cache) -> None:
+    """Register the callback gauges tracking a fragment cache's size:
+    ``repro_fragment_cache_entries`` (stored fragments) and
+    ``repro_fragment_cache_bytes`` (their summed ``sys.getsizeof``).
+
+    Both are sampled only at snapshot time and hold the cache weakly,
+    like :func:`register_shard_rows_gauge`: a collected engine's cache
+    reads ``NaN``, and the newest cache takes the gauges over.
+    """
+    cache_ref = weakref.ref(cache)
+
+    def sampled(measure):
+        def sample() -> float:
+            live = cache_ref()
+            return float("nan") if live is None else float(measure(live))
+
+        return sample
+
+    registry = get_default_registry()
+    registry.gauge_fn("repro_fragment_cache_entries", sampled(len))
+    registry.gauge_fn("repro_fragment_cache_bytes", sampled(lambda c: c.nbytes()))
 
 
 def shard_scatter_observe(table_name: str, shard_index: int, seconds: float) -> None:

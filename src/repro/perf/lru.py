@@ -81,3 +81,8 @@ class LRUCache:
         """A snapshot of the cached keys (newest last)."""
         with self._lock:
             return list(self._items.keys())
+
+    def values(self) -> list[object]:
+        """A snapshot of the cached values (newest last)."""
+        with self._lock:
+            return list(self._items.values())

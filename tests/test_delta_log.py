@@ -159,12 +159,15 @@ class FragmentProbe:
 
     def read(self) -> list:
         misses = self.cache.misses
-        ids = unit_id_sets(self.executor, self.table, [UNIT], self.cache)
+        fragments = unit_id_sets(self.executor, self.table, [UNIT], self.cache)
         self.rebuilds += self.cache.misses - misses
-        return ids
+        return [fragment.ids() for fragment in fragments]
 
     def fresh(self) -> list:
-        return unit_id_sets(self.executor, self.table, [UNIT], None)
+        return [
+            fragment.ids()
+            for fragment in unit_id_sets(self.executor, self.table, [UNIT], None)
+        ]
 
 
 PROBES = {"window": WindowProbe, "store": StoreProbe, "fragment": FragmentProbe}
@@ -279,7 +282,8 @@ def test_gap_rebuilds_once(consumer, layout, gap):
 def test_fragment_the_log_cannot_bring_forward_is_a_miss(layout):
     """An entry behind by more writes than the log holds is a miss —
     in the cache's counters and in ``repro_cache_requests_total`` —
-    once per unit per shard, and its rebuilt set is a fresh one."""
+    once per unit per shard, and its rebuilt fragment decodes to a
+    fresh evaluation's ids."""
     registry = MetricsRegistry()
     previous = set_default_registry(registry)
     try:
@@ -312,7 +316,9 @@ def test_fragment_the_log_cannot_bring_forward_is_a_miss(layout):
         ) - before.counter_value(
             "repro_cache_requests_total", cache="fragment", outcome=outcome
         ) == count
-    assert rebuilt == unit_id_sets(executor, table, units, None)
+    assert [fragment.ids() for fragment in rebuilt] == [
+        fragment.ids() for fragment in unit_id_sets(executor, table, units, None)
+    ]
 
 
 @pytest.mark.parametrize("layout", list(LAYOUTS))

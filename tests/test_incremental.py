@@ -10,8 +10,8 @@ proved here:
 * **column-store storms** — randomized mutation streams against plain
   and sharded (1/2/4) tables, comparing the patched store(s) to a
   fresh :class:`ColumnStore` build after every single step;
-* **fragment-cache storms** — the same streams with a warm unit-id-set
-  cache, comparing every patched id-set to a fresh
+* **fragment-cache storms** — the same streams with a warm fragment
+  cache, comparing every patched bitmap fragment, decoded, to a fresh
   ``eval_where`` evaluation after every step (and asserting the
   entries were *patched*, i.e. served as hits, not recomputed);
 * **the 8-domain churn battery** — full ``AnswerService`` runs over
@@ -383,6 +383,11 @@ def _storm_units() -> list[ScoringUnit]:
     ]
 
 
+def _decoded(fragments) -> list[list[int]]:
+    """Each fragment's member ids, ascending."""
+    return [fragment.ids() for fragment in fragments]
+
+
 @pytest.mark.parametrize("shard_count", [None, 1, 2, 4])
 def test_fragment_cache_storm(shard_count):
     database = Database()
@@ -405,7 +410,18 @@ def test_fragment_cache_storm(shard_count):
         assert cache.misses == misses_before, f"recompute at step {step}"
         assert cache.hits > hits_before
         fresh = unit_id_sets(executor, table, units, None)
-        assert cached == fresh, f"patched id-sets diverged at step {step}"
+        assert _decoded(cached) == _decoded(fresh), (
+            f"patched fragments diverged at step {step}"
+        )
+        # Every stored fragment, per shard too, against its own source.
+        sources = table.shards if shard_count is not None else [table]
+        for (stored_table, shard, unit), (epoch, stored) in zip(
+            cache._entries.keys(), cache._entries.values()
+        ):
+            source = sources[0] if shard is None else sources[shard]
+            assert stored_table is table and epoch == source.epoch
+            (own,) = unit_id_sets(executor, source, [unit], None)
+            assert stored.ids() == own.ids(), f"shard {shard} at step {step}"
 
 
 def test_lexicographic_range_condition_patches_like_executor():
@@ -424,19 +440,19 @@ def test_lexicographic_range_condition_patches_like_executor():
         Condition("model", AttributeType.TYPE_I, ConditionOp.LT, "2010"),
     ))
     (cached,) = unit_id_sets(executor, table, [unit], cache)
-    assert cached == {1, 3}  # "2010" < "2010.0" lexicographically
+    assert cached.ids() == [1, 3]  # "2010" < "2010.0" lexicographically
     # An unrelated update makes the catch-up re-evaluate record 1.
     table.update(1, {"color": "green"})
     (patched,) = unit_id_sets(executor, table, [unit], cache)
-    assert patched == unit_id_sets(executor, table, [unit], None)[0]
-    assert patched == {1, 3}
+    assert patched.ids() == unit_id_sets(executor, table, [unit], None)[0].ids()
+    assert patched.ids() == [1, 3]
 
 
 def test_update_outside_a_units_columns_skips_its_tree(monkeypatch):
     """Catch-up replays an update only for the units that read a column
-    it changed: after a ``color`` update a cached price unit's set
+    it changed: after a ``color`` update a cached price unit's fragment
     comes back by identity without its tree being run, while a color
-    unit's set follows the update."""
+    unit's fragment follows the update."""
     from repro.db.predicate import Predicate
 
     database = Database()
@@ -466,12 +482,13 @@ def test_update_outside_a_units_columns_skips_its_tree(monkeypatch):
     assert tested == ["color"]
     assert caught[0] is held[0]
     assert 1 in caught[1]
-    assert caught == unit_id_sets(executor, table, units, None)
+    assert _decoded(caught) == _decoded(unit_id_sets(executor, table, units, None))
 
 
-def test_absorbed_sets_are_fresh_copies():
-    """Copy-on-write: a consumer holding a pre-mutation id-set must not
-    see it change when the cache catches the entry up."""
+def test_held_fragment_is_unchanged_by_catch_up():
+    """Fragments are immutable: a consumer holding a pre-mutation
+    fragment must not see it change when the cache catches the entry
+    up, and the caught-up fragment is a new one."""
     database = Database()
     table = database.create_table(small_car_schema())
     table.insert_many([_random_row(random.Random(65)) for _ in range(10)])
@@ -483,13 +500,165 @@ def test_absorbed_sets_are_fresh_copies():
         Condition("model", AttributeType.TYPE_I, ConditionOp.EQ, "accord"),
     ),)
     (held,) = unit_id_sets(executor, table, [unit], cache)
-    snapshot = set(held)
+    bits, extra, ids = held.bits, held.extra, held.ids()
     inserted = table.insert(
         {"make": "honda", "model": "accord", "color": "blue", "price": 1000}
     )
-    assert held == snapshot  # the old set object is untouched
     (patched,) = unit_id_sets(executor, table, [unit], cache)
-    assert inserted.record_id in patched
+    assert inserted.record_id in patched and patched is not held
+    assert inserted.record_id not in held
+    assert (held.bits, held.extra, held.ids()) == (bits, extra, ids)
+
+
+@pytest.mark.parametrize("shard_count", [None, 2])
+def test_pool_skips_a_record_deleted_after_the_lookup(monkeypatch, shard_count):
+    """A pool yields its first ``pool_cap + len(exclude)`` present
+    records by id: a record deleted between the fragment lookup and
+    the fetch is skipped and the next present one takes its place,
+    the ``Table.fetch(ids, n)`` rule."""
+    from types import SimpleNamespace
+
+    from repro.perf import subplan
+    from repro.qa.conditions import Interpretation
+
+    database = Database()
+    table = database.create_table(small_car_schema(), shards=shard_count)
+    table.insert_many([
+        {"make": "honda", "model": "accord", "color": "blue", "price": 1000 + i}
+        for i in range(12)
+    ])
+    units = [
+        ScoringUnit(conditions=(
+            Condition("make", AttributeType.TYPE_I, ConditionOp.EQ, "honda"),
+        )),
+        ScoringUnit(conditions=(
+            Condition("color", AttributeType.TYPE_II, ConditionOp.EQ, "blue"),
+        )),
+    ]
+    lookup = subplan.unit_id_sets
+
+    def lookup_then_delete(*args):
+        fragments = lookup(*args)
+        table.delete(3)
+        return fragments
+
+    monkeypatch.setattr(subplan, "unit_id_sets", lookup_then_delete)
+    candidates = subplan.shared_partial_candidates(
+        database,
+        SimpleNamespace(schema=table.schema),
+        units,
+        Interpretation(),
+        exclude={1},
+        pool_cap=4,
+    )
+    # Budget 5: ids 1, 2, 4, 5, 6 are the first present; 1 is excluded.
+    assert list(candidates) == [2, 4, 5, 6]
+
+
+#: Bytes a fragment may hold beyond one bit per id up to the table's
+#: largest dense id: the int and object headers, and a few sparse ids.
+FRAGMENT_SLACK = 512
+
+
+def _relaxed_questions(cqads, generator, count: int) -> list:
+    """*count* generated interpretations with two or more relaxation
+    units, so each one relaxes through the fragment cache."""
+    found = []
+    while len(found) < count:
+        interpretation = generator.generate().interpretation
+        if len(cqads.relaxation_units(interpretation)) >= 2:
+            found.append(interpretation)
+    return found
+
+
+def _relaxed(cqads, interpretation) -> tuple:
+    """The exact ids, the N-1 pool's ids and the ranked partial answers."""
+    from repro.qa.sql_generation import evaluate_interpretation
+
+    exact = evaluate_interpretation(
+        cqads.database, cqads.domain("cars"), interpretation
+    )
+    exclude = {record.record_id for record in exact}
+    pool = cqads.partial_candidates("cars", interpretation, exclude)
+    answers = cqads.partial_answers("cars", interpretation, exclude)
+    return (
+        sorted(exclude),
+        [record.record_id for record in pool],
+        _answer_signature(answers),
+    )
+
+
+def _wholly_read_pool_member(cqads, table, questions) -> int:
+    """A non-exact record of a drop pool short enough that its relaxed
+    query reads all of it with two more records in it, so clones of it
+    reach the N-1 candidates whatever their ids."""
+    from repro.perf.subplan import drop_intersections
+
+    executor = SQLExecutor(cqads.database)
+    for interpretation in questions:
+        if interpretation.superlative is not None:
+            continue  # a clone must not fall to the extreme filter
+        exact = set(_relaxed(cqads, interpretation)[0])
+        units = cqads.relaxation_units(interpretation)
+        for pool in drop_intersections(unit_id_sets(executor, table, units, None)):
+            members = [record_id for record_id in pool if record_id not in exact]
+            if members and len(pool) + 2 <= cqads.partial_pool_per_query:
+                return members[0]
+    raise AssertionError("no relaxed question has a pool read whole")
+
+
+@pytest.mark.parametrize("shards", [None, 4], ids=["plain", "shards=4"])
+def test_fragments_stay_bitmap_sized_with_sparse_ids(shards):
+    """A size tripwire: after a mutation storm on an 8,000-row table
+    every cached fragment stays within a bit per id up to the largest
+    record id, plus a small constant (a cached set of a few thousand
+    ids is tens of KB).  Records then inserted under ids ``10**8`` and
+    ``-5`` are answered as a fresh build answers them, and still no
+    fragment grows: a bitmap reaching bit ``10**8`` would be 12.5 MB."""
+    import sys
+
+    system = build_system(
+        ["cars"],
+        ads_per_domain=8000,
+        sessions_per_domain=40,
+        corpus_documents=40,
+        train_classifier=False,
+        shards=shards,
+    )
+    cqads = system.cqads
+    cache = cqads.fragment_cache
+    table = cqads.database.table("car_ads")
+    generator = make_generator(system.domain("cars").dataset, seed=401)
+    questions = _relaxed_questions(cqads, generator, 24)
+    rng = random.Random(402)
+    for step in range(240):
+        ids = sorted(table.all_ids())
+        roll = rng.random()
+        if roll < 0.6:
+            table.update(rng.choice(ids), {"price": rng.randint(500, 30000)})
+        elif roll < 0.8:
+            table.insert(dict(table.get(rng.choice(ids))))
+        else:
+            table.delete(rng.choice(ids))
+        _relaxed(cqads, questions[step % len(questions)])
+    assert len(cache) > 0
+    bound = max(table.all_ids()) // 8 + FRAGMENT_SLACK
+    assert max(map(sys.getsizeof, cache.fragments())) <= bound
+
+    # Clone one record of a drop pool the relaxed query reads whole
+    # under ids -5 (first in any pool) and 10**8 (last in it): both
+    # clones must reach the N-1 candidates.
+    donor = _wholly_read_pool_member(cqads, table, questions)
+    for sparse_id in (10**8, -5):
+        table.insert(dict(table.get(donor)), record_id=sparse_id)
+    fresh = fresh_engine(cqads, "cars")
+    reached: set[int] = set()
+    for interpretation in questions:
+        relaxed = _relaxed(cqads, interpretation)
+        assert relaxed == _relaxed(fresh, interpretation)
+        reached.update(relaxed[1])
+    assert {10**8, -5} <= reached
+    assert max(map(sys.getsizeof, cache.fragments())) <= bound
 
 
 # ----------------------------------------------------------------------
@@ -705,9 +874,9 @@ def test_partial_batch_keeps_fragment_cache_consistent():
             ]
         )
     (patched,) = unit_id_sets(executor, table, [unit], cache)
-    fresh = {
+    fresh = sorted(
         record.record_id
         for record in table.snapshot()
         if record["make"] == "honda"
-    }
-    assert patched == fresh  # includes the landed prefix row
+    )
+    assert patched.ids() == fresh  # includes the landed prefix row

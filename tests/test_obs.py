@@ -228,7 +228,8 @@ class TestTrace:
 
 
 # ----------------------------------------------------------------------
-# satellites: plan-trace drop accounting, recovery metrics
+# satellites: plan-trace drop accounting, recovery metrics, the
+# fragment cache's size gauges
 # ----------------------------------------------------------------------
 class TestPlanTraceDrop:
     def test_drop_is_counted_and_surfaced(self, registry):
@@ -305,6 +306,51 @@ class TestRecoveryMetrics:
         assert metrics["wal_damage_total"] == {}
         assert metrics["recovery_seconds"]["replay"] > 0.0
         assert payload["records"] == len(SMALL_CAR_ROWS)
+
+
+def _gauges(registry) -> dict[str, float]:
+    return {sample.name: sample.value for sample in registry.snapshot().gauges}
+
+
+class TestFragmentCacheGauges:
+    def test_entries_and_bytes_are_sampled_from_the_cache(self, registry):
+        """Both gauges read the cache at snapshot time: its entry count
+        and its fragments' summed ``sys.getsizeof``; a collected cache
+        reads NaN instead of being kept alive by the registry."""
+        import gc
+        import sys
+
+        from repro.db.database import Database
+        from repro.db.schema import AttributeType
+        from repro.db.sql.executor import SQLExecutor
+        from repro.perf.fragment_cache import FragmentCache
+        from repro.perf.subplan import unit_id_sets
+        from repro.qa.conditions import Condition, ConditionOp
+        from repro.ranking.rank_sim import ScoringUnit
+
+        database = Database()
+        table = database.create_table(small_car_schema())
+        table.insert_many([dict(row) for row in SMALL_CAR_ROWS])
+        cache = FragmentCache()
+        assert _gauges(registry) == {
+            "repro_fragment_cache_entries": 0.0,
+            "repro_fragment_cache_bytes": 0.0,
+        }
+        units = [
+            ScoringUnit(conditions=(
+                Condition("make", AttributeType.TYPE_I, ConditionOp.EQ, value),
+            ))
+            for value in ("honda", "toyota")
+        ]
+        fragments = unit_id_sets(SQLExecutor(database), table, units, cache)
+        gauges = _gauges(registry)
+        assert gauges["repro_fragment_cache_entries"] == 2.0
+        assert gauges["repro_fragment_cache_bytes"] == float(
+            sum(map(sys.getsizeof, fragments))
+        ) == float(cache.nbytes()) > 0
+        del cache, fragments
+        gc.collect()
+        assert all(math.isnan(value) for value in _gauges(registry).values())
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ import pytest
 
 from repro.datagen.questions import make_generator
 from repro.datagen.vocab import DOMAIN_NAMES
+from repro.perf.fragment_cache import Fragment
 from repro.perf.subplan import drop_intersections
 from repro.qa.sql_generation import evaluate_interpretation
 from repro.system import build_system
@@ -79,21 +80,38 @@ def test_engine_parity_per_domain(parity_system, domain):
     assert nonempty > 0
 
 
+def _pools(sets, limit=64):
+    """``drop_intersections`` over *sets* as fragments, decoded."""
+    fragments = [Fragment.of(ids, limit) for ids in sets]
+    return [pool.ids() for pool in drop_intersections(fragments)]
+
+
 class TestDropIntersections:
     def test_quadratic_equivalence(self):
         sets = [{1, 2, 3, 4}, {2, 3, 4, 5}, {3, 4, 5, 6}, {1, 3, 4, 6}]
-        pools = drop_intersections(sets)
+        pools = _pools(sets)
         for index, pool in enumerate(pools):
             expected = None
             for other, ids in enumerate(sets):
                 if other == index:
                     continue
                 expected = set(ids) if expected is None else expected & ids
-            assert pool == expected
+            assert pool == sorted(expected)
 
     def test_two_sets_swap(self):
-        assert drop_intersections([{1, 2}, {2, 3}]) == [{2, 3}, {1, 2}]
+        assert _pools([{1, 2}, {2, 3}]) == [[2, 3], [1, 2]]
 
     def test_empty_and_single(self):
-        assert drop_intersections([]) == []
-        assert drop_intersections([{1, 2}]) == [set()]
+        assert _pools([]) == []
+        assert _pools([{1, 2}]) == [[]]
+
+    def test_ids_outside_the_dense_range(self):
+        """Negative and far ids ride beside the bitmap, and a range
+        edge between two fragments loses nothing."""
+        sets = [{-5, 3, 40, 10**8}, {-5, 40, 10**8, 7}, {-5, 3, 40, 7}]
+        for limits in ((64, 64, 64), (41, 4, 64), (1, 64, 8)):
+            fragments = [
+                Fragment.of(ids, limit) for ids, limit in zip(sets, limits)
+            ]
+            pools = [pool.ids() for pool in drop_intersections(fragments)]
+            assert pools == [[-5, 7, 40], [-5, 3, 40], [-5, 40, 10**8]]

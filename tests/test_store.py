@@ -654,6 +654,30 @@ class TestWiring:
         assert rebuild.storage is None
         rebuild.close()
 
+    def test_rejected_build_keeps_the_backend_instance(self, tmp_path):
+        """Only a build that succeeds takes a backend instance: after a
+        rejected build the corrected recipe builds onto that backend,
+        and its directory holds the WAL."""
+        directory = tmp_path / "store"
+        backend = WalBackend(str(directory), fsync="off")
+        builder = (
+            SystemBuilder()
+            .with_domains("cars")
+            .ads_per_domain(8)
+            .sessions_per_domain(20)
+            .corpus_documents(20)
+            .storage(backend)
+        )
+        with pytest.raises(ValueError):
+            builder.max_answers(0).build()
+        system = builder.max_answers(5).build()
+        try:
+            assert system.storage is backend
+            assert any(name.startswith("wal-") for name in os.listdir(directory))
+        finally:
+            system.close()
+        assert recover_database(str(directory))[1].records == 8
+
     def test_builder_rejects_options_with_an_instance(self, tmp_path):
         backend = WalBackend(str(tmp_path / "store"))
         with pytest.raises(TypeError, match="storage options"):

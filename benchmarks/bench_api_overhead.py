@@ -1,20 +1,20 @@
 """Service-layer overhead and batch-vs-serial throughput.
 
-The api_redesign PR routes every question through
-``QueryPipeline`` + ``AnswerService`` instead of the monolithic
-``CQAds.answer``; this bench quantifies what that costs and buys:
+Every question goes through ``AnswerService`` and
+``repro.api.stages.answer_request``; this bench quantifies what the
+service layer costs and buys:
 
 1. **per-question overhead** — wall-clock of ``service.answer`` minus
-   the sum of the stage timings: the price of the request objects, the
-   option resolution and the trace bookkeeping (expected: tens of µs,
-   i.e. noise against ~ms of pipeline work);
-2. **legacy shim parity** — ``cqads.answer`` (the back-compat facade)
-   vs ``service.answer``: both run the same stages, so the delta should
-   be ~0;
+   the sum of the stage timings (``timings`` holds stage seconds
+   only): the price of the request objects, the option resolution and
+   the trace bookkeeping (expected: tens of µs, i.e. noise against ~ms
+   of answering work);
+2. **legacy shim parity** — ``cqads.answer`` vs ``service.answer``:
+   both run the same function, so the delta should be ~0;
 3. **batch throughput** — ``answer_batch`` on a realistic workload
    where popular questions repeat (120 questions drawn from 40
    templates) vs a serial loop.  The win comes from answering each
-   distinct request once (frozen requests are hashable, the pipeline is
+   distinct request once (frozen requests are hashable, answering is
    read-only);
 4. **instrumentation overhead** — the unified observability hooks
    (:mod:`repro.obs`) run unconditionally on the answer path; with no
@@ -117,7 +117,7 @@ def test_service_overhead_per_question(service, questions):
         format_table(
             ["measure", "value"],
             rows,
-            title="API overhead — request objects + stage composition per question",
+            title="API overhead — request objects + option resolution per question",
         )
     )
     # The service layer must not dominate the pipeline it wraps.

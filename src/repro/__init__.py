@@ -26,15 +26,16 @@ Quickstart (the service-layer API)::
     page = service.page(result, offset=30, limit=30)  # past the 30-cap
 
 Legacy API: :func:`build_system` and ``CQAds.answer(question)`` remain
-fully supported thin shims over the same pipeline — they produce
-bit-identical answers — so existing code and the paper-facing
-benchmarks keep working unchanged.
+fully supported and answer through the same function
+(:func:`repro.api.stages.answer_request`) — they produce bit-identical
+answers — so existing code and the paper-facing benchmarks keep
+working unchanged.
 
 Public surface:
 
 * :mod:`repro.api` — the service layer: :class:`SystemBuilder`,
   :class:`AnswerService`, :class:`AnswerRequest`/:class:`AnswerOptions`,
-  :class:`QueryPipeline` with pluggable stages, :class:`AnswerPage`;
+  :class:`AnswerPage`;
 * :func:`build_system` — one-call provisioning (synthetic ads, query
   logs, corpus, similarity matrices, classifier);
 * :class:`CQAds` — the engine (domains, classifier, N-1 relaxation);
@@ -57,7 +58,6 @@ from repro.api import (
     AnswerPage,
     AnswerRequest,
     AnswerService,
-    QueryPipeline,
     SystemBuilder,
 )
 from repro.db.database import Database
@@ -99,7 +99,6 @@ __all__ = [
     "AnswerPage",
     "AnswerRequest",
     "AnswerService",
-    "QueryPipeline",
     "RecoveryReport",
     "SystemBuilder",
     "WalBackend",

@@ -52,7 +52,6 @@ import sys
 
 from repro.api import AnswerRequest, AnswerService, SystemBuilder
 from repro.datagen.vocab import DOMAIN_NAMES
-from repro.qa.pipeline import SERVICE_TIMING_KEYS
 
 __all__ = [
     "build_arg_parser",
@@ -371,8 +370,9 @@ def _check_stats_export(rendered: str, sharded: bool = False) -> list[str]:
     for family in CACHE_FAMILIES:
         if total("repro_cache_requests_total", cache=family) <= 0:
             failures.append(f"cache family {family!r} recorded no lookups")
-    if total("repro_stage_seconds_count") <= 0:
-        failures.append("no pipeline stage latencies recorded")
+    for stage in ("classify", "tag", "interpret", "execute", "relax"):
+        if total("repro_stage_seconds_count", stage=stage) <= 0:
+            failures.append(f"stage {stage!r} recorded no latencies")
     if total("repro_api_request_seconds_count") <= 0:
         failures.append("no request latency observations recorded")
     if total("repro_wal_ops_total") <= 0:
@@ -582,18 +582,20 @@ def _ask_main(argv: list[str]) -> int:
         print(f"corrections:   {fixed}")
     if result.interpretation is None:
         print(f"outcome:       {result.message}")
-        return 1
-    print(f"interpreted:   {result.interpretation.describe()}")
-    if args.show_sql:
-        print(f"sql:           {result.sql}")
-    print(
-        f"answers:       {len(result.exact_answers)} exact, "
-        f"{len(result.partial_answers)} partial "
-        f"({result.elapsed_seconds * 1000:.1f} ms)"
-    )
+    else:
+        print(f"interpreted:   {result.interpretation.describe()}")
+        if args.show_sql:
+            print(f"sql:           {result.sql}")
+        print(
+            f"answers:       {len(result.exact_answers)} exact, "
+            f"{len(result.partial_answers)} partial "
+            f"({result.elapsed_seconds * 1000:.1f} ms)"
+        )
     if args.explain and result.trace is not None:
         for entry in result.trace:
             print(f"  stage {entry.describe()}")
+    if result.interpretation is None:
+        return 1
     schema = service.cqads.domain(result.domain).schema
     for answer in result.answers[: args.top]:
         identity = " ".join(
@@ -634,11 +636,9 @@ def _result_to_json(result, top: int) -> dict:
         "partial_count": len(result.partial_answers),
         "total_ranked": len(result.ranked_pool),
         "timings_ms": {
-            stage: seconds * 1000
-            for stage, seconds in result.timings.items()
-            if stage not in SERVICE_TIMING_KEYS
+            stage: seconds * 1000 for stage, seconds in result.timings.items()
         },
-        "cache_hit": result.timings.get("cache"),
+        "cache_hit": result.cache_hit,
         "answers": [
             {
                 "exact": answer.exact,

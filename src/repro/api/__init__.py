@@ -4,10 +4,9 @@ This package is the preferred public surface of the reproduction:
 
 * :mod:`repro.api.requests` — frozen :class:`AnswerRequest` /
   :class:`AnswerOptions` value objects carrying per-request overrides;
-* :mod:`repro.api.stages` — the five pipeline stages (classify → tag →
-  interpret → execute → relax) behind the :class:`PipelineStage`
-  protocol, composed by :class:`QueryPipeline` with per-stage timings
-  and optional explain traces;
+* :mod:`repro.api.stages` — :func:`answer_request`, the five steps of
+  one question (classify → tag → interpret → execute → relax) with
+  per-stage timings and optional :class:`StageTrace` explain traces;
 * :mod:`repro.api.service` — :class:`AnswerService` with single,
   batched and paginated answering;
 * :mod:`repro.api.pagination` — :class:`AnswerPage` cursors over a
@@ -15,8 +14,8 @@ This package is the preferred public surface of the reproduction:
 * :mod:`repro.api.builder` — the fluent :class:`SystemBuilder` over
   :func:`repro.system.build_system`.
 
-The legacy surface (``CQAds.answer``, ``build_system``) delegates to
-this layer, so both produce bit-identical answers.
+The legacy surface (``CQAds.answer``, ``build_system``) answers
+through the same function, so both produce bit-identical answers.
 """
 
 from repro.perf.answer_cache import AnswerCache
@@ -25,18 +24,7 @@ from repro.api.builder import SystemBuilder
 from repro.api.pagination import AnswerPage, page_result
 from repro.api.requests import AnswerOptions, AnswerRequest, ResolvedOptions
 from repro.api.service import AnswerService
-from repro.api.stages import (
-    ClassifyStage,
-    ExecuteStage,
-    InterpretStage,
-    PipelineStage,
-    QueryPipeline,
-    RelaxStage,
-    StageContext,
-    StageTrace,
-    TagStage,
-    default_stages,
-)
+from repro.api.stages import StageTrace, answer_request
 
 __all__ = [
     "AnswerOptions",
@@ -47,14 +35,6 @@ __all__ = [
     "AnswerPage",
     "page_result",
     "SystemBuilder",
-    "PipelineStage",
-    "QueryPipeline",
-    "StageContext",
     "StageTrace",
-    "ClassifyStage",
-    "TagStage",
-    "InterpretStage",
-    "ExecuteStage",
-    "RelaxStage",
-    "default_stages",
+    "answer_request",
 ]

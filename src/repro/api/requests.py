@@ -64,8 +64,8 @@ class AnswerOptions:
     use_cache:
         Let the service answer this request from its answer cache (and
         store the result there).  ``None``/``True`` use the cache when
-        the service has one; ``False`` forces a fresh pipeline run
-        without touching the cache.  No-op on services built without a
+        the service has one; ``False`` forces a fresh answer without
+        touching the cache.  No-op on services built without a
         cache.
     """
 
@@ -111,9 +111,9 @@ class AnswerRequest:
 class ResolvedOptions:
     """:class:`AnswerOptions` with every ``None`` filled from an engine.
 
-    This is what the pipeline stages actually read — they never touch
-    engine attributes directly, so a request override and a constructor
-    default are indistinguishable downstream.
+    This is what :func:`~repro.api.stages.answer_request` reads — it
+    never touches engine attributes directly, so a request override and
+    a constructor default are indistinguishable downstream.
     """
 
     max_answers: int

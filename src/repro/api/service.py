@@ -1,13 +1,12 @@
 """`AnswerService`: the request/response front door to CQAds.
 
-Wraps a :class:`~repro.qa.pipeline.CQAds` engine (and optionally a
-customized :class:`~repro.api.stages.QueryPipeline`) behind three
-calls:
+Wraps a :class:`~repro.qa.pipeline.CQAds` engine behind three calls,
+each answering through :func:`~repro.api.stages.answer_request`:
 
 * :meth:`AnswerService.answer` — one request, one result;
 * :meth:`AnswerService.answer_batch` — many requests, results in input
-  order, duplicate requests answered once (the pipeline is read-only,
-  so sharing results is safe);
+  order, duplicate requests answered once (answering is read-only, so
+  sharing results is safe);
 * :meth:`AnswerService.page` — cursor pagination over a result's full
   ranking, past the paper's 30-answer cap, without re-ranking.
 
@@ -44,7 +43,7 @@ from repro.qa.pipeline import CQAds, QuestionResult
 
 from repro.api.pagination import AnswerPage, page_result
 from repro.api.requests import AnswerOptions, AnswerRequest, ResolvedOptions
-from repro.api.stages import QueryPipeline
+from repro.api.stages import answer_request
 
 __all__ = ["AnswerService"]
 
@@ -55,13 +54,11 @@ class AnswerService:
     def __init__(
         self,
         cqads: CQAds,
-        pipeline: QueryPipeline | None = None,
         cache: AnswerCache | int | None = None,
         observability: Observability | None = None,
     ) -> None:
         self.cqads = cqads
         self.observability = observability
-        self.pipeline = pipeline if pipeline is not None else cqads.pipeline()
         if isinstance(cache, int):
             cache = AnswerCache(cache)
         self.cache = cache
@@ -139,8 +136,8 @@ class AnswerService:
         — same answers, scores and ordering, with the result's
         ``question`` field restored to this request's raw text.  Any
         request that consulted the cache reports the outcome as
-        ``result.timings["cache"]`` (``True`` for a hit, ``False`` for
-        a computed miss); cache-bypassing requests leave the key unset.
+        ``result.cache_hit`` (``True`` for a hit, ``False`` for a
+        computed miss); on a request that did not, it stays ``None``.
         """
         request = AnswerRequest.of(request)
         if self._closed:
@@ -166,25 +163,19 @@ class AnswerService:
         return result
 
     def _answer(self, request: AnswerRequest) -> QuestionResult:
-        """The cache-or-pipeline path proper (traced by :meth:`answer`)."""
-        if self.cache is None:
-            return self.pipeline.run(self.cqads, request)
+        """The cache-or-compute path proper (traced by :meth:`answer`)."""
         options = ResolvedOptions.resolve(request.options, self.cqads)
-        if not options.use_cache:
-            return self.pipeline.run(self.cqads, request)
+        if self.cache is None or not options.use_cache:
+            return answer_request(self.cqads, request, options)
         key = self._cache_key(request, options)
         cached = self.cache.lookup(key)
         cache_event("answer", cached is not None)
         if cached is not None:
-            return replace(
-                cached,
-                question=request.question,
-                timings={**cached.timings, "cache": True},
-            )
-        result = self.pipeline.run(self.cqads, request)
+            return replace(cached, question=request.question, cache_hit=True)
+        result = answer_request(self.cqads, request, options)
         # Mark before storing: the stored entry carries the miss flag,
         # and every future hit flips it on a per-caller copy above.
-        result.timings["cache"] = False
+        result.cache_hit = False
         self.cache.store(key, result.domain, result)
         return result
 
@@ -200,10 +191,10 @@ class AnswerService:
     def _cache_key(
         self, request: AnswerRequest, options: ResolvedOptions
     ) -> Hashable:
-        """The cache key — read *before* the pipeline runs.
+        """The cache key — read *before* the question is answered.
 
         The leading mutation generation versions the entry: a mutation
-        landing while the pipeline computes bumps the generation, so
+        landing while the answer is computed bumps the generation, so
         the (now possibly stale) result is stored under a key no
         future lookup can produce.  Explicitly-routed requests carry
         their domain's generation (other domains' mutations leave them
@@ -295,15 +286,9 @@ class AnswerService:
 
         *source* may be an already-computed :class:`QuestionResult`
         (sliced as before, no recomputation), or a request / bare
-        question.  A request is answered with ``top_k`` bounded to
-        ``offset + limit + 1`` — deep pages then cost a bounded-heap
-        selection over the candidate pool instead of a full re-sort,
-        and the ``+ 1`` sentinel keeps ``has_more``/``next_offset``
-        exact at the requested depth.  A request that already sets
-        ``options.top_k`` is honoured as-is.  Bounded pages report the
-        bounded pool as ``total``, so ``total`` is a floor rather than
-        the full ranking size (the cursor semantics — ``has_more`` and
-        ``next_offset`` — stay correct).
+        question, which is answered as given and then sliced; ``total``
+        is then the length of its full ranking (a request that sets
+        ``options.top_k`` caps that ranking itself).
         """
         if self._closed:
             raise ServiceClosedError("AnswerService")
@@ -313,10 +298,8 @@ class AnswerService:
             raise ValueError(f"offset must be non-negative, got {offset}")
         if limit <= 0:
             raise ValueError(f"limit must be positive, got {limit}")
-        request = AnswerRequest.of(source)
-        if request.options.top_k is None:
-            request = request.with_options(top_k=offset + limit + 1)
-        return page_result(self.answer(request), offset=offset, limit=limit)
+        result = self.answer(AnswerRequest.of(source))
+        return page_result(result, offset=offset, limit=limit)
 
     def page_all(
         self,
@@ -326,16 +309,12 @@ class AnswerService:
     ) -> Sequence[AnswerPage]:
         """Every page of a result, in order (convenience for exports).
 
-        With a request / bare question as *source*, the question is
-        answered once and paged; ``max_depth`` (or the request's own
-        ``options.top_k``) bounds the ranked pool so the export pays a
-        bounded-heap selection instead of sorting every candidate —
-        the product-capped-pagination mode.  Without either bound the
-        full ranking is computed, preserving complete exports.  On an
-        already-computed result ``max_depth`` cannot save the scoring,
-        but it still caps the export to the same window the request
-        path would serve (exact matches plus ``max_depth`` ranked
-        partials), and only the answers in that window are built.
+        A request / bare question as *source* is answered once, as
+        given, and paged.  ``max_depth`` caps the export to the exact
+        matches plus the first ``max_depth`` ranked partials; only the
+        answers in that window are built.  Without it (and without the
+        request's own ``options.top_k``) the export is the full
+        ranking.
         """
         if page_size <= 0:
             raise ValueError(f"page_size must be positive, got {page_size}")
@@ -343,23 +322,20 @@ class AnswerService:
             raise ValueError(f"max_depth must be positive, got {max_depth}")
         if isinstance(source, QuestionResult):
             result = source
-            if max_depth is not None:
-                pool = result.ranked_pool if result.ranked_pool else result.answers
-                # Exact answers come first: stop at the first partial
-                # rather than building every answer of a lazy pool.
-                exact_count = 0
-                for answer in pool:
-                    if not answer.exact:
-                        break
-                    exact_count += 1
-                result = replace(
-                    result, ranked_pool=list(pool[: exact_count + max_depth])
-                )
         else:
-            request = AnswerRequest.of(source)
-            if max_depth is not None and request.options.top_k is None:
-                request = request.with_options(top_k=max_depth)
-            result = self.answer(request)
+            result = self.answer(AnswerRequest.of(source))
+        if max_depth is not None:
+            pool = result.ranked_pool if result.ranked_pool else result.answers
+            # Exact answers come first: stop at the first partial
+            # rather than building every answer of a lazy pool.
+            exact_count = 0
+            for answer in pool:
+                if not answer.exact:
+                    break
+                exact_count += 1
+            result = replace(
+                result, ranked_pool=list(pool[: exact_count + max_depth])
+            )
         pages: list[AnswerPage] = []
         offset = 0
         while True:

@@ -84,8 +84,6 @@ from repro.db.sql.ast import (
 from repro.db.sql.parser import parse_select
 from repro.db.table import Record, Table
 from repro.errors import SQLExecutionError
-from repro.obs.registry import get_default_registry
-from repro.obs.trace import current_span
 from repro.perf.window import IdWindow, windows_for
 
 __all__ = [
@@ -105,10 +103,6 @@ COMPLEMENT_THRESHOLD = 0.5
 #: Window-assisted ORDER BY only pays off once the sort is big enough
 #: to beat Timsort on a cached position map.
 WINDOW_ORDER_MIN_ROWS = 512
-
-#: ``plan_trace`` length cap; the oldest half is dropped when hit so
-#: long-lived executors cannot leak unbounded trace memory.
-MAX_PLAN_TRACE = 4096
 
 
 @dataclass(frozen=True)
@@ -331,50 +325,25 @@ class SQLExecutor:
     """Evaluates parsed SELECT statements against a database.
 
     Each evaluated windowed leaf appends an :class:`AccessDecision` to
-    ``plan_trace``, which the explain pipeline surfaces.
+    ``plan_trace``, which the explain trace surfaces.  An executor
+    lives for one statement or one question, so the list is bounded by
+    that statement's own leaves.
     """
 
     def __init__(self, database: Database) -> None:
         self.database = database
         self.plan_trace: list[AccessDecision] = []
-        #: Decisions evicted by the ``MAX_PLAN_TRACE`` cap — surfaced in
-        #: :meth:`plan_summary` so a truncated trace is never mistaken
-        #: for a complete one.
-        self.plan_dropped = 0
-
-    def _record(self, decision: AccessDecision) -> None:
-        if len(self.plan_trace) >= MAX_PLAN_TRACE:
-            evicted = MAX_PLAN_TRACE // 2
-            del self.plan_trace[:evicted]
-            self.plan_dropped += evicted
-            get_default_registry().counter(
-                "repro_plan_trace_dropped_total"
-            ).value += evicted
-            current = current_span()
-            if current is not None:
-                current.add_event(
-                    "plan_trace_dropped", evicted=evicted, total=self.plan_dropped
-                )
-        self.plan_trace.append(decision)
 
     def plan_summary(self) -> str:
-        """Compact ``path xN`` rendering of ``plan_trace`` for explain.
-
-        Reports ``dropped N`` when the trace cap evicted decisions, so
-        the counts are known to be a floor rather than exact.
-        """
+        """Compact ``path xN`` rendering of ``plan_trace`` for explain."""
         counts: dict[str, int] = {}
         for decision in self.plan_trace:
             counts[decision.path] = counts.get(decision.path, 0) + 1
-        if not counts and not self.plan_dropped:
+        if not counts:
             return "no planned leaves"
-        summary = ", ".join(
+        return ", ".join(
             f"{path} x{count}" for path, count in sorted(counts.items())
         )
-        if self.plan_dropped:
-            suffix = f"dropped {self.plan_dropped}"
-            summary = f"{summary}, {suffix}" if summary else suffix
-        return summary
 
     # ------------------------------------------------------------------
     def execute(self, statement: SelectStatement) -> SQLResult:
@@ -488,7 +457,7 @@ class SQLExecutor:
             else:
                 present.append((position, record))
         present.sort(key=lambda pair: pair[0])
-        self._record(
+        self.plan_trace.append(
             AccessDecision(
                 table.name, column, "order-by", "window-order", None, len(records)
             )
@@ -629,7 +598,9 @@ class SQLExecutor:
             path, ids = "window-complement", _IdSet(outside, complemented=True)
         else:
             path, ids = "window", _WindowSet(window)
-        self._record(AccessDecision(table.name, name, shape, path, observed, rows))
+        self.plan_trace.append(
+            AccessDecision(table.name, name, shape, path, observed, rows)
+        )
         return ids
 
     def _eval_like(self, table: Table, expr: LikeExpr) -> set[int]:

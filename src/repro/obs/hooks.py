@@ -1,9 +1,9 @@
 """Always-on instrumentation hooks shared by every layer.
 
 These helpers are the narrow waist between the stack and the
-observability core: the caches, stages, WAL and recovery code call
-them unconditionally, and they record into the **process-default
-registry** (swap it with
+observability core: the caches, the answer steps, the WAL and the
+recovery code call them unconditionally, and they record into the
+**process-default registry** (swap it with
 :func:`~repro.obs.registry.set_default_registry` — e.g. via
 ``Observability.install()`` — to isolate or reset).  Each also emits a
 span event / child span when a trace is active, so the same call site
@@ -17,7 +17,9 @@ name                            type         labels
 repro_cache_requests_total      counter      cache ∈ {answer, fragment,
                                              window},
                                              outcome ∈ {hit, miss}
-repro_stage_seconds             histogram    stage (pipeline stage name)
+repro_stage_seconds             histogram    stage ∈ {classify, tag,
+                                             interpret, execute,
+                                             relax}
 repro_wal_ops_total             counter      op ∈ {append, fsync,
                                              snapshot}
 repro_wal_op_seconds            histogram    op (same values)
@@ -25,7 +27,6 @@ repro_wal_damage_total          counter      reason (FrameScan damage
                                              taxonomy)
 repro_recovery_seconds          histogram    phase ∈ {snapshot_load,
                                              replay}
-repro_plan_trace_dropped_total  counter      —
 repro_api_request_seconds       histogram    —
 repro_shard_rows                gauge (fn)   table, shard
 repro_shard_scatter_seconds     histogram    table, shard

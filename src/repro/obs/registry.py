@@ -1,7 +1,7 @@
 """`MetricsRegistry`: counters, gauges and fixed-bucket histograms.
 
 Every layer of the stack counts things — the caches' hit/miss pairs,
-the WAL's append/snapshot tallies, the executor's ``plan_trace`` — and
+the WAL's append/snapshot tallies, the per-step answer latencies — and
 this module gives them one dialect: a metric is a ``(name, labels)``
 pair registered in a :class:`MetricsRegistry`, and
 :meth:`MetricsRegistry.snapshot` freezes the whole registry into an

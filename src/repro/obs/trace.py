@@ -55,8 +55,8 @@ class Span:
 
     Attributes are small scalars describing the operation (stage name,
     shard index, access-path summary); events are timestamped point
-    occurrences (cache hit/miss, plan-trace drop) that don't warrant a
-    child span of their own.
+    occurrences (cache hit/miss, an access-path decision) that don't
+    warrant a child span of their own.
     """
 
     __slots__ = (

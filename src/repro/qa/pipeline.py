@@ -5,13 +5,12 @@ registered domains with their taggers and ranking resources, and the
 Section 3 domain classifier — plus the N-1 relaxation machinery of
 Section 4.3.1.
 
-The *orchestration* of one question (classify → tag → interpret →
-execute → relax/rank) lives in :mod:`repro.api.stages` as five
-pluggable pipeline stages; :meth:`CQAds.answer` remains as a
-back-compat facade that runs the default
-:class:`~repro.api.stages.QueryPipeline`.  New code should prefer
-:class:`repro.api.service.AnswerService`, which adds per-request
-options, batching and pagination on top of the same stages.
+The five steps of one question (classify → tag → interpret → execute
+→ relax/rank) run in :func:`repro.api.stages.answer_request`;
+:meth:`CQAds.answer` calls it with the engine's defaults.
+:class:`repro.api.service.AnswerService` adds per-request options,
+the answer cache, batching and pagination on top of the same
+function.
 
 ``max_answers`` defaults to 30, the paper's choice backed by the
 iProspect statistic that 88% of users never look past 30 results (and
@@ -60,7 +59,7 @@ from repro.ranking.rank_sim import (
 from repro.structures.lazylist import LazyList
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycle
-    from repro.api.stages import QueryPipeline, StageTrace
+    from repro.api.stages import StageTrace
 
 __all__ = [
     "Answer",
@@ -68,16 +67,10 @@ __all__ = [
     "QuestionResult",
     "CQAds",
     "MAX_ANSWERS",
-    "SERVICE_TIMING_KEYS",
 ]
 
 #: Section 4.3.1 / 5.1: up to 30 (in)exact answers per question.
 MAX_ANSWERS = 30
-
-#: Non-stage entries ``AnswerService`` stores in ``QuestionResult.timings``:
-#: ``"cache"`` is the answer-cache hit boolean.  Excluded from
-#: ``elapsed_seconds``.
-SERVICE_TIMING_KEYS = frozenset({"cache"})
 
 
 @dataclass(frozen=True)
@@ -174,8 +167,8 @@ class QuestionResult:
     """Everything CQAds produced for one question.
 
     ``answers`` is the capped list the paper presents (at most
-    ``max_answers`` entries, exacts first), built while the pipeline
-    ran.  ``ranked_pool`` is the full ranking the pipeline computed
+    ``max_answers`` entries, exacts first), built while the question
+    was answered.  ``ranked_pool`` is the full ranking computed
     before capping — exact matches in evaluation order followed by
     every scored partial candidate — so
     :meth:`repro.api.service.AnswerService.page` can walk past the
@@ -185,12 +178,12 @@ class QuestionResult:
     built only when a caller reads them, with the scores fixed when
     the question was ranked.
 
-    ``timings`` maps each executed stage name to its wall-clock seconds;
-    ``elapsed_seconds`` (the seed's single number) is derived from it.
-    :class:`~repro.api.service.AnswerService` also stores non-stage
-    *metadata* under the :data:`SERVICE_TIMING_KEYS` keys — ``"cache"``
-    (answer-cache hit boolean) — which ``elapsed_seconds`` excludes so
-    it stays the pipeline's own time.
+    ``timings`` maps each executed stage name to its wall-clock seconds
+    and holds nothing else; ``elapsed_seconds`` (the seed's single
+    number) is their sum.  ``cache_hit`` is what
+    :class:`~repro.api.service.AnswerService`'s answer cache did:
+    ``True`` for a hit, ``False`` for a computed miss, ``None`` when
+    the cache was not consulted.
     """
 
     question: str
@@ -203,16 +196,12 @@ class QuestionResult:
     timings: dict[str, float] = field(default_factory=dict)
     ranked_pool: Sequence[Answer] = field(default_factory=list)
     trace: list["StageTrace"] | None = None
+    cache_hit: bool | None = None
 
     @property
     def elapsed_seconds(self) -> float:
-        """Total pipeline time — the sum of the per-stage timings
-        (service metadata keys are excluded)."""
-        return sum(
-            seconds
-            for stage, seconds in self.timings.items()
-            if stage not in SERVICE_TIMING_KEYS
-        )
+        """Total answering time — the sum of the per-stage timings."""
+        return sum(self.timings.values())
 
     @property
     def exact_answers(self) -> list[Answer]:
@@ -352,7 +341,6 @@ class CQAds:
         self._contexts: dict[str, _DomainContext] = {}
         self._classifier_trained = False
         self._train_lock = threading.Lock()
-        self._default_pipeline: "QueryPipeline | None" = None
 
     def _on_table_mutation(self, event: MutationEvent) -> None:
         """A table left the catalog: sweep everything keyed on it.
@@ -438,7 +426,7 @@ class CQAds:
         return self._contexts[name].domain
 
     def context(self, name: str) -> _DomainContext:
-        """The registered context for *name* (stages' entry point).
+        """The registered context for *name* (the answer path's entry point).
 
         Resources registered before their table existed are bound to
         it here, on first use, so the columnar engine works regardless
@@ -482,27 +470,19 @@ class CQAds:
         return self.classifier.classify(question)
 
     # ------------------------------------------------------------------
-    # answering (back-compat facade over repro.api)
+    # answering
     # ------------------------------------------------------------------
     def answer(self, question: str, domain: str | None = None) -> QuestionResult:
         """Answer *question*, classifying its domain unless given.
 
-        Legacy facade: equivalent to running the default
-        :class:`~repro.api.stages.QueryPipeline` on an
+        Runs :func:`~repro.api.stages.answer_request` on an
         :class:`~repro.api.requests.AnswerRequest` with no overrides.
         """
+        # Imported here: repro.api imports this module.
         from repro.api.requests import AnswerRequest
+        from repro.api.stages import answer_request
 
-        request = AnswerRequest(question=question, domain=domain)
-        return self.pipeline().run(self, request)
-
-    def pipeline(self) -> "QueryPipeline":
-        """This engine's default (cached) query pipeline."""
-        if self._default_pipeline is None:
-            from repro.api.stages import QueryPipeline
-
-            self._default_pipeline = QueryPipeline()
-        return self._default_pipeline
+        return answer_request(self, AnswerRequest(question=question, domain=domain))
 
     # ------------------------------------------------------------------
     # N-1 partial matching (Section 4.3.1)
@@ -574,7 +554,7 @@ class CQAds:
 
         Each unit's id-set is computed once and every relaxed pool is
         derived by intersection (:mod:`repro.perf.subplan`).
-        ``pool_cap`` defaults to the engine's setting; the pipeline
+        ``pool_cap`` defaults to the engine's setting; the answer path
         passes the per-request value through it.  ``ordered`` is
         accepted and ignored (evaluation order never changes which
         records survive) only because ``perfbench/replay.py`` passes

@@ -122,7 +122,10 @@ class SpellingCorrector:
                 Correction(token, " ".join(split), "split", 100.0)
             ]
         respelled, confidence = self._try_respell(token)
-        if respelled is not None:
+        # A word of a multi-word identifier ("expensive" of "more
+        # expensive than") is unknown alone but respells to itself:
+        # that is no correction.
+        if respelled is not None and respelled != token:
             return [respelled], [
                 Correction(token, respelled, "respell", confidence)
             ]

@@ -211,8 +211,8 @@ def evaluate_interpretation(
     The WHERE (steps 1-3) runs without a LIMIT so the superlative
     (step 4) sees every qualifying record; the limit applies to the
     final answer list.  ``executor`` lets callers reuse one executor
-    across calls — the explain pipeline does this to read the
-    accumulated access-path ``plan_trace`` afterwards.
+    across calls — the answer path does this to read the accumulated
+    access-path ``plan_trace`` afterwards.
     """
     # Internal evaluation uses the direct-expression rendering: the
     # Example 7 subquery shape is semantically identical but

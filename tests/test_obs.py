@@ -151,6 +151,16 @@ class TestPrometheusExport:
         registry.counter("c").inc()
         assert render_prometheus(registry.snapshot()) == render_prometheus(registry)
 
+    def test_stats_check_requires_every_stage(self):
+        from repro.__main__ import _check_stats_export
+
+        registry = MetricsRegistry()
+        for stage in ("classify", "tag", "interpret", "execute"):
+            registry.histogram("repro_stage_seconds", stage=stage).observe(0.001)
+        failures = _check_stats_export(render_prometheus(registry))
+        stage_failures = [f for f in failures if f.startswith("stage ")]
+        assert stage_failures == ["stage 'relax' recorded no latencies"]
+
 
 # ----------------------------------------------------------------------
 # trace: spans, sinks, slow log
@@ -228,35 +238,11 @@ class TestTrace:
 
 
 # ----------------------------------------------------------------------
-# satellites: plan-trace drop accounting, recovery metrics, the
+# satellites: the plan summary's wording, recovery metrics, the
 # fragment cache's size gauges
 # ----------------------------------------------------------------------
 class TestPlanTraceDrop:
-    def test_drop_is_counted_and_surfaced(self, registry):
-        from repro.db.database import Database
-        from repro.db.sql.executor import (
-            MAX_PLAN_TRACE,
-            AccessDecision,
-            SQLExecutor,
-        )
-
-        executor = SQLExecutor(Database())
-        decision = AccessDecision(
-            table="car_ads", column="price", shape="range",
-            path="window", observed=0.5, rows=10,
-        )
-        executor.plan_trace.extend([decision] * MAX_PLAN_TRACE)
-        tracer = Tracer()
-        with tracer.trace("request") as root:
-            executor._record(decision)
-        evicted = MAX_PLAN_TRACE // 2
-        assert executor.plan_dropped == evicted
-        assert len(executor.plan_trace) == MAX_PLAN_TRACE - evicted + 1
-        assert registry.snapshot().counter_value(
-            "repro_plan_trace_dropped_total"
-        ) == evicted
-        assert f"dropped {evicted}" in executor.plan_summary()
-        assert root.event_names() == ["plan_trace_dropped"]
+    """The plan trace has no cap, so nothing is ever dropped from it."""
 
     def test_empty_trace_without_drops_keeps_the_old_wording(self):
         from repro.db.database import Database

@@ -197,6 +197,7 @@ class TestMutationRaces:
         invalidation sweep (the answer_batch race) must never be
         served: the key's generation component versions it out."""
         from repro.api.requests import ResolvedOptions
+        from repro.api.stages import answer_request
 
         cqads = small_system.cqads
         service = AnswerService(cqads, cache=AnswerCache(16))
@@ -204,9 +205,9 @@ class TestMutationRaces:
             question="honda accord blue less than 15000 dollars", domain="cars"
         )
         options = ResolvedOptions.resolve(request.options, cqads)
-        # Simulate the racing thread: key captured, pipeline run...
+        # Simulate the racing thread: key captured, question answered...
         stale_key = service._cache_key(request, options)
-        stale_result = service.pipeline.run(cqads, request)
+        stale_result = answer_request(cqads, request, options)
         # ... then the mutation lands (bumps generation, sweeps cache),
         table = cqads.database.table("car_ads")
         inserted = table.insert(

@@ -100,3 +100,16 @@ class TestFullStream:
         )
         assert tokens == ["honda", "accord", "blue"]
         assert {c.kind for c in corrections} == {"split", "respell"}
+
+
+@pytest.mark.parametrize(
+    "question",
+    ["honda accord more expensive than 7000", "honda accord leave out red"],
+)
+def test_answer_reports_no_self_correction(cars_system, question):
+    # "expensive" and "leave" occur only inside multi-word identifiers
+    # ("more expensive than", "leave out"): they respell to themselves,
+    # which is no correction.
+    result = cars_system.cqads.answer(question, domain="cars")
+    assert result.corrections == []
+    assert result.interpretation is not None

@@ -206,10 +206,14 @@ class TestCLI:
 
         code = main(
             ["honda cheaper than 2000 and more expensive than 9000",
-             "--domain", "cars", "--ads", "40"]
+             "--domain", "cars", "--ads", "40", "--explain"]
         )
         assert code == 1
-        assert "no results" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "no results" in out
+        # The trace shows where the question stopped.
+        assert "stage interpret:" in out
+        assert "stage execute: skipped" in out
 
     def test_closed_stdout_ends_quietly(self):
         """A reader that goes away (``| head -1``) ends a JSON-printing

@@ -781,7 +781,7 @@ class TestDropTable:
             question="honda accord blue", domain="cars"
         )
         before = service.answer(request)
-        assert service.answer(request).timings["cache"] is True
+        assert service.answer(request).cache_hit is True
         table_name = system.cqads.domain("cars").schema.table_name
         old_table = system.database.table(table_name)
         rows = [dict(record) for record in old_table.snapshot()]
@@ -796,7 +796,7 @@ class TestDropTable:
             if record.record_id not in gone:
                 fresh.insert(row, record_id=record.record_id)
         after = service.answer(request)
-        assert after.timings["cache"] is False  # never the stale entry
+        assert after.cache_hit is False  # never the stale entry
         answered = {a.record.record_id for a in after.answers}
         assert not (answered & gone)
         service.close()
